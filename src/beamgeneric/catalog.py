@@ -15,6 +15,7 @@ mechanical subsystem loses.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -92,9 +93,10 @@ class ModelSpec:
     def dt_bound(self) -> float:
         """Largest time step :func:`beamgeneric.engine.integrate` accepts.
 
-        0.9 times the RK4 linear stability limit of the right-hand side,
-        computed from the spectrum of its (linearization's) field block; for
-        the nonlinear model the linearization is taken at the uniform
+        0.9 times the RK4 linear stability limit of the right-hand side.  The
+        spectrum of its (linearization's) field block is read off the Fourier
+        symbols of the node-0 stencil, one small eigenproblem per wavenumber;
+        for the nonlinear model the linearization is taken at the uniform
         equilibrium reference state.
         """
         if self._dt_bound is None:
@@ -115,16 +117,22 @@ _NONNEGATIVE = (
 
 
 def _validate_params(mid: ModelId, params: ModelParams):
-    problems = []
+    # NaN passes the `< 0` checks below, so finiteness is checked on its own.
+    values = dataclasses.asdict(params)
+    problems = [
+        f"{name} must be finite, got {value}"
+        for name, value in values.items()
+        if not math.isfinite(value)
+    ]
     positive = ["k", "b"]
     if mid not in _TIMOSHENKO_IDS:
         positive += ["k0", "l"]
     for name in positive:
-        if not getattr(params, name) > 0.0:
-            problems.append(f"{name} must be > 0, got {getattr(params, name)}")
+        if not values[name] > 0.0:
+            problems.append(f"{name} must be > 0, got {values[name]}")
     for name in _NONNEGATIVE:
-        if getattr(params, name) < 0.0:
-            problems.append(f"{name} must be >= 0, got {getattr(params, name)}")
+        if values[name] < 0.0:
+            problems.append(f"{name} must be >= 0, got {values[name]}")
     # alpha < 0 would flip the sign of the dissipative quadratic form and break
     # positive semidefiniteness, so it is rejected along with alpha == 0.
     if not params.alpha > 0.0:

@@ -1,10 +1,15 @@
 """Assembly of z_t = L dE + M dS, time integration, and the axiom verifier.
 
-The integrator is classical explicit RK4 with a fixed step.  For the models
-whose right-hand side is linear in the fields (all but the nonlinearly
-coupled one) the assembly is compiled once into a sparse matrix plus a scalar
-closure for the reservoir production; the compiled path reproduces the
-object-level assembly to roundoff and is checked against it in the tests.
+The integrator is classical explicit RK4 with a fixed step.  Every catalog
+operator is a stencil on the periodic grid, so the field Jacobian is
+block-circulant and one probe per field at node 0 (the stencil) determines
+it.  Set-up uses that probe twice: for the models whose right-hand side is
+linear in the fields (all but the nonlinearly coupled one) the assembly is
+compiled into a sparse matrix from the stencil's cyclic shifts, plus a scalar
+closure for the reservoir production; and the stable step bound is the RK4
+limit over the eigenvalues of the stencil's Fourier symbols.  The compiled
+path is checked against the object-level assembly once at compile time and
+reproduces it to roundoff.
 
 Randomized verification draws states and covectors from a seeded generator;
 residuals are reported relative to per-trial magnitudes (scale = max(1,
@@ -78,12 +83,88 @@ def _reservoir_rate(model) -> Optional[Callable[[np.ndarray], float]]:
     return rate
 
 
+def _stencil(model) -> np.ndarray:
+    """The node-0 columns of the field Jacobian, shape ``(n * n_fields, n_fields)``.
+
+    Column j is the response of the field rows of the right-hand side to a
+    unit perturbation of field j at node 0: exact for linear models, a central
+    finite difference at the uniform reference state for the nonlinear model.  Every catalog operator is a periodic stencil, so the
+    full field Jacobian is the block-circulant matrix generated by cyclic
+    shifts of these columns.
+    """
+    layout = model.layout
+    n, nfields = layout.grid.n, layout.n_fields
+    nf = n * nfields
+    stencil = np.zeros((nf, nfields))
+    if model.rhs_linear:
+        basis = np.zeros(layout.flat_dim)
+        for j in range(nfields):
+            basis[j * n] = 1.0
+            stencil[:, j] = generic_rhs(model, State(layout, basis.copy())).flat[:nf]
+            basis[j * n] = 0.0
+        return stencil
+    z0 = model.reference_state.flat
+    fields = z0[:nf].reshape(nfields, n)
+    if not np.all(fields == fields[:, :1]):
+        raise ValueError(
+            f"{model.id}: the reference state must be uniform on the grid "
+            "for the stencil linearization"
+        )
+    h = 1e-6
+    for j in range(nfields):
+        zp = z0.copy()
+        zp[j * n] += h
+        zm = z0.copy()
+        zm[j * n] -= h
+        fp = generic_rhs(model, State(layout, zp)).flat[:nf]
+        fm = generic_rhs(model, State(layout, zm)).flat[:nf]
+        stencil[:, j] = (fp - fm) / (2.0 * h)
+    return stencil
+
+
+def _circulant_csr(model, stencil: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Sparse matrix of the linear part of the right-hand side.
+
+    Field columns are the cyclic shifts of the stencil, the reservoir column
+    is probed once, and the reservoir row (quadratic, see
+    :func:`_reservoir_rate`) is left empty.
+    """
+    layout = model.layout
+    n, nfields, dim = layout.grid.n, layout.n_fields, layout.flat_dim
+    shifts = np.arange(n)
+    rows, cols, vals = [], [], []
+    for j in range(nfields):
+        for r in np.flatnonzero(stencil[:, j]):
+            field, node = divmod(int(r), n)
+            rows.append(field * n + (node + shifts) % n)
+            cols.append(j * n + shifts)
+            vals.append(np.full(n, stencil[r, j]))
+    if layout.has_reservoir:
+        basis = np.zeros(dim)
+        basis[layout.reservoir_index] = 1.0
+        column = generic_rhs(model, State(layout, basis)).flat
+        column[layout.reservoir_index] = 0.0
+        nonzero = np.flatnonzero(column)
+        rows.append(nonzero)
+        cols.append(np.full(nonzero.size, layout.reservoir_index))
+        vals.append(column[nonzero])
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
+
+
 def compile_rhs(model) -> Callable[[np.ndarray], np.ndarray]:
     """Fast flat-array form of :func:`generic_rhs`.
 
-    Linear models are probed column by column into a sparse matrix (the
-    reservoir row, which is quadratic, is kept as a closure).  The nonlinear
-    model falls back to the object-level assembly.
+    For linear models the field part is a sparse matrix assembled from one
+    probe of the node-0 stencil (see :func:`_stencil`) and one probe of the
+    reservoir column; the reservoir row, which is quadratic, is kept as a
+    closure.  The assembly is checked once against the object-level
+    right-hand side on a fixed-seed vector, and a mismatch above 1e-12
+    relative (a model that is not translation-invariant) raises
+    :class:`ValueError`.  The nonlinear model uses its flat-array form, or
+    falls back to the object-level assembly.
     """
     if model._compiled_rhs is not None:
         return model._compiled_rhs
@@ -99,16 +180,7 @@ def compile_rhs(model) -> Callable[[np.ndarray], np.ndarray]:
         model._compiled_rhs = rhs
         return rhs
 
-    dim = layout.flat_dim
-    columns = np.zeros((dim, dim))
-    basis = np.zeros(dim)
-    for j in range(dim):
-        basis[j] = 1.0
-        columns[:, j] = generic_rhs(model, State(layout, basis.copy())).flat
-        basis[j] = 0.0
-    if layout.has_reservoir:
-        columns[layout.reservoir_index, :] = 0.0
-    matrix = scipy.sparse.csr_matrix(columns)
+    matrix = _circulant_csr(model, _stencil(model))
     rate = _reservoir_rate(model)
     e_index = layout.reservoir_index if layout.has_reservoir else None
 
@@ -118,43 +190,22 @@ def compile_rhs(model) -> Callable[[np.ndarray], np.ndarray]:
             out[e_index] = rate(flat)
         return out
 
+    y = np.random.default_rng(0).standard_normal(layout.flat_dim)
+    got = rhs(y)
+    want = generic_rhs(model, State(layout, y.copy())).flat
+    scale = max(1.0, float(np.max(np.abs(got))), float(np.max(np.abs(want))))
+    mismatch = float(np.max(np.abs(got - want))) / scale
+    if not mismatch <= 1e-12:
+        raise ValueError(
+            f"{model.id}: the stencil assembly differs from the object-level "
+            f"right-hand side by {mismatch:.3e} (is the model translation-invariant?)"
+        )
     model._compiled_rhs = rhs
     return rhs
 
 
 # --------------------------------------------------------------------------
 # stable time step
-
-
-def _field_jacobian(model) -> np.ndarray:
-    """Jacobian of the field block of the right-hand side.
-
-    Exact for linear models; for the nonlinear model a central finite
-    difference at the model's uniform reference state.
-    """
-    layout = model.layout
-    nf = layout.grid.n * layout.n_fields
-    if model.rhs_linear:
-        rhs = compile_rhs(model)
-        jac = np.zeros((nf, nf))
-        basis = np.zeros(layout.flat_dim)
-        for j in range(nf):
-            basis[j] = 1.0
-            jac[:, j] = rhs(basis)[:nf]
-            basis[j] = 0.0
-        return jac
-    z0 = model.reference_state.flat
-    h = 1e-6
-    jac = np.zeros((nf, nf))
-    for j in range(nf):
-        zp = z0.copy()
-        zp[j] += h
-        zm = z0.copy()
-        zm[j] -= h
-        fp = generic_rhs(model, State(layout, zp)).flat[:nf]
-        fm = generic_rhs(model, State(layout, zm)).flat[:nf]
-        jac[:, j] = (fp - fm) / (2.0 * h)
-    return jac
 
 
 def _rk4_amplification(z: np.ndarray) -> np.ndarray:
@@ -192,8 +243,18 @@ def _rk4_stability_limit(eigs: np.ndarray) -> float:
 
 
 def stable_dt(model) -> float:
-    """0.9 times the RK4 stability limit of the linearized right-hand side."""
-    eigs = np.linalg.eigvals(_field_jacobian(model))
+    """0.9 times the RK4 stability limit of the linearized right-hand side.
+
+    The field Jacobian is block-circulant, so its spectrum is the union of the
+    eigenvalues of the n symbol matrices (f x f, one per wavenumber) obtained
+    by a Fourier transform of the node-0 stencil along the grid axis (von
+    Neumann analysis).
+    """
+    layout = model.layout
+    n, nfields = layout.grid.n, layout.n_fields
+    stencil = _stencil(model).reshape(nfields, n, nfields)
+    symbols = np.fft.fft(stencil, axis=1).transpose(1, 0, 2)
+    eigs = np.linalg.eigvals(symbols).ravel()
     # The dynamics are contractive in the energy seminorm, so the true
     # spectrum satisfies Re(lambda) <= 0; positive real parts are eigensolver
     # noise (worst near defective wave pairs) and would make the bound
@@ -213,10 +274,12 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if self.t_end < self.dt:
-            raise ValueError(f"t_end must be at least dt, got {self.t_end!r}")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not (self.t_end >= self.dt and math.isfinite(self.t_end)):
+            raise ValueError(f"t_end must be finite and at least dt, got {self.t_end!r}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end/dt overflows (t_end={self.t_end!r}, dt={self.dt!r})")
         if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
 

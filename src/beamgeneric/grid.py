@@ -13,6 +13,7 @@ checks elsewhere in the package hold to roundoff instead of to O(dx^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ class Grid:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 4:
             raise ValueError(f"grid needs an integer node count >= 4, got n={self.n!r}")
-        if not self.length > 0.0:
-            raise ValueError(f"domain length must be positive, got {self.length!r}")
+        if not (self.length > 0.0 and math.isfinite(self.length)):
+            raise ValueError(f"domain length must be positive and finite, got {self.length!r}")
 
     @property
     def dx(self) -> float:

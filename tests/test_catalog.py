@@ -57,6 +57,13 @@ def test_parameter_validation():
         bg.build_model("TimoshenkoUndamped", ModelParams(k=-1.0, b=0.0), grid)
     # Timoshenko models do not restrict the Bresse-only constants
     bg.build_model("TimoshenkoUndamped", ModelParams(k0=0.0, l=0.0), grid)
+    # non-finite constants are rejected by name (NaN passes the sign checks)
+    with pytest.raises(ValueError, match="kappa must be finite, got nan"):
+        bg.build_model("TimoshenkoHeatI", ModelParams(kappa=float("nan")), grid)
+    with pytest.raises(ValueError, match="delta1 must be finite, got inf"):
+        bg.build_model("TimoshenkoFrictional", ModelParams(delta1=float("inf")), grid)
+    with pytest.raises(ValueError, match="k must be finite, got -inf"):
+        bg.build_model("BresseHeatII", ModelParams(k=-float("inf")), grid)
 
 
 def test_default_initial_state(grid32):

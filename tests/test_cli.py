@@ -84,6 +84,19 @@ def test_simulate_bad_config_exit_codes(tmp_path, capsys):
 
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 1
 
+    # non-finite values are rejected at the boundary, naming the key
+    for line, key in (("kappa = nan", "kappa"), ("length = inf", "length"),
+                      ("t_end = inf", "t_end")):
+        capsys.readouterr()
+        cfg = write_config(
+            tmp_path,
+            f"model = TimoshenkoHeatI\nn = 16\n{line}\noutput = {tmp_path / 'x.csv'}\n",
+        )
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
 
 def test_simulate_divergence_exit_code(tmp_path, capsys):
     cfg = write_config(

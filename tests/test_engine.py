@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import beamgeneric as bg
 from beamgeneric import (
@@ -25,7 +26,7 @@ from beamgeneric import (
     uniform_scaling,
     verify_brackets,
 )
-from beamgeneric.engine import DiagnosticsRecord
+from beamgeneric.engine import DiagnosticsRecord, _rk4_stability_limit
 from conftest import rel_inf
 
 
@@ -84,6 +85,44 @@ def test_compiled_rhs_matches_object_assembly(models32):
             assert rel_inf(rhs(z.flat.copy()), generic_rhs(model, z).flat) <= 1e-12
 
 
+def _dense_probe(model):
+    """The full dim x dim matrix of a linear model's right-hand side, probed
+    one unit vector at a time, with the (quadratic) reservoir row zeroed."""
+    layout = model.layout
+    dim = layout.flat_dim
+    columns = np.zeros((dim, dim))
+    basis = np.zeros(dim)
+    for j in range(dim):
+        basis[j] = 1.0
+        columns[:, j] = generic_rhs(model, State(layout, basis.copy())).flat
+        basis[j] = 0.0
+    if layout.has_reservoir:
+        columns[layout.reservoir_index, :] = 0.0
+    return columns
+
+
+def test_compiled_matrix_equals_dense_probe(grid32):
+    rng = np.random.default_rng(23)
+    for mid in bg.ALL_MODEL_IDS:
+        model = bg.build_model(mid, ModelParams(), grid32)
+        if not model.rhs_linear:
+            continue
+        nf = grid32.n * model.layout.n_fields
+        matrix = scipy.sparse.csr_matrix(_dense_probe(model))
+        y = rng.standard_normal(model.layout.flat_dim)
+        np.testing.assert_array_equal(compile_rhs(model)(y)[:nf], (matrix @ y)[:nf])
+
+
+def test_compile_rhs_rejects_non_translation_invariant_model(grid32):
+    base = bg.build_model("TimoshenkoFrictional", ModelParams(), grid32)
+    coeff = 1.0 + 0.5 * np.sin(2.0 * math.pi * grid32.nodes / grid32.length)
+    varying = dataclasses.replace(
+        base, l_blocks=tuple(base.l_blocks) + (("p", "q", Block("mul_d1", 1.0, coeff)),)
+    )
+    with pytest.raises(ValueError, match="translation-invariant"):
+        compile_rhs(varying)
+
+
 def test_alpha_scaling_leaves_rhs_unchanged(grid32):
     rng = np.random.default_rng(22)
     for name in ("TimoshenkoFrictional", "TimoshenkoHeatI", "BresseHeatII"):
@@ -93,6 +132,55 @@ def test_alpha_scaling_leaves_rhs_unchanged(grid32):
             z1 = bg.random_state(m1, rng)
             z2 = State(m2.layout, z1.flat.copy())
             assert rel_inf(generic_rhs(m1, z1).flat, generic_rhs(m2, z2).flat) <= 1e-12
+
+
+# --------------------------------------------------------------------------
+# stable time step
+
+
+def _field_jacobian(model):
+    """Dense Jacobian of the field block of the right-hand side: exact for
+    linear models, a central difference at the reference state otherwise."""
+    layout = model.layout
+    nf = layout.grid.n * layout.n_fields
+    jac = np.zeros((nf, nf))
+    if model.rhs_linear:
+        rhs = compile_rhs(model)
+        basis = np.zeros(layout.flat_dim)
+        for j in range(nf):
+            basis[j] = 1.0
+            jac[:, j] = rhs(basis)[:nf]
+            basis[j] = 0.0
+        return jac
+    z0 = model.reference_state.flat
+    h = 1e-6
+    for j in range(nf):
+        zp = z0.copy()
+        zp[j] += h
+        zm = z0.copy()
+        zm[j] -= h
+        fp = generic_rhs(model, State(layout, zp)).flat[:nf]
+        fm = generic_rhs(model, State(layout, zm)).flat[:nf]
+        jac[:, j] = (fp - fm) / (2.0 * h)
+    return jac
+
+
+def test_symbol_dt_matches_dense_spectrum(grid32, grid64):
+    for grid in (grid32, grid64):
+        for mid in bg.ALL_MODEL_IDS:
+            model = bg.build_model(mid, ModelParams(), grid)
+            eigs = np.linalg.eigvals(_field_jacobian(model))
+            eigs = np.minimum(eigs.real, 0.0) + 1j * eigs.imag
+            dense = 0.9 * _rk4_stability_limit(eigs)
+            assert abs(model.dt_bound - dense) <= 1e-12 * dense, (grid.n, mid)
+
+
+def test_stable_dt_requires_uniform_reference_state(grid32):
+    base = bg.build_model("TimoshenkoNew", ModelParams(), grid32)
+    ref = base.reference_state.copy()
+    ref.field("theta")[0] = 2.0
+    with pytest.raises(ValueError, match="uniform"):
+        bg.stable_dt(dataclasses.replace(base, reference_state=ref))
 
 
 # --------------------------------------------------------------------------
@@ -112,6 +200,11 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=1e-2, t_end=1e-3)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1e-3, t_end=1.0, record_every=0)
+    # non-finite inputs, and a finite pair whose step count overflows
+    for dt, t_end in ((math.nan, 1.0), (math.inf, 1.0), (1e-3, math.nan),
+                      (1e-3, math.inf), (1e-300, 1e300)):
+        with pytest.raises(ValueError):
+            IntegratorConfig(dt=dt, t_end=t_end)
 
 
 def test_record_schedule(models32):

@@ -11,6 +11,9 @@ def test_constructor_validation():
         Grid(8, 0.0)
     with pytest.raises(ValueError):
         Grid(8, -2.0)
+    for length in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="length"):
+            Grid(8, length)
     g = Grid(8, 2.0)
     assert g.dx == pytest.approx(0.25)
     assert g.nodes[1] == pytest.approx(0.25)
