@@ -62,9 +62,10 @@ _TIMOSHENKO_IDS = {
 class ModelSpec:
     """Everything needed to evaluate and integrate one model.
 
-    Instances are immutable by convention once built (the private slots cache
-    derived data such as the compiled right-hand side and the stable step
-    bound).
+    Instances are immutable by convention once built.  The private slots
+    cache derived data that the engine computes for every model: the stable
+    step bound, the compiled right-hand side and the sparse form of the
+    building blocks (see :func:`beamgeneric.engine.compile_rhs`).
     """
 
     id: ModelId
@@ -77,9 +78,9 @@ class ModelSpec:
     direct_rhs: Callable[[State], State]
     rhs_linear: bool
     reference_state: State
-    fast_rhs: Optional[Callable] = None  # flat-array form for nonlinear models
     _dt_bound: Optional[float] = dataclass_field(default=None, init=False, repr=False)
     _compiled_rhs: Optional[Callable] = dataclass_field(default=None, init=False, repr=False)
+    _sparse: Optional[object] = dataclass_field(default=None, init=False, repr=False)
 
     @property
     def grid(self) -> Grid:
@@ -353,28 +354,7 @@ def _build_timoshenko_new(params: ModelParams, grid: Grid):
         out.field("theta")[:] = dlt * grid.d1(grid.d1(theta)) + gam * theta * grid.d1(q)
         return out
 
-    n = grid.n
-    inv2dx = 1.0 / (2.0 * grid.dx)
-    sl = {name: layout.field_slice(name) for name in layout.field_order}
-
-    def fast_rhs(flat: np.ndarray) -> np.ndarray:
-        # Flat-array form of the assembled right-hand side (checked against
-        # the block assembly to roundoff by the engine tests).
-        def d1(u):
-            return (np.roll(u, -1) - np.roll(u, 1)) * inv2dx
-
-        phi, psi = flat[sl["phi"]], flat[sl["psi"]]
-        p, q, theta = flat[sl["p"]], flat[sl["q"]], flat[sl["theta"]]
-        out = np.empty_like(flat)
-        g = d1(phi) + psi
-        out[sl["phi"]] = p
-        out[sl["psi"]] = q
-        out[sl["p"]] = k * d1(g)
-        out[sl["q"]] = -k * g + b * d1(d1(psi)) + gam * d1(theta)
-        out[sl["theta"]] = dlt * d1(d1(theta)) + gam * theta * d1(q)
-        return out
-
-    return layout, terms, l_blocks, rows, direct, fast_rhs
+    return layout, terms, l_blocks, rows, direct
 
 
 def _build_bresse_undamped(params: ModelParams, grid: Grid):
@@ -526,9 +506,7 @@ def build_model(model_id, params: ModelParams = None, grid: Grid = None) -> Mode
     if grid is None:
         grid = Grid(64, 1.0)
     _validate_params(mid, params)
-    built = _BUILDERS[mid](params, grid)
-    layout, terms, l_blocks, rows, direct = built[:5]
-    fast = built[5] if len(built) > 5 else None
+    layout, terms, l_blocks, rows, direct = _BUILDERS[mid](params, grid)
     if mid is ModelId.TIMOSHENKO_NEW:
         entropy = LogThetaEntropy("theta")
     else:
@@ -544,7 +522,6 @@ def build_model(model_id, params: ModelParams = None, grid: Grid = None) -> Mode
         direct_rhs=direct,
         rhs_linear=mid is not ModelId.TIMOSHENKO_NEW,
         reference_state=_equilibrium_state(mid, layout),
-        fast_rhs=fast,
     )
     return model
 

@@ -32,7 +32,6 @@ _RUN_KEY_TYPES = {
     "dt": float,
     "t_end": float,
     "record_every": int,
-    "seed": int,
     "mode": int,
     "amplitude": float,
     "output": str,
@@ -47,7 +46,6 @@ class RunConfig:
     dt: float = 1e-3
     t_end: float = 10.0
     record_every: int = 10
-    seed: int = 0
     mode: int = 1
     amplitude: float = 0.1
     output: str = "diagnostics.csv"

@@ -1,15 +1,24 @@
 """Assembly of z_t = L dE + M dS, time integration, and the axiom verifier.
 
 The integrator is classical explicit RK4 with a fixed step.  Every catalog
-operator is a stencil on the periodic grid, so the field Jacobian is
-block-circulant and one probe per field at node 0 (the stencil) determines
-it.  Set-up uses that probe twice: for the models whose right-hand side is
-linear in the fields (all but the nonlinearly coupled one) the assembly is
-compiled into a sparse matrix from the stencil's cyclic shifts, plus a scalar
-closure for the reservoir production; and the stable step bound is the RK4
-limit over the eigenvalues of the stencil's Fourier symbols.  The compiled
-path is checked against the object-level assembly once at compile time and
-reproduces it to roundoff.
+operator is a stencil on the periodic grid, so set-up works from node-0
+stencils in O(dim), and every model runs compiled, with no object-level
+fallback in the solve loop:
+
+* :func:`compile_rhs` splits the right-hand side into one constant sparse
+  matrix (the cyclic shifts of a node-0 probe) plus the terms that are not
+  linear: the reservoir production ``alpha * dx * sum_r w_r |D_r y|^2`` and
+  the bilinear coupling of the nonlinear model.  It is checked once against
+  the object-level assembly and reproduces it to roundoff.
+* The diagnostics records of :func:`integrate` evaluate the energy, its
+  gradient and the degeneracy residuals through the same sparse form of the
+  building blocks (:func:`_sparse_form`).
+* The stable step bound is the RK4 limit over the eigenvalues of the
+  stencil's Fourier symbols.
+
+The object-level operators (``apply_L``, ``apply_M``, the gradients,
+:func:`generic_rhs`) and the hand-coded :func:`direct_rhs` stay as the
+oracles the compiled forms are tested against.
 
 Randomized verification draws states and covectors from a seeded generator;
 residuals are reported relative to per-trial magnitudes (scale = max(1,
@@ -28,12 +37,11 @@ import scipy.sparse
 
 from .errors import DivergenceError, DomainError, PositivityError
 from .functionals import (
+    LinearTerm,
     LogThetaEntropy,
-    energy,
     entropy,
     grad_energy,
     grad_entropy,
-    mechanical_energy,
 )
 from .operators import apply_L, apply_M
 from .state import CotangentVector, State, StateLayout, mixed_inner
@@ -58,58 +66,262 @@ def direct_rhs(model, z: State) -> State:
     return model.direct_rhs(z)
 
 
-def _reservoir_rate(model) -> Optional[Callable[[np.ndarray], float]]:
-    """Closure computing (M dS)_e = sum of the weighted dissipation quadratures."""
-    if not (model.layout.has_reservoir and model.m_rows):
-        return None
-    grid = model.layout.grid
-    alpha = model.entropy.alpha
-    pieces = [
-        (model.layout.field_slice(row.field), row.differentiate, row.weight)
-        for row in model.m_rows
-    ]
-    dx = grid.dx
-    inv2dx = 1.0 / (2.0 * dx)
+def _periodic_matrix(n: int, shape: tuple, entries) -> scipy.sparse.csr_matrix:
+    """Sparse matrix made of n x n periodic stencil blocks.
 
-    def rate(flat: np.ndarray) -> float:
-        total = 0.0
-        for sl, differentiate, weight in pieces:
-            a = flat[sl]
-            if differentiate:
-                a = (np.roll(a, -1) - np.roll(a, 1)) * inv2dx
-            total += weight * dx * float(np.dot(a, a))
-        return alpha * total
-
-    return rate
-
-
-def _stencil(model) -> np.ndarray:
-    """The node-0 columns of the field Jacobian, shape ``(n * n_fields, n_fields)``.
-
-    Column j is the response of the field rows of the right-hand side to a
-    unit perturbation of field j at node 0: exact for linear models, a central
-    finite difference at the uniform reference state for the nonlinear model.  Every catalog operator is a periodic stencil, so the
-    full field Jacobian is the block-circulant matrix generated by cyclic
-    shifts of these columns.
+    Each entry ``(block row, block column, offset, value)`` puts ``value`` at
+    ``(row * n + i, column * n + (i + offset) % n)`` for every node i;
+    coinciding entries add up.
     """
+    nodes = np.arange(n)
+    rows, cols, vals = [], [], []
+    for row, col, offset, value in entries:
+        rows.append(row * n + nodes)
+        cols.append(col * n + (nodes + offset) % n)
+        vals.append(np.full(n, value))
+    if not vals:
+        return scipy.sparse.csr_matrix(shape)
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    )
+
+
+@dataclass(frozen=True)
+class _SparseForm:
+    """A model's building blocks as sparse matrices over the flat state.
+
+    * ``energy_rows`` (G) stacks one row block per ``SquareTerm``, the
+      combination g it squares, so the quadratic energy is
+      ``1/2 dx sum(energy_coeffs * g**2)`` and its gradient ``G^T C G y``;
+      ``energy_const`` is the gradient of the rest (the ``LinearTerm``
+      coefficients, and 1 on the reservoir slot).
+    * ``l_const`` holds the constant Poisson blocks; ``l_state`` the blocks
+      with a coefficient field, as (row slice, column slice, kind, c,
+      coefficient slice or array), applied with ``d1``.
+    * ``m_rows`` (R) stacks one row block per ``DissipativeRow`` (D or the
+      identity on its field); ``m_weights`` are their constant weights (None
+      when a weight depends on the state) and ``m_coupled`` is 1 on the rows
+      coupled to the reservoir.
+    * ``products`` (P) stacks R and, for each ``mul_d1`` block with a
+      coefficient field, ``K = D (G^T C G)`` restricted to the block's
+      column.  Given ``p = P y``, the right-hand side's terms that are not
+      linear are the ``bilinear`` terms ``c * y_a * (K y)``, listed as (row
+      slice, coefficient slice, c, slice of p), and the reservoir
+      production ``sum(production * (R y)**2)`` (None without a reservoir).
+    """
+
+    d1: scipy.sparse.csr_matrix
+    energy_rows: scipy.sparse.csr_matrix
+    energy_rows_t: scipy.sparse.csr_matrix
+    energy_coeffs: np.ndarray
+    energy_const: np.ndarray
+    l_const: scipy.sparse.csr_matrix
+    l_state: tuple
+    m_rows: scipy.sparse.csr_matrix
+    m_rows_t: scipy.sparse.csr_matrix
+    m_weights: Optional[np.ndarray]
+    m_coupled: np.ndarray
+    products: scipy.sparse.csr_matrix
+    bilinear: tuple
+    production: Optional[np.ndarray]
+
+
+def _sparse_form(model) -> _SparseForm:
+    """The model's :class:`_SparseForm`, built from its SquareTerm/LinearTerm,
+    Block and DissipativeRow data on first use and cached on the model."""
+    if model._sparse is not None:
+        return model._sparse
     layout = model.layout
-    n, nfields = layout.grid.n, layout.n_fields
-    nf = n * nfields
-    stencil = np.zeros((nf, nfields))
-    if model.rhs_linear:
-        basis = np.zeros(layout.flat_dim)
-        for j in range(nfields):
-            basis[j * n] = 1.0
-            stencil[:, j] = generic_rhs(model, State(layout, basis.copy())).flat[:nf]
-            basis[j * n] = 0.0
-        return stencil
+    n, dim, dx = layout.grid.n, layout.flat_dim, layout.grid.dx
+    index = {name: i for i, name in enumerate(layout.field_order)}
+    half = 1.0 / (2.0 * dx)
+    taps = {
+        "identity": ((0, 1.0),),
+        "d1": ((1, half), (-1, -half)),
+        "d2": ((2, half * half), (0, -2.0 * half * half), (-2, half * half)),
+    }
+
+    def tap(differentiate: bool):
+        return taps["d1" if differentiate else "identity"]
+
+    squares = [t for t in model.energy_terms if not isinstance(t, LinearTerm)]
+    energy_rows = _periodic_matrix(n, (len(squares) * n, dim), [
+        (r, index[name], offset, factor * value)
+        for r, term in enumerate(squares)
+        for name, differentiate, factor in term.parts
+        for offset, value in tap(differentiate)
+    ])
+    energy_rows_t = energy_rows.T.tocsr()
+    energy_coeffs = np.repeat(np.array([t.coeff for t in squares], dtype=float), n)
+    energy_const = np.zeros(dim)
+    for term in model.energy_terms:
+        if isinstance(term, LinearTerm):
+            energy_const[layout.field_slice(term.field)] += term.coeff
+    if layout.has_reservoir:
+        energy_const[layout.reservoir_index] = 1.0
+
+    l_entries, l_state = [], []
+    for row, col, block in model.l_blocks:
+        if block.kind in taps:
+            l_entries += [(index[row], index[col], o, block.c * v) for o, v in taps[block.kind]]
+        else:
+            coefficient = (
+                layout.field_slice(block.a) if isinstance(block.a, str)
+                else np.asarray(block.a, dtype=float)
+            )
+            l_state.append((layout.field_slice(row), layout.field_slice(col),
+                            block.kind, block.c, coefficient))
+
+    dissipative = model.m_rows
+    m_rows = _periodic_matrix(n, (len(dissipative) * n, dim), [
+        (r, index[row.field], o, v)
+        for r, row in enumerate(dissipative)
+        for o, v in tap(row.differentiate)
+    ])
+    m_weights = None
+    if all(row.weight_fn is None for row in dissipative):
+        m_weights = np.repeat(np.array([row.weight for row in dissipative], dtype=float), n)
+    m_coupled = np.repeat(np.array([row.couple_reservoir for row in dissipative], dtype=float), n)
+    production = None
+    if layout.has_reservoir and dissipative:
+        production = model.entropy.alpha * dx * m_weights * m_coupled
+
+    d1 = _periodic_matrix(n, (n, n), [(0, 0, o, v) for o, v in taps["d1"]])
+    products, bilinear = [m_rows], []
+    start = m_rows.shape[0]
+    for rows, cols, kind, c, a in l_state:
+        if kind == "mul_d1" and isinstance(a, slice):
+            hessian = energy_rows_t[cols] @ scipy.sparse.diags(energy_coeffs) @ energy_rows
+            products.append(d1 @ hessian)
+            bilinear.append((rows, a, c, slice(start, start + n)))
+            start += n
+
+    sparse = _SparseForm(
+        d1=d1,
+        energy_rows=energy_rows,
+        energy_rows_t=energy_rows_t,
+        energy_coeffs=energy_coeffs,
+        energy_const=energy_const,
+        l_const=_periodic_matrix(n, (dim, dim), l_entries),
+        l_state=tuple(l_state),
+        m_rows=m_rows,
+        m_rows_t=m_rows.T.tocsr(),
+        m_weights=m_weights,
+        m_coupled=m_coupled,
+        products=scipy.sparse.vstack(products, format="csr"),
+        bilinear=tuple(bilinear),
+        production=production,
+    )
+    model._sparse = sparse
+    return sparse
+
+
+def _add_nonlinear(sparse: _SparseForm, y: np.ndarray, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add to ``out`` the right-hand side's terms that are not linear, given
+    the products ``p = P y``: the bilinear terms, and the reservoir
+    production on the reservoir row."""
+    for rows, coefficient, c, k_rows in sparse.bilinear:
+        out[rows] += c * y[coefficient] * p[k_rows]
+    if sparse.production is not None:
+        g = p[:sparse.production.size]
+        out[-1] += sparse.production @ (g * g)
+    return out
+
+
+def _apply_l(sparse: _SparseForm, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """L(y) xi: the constant blocks, then the blocks with a coefficient field."""
+    out = sparse.l_const @ xi
+    for rows, cols, kind, c, coefficient in sparse.l_state:
+        a = y[coefficient] if isinstance(coefficient, slice) else coefficient
+        if kind == "mul_d1":
+            out[rows] += c * a * (sparse.d1 @ xi[cols])
+        else:  # d1_mul
+            out[rows] += c * (sparse.d1 @ (a * xi[cols]))
+    return out
+
+
+def _apply_m(model, sparse: _SparseForm, z: State, xi: np.ndarray) -> np.ndarray:
+    """M(z) xi in factored form, sum_r J_r^T w_r J_r xi with
+    J_r xi = R_r xi - (R_r z) xi_e on the rows coupled to the reservoir."""
+    layout = model.layout
+    weights = sparse.m_weights
+    if weights is None:
+        n = layout.grid.n
+        weights = np.concatenate(
+            [np.broadcast_to(row.weight_values(z), (n,)) for row in model.m_rows]
+        )
+    j = sparse.m_rows @ xi
+    if layout.has_reservoir:
+        coupled = sparse.m_coupled * (sparse.m_rows @ z.flat)
+        j -= coupled * xi[layout.reservoir_index]
+    v = weights * j
+    out = sparse.m_rows_t @ v
+    if layout.has_reservoir:
+        out[layout.reservoir_index] = -layout.grid.dx * float(np.dot(coupled, v))
+    return out
+
+
+def _reference(model) -> np.ndarray:
+    """The reference state's flat array.  It must be uniform on the grid, so
+    that probes at node 0 stand for every node."""
+    layout = model.layout
+    nf = layout.grid.n * layout.n_fields
     z0 = model.reference_state.flat
-    fields = z0[:nf].reshape(nfields, n)
+    fields = z0[:nf].reshape(layout.n_fields, layout.grid.n)
     if not np.all(fields == fields[:, :1]):
         raise ValueError(
             f"{model.id}: the reference state must be uniform on the grid "
             "for the stencil linearization"
         )
+    return z0
+
+
+def _constant_stencil(model) -> np.ndarray:
+    """Node-0 columns of the field block of the constant matrix A in
+    ``generic_rhs = A y + N(y)``, shape ``(n * n_fields, n_fields)``, where N
+    holds the terms that are not linear (see :func:`_add_nonlinear`).
+
+    Column j is the unit secant F(z0 + e_j) - F(z0) of F = generic_rhs - N at
+    the uniform reference state z0, with e_j the unit vector of field j at
+    node 0.  F is affine in each field, so the secant has no truncation
+    error: for linear models (z0 = 0, F(0) = 0) it is the unit response.
+    Every catalog operator is a periodic stencil, so A is the block-circulant
+    matrix generated by cyclic shifts of these columns.
+    """
+    layout = model.layout
+    n, nfields = layout.grid.n, layout.n_fields
+    nf = n * nfields
+    z0 = _reference(model)
+    sparse = _sparse_form(model)
+
+    def f(y: np.ndarray) -> np.ndarray:
+        out = generic_rhs(model, State(layout, y)).flat
+        nonlinear = _add_nonlinear(sparse, y, sparse.products @ y, np.zeros_like(out))
+        return (out - nonlinear)[:nf]
+
+    base = 0.0 if model.rhs_linear else f(z0.copy())
+    stencil = np.empty((nf, nfields))
+    for j in range(nfields):
+        y = z0.copy()
+        y[j * n] += 1.0
+        stencil[:, j] = f(y) - base
+    return stencil
+
+
+def _stencil(model) -> np.ndarray:
+    """The node-0 columns of the field Jacobian at the reference state, shape
+    ``(n * n_fields, n_fields)``: exact for linear models
+    (:func:`_constant_stencil`), a central finite difference at the uniform
+    reference state for the nonlinear model.  The full field Jacobian is the
+    block-circulant matrix generated by cyclic shifts of these columns.
+    """
+    if model.rhs_linear:
+        return _constant_stencil(model)
+    layout = model.layout
+    n, nfields = layout.grid.n, layout.n_fields
+    nf = n * nfields
+    z0 = _reference(model)
+    stencil = np.zeros((nf, nfields))
     h = 1e-6
     for j in range(nfields):
         zp = z0.copy()
@@ -122,77 +334,43 @@ def _stencil(model) -> np.ndarray:
     return stencil
 
 
-def _circulant_csr(model, stencil: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Sparse matrix of the linear part of the right-hand side.
-
-    Field columns are the cyclic shifts of the stencil, the reservoir column
-    is probed once, and the reservoir row (quadratic, see
-    :func:`_reservoir_rate`) is left empty.
-    """
-    layout = model.layout
-    n, nfields, dim = layout.grid.n, layout.n_fields, layout.flat_dim
-    shifts = np.arange(n)
-    rows, cols, vals = [], [], []
-    for j in range(nfields):
-        for r in np.flatnonzero(stencil[:, j]):
-            field, node = divmod(int(r), n)
-            rows.append(field * n + (node + shifts) % n)
-            cols.append(j * n + shifts)
-            vals.append(np.full(n, stencil[r, j]))
-    if layout.has_reservoir:
-        basis = np.zeros(dim)
-        basis[layout.reservoir_index] = 1.0
-        column = generic_rhs(model, State(layout, basis)).flat
-        column[layout.reservoir_index] = 0.0
-        nonzero = np.flatnonzero(column)
-        rows.append(nonzero)
-        cols.append(np.full(nonzero.size, layout.reservoir_index))
-        vals.append(column[nonzero])
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-
-
 def compile_rhs(model) -> Callable[[np.ndarray], np.ndarray]:
-    """Fast flat-array form of :func:`generic_rhs`.
+    """Flat-array form of :func:`generic_rhs`, for every model.
 
-    For linear models the field part is a sparse matrix assembled from one
-    probe of the node-0 stencil (see :func:`_stencil`) and one probe of the
-    reservoir column; the reservoir row, which is quadratic, is kept as a
-    closure.  The assembly is checked once against the object-level
-    right-hand side on a fixed-seed vector, and a mismatch above 1e-12
+    The right-hand side is ``A y`` plus the terms that are not linear.  A is
+    a constant sparse matrix, the cyclic shifts of the node-0 stencil
+    (:func:`_constant_stencil`); the nonlinear model adds its bilinear term
+    ``gamma * theta * (D q)``, and models with a reservoir set its row to the
+    production ``alpha * dx * sum_r w_r |D_r y|^2`` over the stacked
+    dissipative rows.  A is stacked on the products these terms need, so one
+    sparse product per call yields all of them.  The assembly is checked
+    once against the object-level right-hand side at a seeded random state
+    (temperatures positive for the log entropy), and a mismatch above 1e-12
     relative (a model that is not translation-invariant) raises
-    :class:`ValueError`.  The nonlinear model uses its flat-array form, or
-    falls back to the object-level assembly.
+    :class:`ValueError`.
     """
     if model._compiled_rhs is not None:
         return model._compiled_rhs
     layout = model.layout
-    if not model.rhs_linear:
-        if model.fast_rhs is not None:
-            model._compiled_rhs = model.fast_rhs
-            return model.fast_rhs
-
-        def rhs(flat: np.ndarray) -> np.ndarray:
-            return generic_rhs(model, State(layout, flat)).flat
-
-        model._compiled_rhs = rhs
-        return rhs
-
-    matrix = _circulant_csr(model, _stencil(model))
-    rate = _reservoir_rate(model)
-    e_index = layout.reservoir_index if layout.has_reservoir else None
+    n, nfields, dim = layout.grid.n, layout.n_fields, layout.flat_dim
+    sparse = _sparse_form(model)
+    stencil = _constant_stencil(model)
+    entries = []
+    for j in range(nfields):
+        for r in np.flatnonzero(stencil[:, j]):
+            field, node = divmod(int(r), n)
+            entries.append((field, j, -node, stencil[r, j]))
+    stacked = scipy.sparse.vstack(
+        [_periodic_matrix(n, (dim, dim), entries), sparse.products], format="csr"
+    )
 
     def rhs(flat: np.ndarray) -> np.ndarray:
-        out = matrix @ flat
-        if rate is not None:
-            out[e_index] = rate(flat)
-        return out
+        full = stacked @ flat
+        return _add_nonlinear(sparse, flat, full[dim:], full[:dim])
 
-    y = np.random.default_rng(0).standard_normal(layout.flat_dim)
-    got = rhs(y)
-    want = generic_rhs(model, State(layout, y.copy())).flat
+    z = random_state(model, np.random.default_rng(0))
+    got = rhs(z.flat.copy())
+    want = generic_rhs(model, z).flat
     scale = max(1.0, float(np.max(np.abs(got))), float(np.max(np.abs(want))))
     mismatch = float(np.max(np.abs(got - want))) / scale
     if not mismatch <= 1e-12:
@@ -296,32 +474,52 @@ class DiagnosticsRecord:
 
 
 def _diagnostics(model, t: float, flat: np.ndarray) -> DiagnosticsRecord:
-    z = State(model.layout, flat)
-    res_l = float(np.max(np.abs(apply_L(model, z, grad_entropy(model, z)).flat)))
-    res_m = float(np.max(np.abs(apply_M(model, z, grad_energy(model, z)).flat)))
-    theta_min = float(np.min(z.field("theta"))) if "theta" in model.layout else math.nan
+    """One record, through the model's sparse form: the energy is evaluated
+    once, as 1/2 dx sum c |G y|^2 plus the linear terms and the reservoir,
+    and its gradient as G^T C G y plus a constant."""
+    sparse = _sparse_form(model)
+    layout = model.layout
+    dx = layout.grid.dx
+    nf = layout.grid.n * layout.n_fields
+    z = State(layout, flat)
+    g = sparse.energy_rows @ flat
+    cg = sparse.energy_coeffs * g
+    linear = dx * float(np.dot(sparse.energy_const[:nf], flat[:nf]))
+    e = float(flat[nf]) if layout.has_reservoir else 0.0
+    total = 0.5 * dx * float(np.dot(cg, g)) + linear + e
+    de = sparse.energy_rows_t @ cg + sparse.energy_const
+    ds = grad_entropy(model, z).flat
+    theta_min = float(np.min(z.field("theta"))) if "theta" in layout else math.nan
     return DiagnosticsRecord(
         t=t,
-        energy=energy(model, z),
+        energy=total,
         entropy=entropy(model, z),
-        mech_energy=mechanical_energy(model, z),
-        res_l_ds=res_l,
-        res_m_de=res_m,
+        mech_energy=total - e if layout.has_reservoir else total - linear,
+        res_l_ds=float(np.max(np.abs(_apply_l(sparse, flat, ds)))),
+        res_m_de=float(np.max(np.abs(_apply_m(model, sparse, z, de)))),
         theta_min=theta_min,
     )
 
 
-def step_rk4(model, z: State, dt: float) -> State:
-    """One classical RK4 step of the assembled right-hand side."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    rhs = compile_rhs(model)
-    y = z.flat
+def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of the flat-array right-hand side ``rhs``."""
     k1 = rhs(y)
     k2 = rhs(y + 0.5 * dt * k1)
     k3 = rhs(y + 0.5 * dt * k2)
     k4 = rhs(y + dt * k3)
-    return State(model.layout, y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def step_rk4(model, z: State, dt: float) -> State:
+    """One classical RK4 step of the compiled right-hand side."""
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    return State(model.layout, _rk4(compile_rhs(model), z.flat, dt))
+
+
+def _failure_context(step: int, dt: float, records: List[DiagnosticsRecord]) -> str:
+    last = records[-1]
+    return f"t = {step * dt:g}; last recorded energy {last.energy:.6g} at t = {last.t:g}"
 
 
 def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord]:
@@ -329,7 +527,8 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
 
     Rejects steps above the model's stability bound; aborts with
     :class:`PositivityError` if a log-entropy temperature leaves the positive
-    cone, and with :class:`DivergenceError` on non-finite states.
+    cone, and with :class:`DivergenceError` on non-finite states.  Both name
+    the step, its time and the last recorded energy.
     """
     if z0.layout != model.layout:
         raise ValueError(f"initial state layout does not match model {model.id}")
@@ -347,18 +546,19 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         records = [_diagnostics(model, 0.0, y)]
         for step in range(1, n_steps + 1):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * cfg.dt * k1)
-            k3 = rhs(y + 0.5 * cfg.dt * k2)
-            k4 = rhs(y + cfg.dt * k3)
-            y = y + (cfg.dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            y = _rk4(rhs, y, cfg.dt)
             if not np.isfinite(y).all():
-                raise DivergenceError(f"non-finite state at step {step}", step=step)
+                raise DivergenceError(
+                    f"non-finite state at step {step} "
+                    f"({_failure_context(step, cfg.dt, records)})",
+                    step=step,
+                )
             if log_entropy:
                 tmin = float(np.min(y[model.layout.field_slice("theta")]))
                 if not tmin > 0.0:
                     raise PositivityError(
-                        f"temperature became nonpositive at step {step} (min {tmin:g})"
+                        f"temperature became nonpositive at step {step} "
+                        f"(min {tmin:g}; {_failure_context(step, cfg.dt, records)})"
                     )
             if step % cfg.record_every == 0 or step == n_steps:
                 records.append(_diagnostics(model, step * cfg.dt, y))
@@ -578,19 +778,11 @@ def transform_check(model, t_diag: np.ndarray, z0: State, cfg: IntegratorConfig)
     v = t_diag * z0.flat
     worst = 0.0
     for step in range(1, n_steps + 1):
-        y = _rk4_flat(rhs_original, y, cfg.dt)
-        v = _rk4_flat(rhs_transformed, v, cfg.dt)
+        y = _rk4(rhs_original, y, cfg.dt)
+        v = _rk4(rhs_transformed, v, cfg.dt)
         if step % cfg.record_every == 0 or step == n_steps:
             worst = max(worst, float(np.max(np.abs(t_diag * y - v))))
     return worst
-
-
-def _rk4_flat(rhs, y: np.ndarray, dt: float) -> np.ndarray:
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 # --------------------------------------------------------------------------

@@ -60,12 +60,24 @@ class Grid:
     def d1(self, u) -> np.ndarray:
         """Central first derivative (u[i+1] - u[i-1]) / (2 dx), periodic."""
         u = self.field(u)
-        return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * self.dx)
+        out = np.empty_like(u)
+        np.subtract(u[2:], u[:-2], out=out[1:-1])
+        out[0] = u[1] - u[-1]
+        out[-1] = u[0] - u[-2]
+        out /= 2.0 * self.dx
+        return out
 
     def d2(self, u) -> np.ndarray:
         """Compact second derivative (u[i+1] - 2 u[i] + u[i-1]) / dx^2, periodic."""
         u = self.field(u)
-        return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / self.dx**2
+        out = np.empty_like(u)
+        np.multiply(u[1:-1], 2.0, out=out[1:-1])
+        np.subtract(u[2:], out[1:-1], out=out[1:-1])
+        out[1:-1] += u[:-2]
+        out[0] = u[1] - 2.0 * u[0] + u[-1]
+        out[-1] = u[0] - 2.0 * u[-1] + u[-2]
+        out /= self.dx**2
+        return out
 
     def inner(self, u, v) -> float:
         """Rectangle-rule pairing dx * sum(u * v)."""

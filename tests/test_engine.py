@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from beamgeneric import (
     uniform_scaling,
     verify_brackets,
 )
-from beamgeneric.engine import DiagnosticsRecord, _rk4_stability_limit
+from beamgeneric.engine import DiagnosticsRecord, _diagnostics, _rk4_stability_limit
 from conftest import rel_inf
 
 
@@ -99,6 +100,37 @@ def _dense_probe(model):
     if layout.has_reservoir:
         columns[layout.reservoir_index, :] = 0.0
     return columns
+
+
+def test_compiled_reservoir_rate_matches_direct_rhs(models32):
+    rng = np.random.default_rng(24)
+    for model in models32.values():
+        if not (model.layout.has_reservoir and model.damped):
+            continue
+        rhs = compile_rhs(model)
+        for _ in range(5):
+            z = bg.random_state(model, rng)
+            got = rhs(z.flat.copy())[model.layout.reservoir_index]
+            want = direct_rhs(model, z).reservoir
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(got), abs(want)), model.id
+
+
+def test_compiled_diagnostics_match_object_level(models32):
+    rng = np.random.default_rng(25)
+    for model in models32.values():
+        for _ in range(5):
+            z = bg.random_state(model, rng)
+            record = _diagnostics(model, 0.0, z.flat.copy())
+            want = {
+                "energy": bg.energy(model, z),
+                "entropy": bg.entropy(model, z),
+                "mech_energy": bg.mechanical_energy(model, z),
+                "res_l_ds": np.max(np.abs(bg.apply_L(model, z, bg.grad_entropy(model, z)).flat)),
+                "res_m_de": np.max(np.abs(bg.apply_M(model, z, bg.grad_energy(model, z)).flat)),
+            }
+            for name, value in want.items():
+                got = getattr(record, name)
+                assert abs(got - value) <= 1e-12 * max(1.0, abs(got), abs(value)), (model.id, name)
 
 
 def test_compiled_matrix_equals_dense_probe(grid32):
@@ -252,10 +284,10 @@ def test_initial_positivity_guard(grid32):
         integrate(model, z0, IntegratorConfig(dt=1e-4, t_end=0.1))
 
 
-def test_positivity_abort_mid_run(grid32):
-    # drive theta down at unit rate through an injected right-hand side; the
-    # integrator's per-step guard must abort near t = 1
-    base = bg.build_model("TimoshenkoNew", ModelParams(), grid32)
+def _sinking_model(grid):
+    """TimoshenkoNew with a preset compiled right-hand side that drives theta
+    down at unit rate."""
+    base = bg.build_model("TimoshenkoNew", ModelParams(), grid)
     dim = base.layout.flat_dim
     sl = base.layout.field_slice("theta")
 
@@ -264,11 +296,40 @@ def test_positivity_abort_mid_run(grid32):
         out[sl] = -1.0
         return out
 
-    model = dataclasses.replace(base, fast_rhs=sinking)
+    model = dataclasses.replace(base)
+    model._compiled_rhs = sinking
+    return model
+
+
+def test_positivity_abort_mid_run(grid32):
+    # drive theta down at unit rate through an injected right-hand side; the
+    # integrator's per-step guard must abort near t = 1
+    model = _sinking_model(grid32)
     z0 = model.reference_state.copy()
     with pytest.raises(PositivityError) as info:
         integrate(model, z0, IntegratorConfig(dt=1e-3, t_end=2.0, record_every=100))
     assert "step" in str(info.value)
+
+
+def test_failure_messages_name_time_and_last_energy(models32, grid32):
+    fric = models32[bg.ModelId.TIMOSHENKO_FRICTIONAL]
+    z0 = State.zeros(fric.layout)
+    z0.field("p")[:] = 1e200
+    with pytest.raises(DivergenceError) as info:
+        integrate(fric, z0, IntegratorConfig(dt=1e-3, t_end=1.0))
+    assert "step 1 (t = 0.001; last recorded energy inf at t = 0)" in str(info.value)
+
+    sinking = _sinking_model(grid32)
+    with pytest.raises(PositivityError) as info:
+        integrate(sinking, sinking.reference_state.copy(),
+                  IntegratorConfig(dt=1e-3, t_end=2.0, record_every=100))
+    message = str(info.value)
+    step = int(re.search(r"at step (\d+)", message).group(1))
+    assert f"t = {step * 1e-3:g};" in message
+    # theta = 1 - t everywhere on a unit domain, so the energy is 1 - t
+    energy, t = map(float, re.search(r"last recorded energy (\S+) at t = (\S+)\)", message).groups())
+    assert t == pytest.approx(0.9)
+    assert energy == pytest.approx(1.0 - t, abs=1e-5)
 
 
 def test_integrate_layout_mismatch(models32):

@@ -36,6 +36,19 @@ def test_d2_constant_and_hand_stencil():
     np.testing.assert_allclose(g.d2([0.0, 1.0, 0.0, -1.0]), [0.0, -32.0, 0.0, 32.0])
 
 
+def test_slice_derivatives_equal_roll_formulas():
+    # the slice arithmetic performs the roll formulas' operations in the same
+    # order, so the results are bitwise equal
+    rng = np.random.default_rng(7)
+    for n in (4, 5, 64, 512):
+        g = Grid(n, 1.3)
+        u = rng.standard_normal(n)
+        d1 = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * g.dx)
+        d2 = (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / g.dx**2
+        assert np.array_equal(g.d1(u), d1), n
+        assert np.array_equal(g.d2(u), d2), n
+
+
 def test_inner_examples():
     g = Grid(4, 1.0)
     assert g.inner(np.ones(4), np.full(4, 2.0)) == pytest.approx(2.0)
