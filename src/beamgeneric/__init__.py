@@ -25,7 +25,6 @@ from .engine import (
     generic_rhs,
     integrate,
     jacobi_check,
-    jacobi_residual,
     poisson_bracket,
     random_cotangent,
     random_state,
@@ -62,12 +61,8 @@ from .state import (
     CotangentVector,
     State,
     StateLayout,
-    get_field,
-    get_reservoir,
     mixed_inner,
     pack,
-    set_field,
-    set_reservoir,
     unpack,
 )
 
@@ -107,13 +102,10 @@ __all__ = [
     "factored_M",
     "fd_gradient",
     "generic_rhs",
-    "get_field",
-    "get_reservoir",
     "grad_energy",
     "grad_entropy",
     "integrate",
     "jacobi_check",
-    "jacobi_residual",
     "mechanical_energy",
     "mixed_inner",
     "pack",
@@ -121,8 +113,6 @@ __all__ = [
     "random_cotangent",
     "random_state",
     "random_test_functional",
-    "set_field",
-    "set_reservoir",
     "stable_dt",
     "step_rk4",
     "transform_check",

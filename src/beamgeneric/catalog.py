@@ -65,7 +65,8 @@ class ModelSpec:
     Instances are immutable by convention once built.  The private slots
     cache derived data that the engine computes for every model: the stable
     step bound, the compiled right-hand side and the sparse form of the
-    building blocks (see :func:`beamgeneric.engine.compile_rhs`).
+    building blocks with the model's one linearization (see
+    :func:`beamgeneric.engine.compile_rhs`).
     """
 
     id: ModelId
@@ -76,7 +77,6 @@ class ModelSpec:
     l_blocks: tuple
     m_rows: tuple
     direct_rhs: Callable[[State], State]
-    rhs_linear: bool
     reference_state: State
     _dt_bound: Optional[float] = dataclass_field(default=None, init=False, repr=False)
     _compiled_rhs: Optional[Callable] = dataclass_field(default=None, init=False, repr=False)
@@ -94,11 +94,11 @@ class ModelSpec:
     def dt_bound(self) -> float:
         """Largest time step :func:`beamgeneric.engine.integrate` accepts.
 
-        0.9 times the RK4 linear stability limit of the right-hand side.  The
-        spectrum of its (linearization's) field block is read off the Fourier
-        symbols of the node-0 stencil, one small eigenproblem per wavenumber;
-        for the nonlinear model the linearization is taken at the uniform
-        equilibrium reference state.
+        0.9 times the RK4 linear stability limit of the right-hand side,
+        linearized exactly at the uniform equilibrium reference state.  The
+        spectrum of the linearization's field block is read off the Fourier
+        symbols of its node-0 columns, one small eigenproblem per wavenumber
+        (see :func:`beamgeneric.engine.stable_dt`).
         """
         if self._dt_bound is None:
             from .engine import stable_dt
@@ -336,7 +336,11 @@ def _build_timoshenko_new(params: ModelParams, grid: Grid):
         # the direct transcription to roundoff (and the weight is positive
         # whenever theta is).
         theta = z.field("theta")
-        return dlt * np.roll(theta, -1) * np.roll(theta, 1)
+        out = np.empty_like(theta)
+        np.multiply(dlt * theta[2:], theta[:-2], out=out[1:-1])
+        out[0] = dlt * theta[1] * theta[-1]
+        out[-1] = dlt * theta[0] * theta[-2]
+        return out
 
     rows = (
         DissipativeRow("theta", differentiate=True, weight_fn=weight_fn,
@@ -520,7 +524,6 @@ def build_model(model_id, params: ModelParams = None, grid: Grid = None) -> Mode
         l_blocks=l_blocks,
         m_rows=rows,
         direct_rhs=direct,
-        rhs_linear=mid is not ModelId.TIMOSHENKO_NEW,
         reference_state=_equilibrium_state(mid, layout),
     )
     return model

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import typing
 from dataclasses import dataclass
 
 from .catalog import ALL_MODEL_IDS, ModelId, ModelParams, build_model, default_initial_state
@@ -23,21 +24,6 @@ from .engine import (
 from .errors import DivergenceError, DomainError
 from .grid import Grid
 
-_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(ModelParams))
-
-_RUN_KEY_TYPES = {
-    "model": str,
-    "n": int,
-    "length": float,
-    "dt": float,
-    "t_end": float,
-    "record_every": int,
-    "mode": int,
-    "amplitude": float,
-    "output": str,
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     model: str
@@ -50,6 +36,14 @@ class RunConfig:
     amplitude: float = 0.1
     output: str = "diagnostics.csv"
     params: ModelParams = dataclasses.field(default_factory=ModelParams)
+
+
+_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(ModelParams))
+
+#: config keys of the run itself, with the type each value is parsed as
+_RUN_KEY_TYPES = {
+    key: kind for key, kind in typing.get_type_hints(RunConfig).items() if key != "params"
+}
 
 
 def parse_config_text(text: str) -> RunConfig:

@@ -3,18 +3,21 @@
 The integrator is classical explicit RK4 with a fixed step.  Every catalog
 operator is a stencil on the periodic grid, so set-up works from node-0
 stencils in O(dim), and every model runs compiled, with no object-level
-fallback in the solve loop:
+fallback in the solve loop.  Each model is linearized once: one probe of the
+node-0 stencil at the reference state, cached with the sparse form of the
+building blocks (:func:`_sparse_form`), serves both the right-hand side and
+the step bound.
 
 * :func:`compile_rhs` splits the right-hand side into one constant sparse
-  matrix (the cyclic shifts of a node-0 probe) plus the terms that are not
+  matrix (the cyclic shifts of that stencil) plus the terms that are not
   linear: the reservoir production ``alpha * dx * sum_r w_r |D_r y|^2`` and
   the bilinear coupling of the nonlinear model.  It is checked once against
   the object-level assembly and reproduces it to roundoff.
 * The diagnostics records of :func:`integrate` evaluate the energy, its
-  gradient and the degeneracy residuals through the same sparse form of the
-  building blocks (:func:`_sparse_form`).
-* The stable step bound is the RK4 limit over the eigenvalues of the
-  stencil's Fourier symbols.
+  gradient and the degeneracy residuals through the same sparse form.
+* The stable step bound is the RK4 limit over the eigenvalues of the Fourier
+  symbols of the exact linearization: the stencil plus the derivative of the
+  quadratic terms, read off the compiled products.
 
 The object-level operators (``apply_L``, ``apply_M``, the gradients,
 :func:`generic_rhs`) and the hand-coded :func:`direct_rhs` stay as the
@@ -29,7 +32,7 @@ parameter choices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -108,6 +111,9 @@ class _SparseForm:
       linear are the ``bilinear`` terms ``c * y_a * (K y)``, listed as (row
       slice, coefficient slice, c, slice of p), and the reservoir
       production ``sum(production * (R y)**2)`` (None without a reservoir).
+    * ``stencil`` holds the node-0 columns of the right-hand side's constant
+      matrix (:func:`_constant_stencil`), the one linearization that both
+      :func:`compile_rhs` and :func:`stable_dt` read.
     """
 
     d1: scipy.sparse.csr_matrix
@@ -124,11 +130,13 @@ class _SparseForm:
     products: scipy.sparse.csr_matrix
     bilinear: tuple
     production: Optional[np.ndarray]
+    stencil: Optional[np.ndarray]
 
 
 def _sparse_form(model) -> _SparseForm:
     """The model's :class:`_SparseForm`, built from its SquareTerm/LinearTerm,
-    Block and DissipativeRow data on first use and cached on the model."""
+    Block and DissipativeRow data on first use and cached on the model, with
+    the stencil probed once through the finished form."""
     if model._sparse is not None:
         return model._sparse
     layout = model.layout
@@ -211,9 +219,10 @@ def _sparse_form(model) -> _SparseForm:
         products=scipy.sparse.vstack(products, format="csr"),
         bilinear=tuple(bilinear),
         production=production,
+        stencil=None,
     )
-    model._sparse = sparse
-    return sparse
+    model._sparse = replace(sparse, stencil=_constant_stencil(model, sparse))
+    return model._sparse
 
 
 def _add_nonlinear(sparse: _SparseForm, y: np.ndarray, p: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -226,6 +235,47 @@ def _add_nonlinear(sparse: _SparseForm, y: np.ndarray, p: np.ndarray, out: np.nd
         g = p[:sparse.production.size]
         out[-1] += sparse.production @ (g * g)
     return out
+
+
+def _nonlinear(sparse: _SparseForm, y: np.ndarray) -> np.ndarray:
+    """N(y), the right-hand side's terms that are not linear, on their own."""
+    return _add_nonlinear(sparse, y, sparse.products @ y, np.zeros_like(y))
+
+
+def _constant_stencil(model, sparse: _SparseForm) -> np.ndarray:
+    """Node-0 columns of the field block of the constant matrix A in
+    ``generic_rhs = A y + N(y)``, shape ``(n * n_fields, n_fields)``, where N
+    holds the terms that are not linear (:func:`_nonlinear`).
+
+    Column j is the unit secant F(z0 + e_j) - F(z0) of F = generic_rhs - N at
+    the reference state z0, with e_j the unit vector of field j at node 0.  F
+    is affine, so the secant is exact; F(z0) is exactly 0 for the linear
+    models (z0 = 0).  The reference state must be uniform on the grid, so
+    that node 0 stands for every node: every catalog operator is a periodic
+    stencil, and A is the block-circulant matrix generated by cyclic shifts
+    of these columns.
+    """
+    layout = model.layout
+    n, nfields = layout.grid.n, layout.n_fields
+    nf = n * nfields
+    z0 = model.reference_state.flat
+    fields = z0[:nf].reshape(nfields, n)
+    if not np.all(fields == fields[:, :1]):
+        raise ValueError(
+            f"{model.id}: the reference state must be uniform on the grid "
+            "for the stencil linearization"
+        )
+
+    def f(y: np.ndarray) -> np.ndarray:
+        return (generic_rhs(model, State(layout, y)).flat - _nonlinear(sparse, y))[:nf]
+
+    base = f(z0.copy())
+    stencil = np.empty((nf, nfields))
+    for j in range(nfields):
+        y = z0.copy()
+        y[j * n] += 1.0
+        stencil[:, j] = f(y) - base
+    return stencil
 
 
 def _apply_l(sparse: _SparseForm, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -261,88 +311,15 @@ def _apply_m(model, sparse: _SparseForm, z: State, xi: np.ndarray) -> np.ndarray
     return out
 
 
-def _reference(model) -> np.ndarray:
-    """The reference state's flat array.  It must be uniform on the grid, so
-    that probes at node 0 stand for every node."""
-    layout = model.layout
-    nf = layout.grid.n * layout.n_fields
-    z0 = model.reference_state.flat
-    fields = z0[:nf].reshape(layout.n_fields, layout.grid.n)
-    if not np.all(fields == fields[:, :1]):
-        raise ValueError(
-            f"{model.id}: the reference state must be uniform on the grid "
-            "for the stencil linearization"
-        )
-    return z0
-
-
-def _constant_stencil(model) -> np.ndarray:
-    """Node-0 columns of the field block of the constant matrix A in
-    ``generic_rhs = A y + N(y)``, shape ``(n * n_fields, n_fields)``, where N
-    holds the terms that are not linear (see :func:`_add_nonlinear`).
-
-    Column j is the unit secant F(z0 + e_j) - F(z0) of F = generic_rhs - N at
-    the uniform reference state z0, with e_j the unit vector of field j at
-    node 0.  F is affine in each field, so the secant has no truncation
-    error: for linear models (z0 = 0, F(0) = 0) it is the unit response.
-    Every catalog operator is a periodic stencil, so A is the block-circulant
-    matrix generated by cyclic shifts of these columns.
-    """
-    layout = model.layout
-    n, nfields = layout.grid.n, layout.n_fields
-    nf = n * nfields
-    z0 = _reference(model)
-    sparse = _sparse_form(model)
-
-    def f(y: np.ndarray) -> np.ndarray:
-        out = generic_rhs(model, State(layout, y)).flat
-        nonlinear = _add_nonlinear(sparse, y, sparse.products @ y, np.zeros_like(out))
-        return (out - nonlinear)[:nf]
-
-    base = 0.0 if model.rhs_linear else f(z0.copy())
-    stencil = np.empty((nf, nfields))
-    for j in range(nfields):
-        y = z0.copy()
-        y[j * n] += 1.0
-        stencil[:, j] = f(y) - base
-    return stencil
-
-
-def _stencil(model) -> np.ndarray:
-    """The node-0 columns of the field Jacobian at the reference state, shape
-    ``(n * n_fields, n_fields)``: exact for linear models
-    (:func:`_constant_stencil`), a central finite difference at the uniform
-    reference state for the nonlinear model.  The full field Jacobian is the
-    block-circulant matrix generated by cyclic shifts of these columns.
-    """
-    if model.rhs_linear:
-        return _constant_stencil(model)
-    layout = model.layout
-    n, nfields = layout.grid.n, layout.n_fields
-    nf = n * nfields
-    z0 = _reference(model)
-    stencil = np.zeros((nf, nfields))
-    h = 1e-6
-    for j in range(nfields):
-        zp = z0.copy()
-        zp[j * n] += h
-        zm = z0.copy()
-        zm[j * n] -= h
-        fp = generic_rhs(model, State(layout, zp)).flat[:nf]
-        fm = generic_rhs(model, State(layout, zm)).flat[:nf]
-        stencil[:, j] = (fp - fm) / (2.0 * h)
-    return stencil
-
-
 def compile_rhs(model) -> Callable[[np.ndarray], np.ndarray]:
     """Flat-array form of :func:`generic_rhs`, for every model.
 
     The right-hand side is ``A y`` plus the terms that are not linear.  A is
-    a constant sparse matrix, the cyclic shifts of the node-0 stencil
-    (:func:`_constant_stencil`); the nonlinear model adds its bilinear term
-    ``gamma * theta * (D q)``, and models with a reservoir set its row to the
-    production ``alpha * dx * sum_r w_r |D_r y|^2`` over the stacked
-    dissipative rows.  A is stacked on the products these terms need, so one
+    a constant sparse matrix, the cyclic shifts of the sparse form's node-0
+    stencil (:func:`_constant_stencil`); the nonlinear model adds its
+    bilinear term ``gamma * theta * (D q)``, and models with a reservoir set
+    its row to the production ``alpha * dx * sum_r w_r |D_r y|^2`` over the
+    stacked dissipative rows.  A is stacked on the products these terms need, so one
     sparse product per call yields all of them.  The assembly is checked
     once against the object-level right-hand side at a seeded random state
     (temperatures positive for the log entropy), and a mismatch above 1e-12
@@ -354,7 +331,7 @@ def compile_rhs(model) -> Callable[[np.ndarray], np.ndarray]:
     layout = model.layout
     n, nfields, dim = layout.grid.n, layout.n_fields, layout.flat_dim
     sparse = _sparse_form(model)
-    stencil = _constant_stencil(model)
+    stencil = sparse.stencil
     entries = []
     for j in range(nfields):
         for r in np.flatnonzero(stencil[:, j]):
@@ -421,17 +398,29 @@ def _rk4_stability_limit(eigs: np.ndarray) -> float:
 
 
 def stable_dt(model) -> float:
-    """0.9 times the RK4 stability limit of the linearized right-hand side.
+    """0.9 times the RK4 stability limit of the right-hand side linearized at
+    the reference state z0.
 
-    The field Jacobian is block-circulant, so its spectrum is the union of the
-    eigenvalues of the n symbol matrices (f x f, one per wavenumber) obtained
-    by a Fourier transform of the node-0 stencil along the grid axis (von
-    Neumann analysis).
+    The linearization is exact.  Its node-0 columns are the sparse form's
+    constant stencil plus the derivative of the nonlinear terms N, column j
+    being the central secant ``(N(z0 + e_j) - N(z0 - e_j)) / 2``, which is
+    the derivative because N is quadratic.  The field Jacobian is
+    block-circulant, so its spectrum is the union of the eigenvalues of the n
+    symbol matrices (f x f, one per wavenumber) obtained by a Fourier
+    transform of these columns along the grid axis (von Neumann analysis).
     """
     layout = model.layout
     n, nfields = layout.grid.n, layout.n_fields
-    stencil = _stencil(model).reshape(nfields, n, nfields)
-    symbols = np.fft.fft(stencil, axis=1).transpose(1, 0, 2)
+    nf = n * nfields
+    sparse = _sparse_form(model)
+    z0 = model.reference_state.flat
+    jacobian = sparse.stencil.copy()
+    for j in range(nfields):
+        e = np.zeros_like(z0)
+        e[j * n] = 1.0
+        secant = _nonlinear(sparse, z0 + e) - _nonlinear(sparse, z0 - e)
+        jacobian[:, j] += 0.5 * secant[:nf]
+    symbols = np.fft.fft(jacobian.reshape(nfields, n, nfields), axis=1).transpose(1, 0, 2)
     eigs = np.linalg.eigvals(symbols).ravel()
     # The dynamics are contractive in the energy seminorm, so the true
     # spectrum satisfies Re(lambda) <= 0; positive real parts are eigensolver
@@ -733,11 +722,6 @@ def jacobi_check(model, z: State, f1, f2, f3, h: float):
     residual = abs(terms[0] + terms[1] + terms[2])
     scale = max(1.0, *(abs(t) for t in terms))
     return residual, scale
-
-
-def jacobi_residual(model, z: State, f1, f2, f3, h: float) -> float:
-    """Absolute value of the cyclic Jacobi sum for three quadratic functionals."""
-    return jacobi_check(model, z, f1, f2, f3, h)[0]
 
 
 # --------------------------------------------------------------------------

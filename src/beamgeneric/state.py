@@ -120,22 +120,6 @@ class CotangentVector(_FlatVector):
         self._validate()
 
 
-def get_field(z, name: str) -> np.ndarray:
-    return z.field(name)
-
-
-def set_field(z, name: str, values):
-    z.field(name)[:] = z.layout.grid.field(values)
-
-
-def get_reservoir(z) -> float:
-    return z.reservoir
-
-
-def set_reservoir(z, value: float):
-    z.reservoir = value
-
-
 def unpack(z) -> dict:
     """Split a state into a dict of per-field copies; reservoir under key 'e'."""
     out = {name: z.field(name).copy() for name in z.layout.field_order}
@@ -150,7 +134,7 @@ def pack(layout: StateLayout, fields: dict, e: float = 0.0) -> State:
     for name, values in fields.items():
         if name == "e":
             continue
-        set_field(z, name, values)
+        z.field(name)[:] = layout.grid.field(values)
     if layout.has_reservoir:
         z.reservoir = fields.get("e", e)
     return z

@@ -123,6 +123,18 @@ def test_cattaneo_elimination_identity(grid32):
     assert float(np.max(np.abs(lhs - rhs))) / scale <= 1e-6
 
 
+def test_timoshenko_new_weight_equals_roll_formula():
+    # the slice arithmetic performs the roll formula's operations in the same
+    # order, delta * theta[i+1] * theta[i-1], so the results are bitwise equal
+    rng = np.random.default_rng(8)
+    for n in (4, 5, 64, 512):
+        model = bg.build_model("TimoshenkoNew", ModelParams(delta=0.7), Grid(n, 1.3))
+        z = bg.random_state(model, rng)
+        theta = z.field("theta")
+        (row,) = model.m_rows
+        assert np.array_equal(row.weight_values(z), 0.7 * np.roll(theta, -1) * np.roll(theta, 1)), n
+
+
 def test_dt_bound_scales(models32, grid32):
     # diffusive models are limited by the kappa/dx^2 terms, wave models by the
     # elastic frequencies; the reported bounds must keep RK4 stable and must

@@ -6,12 +6,8 @@ from beamgeneric import (
     Grid,
     State,
     StateLayout,
-    get_field,
-    get_reservoir,
     mixed_inner,
     pack,
-    set_field,
-    set_reservoir,
     unpack,
 )
 
@@ -38,33 +34,34 @@ def test_layout_validation(grid4):
 def test_field_slicing(grid4):
     layout = StateLayout(grid4, ("p", "q"), has_reservoir=False)
     z = State(layout, np.array([1.0, 1, 1, 1, 2, 2, 2, 2]))
-    np.testing.assert_array_equal(get_field(z, "q"), np.full(4, 2.0))
+    np.testing.assert_array_equal(z.field("q"), np.full(4, 2.0))
     np.testing.assert_array_equal(z.field("p"), np.ones(4))
     with pytest.raises(KeyError):
-        get_field(z, "s")
+        z.field("s")
 
 
 def test_set_get_roundtrip(grid4):
     layout = StateLayout(grid4, ("phi", "psi", "p", "q"), has_reservoir=True)
     z = State.zeros(layout)
     values = np.array([0.5, -1.0, 2.0, 3.25])
-    set_field(z, "psi", values)
-    np.testing.assert_array_equal(get_field(z, "psi"), values)
+    z.field("psi")[:] = values
+    np.testing.assert_array_equal(z.field("psi"), values)
+    np.testing.assert_array_equal(z.flat[4:8], values)
 
 
 def test_reservoir_ops(grid4):
     layout = StateLayout(grid4, ("phi", "psi", "p", "q"), has_reservoir=True)
     z = State.zeros(layout)
-    assert get_reservoir(z) == 0.0
-    set_reservoir(z, 3.5)
-    assert get_reservoir(z) == 3.5
+    assert z.reservoir == 0.0
+    z.reservoir = 3.5
+    assert z.reservoir == 3.5
 
     no_e = StateLayout(grid4, ("phi", "psi", "p", "q", "theta"), has_reservoir=False)
     z2 = State.zeros(no_e)
     with pytest.raises(ValueError):
-        get_reservoir(z2)
+        z2.reservoir
     with pytest.raises(ValueError):
-        set_reservoir(z2, 1.0)
+        z2.reservoir = 1.0
 
 
 def test_flat_dim_validation(grid4):
