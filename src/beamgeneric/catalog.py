@@ -62,10 +62,9 @@ _TIMOSHENKO_IDS = {
 class ModelSpec:
     """Everything needed to evaluate and integrate one model.
 
-    Instances are immutable by convention once built.  The private slots
-    cache derived data that the engine computes for every model: the stable
-    step bound, the compiled right-hand side and the sparse form of the
-    building blocks with the model's one linearization (see
+    Instances are immutable by convention once built.  The one private slot
+    caches what the engine derives from the building blocks in one pass: the
+    sparse form, the compiled right-hand side and the stable step bound (see
     :func:`beamgeneric.engine.compile_rhs`).
     """
 
@@ -78,8 +77,6 @@ class ModelSpec:
     m_rows: tuple
     direct_rhs: Callable[[State], State]
     reference_state: State
-    _dt_bound: Optional[float] = dataclass_field(default=None, init=False, repr=False)
-    _compiled_rhs: Optional[Callable] = dataclass_field(default=None, init=False, repr=False)
     _sparse: Optional[object] = dataclass_field(default=None, init=False, repr=False)
 
     @property
@@ -97,14 +94,14 @@ class ModelSpec:
         0.9 times the RK4 linear stability limit of the right-hand side,
         linearized exactly at the uniform equilibrium reference state.  The
         spectrum of the linearization's field block is read off the Fourier
-        symbols of its node-0 columns, one small eigenproblem per wavenumber
+        symbols of its node-0 columns, one small eigenproblem per wavenumber.
+        It is read from the model's cached derivation, which also raises
+        :class:`ValueError` for a model that is not translation-invariant
         (see :func:`beamgeneric.engine.stable_dt`).
         """
-        if self._dt_bound is None:
-            from .engine import stable_dt
+        from .engine import stable_dt
 
-            self._dt_bound = stable_dt(self)
-        return self._dt_bound
+        return stable_dt(self)
 
 
 # --------------------------------------------------------------------------
@@ -539,20 +536,20 @@ def _equilibrium_state(mid: ModelId, layout: StateLayout) -> State:
 def default_initial_state(model_id, grid: Grid, mode: int = 1, amplitude: float = 0.1) -> State:
     """Smooth single-mode initial data: displacements excited, velocities zero.
 
-    theta starts at 1 for the nonlinear model (its entropy needs theta > 0)
-    and at 0 everywhere else; flux/second-temperature/reservoir slots start
-    at 0.
+    Every other slot keeps the model's reference state: theta starts at 1 for
+    the nonlinear model (its entropy needs theta > 0) and at 0 everywhere
+    else; flux/second-temperature/reservoir slots start at 0.  A non-finite
+    ``amplitude`` is rejected.
     """
     mid = ModelId(model_id)
     if not isinstance(mode, (int, np.integer)) or mode < 1:
         raise ValueError(f"mode must be a positive integer, got {mode!r}")
-    layout = build_model(mid, ModelParams(), grid).layout
-    z = State.zeros(layout)
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
+    z = build_model(mid, ModelParams(), grid).reference_state.copy()
     phase = 2.0 * math.pi * mode * grid.nodes / grid.length
     z.field("phi")[:] = amplitude * np.sin(phase)
     z.field("psi")[:] = amplitude * np.cos(phase)
-    if "chi" in layout:
+    if "chi" in z.layout:
         z.field("chi")[:] = amplitude * np.sin(phase + math.pi / 4.0)
-    if mid is ModelId.TIMOSHENKO_NEW:
-        z.field("theta")[:] = 1.0
     return z

@@ -40,9 +40,11 @@ class RunConfig:
 
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(ModelParams))
 
-#: config keys of the run itself, with the type each value is parsed as
-_RUN_KEY_TYPES = {
-    key: kind for key, kind in typing.get_type_hints(RunConfig).items() if key != "params"
+#: every config key, with the type its value is parsed as: the run's own
+#: keys, then the model constants
+_KEY_TYPES = {
+    **{key: kind for key, kind in typing.get_type_hints(RunConfig).items() if key != "params"},
+    **{key: float for key in _PARAM_KEYS},
 }
 
 
@@ -60,27 +62,22 @@ def parse_config_text(text: str) -> RunConfig:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    unknown = sorted(set(raw) - set(_RUN_KEY_TYPES) - set(_PARAM_KEYS))
+    unknown = sorted(set(raw) - set(_KEY_TYPES))
     if unknown:
         raise ValueError("unknown config key(s): " + ", ".join(unknown))
     if "model" not in raw:
         raise ValueError("config must set 'model'")
 
-    run_kwargs = {}
-    for key, kind in _RUN_KEY_TYPES.items():
+    values = {}
+    for key, kind in _KEY_TYPES.items():
         if key in raw:
             try:
-                run_kwargs[key] = kind(raw[key])
+                values[key] = kind(raw[key])
             except ValueError:
                 raise ValueError(f"config key {key!r}: cannot parse {raw[key]!r} as {kind.__name__}") from None
-    param_kwargs = {}
-    for key in _PARAM_KEYS:
-        if key in raw:
-            try:
-                param_kwargs[key] = float(raw[key])
-            except ValueError:
-                raise ValueError(f"config key {key!r}: cannot parse {raw[key]!r} as float") from None
-    return RunConfig(params=ModelParams(**param_kwargs), **run_kwargs)
+    params = {key: value for key, value in values.items() if key in _PARAM_KEYS}
+    run = {key: value for key, value in values.items() if key not in _PARAM_KEYS}
+    return RunConfig(params=ModelParams(**params), **run)
 
 
 def load_config(path: str) -> RunConfig:

@@ -3,21 +3,23 @@
 The integrator is classical explicit RK4 with a fixed step.  Every catalog
 operator is a stencil on the periodic grid, so set-up works from node-0
 stencils in O(dim), and every model runs compiled, with no object-level
-fallback in the solve loop.  Each model is linearized once: one probe of the
-node-0 stencil at the reference state, cached with the sparse form of the
-building blocks (:func:`_sparse_form`), serves both the right-hand side and
-the step bound.
+fallback in the solve loop.  Each model is derived once: one pass
+(:func:`_sparse_form`) builds the sparse form of the building blocks, probes
+the node-0 stencil at the reference state, checks the compiled right-hand
+side against the object-level one and takes the step bound, and the result
+is cached in the model's one private slot.
 
-* :func:`compile_rhs` splits the right-hand side into one constant sparse
-  matrix (the cyclic shifts of that stencil) plus the terms that are not
-  linear: the reservoir production ``alpha * dx * sum_r w_r |D_r y|^2`` and
-  the bilinear coupling of the nonlinear model.  It is checked once against
-  the object-level assembly and reproduces it to roundoff.
+* :func:`compile_rhs` returns the compiled right-hand side: one constant
+  sparse matrix (the cyclic shifts of that stencil) plus the terms that are
+  not linear, the reservoir production ``alpha * dx * sum_r w_r |D_r y|^2``
+  and the bilinear coupling of the nonlinear model.  It reproduces the
+  object-level assembly to roundoff.
+* :func:`stable_dt` returns the step bound: the RK4 limit over the
+  eigenvalues of the Fourier symbols of the exact linearization, the
+  stencil plus the derivative of the quadratic terms.  A model that fails
+  the check gets neither.
 * The diagnostics records of :func:`integrate` evaluate the energy, its
   gradient and the degeneracy residuals through the same sparse form.
-* The stable step bound is the RK4 limit over the eigenvalues of the Fourier
-  symbols of the exact linearization: the stencil plus the derivative of the
-  quadratic terms, read off the compiled products.
 
 The object-level operators (``apply_L``, ``apply_M``, the gradients,
 :func:`generic_rhs`) and the hand-coded :func:`direct_rhs` stay as the
@@ -32,7 +34,7 @@ parameter choices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -91,7 +93,8 @@ def _periodic_matrix(n: int, shape: tuple, entries) -> scipy.sparse.csr_matrix:
 
 @dataclass(frozen=True)
 class _SparseForm:
-    """A model's building blocks as sparse matrices over the flat state.
+    """Everything the engine derives from a model's building blocks, built in
+    one pass by :func:`_sparse_form`.
 
     * ``energy_rows`` (G) stacks one row block per ``SquareTerm``, the
       combination g it squares, so the quadratic energy is
@@ -105,15 +108,8 @@ class _SparseForm:
       identity on its field); ``m_weights`` are their constant weights (None
       when a weight depends on the state) and ``m_coupled`` is 1 on the rows
       coupled to the reservoir.
-    * ``products`` (P) stacks R and, for each ``mul_d1`` block with a
-      coefficient field, ``K = D (G^T C G)`` restricted to the block's
-      column.  Given ``p = P y``, the right-hand side's terms that are not
-      linear are the ``bilinear`` terms ``c * y_a * (K y)``, listed as (row
-      slice, coefficient slice, c, slice of p), and the reservoir
-      production ``sum(production * (R y)**2)`` (None without a reservoir).
-    * ``stencil`` holds the node-0 columns of the right-hand side's constant
-      matrix (:func:`_constant_stencil`), the one linearization that both
-      :func:`compile_rhs` and :func:`stable_dt` read.
+    * ``rhs`` is the compiled right-hand side (:func:`compile_rhs`) and
+      ``dt_bound`` the RK4 step bound (:func:`stable_dt`).
     """
 
     d1: scipy.sparse.csr_matrix
@@ -127,20 +123,53 @@ class _SparseForm:
     m_rows_t: scipy.sparse.csr_matrix
     m_weights: Optional[np.ndarray]
     m_coupled: np.ndarray
-    products: scipy.sparse.csr_matrix
-    bilinear: tuple
-    production: Optional[np.ndarray]
-    stencil: Optional[np.ndarray]
+    rhs: Callable[[np.ndarray], np.ndarray]
+    dt_bound: float
 
 
 def _sparse_form(model) -> _SparseForm:
-    """The model's :class:`_SparseForm`, built from its SquareTerm/LinearTerm,
-    Block and DissipativeRow data on first use and cached on the model, with
-    the stencil probed once through the finished form."""
+    """The model's :class:`_SparseForm`, derived in one pass on first use and
+    cached in the model's private slot.
+
+    The blocks are built in O(dim) from the SquareTerm/LinearTerm, Block and
+    DissipativeRow data.  The right-hand side is ``A y + N(y)``: A is a
+    constant matrix and N holds the terms that are not linear, the reservoir
+    production ``sum(production * (R y)**2)`` and, for each ``mul_d1`` block
+    with a coefficient field, the bilinear term ``c * y_a * (K y)`` with
+    ``K = D (G^T C G)`` restricted to the block's column.  The products P y
+    these terms need (R y and the K y) are stacked under A, so one sparse
+    product per call yields all of them.
+
+    One probe of the node-0 stencil at the reference state z0 linearizes the
+    model.  For each field j, with e_j its unit vector at node 0, A's column
+    is the unit secant ``F(z0 + e_j) - F(z0)`` of ``F = generic_rhs - N``,
+    exact because F is affine (F(z0) is exactly 0 for the linear models,
+    z0 = 0), and N's derivative is the central secant
+    ``(N(z0 + e_j) - N(z0 - e_j)) / 2``, exact because N is quadratic.  z0
+    must be uniform on the grid, so that node 0 stands for every node: every
+    catalog operator is a periodic stencil, A is the block-circulant matrix
+    generated by cyclic shifts of its columns, and the spectrum of the
+    Jacobian is the union of the eigenvalues of the n Fourier symbols of its
+    columns (von Neumann analysis).
+
+    The compiled right-hand side is checked once against the object-level one
+    at a seeded random state (temperatures positive for the log entropy); a
+    mismatch above 1e-12 relative (a model that is not translation-invariant)
+    raises :class:`ValueError`, so neither the right-hand side nor the step
+    bound of such a model is ever returned.
+    """
     if model._sparse is not None:
         return model._sparse
     layout = model.layout
-    n, dim, dx = layout.grid.n, layout.flat_dim, layout.grid.dx
+    n, nfields, dim, dx = layout.grid.n, layout.n_fields, layout.flat_dim, layout.grid.dx
+    nf = n * nfields
+    z0 = model.reference_state.flat
+    fields = z0[:nf].reshape(nfields, n)
+    if not np.all(fields == fields[:, :1]):
+        raise ValueError(
+            f"{model.id}: the reference state must be uniform on the grid "
+            "for the stencil linearization"
+        )
     index = {name: i for i, name in enumerate(layout.field_order)}
     half = 1.0 / (2.0 * dx)
     taps = {
@@ -203,8 +232,59 @@ def _sparse_form(model) -> _SparseForm:
             products.append(d1 @ hessian)
             bilinear.append((rows, a, c, slice(start, start + n)))
             start += n
+    products = scipy.sparse.vstack(products, format="csr")
 
-    sparse = _SparseForm(
+    def add_nonlinear(y: np.ndarray, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Add N(y) to ``out``, given the products ``p = P y``."""
+        for rows, coefficient, c, k_rows in bilinear:
+            out[rows] += c * y[coefficient] * p[k_rows]
+        if production is not None:
+            g = p[:production.size]
+            out[-1] += production @ (g * g)
+        return out
+
+    def nonlinear(y: np.ndarray) -> np.ndarray:
+        return add_nonlinear(y, products @ y, np.zeros_like(y))
+
+    def affine(y: np.ndarray) -> np.ndarray:
+        return (generic_rhs(model, State(layout, y)).flat - nonlinear(y))[:nf]
+
+    base = affine(z0.copy())
+    entries, jacobian = [], np.empty((nf, nfields))
+    for j in range(nfields):
+        e = np.zeros(dim)
+        e[j * n] = 1.0
+        column = affine(z0 + e) - base
+        jacobian[:, j] = column + 0.5 * (nonlinear(z0 + e) - nonlinear(z0 - e))[:nf]
+        for r in np.flatnonzero(column):
+            field, node = divmod(int(r), n)
+            entries.append((field, j, -node, column[r]))
+    stacked = scipy.sparse.vstack([_periodic_matrix(n, (dim, dim), entries), products], format="csr")
+
+    def rhs(flat: np.ndarray) -> np.ndarray:
+        full = stacked @ flat
+        return add_nonlinear(flat, full[dim:], full[:dim])
+
+    z = random_state(model, np.random.default_rng(0))
+    got = rhs(z.flat.copy())
+    want = generic_rhs(model, z).flat
+    scale = max(1.0, float(np.max(np.abs(got))), float(np.max(np.abs(want))))
+    mismatch = float(np.max(np.abs(got - want))) / scale
+    if not mismatch <= 1e-12:
+        raise ValueError(
+            f"{model.id}: the stencil assembly differs from the object-level "
+            f"right-hand side by {mismatch:.3e} (is the model translation-invariant?)"
+        )
+
+    symbols = np.fft.fft(jacobian.reshape(nfields, n, nfields), axis=1).transpose(1, 0, 2)
+    eigs = np.linalg.eigvals(symbols).ravel()
+    # The dynamics are contractive in the energy seminorm, so the true
+    # spectrum satisfies Re(lambda) <= 0; positive real parts are eigensolver
+    # noise (worst near defective wave pairs) and would make the bound
+    # spuriously tight.
+    eigs = np.minimum(eigs.real, 0.0) + 1j * eigs.imag
+
+    model._sparse = _SparseForm(
         d1=d1,
         energy_rows=energy_rows,
         energy_rows_t=energy_rows_t,
@@ -216,66 +296,10 @@ def _sparse_form(model) -> _SparseForm:
         m_rows_t=m_rows.T.tocsr(),
         m_weights=m_weights,
         m_coupled=m_coupled,
-        products=scipy.sparse.vstack(products, format="csr"),
-        bilinear=tuple(bilinear),
-        production=production,
-        stencil=None,
+        rhs=rhs,
+        dt_bound=0.9 * _rk4_stability_limit(eigs),
     )
-    model._sparse = replace(sparse, stencil=_constant_stencil(model, sparse))
     return model._sparse
-
-
-def _add_nonlinear(sparse: _SparseForm, y: np.ndarray, p: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Add to ``out`` the right-hand side's terms that are not linear, given
-    the products ``p = P y``: the bilinear terms, and the reservoir
-    production on the reservoir row."""
-    for rows, coefficient, c, k_rows in sparse.bilinear:
-        out[rows] += c * y[coefficient] * p[k_rows]
-    if sparse.production is not None:
-        g = p[:sparse.production.size]
-        out[-1] += sparse.production @ (g * g)
-    return out
-
-
-def _nonlinear(sparse: _SparseForm, y: np.ndarray) -> np.ndarray:
-    """N(y), the right-hand side's terms that are not linear, on their own."""
-    return _add_nonlinear(sparse, y, sparse.products @ y, np.zeros_like(y))
-
-
-def _constant_stencil(model, sparse: _SparseForm) -> np.ndarray:
-    """Node-0 columns of the field block of the constant matrix A in
-    ``generic_rhs = A y + N(y)``, shape ``(n * n_fields, n_fields)``, where N
-    holds the terms that are not linear (:func:`_nonlinear`).
-
-    Column j is the unit secant F(z0 + e_j) - F(z0) of F = generic_rhs - N at
-    the reference state z0, with e_j the unit vector of field j at node 0.  F
-    is affine, so the secant is exact; F(z0) is exactly 0 for the linear
-    models (z0 = 0).  The reference state must be uniform on the grid, so
-    that node 0 stands for every node: every catalog operator is a periodic
-    stencil, and A is the block-circulant matrix generated by cyclic shifts
-    of these columns.
-    """
-    layout = model.layout
-    n, nfields = layout.grid.n, layout.n_fields
-    nf = n * nfields
-    z0 = model.reference_state.flat
-    fields = z0[:nf].reshape(nfields, n)
-    if not np.all(fields == fields[:, :1]):
-        raise ValueError(
-            f"{model.id}: the reference state must be uniform on the grid "
-            "for the stencil linearization"
-        )
-
-    def f(y: np.ndarray) -> np.ndarray:
-        return (generic_rhs(model, State(layout, y)).flat - _nonlinear(sparse, y))[:nf]
-
-    base = f(z0.copy())
-    stencil = np.empty((nf, nfields))
-    for j in range(nfields):
-        y = z0.copy()
-        y[j * n] += 1.0
-        stencil[:, j] = f(y) - base
-    return stencil
 
 
 def _apply_l(sparse: _SparseForm, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -314,49 +338,15 @@ def _apply_m(model, sparse: _SparseForm, z: State, xi: np.ndarray) -> np.ndarray
 def compile_rhs(model) -> Callable[[np.ndarray], np.ndarray]:
     """Flat-array form of :func:`generic_rhs`, for every model.
 
-    The right-hand side is ``A y`` plus the terms that are not linear.  A is
-    a constant sparse matrix, the cyclic shifts of the sparse form's node-0
-    stencil (:func:`_constant_stencil`); the nonlinear model adds its
-    bilinear term ``gamma * theta * (D q)``, and models with a reservoir set
-    its row to the production ``alpha * dx * sum_r w_r |D_r y|^2`` over the
-    stacked dissipative rows.  A is stacked on the products these terms need, so one
-    sparse product per call yields all of them.  The assembly is checked
-    once against the object-level right-hand side at a seeded random state
-    (temperatures positive for the log entropy), and a mismatch above 1e-12
-    relative (a model that is not translation-invariant) raises
-    :class:`ValueError`.
+    It is the sparse form's ``rhs`` (:func:`_sparse_form`): ``A y`` plus the
+    terms that are not linear, the nonlinear model's bilinear term
+    ``gamma * theta * (D q)`` and, for models with a reservoir, the
+    production ``alpha * dx * sum_r w_r |D_r y|^2`` over the stacked
+    dissipative rows, all from one sparse product per call.  A is the
+    constant matrix of cyclic shifts of the node-0 stencil.  A model that is
+    not translation-invariant raises :class:`ValueError`.
     """
-    if model._compiled_rhs is not None:
-        return model._compiled_rhs
-    layout = model.layout
-    n, nfields, dim = layout.grid.n, layout.n_fields, layout.flat_dim
-    sparse = _sparse_form(model)
-    stencil = sparse.stencil
-    entries = []
-    for j in range(nfields):
-        for r in np.flatnonzero(stencil[:, j]):
-            field, node = divmod(int(r), n)
-            entries.append((field, j, -node, stencil[r, j]))
-    stacked = scipy.sparse.vstack(
-        [_periodic_matrix(n, (dim, dim), entries), sparse.products], format="csr"
-    )
-
-    def rhs(flat: np.ndarray) -> np.ndarray:
-        full = stacked @ flat
-        return _add_nonlinear(sparse, flat, full[dim:], full[:dim])
-
-    z = random_state(model, np.random.default_rng(0))
-    got = rhs(z.flat.copy())
-    want = generic_rhs(model, z).flat
-    scale = max(1.0, float(np.max(np.abs(got))), float(np.max(np.abs(want))))
-    mismatch = float(np.max(np.abs(got - want))) / scale
-    if not mismatch <= 1e-12:
-        raise ValueError(
-            f"{model.id}: the stencil assembly differs from the object-level "
-            f"right-hand side by {mismatch:.3e} (is the model translation-invariant?)"
-        )
-    model._compiled_rhs = rhs
-    return rhs
+    return _sparse_form(model).rhs
 
 
 # --------------------------------------------------------------------------
@@ -398,36 +388,15 @@ def _rk4_stability_limit(eigs: np.ndarray) -> float:
 
 
 def stable_dt(model) -> float:
-    """0.9 times the RK4 stability limit of the right-hand side linearized at
-    the reference state z0.
+    """0.9 times the RK4 stability limit of the right-hand side linearized
+    exactly at the reference state: the sparse form's ``dt_bound``.
 
-    The linearization is exact.  Its node-0 columns are the sparse form's
-    constant stencil plus the derivative of the nonlinear terms N, column j
-    being the central secant ``(N(z0 + e_j) - N(z0 - e_j)) / 2``, which is
-    the derivative because N is quadratic.  The field Jacobian is
-    block-circulant, so its spectrum is the union of the eigenvalues of the n
-    symbol matrices (f x f, one per wavenumber) obtained by a Fourier
-    transform of these columns along the grid axis (von Neumann analysis).
+    The spectrum is read off the Fourier symbols of the node-0 columns of the
+    Jacobian, one f x f eigenproblem per wavenumber (see
+    :func:`_sparse_form`).  A model that is not translation-invariant raises
+    the same :class:`ValueError` as :func:`compile_rhs`.
     """
-    layout = model.layout
-    n, nfields = layout.grid.n, layout.n_fields
-    nf = n * nfields
-    sparse = _sparse_form(model)
-    z0 = model.reference_state.flat
-    jacobian = sparse.stencil.copy()
-    for j in range(nfields):
-        e = np.zeros_like(z0)
-        e[j * n] = 1.0
-        secant = _nonlinear(sparse, z0 + e) - _nonlinear(sparse, z0 - e)
-        jacobian[:, j] += 0.5 * secant[:nf]
-    symbols = np.fft.fft(jacobian.reshape(nfields, n, nfields), axis=1).transpose(1, 0, 2)
-    eigs = np.linalg.eigvals(symbols).ravel()
-    # The dynamics are contractive in the energy seminorm, so the true
-    # spectrum satisfies Re(lambda) <= 0; positive real parts are eigensolver
-    # noise (worst near defective wave pairs) and would make the bound
-    # spuriously tight.
-    eigs = np.minimum(eigs.real, 0.0) + 1j * eigs.imag
-    return 0.9 * _rk4_stability_limit(eigs)
+    return _sparse_form(model).dt_bound
 
 
 # --------------------------------------------------------------------------
@@ -449,6 +418,11 @@ class IntegratorConfig:
             raise ValueError(f"t_end/dt overflows (t_end={self.t_end!r}, dt={self.dt!r})")
         if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
+
+    @property
+    def n_steps(self) -> int:
+        """Number of fixed steps that reach t_end (the last may overshoot it)."""
+        return int(math.ceil(self.t_end / self.dt - 1e-9))
 
 
 @dataclass(frozen=True)
@@ -530,7 +504,7 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
         raise PositivityError("initial temperature must be strictly positive")
 
     rhs = compile_rhs(model)
-    n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))
+    n_steps = cfg.n_steps
     y = z0.flat.copy()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         records = [_diagnostics(model, 0.0, y)]
@@ -757,7 +731,7 @@ def transform_check(model, t_diag: np.ndarray, z0: State, cfg: IntegratorConfig)
         out = apply_L(model, z, xi_e).flat + apply_M(model, z, xi_s).flat
         return t_diag * out
 
-    n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))
+    n_steps = cfg.n_steps
     y = z0.flat.copy()
     v = t_diag * z0.flat
     worst = 0.0

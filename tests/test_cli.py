@@ -87,7 +87,8 @@ def test_simulate_bad_config_exit_codes(tmp_path, capsys):
     # non-finite values and keys that nothing reads are rejected at the
     # boundary, naming the key
     for line, key in (("kappa = nan", "kappa"), ("length = inf", "length"),
-                      ("t_end = inf", "t_end"), ("seed = 1", "seed")):
+                      ("t_end = inf", "t_end"), ("seed = 1", "seed"),
+                      ("amplitude = nan", "amplitude"), ("amplitude = inf", "amplitude")):
         capsys.readouterr()
         cfg = write_config(
             tmp_path,

@@ -154,6 +154,9 @@ def test_compile_rhs_rejects_non_translation_invariant_model(grid32):
     )
     with pytest.raises(ValueError, match="translation-invariant"):
         compile_rhs(varying)
+    # the step bound comes from the same checked derivation
+    with pytest.raises(ValueError, match="translation-invariant"):
+        bg.stable_dt(varying)
 
 
 def test_alpha_scaling_leaves_rhs_unchanged(grid32):
@@ -212,7 +215,8 @@ def test_symbol_dt_matches_dense_spectrum(grid32, grid64):
 
 def test_each_model_is_linearized_once(grid32, monkeypatch):
     # one probe of the node-0 stencil (f + 1 calls) and the compile-time
-    # check (1 call); the step bound reads the cached stencil
+    # check (1 call), whichever of compile_rhs and dt_bound comes first; the
+    # other reads the cached derivation
     calls = []
     original = engine.generic_rhs
 
@@ -227,6 +231,13 @@ def test_each_model_is_linearized_once(grid32, monkeypatch):
         assert len(calls) <= model.layout.n_fields + 2, mid
         calls.clear()
         model.dt_bound
+        assert calls == [], mid
+
+        model = bg.build_model(mid, ModelParams(), grid32)
+        model.dt_bound
+        assert len(calls) <= model.layout.n_fields + 2, mid
+        calls.clear()
+        compile_rhs(model)
         assert calls == [], mid
 
 
@@ -320,7 +331,7 @@ def _sinking_model(grid):
         return out
 
     model = dataclasses.replace(base)
-    model._compiled_rhs = sinking
+    model._sparse = dataclasses.replace(engine._sparse_form(base), rhs=sinking)
     return model
 
 
