@@ -29,7 +29,6 @@ from .engine import (
     random_cotangent,
     random_state,
     random_test_functional,
-    stable_dt,
     step_rk4,
     transform_check,
     uniform_scaling,
@@ -48,13 +47,9 @@ from .functionals import (
 from .grid import Grid
 from .operators import (
     Block,
-    BlockOperator,
     DissipativeRow,
-    FactoredDissipator,
     apply_L,
     apply_M,
-    dissipator_blocks,
-    factored_M,
 )
 from .state import (
     FIELD_NAMES,
@@ -71,14 +66,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_MODEL_IDS",
     "Block",
-    "BlockOperator",
     "CotangentVector",
     "DiagnosticsRecord",
     "DissipativeRow",
     "DivergenceError",
     "DomainError",
     "FIELD_NAMES",
-    "FactoredDissipator",
     "Grid",
     "IntegratorConfig",
     "ModelId",
@@ -96,10 +89,8 @@ __all__ = [
     "decay_rate",
     "default_initial_state",
     "direct_rhs",
-    "dissipator_blocks",
     "energy",
     "entropy",
-    "factored_M",
     "fd_gradient",
     "generic_rhs",
     "grad_energy",
@@ -113,7 +104,6 @@ __all__ = [
     "random_cotangent",
     "random_state",
     "random_test_functional",
-    "stable_dt",
     "step_rk4",
     "transform_check",
     "uniform_scaling",

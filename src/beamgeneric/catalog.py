@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .engine import _sparse_form
 from .functionals import LinearTerm, LogThetaEntropy, ModelParams, ReservoirEntropy, SquareTerm
 from .grid import Grid
 from .operators import Block, DissipativeRow
@@ -95,13 +96,12 @@ class ModelSpec:
         linearized exactly at the uniform equilibrium reference state.  The
         spectrum of the linearization's field block is read off the Fourier
         symbols of its node-0 columns, one small eigenproblem per wavenumber.
-        It is read from the model's cached derivation, which also raises
-        :class:`ValueError` for a model that is not translation-invariant
-        (see :func:`beamgeneric.engine.stable_dt`).
+        It is the ``dt_bound`` of the model's cached derivation
+        (:func:`beamgeneric.engine.compile_rhs` reads the same one), which
+        raises :class:`ValueError` for a model that is not
+        translation-invariant.
         """
-        from .engine import stable_dt
-
-        return stable_dt(self)
+        return _sparse_form(self).dt_bound
 
 
 # --------------------------------------------------------------------------
@@ -539,11 +539,16 @@ def default_initial_state(model_id, grid: Grid, mode: int = 1, amplitude: float 
     Every other slot keeps the model's reference state: theta starts at 1 for
     the nonlinear model (its entropy needs theta > 0) and at 0 everywhere
     else; flux/second-temperature/reservoir slots start at 0.  A non-finite
-    ``amplitude`` is rejected.
+    ``amplitude`` is rejected, and so is a ``mode`` above n/2, which the grid
+    would alias to a lower one.
     """
     mid = ModelId(model_id)
     if not isinstance(mode, (int, np.integer)) or mode < 1:
         raise ValueError(f"mode must be a positive integer, got {mode!r}")
+    if mode > grid.n // 2:
+        raise ValueError(
+            f"mode must be at most n/2 = {grid.n // 2} on n = {grid.n} nodes, got {mode}"
+        )
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     z = build_model(mid, ModelParams(), grid).reference_state.copy()

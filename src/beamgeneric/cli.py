@@ -124,8 +124,6 @@ def cmd_simulate(config: RunConfig, out=None) -> int:
 
 def cmd_verify(model_name: str, trials: int, seed: int, out=None) -> int:
     out = sys.stdout if out is None else out
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if model_name == "all":
         mids = ALL_MODEL_IDS
     else:

@@ -14,7 +14,7 @@ is cached in the model's one private slot.
   not linear, the reservoir production ``alpha * dx * sum_r w_r |D_r y|^2``
   and the bilinear coupling of the nonlinear model.  It reproduces the
   object-level assembly to roundoff.
-* :func:`stable_dt` returns the step bound: the RK4 limit over the
+* ``ModelSpec.dt_bound`` reads the step bound: the RK4 limit over the
   eigenvalues of the Fourier symbols of the exact linearization, the
   stencil plus the derivative of the quadratic terms.  A model that fails
   the check gets neither.
@@ -45,6 +45,7 @@ from .functionals import (
     LinearTerm,
     LogThetaEntropy,
     entropy,
+    fd_gradient,
     grad_energy,
     grad_entropy,
 )
@@ -109,7 +110,7 @@ class _SparseForm:
       when a weight depends on the state) and ``m_coupled`` is 1 on the rows
       coupled to the reservoir.
     * ``rhs`` is the compiled right-hand side (:func:`compile_rhs`) and
-      ``dt_bound`` the RK4 step bound (:func:`stable_dt`).
+      ``dt_bound`` the RK4 step bound (``ModelSpec.dt_bound``).
     """
 
     d1: scipy.sparse.csr_matrix
@@ -175,7 +176,6 @@ def _sparse_form(model) -> _SparseForm:
     taps = {
         "identity": ((0, 1.0),),
         "d1": ((1, half), (-1, -half)),
-        "d2": ((2, half * half), (0, -2.0 * half * half), (-2, half * half)),
     }
 
     def tap(differentiate: bool):
@@ -385,18 +385,6 @@ def _rk4_stability_limit(eigs: np.ndarray) -> float:
         else:
             hi = mid
     return lo
-
-
-def stable_dt(model) -> float:
-    """0.9 times the RK4 stability limit of the right-hand side linearized
-    exactly at the reference state: the sparse form's ``dt_bound``.
-
-    The spectrum is read off the Fourier symbols of the node-0 columns of the
-    Jacobian, one f x f eigenproblem per wavenumber (see
-    :func:`_sparse_form`).  A model that is not translation-invariant raises
-    the same :class:`ValueError` as :func:`compile_rhs`.
-    """
-    return _sparse_form(model).dt_bound
 
 
 # --------------------------------------------------------------------------
@@ -662,35 +650,19 @@ def poisson_bracket(model, z: State, f: TestFunctional, g: TestFunctional) -> fl
     return mixed_inner(model.layout, f.grad(z).flat, apply_L(model, z, g.grad(z)).flat)
 
 
-def _bracket_gradient_fd(model, f, g, z: State, h: float) -> np.ndarray:
-    """Gradient of z -> {F, G}(z) by central differences with fixed step h,
-    in the mixed inner-product convention."""
-    layout = model.layout
-    flat = z.flat
-    out = np.empty_like(flat)
-    for i in range(flat.size):
-        zp = flat.copy()
-        zp[i] += h
-        zm = flat.copy()
-        zm[i] -= h
-        out[i] = (
-            poisson_bracket(model, State(layout, zp), f, g)
-            - poisson_bracket(model, State(layout, zm), f, g)
-        ) / (2.0 * h)
-    nf = layout.grid.n * layout.n_fields
-    out[:nf] /= layout.grid.dx
-    return out
-
-
 def jacobi_check(model, z: State, f1, f2, f3, h: float):
-    """Cyclic sum of nested brackets and the magnitude scale of its terms."""
+    """Cyclic sum of nested brackets and the magnitude scale of its terms.
+
+    The gradient of z -> {F, G}(z) is taken by :func:`fd_gradient` with the
+    relative step ``h``: slot i moves by ``h * (1 + |z_i|)``.
+    """
     if not h > 0.0:
         raise ValueError(f"finite-difference step must be positive, got {h!r}")
     terms = []
     for fa, fb, fc in ((f1, f2, f3), (f2, f3, f1), (f3, f1, f2)):
-        grad_inner = _bracket_gradient_fd(model, fa, fb, z, h)
+        grad_inner = fd_gradient(lambda s: poisson_bracket(model, s, fa, fb), z, rel_step=h)
         outer = mixed_inner(
-            model.layout, grad_inner, apply_L(model, z, fc.grad(z)).flat
+            model.layout, grad_inner.flat, apply_L(model, z, fc.grad(z)).flat
         )
         terms.append(outer)
     residual = abs(terms[0] + terms[1] + terms[2])

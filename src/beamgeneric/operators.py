@@ -2,16 +2,14 @@
 
 L is stored block-wise: a tuple of (row field, column field, Block).  Blocks
 are the handful of entry types that occur in the catalog (constant multiples,
-first derivatives, multiply-then-differentiate and differentiate-then-multiply
-with a state-dependent coefficient, and the scalar couplings to the reservoir
-slot).  Second derivatives are realized as the iterated central difference
-d1(d1 .) so that every adjointness identity used below is exact.
+first derivatives, and multiply-then-differentiate and
+differentiate-then-multiply with a state-dependent coefficient).  Second
+derivatives are realized as the iterated central difference d1(d1 .) so that
+every adjointness identity used below is exact.
 
 M is *constructed* in factored form M = sum_r J_r^T w_r J_r with nonnegative
 weights, which makes symmetry, positive semidefiniteness and the degeneracy
-M dE = 0 hold by construction to roundoff.  The block matrices familiar from
-the continuum presentation are available as a derived representation through
-:func:`dissipator_blocks`.
+M dE = 0 hold by construction to roundoff.
 """
 
 from __future__ import annotations
@@ -23,25 +21,12 @@ import numpy as np
 
 from .state import CotangentVector, State, StateLayout
 
-#: block kinds and their action on the argument x (a field, or the scalar e):
+#: block kinds and their action on the field argument x:
 #:   identity      c * x
 #:   d1            c * d1(x)
-#:   d2            c * d1(d1(x))
 #:   mul_d1        c * a * d1(x)
 #:   d1_mul        c * d1(a * x)
-#:   from_scalar   c * a * x_e          (reservoir column, field row)
-#:   to_scalar     c * inner(a, x)      (field column, reservoir row)
-#:   scalar        c * x_e              (reservoir column and row)
-BLOCK_KINDS = (
-    "identity",
-    "d1",
-    "d2",
-    "mul_d1",
-    "d1_mul",
-    "from_scalar",
-    "to_scalar",
-    "scalar",
-)
+BLOCK_KINDS = ("identity", "d1", "mul_d1", "d1_mul")
 
 
 @dataclass(frozen=True)
@@ -66,45 +51,17 @@ def _coefficient(block: Block, z: State) -> np.ndarray:
 
 
 def _apply_block(block: Block, z: State, x):
-    """Apply one block to ``x`` (field array, or float for reservoir columns)."""
+    """Apply one block to the field array ``x``."""
     grid = z.layout.grid
     if block.kind == "identity":
         return block.c * x
     if block.kind == "d1":
         return block.c * grid.d1(x)
-    if block.kind == "d2":
-        return block.c * grid.d1(grid.d1(x))
     if block.kind == "mul_d1":
         return block.c * _coefficient(block, z) * grid.d1(x)
     if block.kind == "d1_mul":
         return block.c * grid.d1(_coefficient(block, z) * x)
-    if block.kind == "from_scalar":
-        return block.c * _coefficient(block, z) * x
-    if block.kind == "to_scalar":
-        return block.c * grid.inner(_coefficient(block, z), x)
-    if block.kind == "scalar":
-        return block.c * x
     raise AssertionError(block.kind)
-
-
-@dataclass(frozen=True)
-class BlockOperator:
-    """A sparse collection of blocks over a layout; absent blocks act as zero."""
-
-    layout: StateLayout
-    blocks: tuple  # of (row, col, Block), row/col field names or "e"
-
-    def apply(self, z: State, xi: CotangentVector) -> State:
-        _check_pair(self.layout, z, xi)
-        out = State.zeros(self.layout)
-        for row, col, block in self.blocks:
-            x = xi.reservoir if col == "e" else xi.field(col)
-            y = _apply_block(block, z, x)
-            if row == "e":
-                out.flat[self.layout.reservoir_index] += y
-            else:
-                out.field(row)[:] += y
-        return out
 
 
 def _check_pair(layout: StateLayout, z: State, xi: CotangentVector):
@@ -163,25 +120,6 @@ class DissipativeRow:
         return g
 
 
-@dataclass(frozen=True)
-class FactoredDissipator:
-    """Materialized factorization of M at a given state: rows (J, w)."""
-
-    layout: StateLayout
-    rows: tuple  # of (DissipativeRow, weight values at z)
-
-
-def factored_M(model, z: State) -> FactoredDissipator:
-    """The model's dissipative factorization evaluated at ``z``.
-
-    Undamped baselines return an empty factorization.
-    """
-    if z.layout != model.layout:
-        raise ValueError("state layout does not match the model")
-    rows = tuple((row, row.weight_values(z)) for row in model.m_rows)
-    return FactoredDissipator(model.layout, rows)
-
-
 def apply_M(model, z: State, xi: CotangentVector) -> State:
     """Apply M via the factored form sum J^T (w . J xi)."""
     _check_pair(model.layout, z, xi)
@@ -196,37 +134,3 @@ def apply_M(model, z: State, xi: CotangentVector) -> State:
         if row.couple_reservoir:
             out.flat[model.layout.reservoir_index] += -grid.inner(row.coefficient(z), v)
     return out
-
-
-def dissipator_blocks(model, z: State) -> BlockOperator:
-    """Literal block-matrix form of M at ``z``, expanded row by row.
-
-    This is the derived representation of the factored operator; it exists so
-    tests can check the two agree.  Only constant-weight rows have a block
-    form here (the nonlinear model's field-weighted row does not reduce to the
-    entry kinds above).
-    """
-    grid = model.layout.grid
-    blocks = []
-    quad = 0.0
-    for row in model.m_rows:
-        if row.weight_fn is not None or not row.couple_reservoir:
-            raise ValueError(
-                "block assembly is only defined for constant-weight reservoir-coupled rows"
-            )
-        w = row.weight
-        a = row.coefficient(z).copy()
-        f = row.field
-        if row.differentiate:
-            wide = grid.d1(grid.d1(z.field(f)))
-            blocks.append((f, f, Block("d2", -w)))
-            blocks.append((f, "e", Block("from_scalar", w, wide)))
-            blocks.append(("e", f, Block("to_scalar", w, wide)))
-        else:
-            blocks.append((f, f, Block("identity", w)))
-            blocks.append((f, "e", Block("from_scalar", -w, a)))
-            blocks.append(("e", f, Block("to_scalar", -w, a)))
-        quad += w * grid.inner(a, a)
-    if model.m_rows:
-        blocks.append(("e", "e", Block("scalar", quad)))
-    return BlockOperator(model.layout, tuple(blocks))

@@ -77,6 +77,16 @@ def test_default_initial_state(grid32):
         bg.default_initial_state("TimoshenkoNew", grid32, mode=0)
 
 
+def test_default_initial_state_rejects_aliased_mode(grid32):
+    # mode n/2 is the Nyquist mode, still resolved; mode n/2 + 1 would alias
+    # to mode n/2 - 1 with phi negated
+    half = grid32.n // 2
+    z = bg.default_initial_state("TimoshenkoFrictional", grid32, mode=half)
+    assert np.all(np.isfinite(z.flat))
+    with pytest.raises(ValueError, match=r"mode.*n = 32"):
+        bg.default_initial_state("TimoshenkoFrictional", grid32, mode=half + 1)
+
+
 def test_default_initial_state_energy(grid32):
     model = bg.build_model("TimoshenkoUndamped", ModelParams(), grid32)
     z = bg.default_initial_state("TimoshenkoUndamped", grid32, mode=1, amplitude=0.1)

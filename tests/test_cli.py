@@ -84,11 +84,12 @@ def test_simulate_bad_config_exit_codes(tmp_path, capsys):
 
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 1
 
-    # non-finite values and keys that nothing reads are rejected at the
-    # boundary, naming the key
+    # non-finite values, keys that nothing reads and a mode the grid would
+    # alias are rejected at the boundary, naming the key
     for line, key in (("kappa = nan", "kappa"), ("length = inf", "length"),
                       ("t_end = inf", "t_end"), ("seed = 1", "seed"),
-                      ("amplitude = nan", "amplitude"), ("amplitude = inf", "amplitude")):
+                      ("amplitude = nan", "amplitude"), ("amplitude = inf", "amplitude"),
+                      ("mode = 9", "mode")):
         capsys.readouterr()
         cfg = write_config(
             tmp_path,

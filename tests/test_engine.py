@@ -156,7 +156,7 @@ def test_compile_rhs_rejects_non_translation_invariant_model(grid32):
         compile_rhs(varying)
     # the step bound comes from the same checked derivation
     with pytest.raises(ValueError, match="translation-invariant"):
-        bg.stable_dt(varying)
+        varying.dt_bound
 
 
 def test_alpha_scaling_leaves_rhs_unchanged(grid32):
@@ -246,7 +246,7 @@ def test_stable_dt_requires_uniform_reference_state(grid32):
     ref = base.reference_state.copy()
     ref.field("theta")[0] = 2.0
     with pytest.raises(ValueError, match="uniform"):
-        bg.stable_dt(dataclasses.replace(base, reference_state=ref))
+        dataclasses.replace(base, reference_state=ref).dt_bound
 
 
 # --------------------------------------------------------------------------

@@ -9,12 +9,11 @@ from beamgeneric import (
     State,
     apply_L,
     apply_M,
-    dissipator_blocks,
-    factored_M,
     grad_energy,
     grad_entropy,
     mixed_inner,
 )
+from beamgeneric.operators import BLOCK_KINDS
 from conftest import ALL_IDS, rel_inf
 
 
@@ -98,11 +97,11 @@ def test_factored_rows_cancel_on_grad_energy(models):
     rng = np.random.default_rng(7)
     for model in models.values():
         if not model.m_rows:
-            assert factored_M(model, model.reference_state).rows == ()
+            assert model.m_rows == ()
             continue
         z = bg.random_state(model, rng)
         de = grad_energy(model, z)
-        for row, _ in factored_M(model, z).rows:
+        for row in model.m_rows:
             assert np.max(np.abs(row.apply(z, de))) <= 1e-12
 
 
@@ -112,7 +111,7 @@ def test_factored_heat_row_cancellation(models, grid):
     xi = CotangentVector.zeros(model.layout)
     xi.field("theta")[:] = z.field("theta")
     xi.reservoir = 1.0
-    (row, _), = factored_M(model, z).rows
+    row, = model.m_rows
     np.testing.assert_array_equal(row.apply(z, xi), np.zeros(grid.n))
 
 
@@ -142,37 +141,6 @@ def test_antisymmetry_symmetry_psd(models):
             assert quad >= -1e-12 * max(1.0, abs(quad))
 
 
-@pytest.mark.parametrize(
-    "mid",
-    [
-        bg.ModelId.TIMOSHENKO_FRICTIONAL,
-        bg.ModelId.TIMOSHENKO_HEAT_I,
-        bg.ModelId.TIMOSHENKO_HEAT_II,
-        bg.ModelId.TIMOSHENKO_HEAT_III,
-        bg.ModelId.BRESSE_FRICTIONAL,
-        bg.ModelId.BRESSE_HEAT_I,
-        bg.ModelId.BRESSE_HEAT_II,
-    ],
-    ids=str,
-)
-def test_block_assembly_matches_factored(models, mid):
-    """The literal block matrix of M is a derived form of the factorization."""
-    model = models[mid]
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        z = bg.random_state(model, rng)
-        xi = bg.random_cotangent(model.layout, rng)
-        via_blocks = dissipator_blocks(model, z).apply(z, xi).flat
-        via_rows = apply_M(model, z, xi).flat
-        assert rel_inf(via_blocks, via_rows) <= 1e-12
-
-
-def test_block_assembly_rejected_for_field_weights(models):
-    model = models[bg.ModelId.TIMOSHENKO_NEW]
-    with pytest.raises(ValueError):
-        dissipator_blocks(model, model.reference_state)
-
-
 def test_shape_mismatch_errors(models):
     small = bg.build_model("TimoshenkoFrictional", ModelParams(), Grid(8, 1.0))
     big = bg.build_model("TimoshenkoFrictional", ModelParams(), Grid(16, 1.0))
@@ -182,5 +150,17 @@ def test_shape_mismatch_errors(models):
         apply_L(small, z, xi)
     with pytest.raises(ValueError):
         apply_M(small, z, xi)
-    with pytest.raises(ValueError):
-        factored_M(small, z)
+
+
+@pytest.mark.parametrize("kind", ["d2", "from_scalar", "to_scalar", "scalar"])
+def test_block_rejects_kinds_outside_the_catalog(kind):
+    # M has only its factored form, so L's four kinds are the only ones
+    assert BLOCK_KINDS == ("identity", "d1", "mul_d1", "d1_mul")
+    with pytest.raises(ValueError, match="unknown block kind"):
+        bg.Block(kind, 1.0)
+
+
+def test_public_names_resolve_once():
+    assert len(bg.__all__) == len(set(bg.__all__))
+    for name in bg.__all__:
+        assert hasattr(bg, name), name
