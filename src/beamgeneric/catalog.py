@@ -326,7 +326,7 @@ def _build_timoshenko_new(params: ModelParams, grid: Grid):
         ("theta", "q", Block("mul_d1", gam, "theta")),
     )
 
-    def weight_fn(z: State) -> np.ndarray:
+    def theta_weight(z: State) -> np.ndarray:
         # Product of the two neighbours entering the d1 stencil: with this
         # nodal weight the discrete chain rule w * d1(1/theta) = -delta *
         # d1(theta) is exact, so the assembled temperature equation reproduces
@@ -340,8 +340,7 @@ def _build_timoshenko_new(params: ModelParams, grid: Grid):
         return out
 
     rows = (
-        DissipativeRow("theta", differentiate=True, weight_fn=weight_fn,
-                       couple_reservoir=False),
+        DissipativeRow("theta", differentiate=True, weight=theta_weight),
     )
 
     def direct(z: State) -> State:
@@ -509,7 +508,7 @@ def build_model(model_id, params: ModelParams = None, grid: Grid = None) -> Mode
     _validate_params(mid, params)
     layout, terms, l_blocks, rows, direct = _BUILDERS[mid](params, grid)
     if mid is ModelId.TIMOSHENKO_NEW:
-        entropy = LogThetaEntropy("theta")
+        entropy = LogThetaEntropy()
     else:
         entropy = ReservoirEntropy(params.alpha)
     model = ModelSpec(

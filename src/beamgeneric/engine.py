@@ -104,11 +104,10 @@ class _SparseForm:
       coefficients, and 1 on the reservoir slot).
     * ``l_const`` holds the constant Poisson blocks; ``l_state`` the blocks
       with a coefficient field, as (row slice, column slice, kind, c,
-      coefficient slice or array), applied with ``d1``.
+      coefficient slice), applied with ``d1``.
     * ``m_rows`` (R) stacks one row block per ``DissipativeRow`` (D or the
       identity on its field); ``m_weights`` are their constant weights (None
-      when a weight depends on the state) and ``m_coupled`` is 1 on the rows
-      coupled to the reservoir.
+      when a weight depends on the state).
     * ``rhs`` is the compiled right-hand side (:func:`compile_rhs`) and
       ``dt_bound`` the RK4 step bound (``ModelSpec.dt_bound``).
     """
@@ -123,7 +122,6 @@ class _SparseForm:
     m_rows: scipy.sparse.csr_matrix
     m_rows_t: scipy.sparse.csr_matrix
     m_weights: Optional[np.ndarray]
-    m_coupled: np.ndarray
     rhs: Callable[[np.ndarray], np.ndarray]
     dt_bound: float
 
@@ -202,12 +200,8 @@ def _sparse_form(model) -> _SparseForm:
         if block.kind in taps:
             l_entries += [(index[row], index[col], o, block.c * v) for o, v in taps[block.kind]]
         else:
-            coefficient = (
-                layout.field_slice(block.a) if isinstance(block.a, str)
-                else np.asarray(block.a, dtype=float)
-            )
             l_state.append((layout.field_slice(row), layout.field_slice(col),
-                            block.kind, block.c, coefficient))
+                            block.kind, block.c, layout.field_slice(block.a)))
 
     dissipative = model.m_rows
     m_rows = _periodic_matrix(n, (len(dissipative) * n, dim), [
@@ -216,18 +210,19 @@ def _sparse_form(model) -> _SparseForm:
         for o, v in tap(row.differentiate)
     ])
     m_weights = None
-    if all(row.weight_fn is None for row in dissipative):
+    if not any(callable(row.weight) for row in dissipative):
         m_weights = np.repeat(np.array([row.weight for row in dissipative], dtype=float), n)
-    m_coupled = np.repeat(np.array([row.couple_reservoir for row in dissipative], dtype=float), n)
+    elif layout.has_reservoir:
+        raise ValueError(f"{model.id}: a state-dependent row weight rules out a reservoir")
     production = None
     if layout.has_reservoir and dissipative:
-        production = model.entropy.alpha * dx * m_weights * m_coupled
+        production = model.entropy.alpha * dx * m_weights
 
     d1 = _periodic_matrix(n, (n, n), [(0, 0, o, v) for o, v in taps["d1"]])
     products, bilinear = [m_rows], []
     start = m_rows.shape[0]
     for rows, cols, kind, c, a in l_state:
-        if kind == "mul_d1" and isinstance(a, slice):
+        if kind == "mul_d1":
             hessian = energy_rows_t[cols] @ scipy.sparse.diags(energy_coeffs) @ energy_rows
             products.append(d1 @ hessian)
             bilinear.append((rows, a, c, slice(start, start + n)))
@@ -295,7 +290,6 @@ def _sparse_form(model) -> _SparseForm:
         m_rows=m_rows,
         m_rows_t=m_rows.T.tocsr(),
         m_weights=m_weights,
-        m_coupled=m_coupled,
         rhs=rhs,
         dt_bound=0.9 * _rk4_stability_limit(eigs),
     )
@@ -306,7 +300,7 @@ def _apply_l(sparse: _SparseForm, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """L(y) xi: the constant blocks, then the blocks with a coefficient field."""
     out = sparse.l_const @ xi
     for rows, cols, kind, c, coefficient in sparse.l_state:
-        a = y[coefficient] if isinstance(coefficient, slice) else coefficient
+        a = y[coefficient]
         if kind == "mul_d1":
             out[rows] += c * a * (sparse.d1 @ xi[cols])
         else:  # d1_mul
@@ -316,7 +310,7 @@ def _apply_l(sparse: _SparseForm, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 def _apply_m(model, sparse: _SparseForm, z: State, xi: np.ndarray) -> np.ndarray:
     """M(z) xi in factored form, sum_r J_r^T w_r J_r xi with
-    J_r xi = R_r xi - (R_r z) xi_e on the rows coupled to the reservoir."""
+    J_r xi = R_r xi - (R_r z) xi_e, the second term only with a reservoir."""
     layout = model.layout
     weights = sparse.m_weights
     if weights is None:
@@ -326,7 +320,7 @@ def _apply_m(model, sparse: _SparseForm, z: State, xi: np.ndarray) -> np.ndarray
         )
     j = sparse.m_rows @ xi
     if layout.has_reservoir:
-        coupled = sparse.m_coupled * (sparse.m_rows @ z.flat)
+        coupled = sparse.m_rows @ z.flat
         j -= coupled * xi[layout.reservoir_index]
     v = weights * j
     out = sparse.m_rows_t @ v
@@ -622,13 +616,6 @@ class TestFunctional:
     diag: np.ndarray
     c: CotangentVector
 
-    def value(self, z: State) -> float:
-        d = z.flat - self.z0.flat
-        layout = z.layout
-        return 0.5 * mixed_inner(layout, d, self.diag * d) + mixed_inner(
-            layout, self.c.flat, z.flat
-        )
-
     def grad(self, z: State) -> CotangentVector:
         return CotangentVector(z.layout, self.diag * (z.flat - self.z0.flat) + self.c.flat)
 
@@ -656,8 +643,6 @@ def jacobi_check(model, z: State, f1, f2, f3, h: float):
     The gradient of z -> {F, G}(z) is taken by :func:`fd_gradient` with the
     relative step ``h``: slot i moves by ``h * (1 + |z_i|)``.
     """
-    if not h > 0.0:
-        raise ValueError(f"finite-difference step must be positive, got {h!r}")
     terms = []
     for fa, fb, fc in ((f1, f2, f3), (f2, f3, f1), (f3, f1, f2)):
         grad_inner = fd_gradient(lambda s: poisson_bracket(model, s, fa, fb), z, rel_step=h)
@@ -719,18 +704,22 @@ def transform_check(model, t_diag: np.ndarray, z0: State, cfg: IntegratorConfig)
 # decay diagnostics
 
 
+def _log_mech_energy_tail(records: Sequence[DiagnosticsRecord]):
+    """Times and log(mechanical energy) over the last half of the trajectory."""
+    tail = records[len(records) // 2:]
+    me = np.array([r.mech_energy for r in tail])
+    if np.any(me <= 0.0):
+        raise DomainError("mechanical energy must stay positive in the fit window")
+    return np.array([r.t for r in tail]), np.log(me)
+
+
 def decay_rate(records: Sequence[DiagnosticsRecord]) -> float:
     """Least-squares slope of log(mechanical energy) over the last half of the
     trajectory."""
     if len(records) < 10:
         raise ValueError(f"need at least 10 records for a decay fit, got {len(records)}")
-    tail = records[len(records) // 2:]
-    me = np.array([r.mech_energy for r in tail])
-    if np.any(me <= 0.0):
-        raise DomainError("mechanical energy must stay positive in the fit window")
-    t = np.array([r.t for r in tail])
-    slope = np.polyfit(t, np.log(me), 1)[0]
-    return float(slope)
+    t, log_me = _log_mech_energy_tail(records)
+    return float(np.polyfit(t, log_me, 1)[0])
 
 
 def windowed_decay_rates(records: Sequence[DiagnosticsRecord], windows: int = 5):
@@ -738,14 +727,10 @@ def windowed_decay_rates(records: Sequence[DiagnosticsRecord], windows: int = 5)
     for a sign test on the fitted rate."""
     if len(records) < 2 * windows:
         raise ValueError("not enough records for windowed fits")
-    tail = records[len(records) // 2:]
-    t = np.array([r.t for r in tail])
-    me = np.array([r.mech_energy for r in tail])
-    if np.any(me <= 0.0):
-        raise DomainError("mechanical energy must stay positive in the fit window")
+    t, log_me = _log_mech_energy_tail(records)
+    bounds = np.linspace(0, len(t), windows + 1).astype(int)
     rates = []
-    bounds = np.linspace(0, len(tail), windows + 1).astype(int)
     for a, b in zip(bounds[:-1], bounds[1:]):
         if b - a >= 2:
-            rates.append(float(np.polyfit(t[a:b], np.log(me[a:b]), 1)[0]))
+            rates.append(float(np.polyfit(t[a:b], log_me[a:b], 1)[0]))
     return rates

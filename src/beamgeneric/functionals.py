@@ -12,6 +12,7 @@ discrete quadrature actually produces.  The finite-difference oracle
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,17 +124,14 @@ class ReservoirEntropy:
 
 @dataclass(frozen=True)
 class LogThetaEntropy:
-    """S(z) = integral of log(theta); requires theta > 0 everywhere."""
-
-    field: str = "theta"
+    """S(z) = integral of log(theta) over the field ``theta``; requires
+    theta > 0 everywhere."""
 
     def _theta(self, z: State) -> np.ndarray:
-        theta = z.field(self.field)
+        theta = z.field("theta")
         tmin = float(np.min(theta))
         if not tmin > 0.0:
-            raise PositivityError(
-                f"log entropy needs strictly positive {self.field}, min is {tmin}"
-            )
+            raise PositivityError(f"log entropy needs strictly positive theta, min is {tmin}")
         return theta
 
     def value(self, model, z: State) -> float:
@@ -143,7 +141,7 @@ class LogThetaEntropy:
     def gradient(self, model, z: State) -> CotangentVector:
         theta = self._theta(z)
         out = CotangentVector.zeros(z.layout)
-        out.field(self.field)[:] = 1.0 / theta
+        out.field("theta")[:] = 1.0 / theta
         return out
 
 
@@ -203,9 +201,11 @@ def fd_gradient(f, z: State, rel_step: float = 1e-6) -> CotangentVector:
 
     Field slots are divided by dx so the result approximates the density
     derivative consistent with the mixed inner product; the reservoir slot is
-    left unscaled.  Evaluation failures of ``f`` (e.g. log of a nonpositive
-    temperature) propagate.
+    left unscaled.  ``rel_step`` must be positive and finite.  Evaluation
+    failures of ``f`` (e.g. log of a nonpositive temperature) propagate.
     """
+    if not (rel_step > 0.0 and math.isfinite(rel_step)):
+        raise ValueError(f"finite-difference step must be positive and finite, got {rel_step!r}")
     layout = z.layout
     flat = z.flat
     out = np.empty_like(flat)

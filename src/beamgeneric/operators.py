@@ -3,13 +3,14 @@
 L is stored block-wise: a tuple of (row field, column field, Block).  Blocks
 are the handful of entry types that occur in the catalog (constant multiples,
 first derivatives, and multiply-then-differentiate and
-differentiate-then-multiply with a state-dependent coefficient).  Second
-derivatives are realized as the iterated central difference d1(d1 .) so that
-every adjointness identity used below is exact.
+differentiate-then-multiply with a coefficient that is a field of the state).
+Second derivatives are realized as the iterated central difference d1(d1 .)
+so that every adjointness identity used below is exact.
 
 M is *constructed* in factored form M = sum_r J_r^T w_r J_r with nonnegative
 weights, which makes symmetry, positive semidefiniteness and the degeneracy
-M dE = 0 hold by construction to roundoff.
+M dE = 0 hold by construction to roundoff.  Every row is coupled to the
+reservoir exactly when the layout has one.
 """
 
 from __future__ import annotations
@@ -31,23 +32,20 @@ BLOCK_KINDS = ("identity", "d1", "mul_d1", "d1_mul")
 
 @dataclass(frozen=True)
 class Block:
-    """One operator-matrix entry.  ``a`` is the coefficient field: either a
-    field name resolved against the state at application time, or a concrete
-    array baked in at assembly time."""
+    """One operator-matrix entry.  ``a`` names the coefficient field, read
+    from the state at application time; the ``mul_d1`` and ``d1_mul`` kinds
+    require it and the others forbid it."""
 
     kind: str
     c: float
-    a: Union[str, np.ndarray, None] = None
+    a: Optional[str] = None
 
     def __post_init__(self):
         if self.kind not in BLOCK_KINDS:
             raise ValueError(f"unknown block kind {self.kind!r}")
-
-
-def _coefficient(block: Block, z: State) -> np.ndarray:
-    if isinstance(block.a, str):
-        return z.field(block.a)
-    return block.a
+        if (self.a is None) == (self.kind in ("mul_d1", "d1_mul")):
+            need = "needs a" if self.a is None else "takes no"
+            raise ValueError(f"a {self.kind!r} block {need} coefficient field")
 
 
 def _apply_block(block: Block, z: State, x):
@@ -58,9 +56,9 @@ def _apply_block(block: Block, z: State, x):
     if block.kind == "d1":
         return block.c * grid.d1(x)
     if block.kind == "mul_d1":
-        return block.c * _coefficient(block, z) * grid.d1(x)
+        return block.c * z.field(block.a) * grid.d1(x)
     if block.kind == "d1_mul":
-        return block.c * grid.d1(_coefficient(block, z) * x)
+        return block.c * grid.d1(z.field(block.a) * x)
     raise AssertionError(block.kind)
 
 
@@ -89,22 +87,18 @@ class DissipativeRow:
     """One row J of the factorization M = sum J^T w J.
 
     J(xi) = D(xi_field) - D(z_field) * xi_e, with D = d1 when ``differentiate``
-    and the identity otherwise; the reservoir part is present only when
-    ``couple_reservoir``.  The weight is a nonnegative constant (already
-    including any entropy-scale factor) or, for the nonlinear model, a
-    state-dependent nodal field.
+    and the identity otherwise; the reservoir part is present exactly when
+    the layout has a reservoir.  The weight is a nonnegative constant
+    (already including any entropy-scale factor) or a function of the state
+    returning a nodal field, which only a model without a reservoir may use.
     """
 
     field: str
     differentiate: bool = False
-    weight: float = 1.0
-    weight_fn: Optional[Callable[[State], np.ndarray]] = None
-    couple_reservoir: bool = True
+    weight: Union[float, Callable[[State], np.ndarray]] = 1.0
 
     def weight_values(self, z: State):
-        if self.weight_fn is not None:
-            return self.weight_fn(z)
-        return self.weight
+        return self.weight(z) if callable(self.weight) else self.weight
 
     def coefficient(self, z: State) -> np.ndarray:
         """The field paired with xi_e inside J (and inside J^T's reservoir row)."""
@@ -115,7 +109,7 @@ class DissipativeRow:
         grid = z.layout.grid
         g = xi.field(self.field)
         g = grid.d1(g) if self.differentiate else g.copy()
-        if self.couple_reservoir:
+        if z.layout.has_reservoir:
             g = g - self.coefficient(z) * xi.reservoir
         return g
 
@@ -131,6 +125,6 @@ def apply_M(model, z: State, xi: CotangentVector) -> State:
             out.field(row.field)[:] += -grid.d1(v)
         else:
             out.field(row.field)[:] += v
-        if row.couple_reservoir:
+        if model.layout.has_reservoir:
             out.flat[model.layout.reservoir_index] += -grid.inner(row.coefficient(z), v)
     return out

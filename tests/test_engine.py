@@ -147,16 +147,24 @@ def test_compiled_matrix_equals_dense_probe(grid32):
 
 
 def test_compile_rhs_rejects_non_translation_invariant_model(grid32):
-    base = bg.build_model("TimoshenkoFrictional", ModelParams(), grid32)
+    base = bg.build_model("TimoshenkoNew", ModelParams(), grid32)
     coeff = 1.0 + 0.5 * np.sin(2.0 * math.pi * grid32.nodes / grid32.length)
+    (row,) = base.m_rows
     varying = dataclasses.replace(
-        base, l_blocks=tuple(base.l_blocks) + (("p", "q", Block("mul_d1", 1.0, coeff)),)
+        base, m_rows=(dataclasses.replace(row, weight=lambda z: coeff * row.weight_values(z)),)
     )
     with pytest.raises(ValueError, match="translation-invariant"):
         compile_rhs(varying)
     # the step bound comes from the same checked derivation
     with pytest.raises(ValueError, match="translation-invariant"):
         varying.dt_bound
+
+
+def test_compile_rhs_rejects_state_dependent_weight_with_reservoir(grid32):
+    base = bg.build_model("TimoshenkoFrictional", ModelParams(), grid32)
+    rows = tuple(dataclasses.replace(row, weight=lambda z: np.ones(grid32.n)) for row in base.m_rows)
+    with pytest.raises(ValueError, match="TimoshenkoFrictional.*reservoir"):
+        compile_rhs(dataclasses.replace(base, m_rows=rows))
 
 
 def test_alpha_scaling_leaves_rhs_unchanged(grid32):
@@ -444,8 +452,9 @@ def test_jacobi_step_validation(models32):
     rng = np.random.default_rng(33)
     z = bg.random_state(model, rng)
     fs = [bg.random_test_functional(model.layout, rng) for _ in range(3)]
-    with pytest.raises(ValueError):
-        jacobi_check(model, z, *fs, h=0.0)
+    for h in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite-difference step"):
+            jacobi_check(model, z, *fs, h=h)
 
 
 # --------------------------------------------------------------------------

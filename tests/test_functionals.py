@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,13 @@ def test_fd_gradient_of_entropy(grid16):
     g = fd_gradient(lambda s: entropy(model, s), z)
     assert g.reservoir == pytest.approx(1.5, rel=1e-9)
     assert np.max(np.abs(g.flat[:-1])) <= 1e-9
+
+
+@pytest.mark.parametrize("rel_step", [0.0, -1e-6, math.inf, math.nan])
+def test_fd_gradient_rejects_bad_steps(grid16, rel_step):
+    model = bg.build_model("TimoshenkoFrictional", ModelParams(), grid16)
+    with pytest.raises(ValueError, match="positive and finite"):
+        fd_gradient(lambda s: energy(model, s), State.zeros(model.layout), rel_step=rel_step)
 
 
 def test_fd_gradient_propagates_domain_errors(grid16):

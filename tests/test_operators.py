@@ -160,6 +160,14 @@ def test_block_rejects_kinds_outside_the_catalog(kind):
         bg.Block(kind, 1.0)
 
 
+@pytest.mark.parametrize("kind, a", [
+    ("identity", "theta"), ("d1", "theta"), ("mul_d1", None), ("d1_mul", None),
+])
+def test_block_coefficient_field_matches_kind(kind, a):
+    with pytest.raises(ValueError, match="coefficient field"):
+        bg.Block(kind, 1.0, a)
+
+
 def test_public_names_resolve_once():
     assert len(bg.__all__) == len(set(bg.__all__))
     for name in bg.__all__:
