@@ -1,8 +1,13 @@
 """The model registry: damped Timoshenko and Bresse beams as metriplectic systems.
 
-Each entry bundles the state layout, the energy/entropy functionals, the
-Poisson blocks, the factored dissipative rows and an independently hand-coded
-transcription of the underlying PDE system (``direct_rhs``).  The generic
+Each entry bundles the state layout, the energy functional, the Poisson
+blocks, the factored dissipative rows and an independently hand-coded
+transcription of the underlying PDE system (``direct_rhs``).  Each beam
+family's conservative core is transcribed once (:func:`_timoshenko_core`,
+:func:`_bresse_core`); a damped model's transcription adds only its own
+friction, heat or flux terms and reservoir rate.  The entropy and the
+reference state follow the layout: ``alpha * e`` and the zero state with a
+reservoir, the log entropy and ``theta = 1`` without one.  The generic
 assembly L dE + M dS and the direct transcription must agree to roundoff;
 that equivalence is the central consistency check of the package.
 
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional
@@ -63,10 +69,12 @@ _TIMOSHENKO_IDS = {
 class ModelSpec:
     """Everything needed to evaluate and integrate one model.
 
-    Instances are immutable by convention once built.  The one private slot
-    caches what the engine derives from the building blocks in one pass: the
-    sparse form, the compiled right-hand side and the stable step bound (see
-    :func:`beamgeneric.engine.compile_rhs`).
+    ``direct_rhs`` is the family's conservative core plus the model's own
+    terms; ``entropy`` and ``reference_state`` follow ``layout.has_reservoir``
+    (see :func:`build_model`).  Instances are immutable by convention once
+    built.  The one private slot caches what the engine derives from the
+    building blocks in one pass: the sparse form, the compiled right-hand side
+    and the stable step bound (see :func:`beamgeneric.engine.compile_rhs`).
     """
 
     id: ModelId
@@ -181,41 +189,65 @@ def _sq(field_name: str, coeff: float = 1.0) -> SquareTerm:
 
 
 # --------------------------------------------------------------------------
-# model builders
+# conservative cores of the direct transcriptions
+
+
+def _timoshenko_core(params: ModelParams, z: State) -> State:
+    """The undamped Timoshenko beam, written out by hand: rows phi, psi, p
+    and q of the right-hand side, every other slot zero.  Like each model's
+    own terms it never reads the building blocks, so ``direct_rhs`` stays an
+    oracle independent of L, M, E and S."""
+    grid = z.layout.grid
+    out = State.zeros(z.layout)
+    g = grid.d1(z.field("phi")) + z.field("psi")
+    out.field("phi")[:] = z.field("p")
+    out.field("psi")[:] = z.field("q")
+    out.field("p")[:] = params.k * grid.d1(g)
+    out.field("q")[:] = params.b * grid.d1(grid.d1(z.field("psi"))) - params.k * g
+    return out
+
+
+def _bresse_core(params: ModelParams, z: State) -> State:
+    """The undamped Bresse arch, written out by hand: rows phi, psi, chi, p,
+    q and w of the right-hand side, every other slot zero."""
+    grid = z.layout.grid
+    k, b, k0, l = params.k, params.b, params.k0, params.l
+    out = State.zeros(z.layout)
+    g = grid.d1(z.field("phi")) + z.field("psi") + l * z.field("chi")
+    h = grid.d1(z.field("chi")) - l * z.field("phi")
+    out.field("phi")[:] = z.field("p")
+    out.field("psi")[:] = z.field("q")
+    out.field("chi")[:] = z.field("w")
+    out.field("p")[:] = k * grid.d1(g) + k0 * l * h
+    out.field("q")[:] = b * grid.d1(grid.d1(z.field("psi"))) - k * g
+    out.field("w")[:] = k0 * grid.d1(h) - k * l * g
+    return out
+
+
+# --------------------------------------------------------------------------
+# model builders: the building blocks, and a direct transcription that adds
+# the model's own friction, heat or flux terms and reservoir rate to its core
 
 
 def _build_timoshenko_undamped(params: ModelParams, grid: Grid):
     layout = StateLayout(grid, ("phi", "psi", "p", "q"), has_reservoir=True)
-    k, b = params.k, params.b
-
-    def direct(z: State) -> State:
-        out = State.zeros(layout)
-        g = grid.d1(z.field("phi")) + z.field("psi")
-        out.field("phi")[:] = z.field("p")
-        out.field("psi")[:] = z.field("q")
-        out.field("p")[:] = k * grid.d1(g)
-        out.field("q")[:] = b * grid.d1(grid.d1(z.field("psi"))) - k * g
-        return out
-
+    direct = functools.partial(_timoshenko_core, params)
     return layout, _timoshenko_energy(params), _CANONICAL_TIMOSHENKO, (), direct
 
 
 def _build_timoshenko_frictional(params: ModelParams, grid: Grid):
     layout = StateLayout(grid, ("phi", "psi", "p", "q"), has_reservoir=True)
-    k, b, d1f, d2f, alpha = params.k, params.b, params.delta1, params.delta2, params.alpha
+    d1f, d2f, alpha = params.delta1, params.delta2, params.alpha
     rows = (
         DissipativeRow("p", weight=d1f / alpha),
         DissipativeRow("q", weight=d2f / alpha),
     )
 
     def direct(z: State) -> State:
-        out = State.zeros(layout)
+        out = _timoshenko_core(params, z)
         p, q = z.field("p"), z.field("q")
-        g = grid.d1(z.field("phi")) + z.field("psi")
-        out.field("phi")[:] = p
-        out.field("psi")[:] = q
-        out.field("p")[:] = -d1f * p + k * grid.d1(g)
-        out.field("q")[:] = -d2f * q - k * g + b * grid.d1(grid.d1(z.field("psi")))
+        out.field("p")[:] -= d1f * p
+        out.field("q")[:] -= d2f * q
         out.reservoir = d1f * grid.inner(p, p) + d2f * grid.inner(q, q)
         return out
 
@@ -224,7 +256,7 @@ def _build_timoshenko_frictional(params: ModelParams, grid: Grid):
 
 def _build_timoshenko_heat_i(params: ModelParams, grid: Grid):
     layout = StateLayout(grid, ("phi", "psi", "p", "q", "theta"), has_reservoir=True)
-    k, b, gam, kap, alpha = params.k, params.b, params.gamma, params.kappa, params.alpha
+    gam, kap, alpha = params.gamma, params.kappa, params.alpha
     terms = _timoshenko_energy(params) + (_sq("theta"),)
     l_blocks = _CANONICAL_TIMOSHENKO + (
         ("q", "theta", Block("d1", -gam)),
@@ -233,15 +265,11 @@ def _build_timoshenko_heat_i(params: ModelParams, grid: Grid):
     rows = (DissipativeRow("theta", differentiate=True, weight=kap / alpha),)
 
     def direct(z: State) -> State:
-        out = State.zeros(layout)
-        p, q, theta = z.field("p"), z.field("q"), z.field("theta")
-        g = grid.d1(z.field("phi")) + z.field("psi")
-        out.field("phi")[:] = p
-        out.field("psi")[:] = q
-        out.field("p")[:] = k * grid.d1(g)
-        out.field("q")[:] = -k * g + b * grid.d1(grid.d1(z.field("psi"))) - gam * grid.d1(theta)
-        out.field("theta")[:] = kap * grid.d1(grid.d1(theta)) - gam * grid.d1(q)
+        out = _timoshenko_core(params, z)
+        q, theta = z.field("q"), z.field("theta")
         dth = grid.d1(theta)
+        out.field("q")[:] -= gam * dth
+        out.field("theta")[:] = kap * grid.d1(dth) - gam * grid.d1(q)
         out.reservoir = kap * grid.inner(dth, dth)
         return out
 
@@ -251,7 +279,7 @@ def _build_timoshenko_heat_i(params: ModelParams, grid: Grid):
 def _build_timoshenko_heat_ii(params: ModelParams, grid: Grid):
     # Cattaneo law: hyperbolic heat conduction through the flux s.
     layout = StateLayout(grid, ("phi", "psi", "p", "q", "theta", "s"), has_reservoir=True)
-    k, b, gam, beta, alpha = params.k, params.b, params.gamma, params.beta, params.alpha
+    gam, beta, alpha = params.gamma, params.beta, params.alpha
     terms = _timoshenko_energy(params) + (_sq("theta"), _sq("s"))
     l_blocks = _CANONICAL_TIMOSHENKO + (
         ("q", "theta", Block("d1", -gam)),
@@ -262,14 +290,9 @@ def _build_timoshenko_heat_ii(params: ModelParams, grid: Grid):
     rows = (DissipativeRow("s", weight=beta / alpha),)
 
     def direct(z: State) -> State:
-        out = State.zeros(layout)
-        p, q = z.field("p"), z.field("q")
-        theta, s = z.field("theta"), z.field("s")
-        g = grid.d1(z.field("phi")) + z.field("psi")
-        out.field("phi")[:] = p
-        out.field("psi")[:] = q
-        out.field("p")[:] = k * grid.d1(g)
-        out.field("q")[:] = -k * g + b * grid.d1(grid.d1(z.field("psi"))) - gam * grid.d1(theta)
+        out = _timoshenko_core(params, z)
+        q, theta, s = z.field("q"), z.field("theta"), z.field("s")
+        out.field("q")[:] -= gam * grid.d1(theta)
         out.field("theta")[:] = -grid.d1(s) - gam * grid.d1(q)
         out.field("s")[:] = -grid.d1(theta) - beta * s
         out.reservoir = beta * grid.inner(s, s)
@@ -282,9 +305,7 @@ def _build_timoshenko_heat_iii(params: ModelParams, grid: Grid):
     # Type III conduction: theta evolves as a wave (velocity w) with an extra
     # K w_xx damping term.
     layout = StateLayout(grid, ("phi", "psi", "p", "q", "theta", "w"), has_reservoir=True)
-    k, b, gam, dlt, bigk, alpha = (
-        params.k, params.b, params.gamma, params.delta, params.K, params.alpha,
-    )
+    gam, dlt, bigk, alpha = params.gamma, params.delta, params.K, params.alpha
     terms = _timoshenko_energy(params) + (
         _sq("w"),
         SquareTerm(dlt, (("theta", True, 1.0),)),
@@ -298,17 +319,12 @@ def _build_timoshenko_heat_iii(params: ModelParams, grid: Grid):
     rows = (DissipativeRow("w", differentiate=True, weight=bigk / alpha),)
 
     def direct(z: State) -> State:
-        out = State.zeros(layout)
-        p, q = z.field("p"), z.field("q")
-        theta, w = z.field("theta"), z.field("w")
-        g = grid.d1(z.field("phi")) + z.field("psi")
-        out.field("phi")[:] = p
-        out.field("psi")[:] = q
-        out.field("p")[:] = k * grid.d1(g)
-        out.field("q")[:] = -k * g + b * grid.d1(grid.d1(z.field("psi"))) - gam * grid.d1(w)
-        out.field("theta")[:] = w
-        out.field("w")[:] = dlt * grid.d1(grid.d1(theta)) - gam * grid.d1(q) + bigk * grid.d1(grid.d1(w))
+        out = _timoshenko_core(params, z)
+        q, theta, w = z.field("q"), z.field("theta"), z.field("w")
         dw = grid.d1(w)
+        out.field("q")[:] -= gam * dw
+        out.field("theta")[:] = w
+        out.field("w")[:] = dlt * grid.d1(grid.d1(theta)) - gam * grid.d1(q) + bigk * grid.d1(dw)
         out.reservoir = bigk * grid.inner(dw, dw)
         return out
 
@@ -319,7 +335,7 @@ def _build_timoshenko_new(params: ModelParams, grid: Grid):
     # Nonlinearly coupled temperature; a closed metriplectic system with no
     # reservoir.  The entropy is the integral of log(theta).
     layout = StateLayout(grid, ("phi", "psi", "p", "q", "theta"), has_reservoir=False)
-    k, b, gam, dlt = params.k, params.b, params.gamma, params.delta
+    gam, dlt = params.gamma, params.delta
     terms = _timoshenko_energy(params) + (LinearTerm("theta", 1.0),)
     l_blocks = _CANONICAL_TIMOSHENKO + (
         ("q", "theta", Block("d1_mul", gam, "theta")),
@@ -339,18 +355,12 @@ def _build_timoshenko_new(params: ModelParams, grid: Grid):
         out[-1] = dlt * theta[0] * theta[-2]
         return out
 
-    rows = (
-        DissipativeRow("theta", differentiate=True, weight=theta_weight),
-    )
+    rows = (DissipativeRow("theta", differentiate=True, weight=theta_weight),)
 
     def direct(z: State) -> State:
-        out = State.zeros(layout)
-        p, q, theta = z.field("p"), z.field("q"), z.field("theta")
-        g = grid.d1(z.field("phi")) + z.field("psi")
-        out.field("phi")[:] = p
-        out.field("psi")[:] = q
-        out.field("p")[:] = k * grid.d1(g)
-        out.field("q")[:] = -k * g + b * grid.d1(grid.d1(z.field("psi"))) + gam * grid.d1(theta)
+        out = _timoshenko_core(params, z)
+        q, theta = z.field("q"), z.field("theta")
+        out.field("q")[:] += gam * grid.d1(theta)
         out.field("theta")[:] = dlt * grid.d1(grid.d1(theta)) + gam * theta * grid.d1(q)
         return out
 
@@ -359,27 +369,12 @@ def _build_timoshenko_new(params: ModelParams, grid: Grid):
 
 def _build_bresse_undamped(params: ModelParams, grid: Grid):
     layout = StateLayout(grid, ("phi", "psi", "chi", "p", "q", "w"), has_reservoir=True)
-    k, b, k0, l = params.k, params.b, params.k0, params.l
-
-    def direct(z: State) -> State:
-        out = State.zeros(layout)
-        p, q, w = z.field("p"), z.field("q"), z.field("w")
-        g = grid.d1(z.field("phi")) + z.field("psi") + l * z.field("chi")
-        h = grid.d1(z.field("chi")) - l * z.field("phi")
-        out.field("phi")[:] = p
-        out.field("psi")[:] = q
-        out.field("chi")[:] = w
-        out.field("p")[:] = k * grid.d1(g) + k0 * l * h
-        out.field("q")[:] = b * grid.d1(grid.d1(z.field("psi"))) - k * g
-        out.field("w")[:] = k0 * grid.d1(h) - k * l * g
-        return out
-
+    direct = functools.partial(_bresse_core, params)
     return layout, _bresse_energy(params), _CANONICAL_BRESSE, (), direct
 
 
 def _build_bresse_frictional(params: ModelParams, grid: Grid):
     layout = StateLayout(grid, ("phi", "psi", "chi", "p", "q", "w"), has_reservoir=True)
-    k, b, k0, l = params.k, params.b, params.k0, params.l
     g1, g2, g3, alpha = params.gamma1, params.gamma2, params.gamma3, params.alpha
     rows = (
         DissipativeRow("p", weight=g1 / alpha),
@@ -388,19 +383,12 @@ def _build_bresse_frictional(params: ModelParams, grid: Grid):
     )
 
     def direct(z: State) -> State:
-        out = State.zeros(layout)
+        out = _bresse_core(params, z)
         p, q, w = z.field("p"), z.field("q"), z.field("w")
-        g = grid.d1(z.field("phi")) + z.field("psi") + l * z.field("chi")
-        h = grid.d1(z.field("chi")) - l * z.field("phi")
-        out.field("phi")[:] = p
-        out.field("psi")[:] = q
-        out.field("chi")[:] = w
-        out.field("p")[:] = k * grid.d1(g) + k0 * l * h - g1 * p
-        out.field("q")[:] = b * grid.d1(grid.d1(z.field("psi"))) - k * g - g2 * q
-        out.field("w")[:] = k0 * grid.d1(h) - k * l * g - g3 * w
-        out.reservoir = (
-            g1 * grid.inner(p, p) + g2 * grid.inner(q, q) + g3 * grid.inner(w, w)
-        )
+        out.field("p")[:] -= g1 * p
+        out.field("q")[:] -= g2 * q
+        out.field("w")[:] -= g3 * w
+        out.reservoir = g1 * grid.inner(p, p) + g2 * grid.inner(q, q) + g3 * grid.inner(w, w)
         return out
 
     return layout, _bresse_energy(params), _CANONICAL_BRESSE, rows, direct
@@ -408,7 +396,6 @@ def _build_bresse_frictional(params: ModelParams, grid: Grid):
 
 def _build_bresse_heat_i(params: ModelParams, grid: Grid):
     layout = StateLayout(grid, ("phi", "psi", "chi", "p", "q", "w", "theta"), has_reservoir=True)
-    k, b, k0, l = params.k, params.b, params.k0, params.l
     gam, kap, alpha = params.gamma, params.kappa, params.alpha
     terms = _bresse_energy(params) + (_sq("theta"),)
     l_blocks = _CANONICAL_BRESSE + (
@@ -418,18 +405,11 @@ def _build_bresse_heat_i(params: ModelParams, grid: Grid):
     rows = (DissipativeRow("theta", differentiate=True, weight=kap / alpha),)
 
     def direct(z: State) -> State:
-        out = State.zeros(layout)
-        p, q, w, theta = z.field("p"), z.field("q"), z.field("w"), z.field("theta")
-        g = grid.d1(z.field("phi")) + z.field("psi") + l * z.field("chi")
-        h = grid.d1(z.field("chi")) - l * z.field("phi")
-        out.field("phi")[:] = p
-        out.field("psi")[:] = q
-        out.field("chi")[:] = w
-        out.field("p")[:] = k * grid.d1(g) + k0 * l * h
-        out.field("q")[:] = b * grid.d1(grid.d1(z.field("psi"))) - k * g - gam * grid.d1(theta)
-        out.field("w")[:] = k0 * grid.d1(h) - k * l * g
-        out.field("theta")[:] = kap * grid.d1(grid.d1(theta)) - gam * grid.d1(q)
+        out = _bresse_core(params, z)
+        q, theta = z.field("q"), z.field("theta")
         dth = grid.d1(theta)
+        out.field("q")[:] -= gam * dth
+        out.field("theta")[:] = kap * grid.d1(dth) - gam * grid.d1(q)
         out.reservoir = kap * grid.inner(dth, dth)
         return out
 
@@ -442,8 +422,7 @@ def _build_bresse_heat_ii(params: ModelParams, grid: Grid):
     layout = StateLayout(
         grid, ("phi", "psi", "chi", "p", "q", "w", "theta", "eta"), has_reservoir=True
     )
-    k, b, k0, l = params.k, params.b, params.k0, params.l
-    gam, dlt = params.gamma, params.delta
+    l, gam, dlt = params.l, params.gamma, params.delta
     kap1, kap2, alpha = params.kappa1, params.kappa2, params.alpha
     terms = _bresse_energy(params) + (_sq("theta"), _sq("eta"))
     l_blocks = _CANONICAL_BRESSE + (
@@ -460,20 +439,15 @@ def _build_bresse_heat_ii(params: ModelParams, grid: Grid):
     )
 
     def direct(z: State) -> State:
-        out = State.zeros(layout)
+        out = _bresse_core(params, z)
         p, q, w = z.field("p"), z.field("q"), z.field("w")
         theta, eta = z.field("theta"), z.field("eta")
-        g = grid.d1(z.field("phi")) + z.field("psi") + l * z.field("chi")
-        h = grid.d1(z.field("chi")) - l * z.field("phi")
-        out.field("phi")[:] = p
-        out.field("psi")[:] = q
-        out.field("chi")[:] = w
-        out.field("p")[:] = k * grid.d1(g) + k0 * l * h - gam * l * eta
-        out.field("q")[:] = b * grid.d1(grid.d1(z.field("psi"))) - k * g - dlt * grid.d1(theta)
-        out.field("w")[:] = k0 * grid.d1(h) - k * l * g - gam * grid.d1(eta)
-        out.field("theta")[:] = kap1 * grid.d1(grid.d1(theta)) - dlt * grid.d1(q)
-        out.field("eta")[:] = kap2 * grid.d1(grid.d1(eta)) - gam * (grid.d1(w) - l * p)
         dth, deta = grid.d1(theta), grid.d1(eta)
+        out.field("p")[:] -= gam * l * eta
+        out.field("q")[:] -= dlt * dth
+        out.field("w")[:] -= gam * deta
+        out.field("theta")[:] = kap1 * grid.d1(dth) - dlt * grid.d1(q)
+        out.field("eta")[:] = kap2 * grid.d1(deta) - gam * (grid.d1(w) - l * p)
         out.reservoir = kap1 * grid.inner(dth, dth) + kap2 * grid.inner(deta, deta)
         return out
 
@@ -499,6 +473,9 @@ def build_model(model_id, params: ModelParams = None, grid: Grid = None) -> Mode
 
     ``model_id`` may be a :class:`ModelId` or its string name.  ``params``
     defaults to unit constants; ``grid`` defaults to 64 nodes on a unit domain.
+    The entropy and the reference state follow the layout: with a reservoir,
+    ``alpha * e`` and the zero state; without one, the integral of
+    ``log(theta)`` and the zero state with ``theta = 1``.
     """
     mid = ModelId(model_id)
     if params is None:
@@ -507,11 +484,13 @@ def build_model(model_id, params: ModelParams = None, grid: Grid = None) -> Mode
         grid = Grid(64, 1.0)
     _validate_params(mid, params)
     layout, terms, l_blocks, rows, direct = _BUILDERS[mid](params, grid)
-    if mid is ModelId.TIMOSHENKO_NEW:
-        entropy = LogThetaEntropy()
-    else:
+    reference = State.zeros(layout)
+    if layout.has_reservoir:
         entropy = ReservoirEntropy(params.alpha)
-    model = ModelSpec(
+    else:
+        entropy = LogThetaEntropy()
+        reference.field("theta")[:] = 1.0
+    return ModelSpec(
         id=mid,
         layout=layout,
         params=params,
@@ -520,16 +499,8 @@ def build_model(model_id, params: ModelParams = None, grid: Grid = None) -> Mode
         l_blocks=l_blocks,
         m_rows=rows,
         direct_rhs=direct,
-        reference_state=_equilibrium_state(mid, layout),
+        reference_state=reference,
     )
-    return model
-
-
-def _equilibrium_state(mid: ModelId, layout: StateLayout) -> State:
-    z = State.zeros(layout)
-    if mid is ModelId.TIMOSHENKO_NEW:
-        z.field("theta")[:] = 1.0
-    return z
 
 
 def default_initial_state(model_id, grid: Grid, mode: int = 1, amplitude: float = 0.1) -> State:

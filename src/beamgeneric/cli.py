@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import typing
 from dataclasses import dataclass
@@ -115,6 +116,12 @@ def write_csv(path: str, records):
 
 def cmd_simulate(config: RunConfig, out=None) -> int:
     out = sys.stdout if out is None else out
+    # a bad output path fails here, not after the whole run
+    directory = os.path.dirname(os.path.abspath(config.output))
+    if os.path.isdir(config.output) or not os.path.isdir(directory):
+        raise ValueError(
+            f"config key 'output': {config.output!r} is not a file in an existing directory"
+        )
     model, z0, cfg = _setup_run(config)
     records = integrate(model, z0, cfg)
     write_csv(config.output, records)

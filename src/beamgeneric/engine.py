@@ -155,10 +155,18 @@ def _sparse_form(model) -> _SparseForm:
     at a seeded random state (temperatures positive for the log entropy); a
     mismatch above 1e-12 relative (a model that is not translation-invariant)
     raises :class:`ValueError`, so neither the right-hand side nor the step
-    bound of such a model is ever returned.
+    bound of such a model is ever returned.  Extreme constants can overflow
+    the derivation: it runs with numpy's floating-point warnings off and
+    raises :class:`ValueError` when the seeded check or the symbols of the
+    linearization are not finite.
     """
-    if model._sparse is not None:
-        return model._sparse
+    if model._sparse is None:
+        with np.errstate(all="ignore"):
+            model._sparse = _derive_sparse_form(model)
+    return model._sparse
+
+
+def _derive_sparse_form(model) -> _SparseForm:
     layout = model.layout
     n, nfields, dim, dx = layout.grid.n, layout.n_fields, layout.flat_dim, layout.grid.dx
     nf = n * nfields
@@ -263,6 +271,12 @@ def _sparse_form(model) -> _SparseForm:
     z = random_state(model, np.random.default_rng(0))
     got = rhs(z.flat.copy())
     want = generic_rhs(model, z).flat
+    symbols = np.fft.fft(jacobian.reshape(nfields, n, nfields), axis=1).transpose(1, 0, 2)
+    if not all(np.isfinite(a).all() for a in (got, want, symbols)):
+        raise ValueError(
+            f"{model.id}: the right-hand side or its linearization is not finite "
+            "(are the constants too extreme?)"
+        )
     scale = max(1.0, float(np.max(np.abs(got))), float(np.max(np.abs(want))))
     mismatch = float(np.max(np.abs(got - want))) / scale
     if not mismatch <= 1e-12:
@@ -271,7 +285,6 @@ def _sparse_form(model) -> _SparseForm:
             f"right-hand side by {mismatch:.3e} (is the model translation-invariant?)"
         )
 
-    symbols = np.fft.fft(jacobian.reshape(nfields, n, nfields), axis=1).transpose(1, 0, 2)
     eigs = np.linalg.eigvals(symbols).ravel()
     # The dynamics are contractive in the energy seminorm, so the true
     # spectrum satisfies Re(lambda) <= 0; positive real parts are eigensolver
@@ -279,7 +292,7 @@ def _sparse_form(model) -> _SparseForm:
     # spuriously tight.
     eigs = np.minimum(eigs.real, 0.0) + 1j * eigs.imag
 
-    model._sparse = _SparseForm(
+    return _SparseForm(
         d1=d1,
         energy_rows=energy_rows,
         energy_rows_t=energy_rows_t,
@@ -293,7 +306,6 @@ def _sparse_form(model) -> _SparseForm:
         rhs=rhs,
         dt_bound=0.9 * _rk4_stability_limit(eigs),
     )
-    return model._sparse
 
 
 def _apply_l(sparse: _SparseForm, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -722,13 +734,17 @@ def decay_rate(records: Sequence[DiagnosticsRecord]) -> float:
     return float(np.polyfit(t, log_me, 1)[0])
 
 
-def windowed_decay_rates(records: Sequence[DiagnosticsRecord], windows: int = 5):
-    """Decay slopes over consecutive windows of the trajectory's last half,
-    for a sign test on the fitted rate."""
-    if len(records) < 2 * windows:
+#: number of windows :func:`windowed_decay_rates` splits the fit range into
+DECAY_WINDOWS = 5
+
+
+def windowed_decay_rates(records: Sequence[DiagnosticsRecord]):
+    """Decay slopes over :data:`DECAY_WINDOWS` consecutive windows of the
+    trajectory's last half, for a sign test on the fitted rate."""
+    if len(records) < 2 * DECAY_WINDOWS:
         raise ValueError("not enough records for windowed fits")
     t, log_me = _log_mech_energy_tail(records)
-    bounds = np.linspace(0, len(t), windows + 1).astype(int)
+    bounds = np.linspace(0, len(t), DECAY_WINDOWS + 1).astype(int)
     rates = []
     for a, b in zip(bounds[:-1], bounds[1:]):
         if b - a >= 2:

@@ -113,10 +113,10 @@ class ReservoirEntropy:
 
     alpha: float = 1.0
 
-    def value(self, model, z: State) -> float:
+    def value(self, z: State) -> float:
         return self.alpha * z.reservoir
 
-    def gradient(self, model, z: State) -> CotangentVector:
+    def gradient(self, z: State) -> CotangentVector:
         out = CotangentVector.zeros(z.layout)
         out.flat[z.layout.reservoir_index] = self.alpha
         return out
@@ -134,11 +134,11 @@ class LogThetaEntropy:
             raise PositivityError(f"log entropy needs strictly positive theta, min is {tmin}")
         return theta
 
-    def value(self, model, z: State) -> float:
+    def value(self, z: State) -> float:
         theta = self._theta(z)
         return z.layout.grid.dx * float(np.sum(np.log(theta)))
 
-    def gradient(self, model, z: State) -> CotangentVector:
+    def gradient(self, z: State) -> CotangentVector:
         theta = self._theta(z)
         out = CotangentVector.zeros(z.layout)
         out.field("theta")[:] = 1.0 / theta
@@ -176,12 +176,12 @@ def grad_energy(model, z: State) -> CotangentVector:
 
 def entropy(model, z: State) -> float:
     _check_state(model, z)
-    return float(model.entropy.value(model, z))
+    return float(model.entropy.value(z))
 
 
 def grad_entropy(model, z: State) -> CotangentVector:
     _check_state(model, z)
-    return model.entropy.gradient(model, z)
+    return model.entropy.gradient(z)
 
 
 def mechanical_energy(model, z: State) -> float:

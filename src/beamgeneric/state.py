@@ -128,15 +128,16 @@ def unpack(z) -> dict:
     return out
 
 
-def pack(layout: StateLayout, fields: dict, e: float = 0.0) -> State:
-    """Inverse of :func:`unpack`; missing fields default to zero."""
+def pack(layout: StateLayout, fields: dict) -> State:
+    """Inverse of :func:`unpack`; missing fields, the reservoir ``"e"``
+    included, default to zero."""
     z = State.zeros(layout)
     for name, values in fields.items():
         if name == "e":
             continue
         z.field(name)[:] = layout.grid.field(values)
     if layout.has_reservoir:
-        z.reservoir = fields.get("e", e)
+        z.reservoir = fields.get("e", 0.0)
     return z
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beamgeneric import cli
 from beamgeneric.cli import CSV_HEADER, main, parse_config_text
 
 
@@ -98,6 +99,34 @@ def test_simulate_bad_config_exit_codes(tmp_path, capsys):
         assert main(["simulate", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert key in err
+        assert "Traceback" not in err
+
+    # finite but extreme constants overflow the model's derivation: rejected
+    # without leaking numpy warnings (an error under the pytest settings),
+    # the ones that turn its results non-finite with a message that says so
+    for line, message in (("alpha = 1e-320", "not finite"), ("k = 1e308", "not finite"),
+                          ("length = 1e-300", "not finite"), ("kappa = 1e300", "stable step")):
+        capsys.readouterr()
+        cfg = write_config(
+            tmp_path,
+            f"model = TimoshenkoHeatI\nn = 64\n{line}\noutput = {tmp_path / 'x.csv'}\n",
+        )
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
+def test_simulate_rejects_output_before_the_run(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("integrate must not run for a bad output path")
+
+    monkeypatch.setattr(cli, "integrate", fail)
+    for output in (tmp_path / "missing" / "x.csv", tmp_path):
+        cfg = write_config(tmp_path, BASE_CONFIG + f"output = {output}\n")
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "output" in err
         assert "Traceback" not in err
 
 
