@@ -350,9 +350,11 @@ def _build_timoshenko_new(params: ModelParams, grid: Grid):
         # whenever theta is).
         theta = z.field("theta")
         out = np.empty_like(theta)
-        np.multiply(dlt * theta[2:], theta[:-2], out=out[1:-1])
-        out[0] = dlt * theta[1] * theta[-1]
-        out[-1] = dlt * theta[0] * theta[-2]
+        # nodes first (a transposed view), as in Grid.d1
+        t, w = theta.T, out.T
+        np.multiply(dlt * t[2:], t[:-2], out=w[1:-1])
+        w[0] = dlt * t[1] * t[-1]
+        w[-1] = dlt * t[0] * t[-2]
         return out
 
     rows = (DissipativeRow("theta", differentiate=True, weight=theta_weight),)

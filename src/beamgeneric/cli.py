@@ -35,9 +35,11 @@ class RunConfig:
     record_every: int = 10
     mode: int = 1
     amplitude: float = 0.1
-    output: str = "diagnostics.csv"
+    output: typing.Optional[str] = None    # simulate writes DEFAULT_OUTPUT when unset
     params: ModelParams = dataclasses.field(default_factory=ModelParams)
 
+
+DEFAULT_OUTPUT = "diagnostics.csv"
 
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(ModelParams))
 
@@ -45,6 +47,7 @@ _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(ModelParams))
 #: keys, then the model constants
 _KEY_TYPES = {
     **{key: kind for key, kind in typing.get_type_hints(RunConfig).items() if key != "params"},
+    "output": str,    # a path; RunConfig's None means the key was not set
     **{key: float for key in _PARAM_KEYS},
 }
 
@@ -116,16 +119,17 @@ def write_csv(path: str, records):
 
 def cmd_simulate(config: RunConfig, out=None) -> int:
     out = sys.stdout if out is None else out
+    output = DEFAULT_OUTPUT if config.output is None else config.output
     # a bad output path fails here, not after the whole run
-    directory = os.path.dirname(os.path.abspath(config.output))
-    if os.path.isdir(config.output) or not os.path.isdir(directory):
+    directory = os.path.dirname(os.path.abspath(output))
+    if os.path.isdir(output) or not os.path.isdir(directory):
         raise ValueError(
-            f"config key 'output': {config.output!r} is not a file in an existing directory"
+            f"config key 'output': {output!r} is not a file in an existing directory"
         )
     model, z0, cfg = _setup_run(config)
     records = integrate(model, z0, cfg)
-    write_csv(config.output, records)
-    print(f"{model.id} wrote {len(records)} records to {config.output}", file=out)
+    write_csv(output, records)
+    print(f"{model.id} wrote {len(records)} records to {output}", file=out)
     return 0
 
 
@@ -152,6 +156,8 @@ def cmd_verify(model_name: str, trials: int, seed: int, out=None) -> int:
 
 def cmd_decay(config: RunConfig, out=None) -> int:
     out = sys.stdout if out is None else out
+    if config.output is not None:
+        raise ValueError(f"config key 'output': decay writes no file, got {config.output!r}")
     model, z0, cfg = _setup_run(config)
     if not model.damped:
         print(f"warning: {model.id} is undamped; expecting a rate near zero", file=out)

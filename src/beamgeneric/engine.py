@@ -25,14 +25,15 @@ The object-level operators (``apply_L``, ``apply_M``, the gradients,
 :func:`generic_rhs`) and the hand-coded :func:`direct_rhs` stay as the
 oracles the compiled forms are tested against.
 
-Randomized verification draws states and covectors from a seeded generator;
-residuals are reported relative to per-trial magnitudes (scale = max(1,
-size of the quantities being compared)), so tolerances transfer across
-parameter choices.
+Randomized verification draws states and covectors from a seeded generator
+and evaluates them as stacks (see :func:`verify_brackets`); residuals are
+reported relative to per-trial magnitudes (scale = max(1, size of the
+quantities being compared)), so tolerances transfer across parameter choices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
@@ -50,7 +51,7 @@ from .functionals import (
     grad_entropy,
 )
 from .operators import apply_L, apply_M
-from .state import CotangentVector, State, StateLayout, mixed_inner
+from .state import CotangentVector, State, StateLayout, mixed_inner, stack_rows
 
 
 # --------------------------------------------------------------------------
@@ -291,6 +292,13 @@ def _derive_sparse_form(model) -> _SparseForm:
     # noise (worst near defective wave pairs) and would make the bound
     # spuriously tight.
     eigs = np.minimum(eigs.real, 0.0) + 1j * eigs.imag
+    limit = _rk4_stability_limit(eigs)
+    if not limit > 0.0:
+        raise ValueError(
+            f"{model.id}: no stable step size found: the RK4 step bound underflows "
+            f"below 1e-300 at spectral radius {float(np.max(np.abs(eigs))):.3e} "
+            "(are the constants too extreme?)"
+        )
 
     return _SparseForm(
         d1=d1,
@@ -304,7 +312,7 @@ def _derive_sparse_form(model) -> _SparseForm:
         m_rows_t=m_rows.T.tocsr(),
         m_weights=m_weights,
         rhs=rhs,
-        dt_bound=0.9 * _rk4_stability_limit(eigs),
+        dt_bound=0.9 * limit,
     )
 
 
@@ -364,7 +372,8 @@ def _rk4_amplification(z: np.ndarray) -> np.ndarray:
 
 
 def _rk4_stability_limit(eigs: np.ndarray) -> float:
-    """Largest dt with |R(dt*lambda)| <= 1 (+tiny slack) for every eigenvalue."""
+    """Largest dt with |R(dt*lambda)| <= 1 (+tiny slack) for every eigenvalue;
+    0.0 when no step above 1e-300 is stable."""
     eigs = eigs[np.abs(eigs) > 1e-9]
     if eigs.size == 0:
         return math.inf
@@ -383,7 +392,7 @@ def _rk4_stability_limit(eigs: np.ndarray) -> float:
         while not ok(lo):
             lo /= 4.0
             if lo < 1e-300:
-                raise ValueError("no stable step size found")
+                return 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if ok(mid):
@@ -569,6 +578,12 @@ def verify_brackets(model, trials: int = 20, seed: int = 0) -> VerificationRepor
     """Randomized checks of antisymmetry, symmetry, positive semidefiniteness
     and the two degeneracy conditions.
 
+    Each trial draws a state z and covectors xi and eta, in that order, from
+    one generator seeded with ``seed``.  The trials are then evaluated as one
+    stack (at most ``state.STACK_BYTES``, 64 KB, per stack of states; more
+    trials make more stacks, drawn in the same order), with the object-level
+    operators acting row by row, so each trial's residuals are bitwise those
+    of evaluating it alone, and a NaN residual fails its check.
     Residuals are normalized per trial by max(1, magnitudes involved); the
     report keeps the worst over all trials.
     """
@@ -576,43 +591,58 @@ def verify_brackets(model, trials: int = 20, seed: int = 0) -> VerificationRepor
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     rng = np.random.default_rng(seed)
     layout = model.layout
-    worst = {"antisymmetry": 0.0, "symmetry": 0.0, "psd": 0.0,
-             "degeneracy_LdS": 0.0, "degeneracy_MdE": 0.0}
-    for _ in range(trials):
-        z = random_state(model, rng)
-        xi = random_cotangent(layout, rng)
-        eta = random_cotangent(layout, rng)
-
-        b1 = mixed_inner(layout, xi.flat, apply_L(model, z, eta).flat)
-        b2 = mixed_inner(layout, eta.flat, apply_L(model, z, xi).flat)
-        scale = max(1.0, abs(b1), abs(b2))
-        worst["antisymmetry"] = max(worst["antisymmetry"], abs(b1 + b2) / scale)
-
-        m_eta = apply_M(model, z, eta)
-        m_xi = apply_M(model, z, xi)
-        s1 = mixed_inner(layout, xi.flat, m_eta.flat)
-        s2 = mixed_inner(layout, eta.flat, m_xi.flat)
-        scale = max(1.0, abs(s1), abs(s2))
-        worst["symmetry"] = max(worst["symmetry"], abs(s1 - s2) / scale)
-
-        quad = mixed_inner(layout, xi.flat, m_xi.flat)
-        worst["psd"] = max(worst["psd"], max(0.0, -quad) / max(1.0, abs(quad)))
-
-        ds = grad_entropy(model, z)
-        res = float(np.max(np.abs(apply_L(model, z, ds).flat)))
-        worst["degeneracy_LdS"] = max(
-            worst["degeneracy_LdS"], res / max(1.0, float(np.max(np.abs(ds.flat))))
-        )
-
-        de = grad_energy(model, z)
-        res = float(np.max(np.abs(apply_M(model, z, de).flat)))
-        worst["degeneracy_MdE"] = max(
-            worst["degeneracy_MdE"], res / max(1.0, float(np.max(np.abs(de.flat))))
-        )
+    worst = dict.fromkeys(
+        ("antisymmetry", "symmetry", "psd", "degeneracy_LdS", "degeneracy_MdE"), 0.0
+    )
+    per_stack = stack_rows(layout)
+    for start in range(0, trials, per_stack):
+        shape = (min(per_stack, trials - start), layout.flat_dim)
+        z = State._stack(layout, np.empty(shape))
+        xi = CotangentVector._stack(layout, np.empty(shape))
+        eta = CotangentVector._stack(layout, np.empty(shape))
+        for row in range(shape[0]):
+            z.flat[row] = random_state(model, rng).flat
+            xi.flat[row] = random_cotangent(layout, rng).flat
+            eta.flat[row] = random_cotangent(layout, rng).flat
+        for name, residuals in _bracket_residuals(model, z, xi, eta).items():
+            # np.max, unlike max(), lets a NaN residual through to fail the check
+            worst[name] = float(np.max((worst[name], np.max(residuals))))
     checks = tuple(
         CheckResult(name, value, BRACKET_TOLERANCE) for name, value in worst.items()
     )
     return VerificationReport(str(model.id), int(trials), int(seed), checks)
+
+
+def _bracket_residuals(model, z: State, xi: CotangentVector, eta: CotangentVector) -> dict:
+    """Per-trial residuals of the five bracket checks on stacks of trials.
+    Each check's operator outputs are dropped before the next check runs."""
+    layout = model.layout
+
+    def pair(a, op, b):
+        return mixed_inner(layout, a.flat, op(model, z, b).flat)
+
+    def scaled(residual, *magnitudes):
+        return residual / functools.reduce(np.maximum, magnitudes, 1.0)
+
+    def sup(v):
+        return np.max(np.abs(v.flat), axis=-1)
+
+    def degeneracy(op, grad):
+        g = grad(model, z)
+        return scaled(sup(op(model, z, g)), sup(g))
+
+    b1, b2 = pair(xi, apply_L, eta), pair(eta, apply_L, xi)
+    s1, s2 = pair(xi, apply_M, eta), pair(eta, apply_M, xi)
+    quad = pair(xi, apply_M, xi)
+    return {
+        "antisymmetry": scaled(np.abs(b1 + b2), np.abs(b1), np.abs(b2)),
+        "symmetry": scaled(np.abs(s1 - s2), np.abs(s1), np.abs(s2)),
+        # -quad first: np.maximum returns its second argument on a tie, so
+        # an exact zero reads +0.0 (as max(0.0, -quad) did), not -0.0
+        "psd": scaled(np.maximum(-quad, 0.0), np.abs(quad)),
+        "degeneracy_LdS": degeneracy(apply_L, grad_entropy),
+        "degeneracy_MdE": degeneracy(apply_M, grad_energy),
+    }
 
 
 # --------------------------------------------------------------------------
@@ -622,14 +652,18 @@ def verify_brackets(model, trials: int = 20, seed: int = 0) -> VerificationRepor
 @dataclass(frozen=True)
 class TestFunctional:
     """Quadratic functional F(z) = 1/2 <z - z0, A (z - z0)> + <c, z> with a
-    per-slot diagonal A (symmetric under the mixed inner product)."""
+    per-slot diagonal A (symmetric under the mixed inner product).  ``grad``
+    takes a state or a stack of states."""
 
     z0: State
     diag: np.ndarray
     c: CotangentVector
 
     def grad(self, z: State) -> CotangentVector:
-        return CotangentVector(z.layout, self.diag * (z.flat - self.z0.flat) + self.c.flat)
+        g = z.flat - self.z0.flat
+        g *= self.diag
+        g += self.c.flat
+        return CotangentVector._stack(z.layout, g)
 
 
 def random_test_functional(layout: StateLayout, rng: np.random.Generator) -> TestFunctional:
@@ -644,8 +678,9 @@ def random_test_functional(layout: StateLayout, rng: np.random.Generator) -> Tes
     return TestFunctional(z0, diag, c)
 
 
-def poisson_bracket(model, z: State, f: TestFunctional, g: TestFunctional) -> float:
-    """{F, G}(z) = <dF(z), L(z) dG(z)>."""
+def poisson_bracket(model, z: State, f: TestFunctional, g: TestFunctional):
+    """{F, G}(z) = <dF(z), L(z) dG(z)>: a float, or one value per state of a
+    stack."""
     return mixed_inner(model.layout, f.grad(z).flat, apply_L(model, z, g.grad(z)).flat)
 
 

@@ -8,6 +8,10 @@ fields, Euclidean on the reservoir slot).  "Exact" means exact for the
 iterated central difference d1(d1 .), because that is what differentiating the
 discrete quadrature actually produces.  The finite-difference oracle
 :func:`fd_gradient` is the independent check of that bookkeeping.
+
+Values and gradients also accept a stack of states (built inside the package,
+see ``State._stack``): a value is then one float per state and a gradient a
+stack of covectors, each bitwise what the state alone would give.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityError
-from .state import CotangentVector, State
+from .grid import scalar_or_array
+from .state import CotangentVector, State, stack_rows
 
 
 @dataclass(frozen=True)
@@ -67,13 +72,13 @@ class SquareTerm:
 
     def combination(self, z: State) -> np.ndarray:
         grid = z.layout.grid
-        g = grid.zeros()
+        g = np.zeros(z.flat.shape[:-1] + (grid.n,))
         for name, differentiate, factor in self.parts:
             u = z.field(name)
             g += factor * (grid.d1(u) if differentiate else u)
         return g
 
-    def value(self, z: State) -> float:
+    def value(self, z: State):
         g = self.combination(z)
         return 0.5 * self.coeff * z.layout.grid.inner(g, g)
 
@@ -95,9 +100,9 @@ class LinearTerm:
     field: str
     coeff: float = 1.0
 
-    def value(self, z: State) -> float:
+    def value(self, z: State):
         grid = z.layout.grid
-        return self.coeff * grid.dx * float(np.sum(z.field(self.field)))
+        return scalar_or_array(self.coeff * grid.dx * np.sum(z.field(self.field), axis=-1))
 
     def add_gradient(self, z: State, out: CotangentVector):
         out.field(self.field)[:] += self.coeff
@@ -113,12 +118,12 @@ class ReservoirEntropy:
 
     alpha: float = 1.0
 
-    def value(self, z: State) -> float:
+    def value(self, z: State):
         return self.alpha * z.reservoir
 
     def gradient(self, z: State) -> CotangentVector:
-        out = CotangentVector.zeros(z.layout)
-        out.flat[z.layout.reservoir_index] = self.alpha
+        out = CotangentVector._stack(z.layout, np.zeros(z.flat.shape))
+        out.flat[..., z.layout.reservoir_index] = self.alpha
         return out
 
 
@@ -134,13 +139,13 @@ class LogThetaEntropy:
             raise PositivityError(f"log entropy needs strictly positive theta, min is {tmin}")
         return theta
 
-    def value(self, z: State) -> float:
+    def value(self, z: State):
         theta = self._theta(z)
-        return z.layout.grid.dx * float(np.sum(np.log(theta)))
+        return scalar_or_array(z.layout.grid.dx * np.sum(np.log(theta), axis=-1))
 
     def gradient(self, z: State) -> CotangentVector:
         theta = self._theta(z)
-        out = CotangentVector.zeros(z.layout)
+        out = CotangentVector._stack(z.layout, np.zeros(z.flat.shape))
         out.field("theta")[:] = 1.0 / theta
         return out
 
@@ -154,29 +159,29 @@ def _check_state(model, z: State):
         raise ValueError(f"state layout does not match model {model.id}")
 
 
-def energy(model, z: State) -> float:
+def energy(model, z: State):
     """Total energy: quadrature of the model's energy density plus the reservoir."""
     _check_state(model, z)
     val = sum(term.value(z) for term in model.energy_terms)
     if model.layout.has_reservoir:
         val += z.reservoir
-    return float(val)
+    return scalar_or_array(val)
 
 
 def grad_energy(model, z: State) -> CotangentVector:
     """Exact gradient of :func:`energy` under the mixed inner product."""
     _check_state(model, z)
-    out = CotangentVector.zeros(model.layout)
+    out = CotangentVector._stack(model.layout, np.zeros(z.flat.shape))
     for term in model.energy_terms:
         term.add_gradient(z, out)
     if model.layout.has_reservoir:
-        out.flat[model.layout.reservoir_index] = 1.0
+        out.flat[..., model.layout.reservoir_index] = 1.0
     return out
 
 
-def entropy(model, z: State) -> float:
+def entropy(model, z: State):
     _check_state(model, z)
-    return float(model.entropy.value(z))
+    return scalar_or_array(model.entropy.value(z))
 
 
 def grad_entropy(model, z: State) -> CotangentVector:
@@ -184,7 +189,7 @@ def grad_entropy(model, z: State) -> CotangentVector:
     return model.entropy.gradient(z)
 
 
-def mechanical_energy(model, z: State) -> float:
+def mechanical_energy(model, z: State):
     """Energy minus the reservoir (or minus the thermal content for the
     nonlinear model); the part that decays in damped runs."""
     val = energy(model, z)
@@ -199,23 +204,47 @@ def mechanical_energy(model, z: State) -> float:
 def fd_gradient(f, z: State, rel_step: float = 1e-6) -> CotangentVector:
     """Central finite-difference gradient of the scalar functional ``f``.
 
-    Field slots are divided by dx so the result approximates the density
-    derivative consistent with the mixed inner product; the reservoir slot is
-    left unscaled.  ``rel_step`` must be positive and finite.  Evaluation
-    failures of ``f`` (e.g. log of a nonpositive temperature) propagate.
+    Slot i moves by ``h_i = rel_step * (1 + |z_i|)``.  Field slots are
+    divided by dx so the result approximates the density derivative
+    consistent with the mixed inner product; the reservoir slot is left
+    unscaled.  ``rel_step`` must be positive and finite.
+
+    ``f`` is called on stacks, not on single states: each call gets a
+    ``State`` whose ``flat`` holds 2k perturbed copies of z as rows (the +h
+    copies of k consecutive slots, then their -h copies), and must return
+    one value per row, an array of shape (2k,).  The functionals of this
+    package (:func:`energy`, :func:`entropy`, the Poisson bracket of the
+    Jacobi check) do, and so does an ``f`` that reads ``z.field`` and
+    ``z.reservoir`` (one row per state) and reduces with the grid's
+    ``inner`` or over the last axis.  A stack holds at most
+    ``state.STACK_BYTES`` (64 KB; at least one slot), so k shrinks as the
+    layout grows; the result is bitwise that of perturbing one slot at a
+    time.  An ``f`` returning one scalar for a stack raises
+    :class:`ValueError`; its evaluation failures (e.g. log of a nonpositive
+    temperature) propagate.
     """
     if not (rel_step > 0.0 and math.isfinite(rel_step)):
         raise ValueError(f"finite-difference step must be positive and finite, got {rel_step!r}")
     layout = z.layout
     flat = z.flat
+    dim = flat.size
+    steps = rel_step * (1.0 + np.abs(flat))
     out = np.empty_like(flat)
-    for i in range(flat.size):
-        h = rel_step * (1.0 + abs(float(flat[i])))
-        zp = flat.copy()
-        zp[i] += h
-        zm = flat.copy()
-        zm[i] -= h
-        out[i] = (f(State(layout, zp)) - f(State(layout, zm))) / (2.0 * h)
+    block = max(1, stack_rows(layout) // 2)
+    for start in range(0, dim, block):
+        slots = np.arange(start, min(start + block, dim))
+        k = slots.size
+        h = steps[slots]
+        probes = np.tile(flat, (2 * k, 1))
+        probes[np.arange(k), slots] += h
+        probes[np.arange(k, 2 * k), slots] -= h
+        values = np.asarray(f(State._stack(layout, probes)), dtype=float)
+        if values.shape != (2 * k,):
+            raise ValueError(
+                f"fd_gradient: f must return one value per state of a stack of {2 * k}, "
+                f"got shape {values.shape}"
+            )
+        out[slots] = (values[:k] - values[k:]) / (2.0 * h)
     nf = layout.grid.n * layout.n_fields
     out[:nf] /= layout.grid.dx
     return CotangentVector(layout, out)

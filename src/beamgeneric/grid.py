@@ -9,6 +9,10 @@ summation by parts holds without any boundary term:
 
 These identities are what make the operator-level degeneracy and bracket
 checks elsewhere in the package hold to roundoff instead of to O(dx^2).
+
+The three operators act on the last axis, so a stack of fields (leading batch
+axes, nodes last) is treated row by row, with the same floating-point
+operations as one field at a time.
 """
 
 from __future__ import annotations
@@ -54,33 +58,60 @@ class Grid:
             )
         return u
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.n)
+    def _nodal(self, u) -> np.ndarray:
+        """Coerce ``u`` to a field or a stack of fields (nodes on the last axis)."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 0 or u.shape[-1] != self.n:
+            raise ValueError(
+                f"field of shape {u.shape} does not live on a grid with n={self.n}"
+            )
+        return u
 
     def d1(self, u) -> np.ndarray:
         """Central first derivative (u[i+1] - u[i-1]) / (2 dx), periodic."""
-        u = self.field(u)
+        u = self._nodal(u)
         out = np.empty_like(u)
-        np.subtract(u[2:], u[:-2], out=out[1:-1])
-        out[0] = u[1] - u[-1]
-        out[-1] = u[0] - u[-2]
+        # nodes first (a transposed view), so one field reads scalars at its ends
+        v, w = u.T, out.T
+        np.subtract(v[2:], v[:-2], out=w[1:-1])
+        w[0] = v[1] - v[-1]
+        w[-1] = v[0] - v[-2]
         out /= 2.0 * self.dx
         return out
 
     def d2(self, u) -> np.ndarray:
         """Compact second derivative (u[i+1] - 2 u[i] + u[i-1]) / dx^2, periodic."""
-        u = self.field(u)
+        u = self._nodal(u)
         out = np.empty_like(u)
-        np.multiply(u[1:-1], 2.0, out=out[1:-1])
-        np.subtract(u[2:], out[1:-1], out=out[1:-1])
-        out[1:-1] += u[:-2]
-        out[0] = u[1] - 2.0 * u[0] + u[-1]
-        out[-1] = u[0] - 2.0 * u[-1] + u[-2]
+        v, w = u.T, out.T
+        np.multiply(v[1:-1], 2.0, out=w[1:-1])
+        np.subtract(v[2:], w[1:-1], out=w[1:-1])
+        w[1:-1] += v[:-2]
+        w[0] = v[1] - 2.0 * v[0] + v[-1]
+        w[-1] = v[0] - 2.0 * v[-1] + v[-2]
         out /= self.dx**2
         return out
 
-    def inner(self, u, v) -> float:
-        """Rectangle-rule pairing dx * sum(u * v)."""
-        u = self.field(u)
-        v = self.field(v)
-        return self.dx * float(np.dot(u, v))
+    def inner(self, u, v):
+        """Rectangle-rule pairing dx * sum(u * v): a float for two fields, an
+        array for stacks."""
+        return self.dx * row_dot(self._nodal(u), self._nodal(v))
+
+
+def row_dot(a: np.ndarray, b: np.ndarray):
+    """Dot product over the last axis: a float for two vectors, an array for
+    stacks.
+
+    ``matmul`` takes each row's (1 x n) @ (n x 1) product through the same
+    dot kernel as ``np.dot`` on a lone vector, so a stack gives bitwise the
+    results of its rows one at a time.
+    """
+    if a.ndim == b.ndim == 1:
+        return float(np.dot(a, b))
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def scalar_or_array(x):
+    """A Python float for a 0-d result, else the array."""
+    x = np.asarray(x)
+    return float(x) if x.ndim == 0 else x

@@ -11,6 +11,9 @@ M is *constructed* in factored form M = sum_r J_r^T w_r J_r with nonnegative
 weights, which makes symmetry, positive semidefiniteness and the degeneracy
 M dE = 0 hold by construction to roundoff.  Every row is coupled to the
 reservoir exactly when the layout has one.
+
+Both operators also apply to stacks of states and covectors (built inside the
+package): the result is the stack of what each pair gives on its own.
 """
 
 from __future__ import annotations
@@ -62,17 +65,19 @@ def _apply_block(block: Block, z: State, x):
     raise AssertionError(block.kind)
 
 
-def _check_pair(layout: StateLayout, z: State, xi: CotangentVector):
+def _output(layout: StateLayout, z: State, xi: CotangentVector) -> State:
+    """The zero result of applying an operator at z to xi, after checking
+    their layouts; a stack when either is one."""
     if z.layout != layout:
         raise ValueError("state layout does not match the operator's layout")
     if xi.layout != layout:
         raise ValueError("cotangent layout does not match the operator's layout")
+    return State._stack(layout, np.zeros(np.broadcast(z.flat, xi.flat).shape))
 
 
 def apply_L(model, z: State, xi: CotangentVector) -> State:
     """Apply the Poisson operator: block-wise, never touching the reservoir."""
-    _check_pair(model.layout, z, xi)
-    out = State.zeros(model.layout)
+    out = _output(model.layout, z, xi)
     for row, col, block in model.l_blocks:
         out.field(row)[:] += _apply_block(block, z, xi.field(col))
     return out
@@ -110,15 +115,14 @@ class DissipativeRow:
         g = xi.field(self.field)
         g = grid.d1(g) if self.differentiate else g.copy()
         if z.layout.has_reservoir:
-            g = g - self.coefficient(z) * xi.reservoir
+            g = g - self.coefficient(z) * xi.flat[..., z.layout.reservoir_index, None]
         return g
 
 
 def apply_M(model, z: State, xi: CotangentVector) -> State:
     """Apply M via the factored form sum J^T (w . J xi)."""
-    _check_pair(model.layout, z, xi)
     grid = model.layout.grid
-    out = State.zeros(model.layout)
+    out = _output(model.layout, z, xi)
     for row in model.m_rows:
         v = row.weight_values(z) * row.apply(z, xi)
         if row.differentiate:
@@ -126,5 +130,5 @@ def apply_M(model, z: State, xi: CotangentVector) -> State:
         else:
             out.field(row.field)[:] += v
         if model.layout.has_reservoir:
-            out.flat[model.layout.reservoir_index] += -grid.inner(row.coefficient(z), v)
+            out.flat[..., model.layout.reservoir_index] += -grid.inner(row.coefficient(z), v)
     return out

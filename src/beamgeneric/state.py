@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, row_dot, scalar_or_array
 
 #: Field tags understood by layouts, in canonical display order.
 FIELD_NAMES = ("phi", "psi", "chi", "p", "q", "w", "theta", "eta", "s")
@@ -63,8 +63,26 @@ class StateLayout:
         return name in self.field_order
 
 
+#: size bound of one stack of vectors built inside the package (the
+#: finite-difference blocks of ``fd_gradient``, the trials of
+#: ``verify_brackets``), whatever the grid: large enough that Python overhead
+#: is paid per stack rather than per state, small enough to add little to
+#: the peak memory
+STACK_BYTES = 64 * 1024
+
+
+def stack_rows(layout: StateLayout) -> int:
+    """Number of flat vectors of ``layout`` that fit in one stack."""
+    return max(1, STACK_BYTES // (8 * layout.flat_dim))
+
+
 class _FlatVector:
-    """Shared behaviour of states and cotangent vectors (layout + flat storage)."""
+    """Shared behaviour of states and cotangent vectors (layout + flat storage).
+
+    ``flat`` is one vector, or, inside the package, a stack of vectors along
+    leading axes (see :meth:`_stack`); field and reservoir reads then return
+    one row per vector.
+    """
 
     layout: StateLayout
     flat: np.ndarray
@@ -78,20 +96,34 @@ class _FlatVector:
             )
         object.__setattr__(self, "flat", flat)
 
+    @classmethod
+    def _stack(cls, layout: StateLayout, flat: np.ndarray):
+        """A stack of vectors: ``flat`` holds one per row, the layout's
+        dimension on the last axis.  The constructor callers use accepts one
+        vector only; the object-level layer builds stacks through this one."""
+        if flat.shape[-1:] != (layout.flat_dim,):
+            raise ValueError(
+                f"stack of shape {flat.shape} does not match layout dimension {layout.flat_dim}"
+            )
+        out = cls.__new__(cls)
+        out.layout, out.flat = layout, flat
+        return out
+
     def field(self, name: str) -> np.ndarray:
         """View of the slice belonging to ``name`` (writing through it mutates self)."""
-        return self.flat[self.layout.field_slice(name)]
+        return self.flat[..., self.layout.field_slice(name)]
 
     @property
-    def reservoir(self) -> float:
-        return float(self.flat[self.layout.reservoir_index])
+    def reservoir(self):
+        """The reservoir scalar: a float, or one value per vector of a stack."""
+        return scalar_or_array(self.flat[..., self.layout.reservoir_index])
 
     @reservoir.setter
-    def reservoir(self, value: float):
-        self.flat[self.layout.reservoir_index] = value
+    def reservoir(self, value):
+        self.flat[..., self.layout.reservoir_index] = value
 
     def copy(self):
-        return type(self)(self.layout, self.flat.copy())
+        return type(self)._stack(self.layout, self.flat.copy())
 
     @classmethod
     def zeros(cls, layout: StateLayout):
@@ -141,15 +173,16 @@ def pack(layout: StateLayout, fields: dict) -> State:
     return z
 
 
-def mixed_inner(layout: StateLayout, a: np.ndarray, b: np.ndarray) -> float:
+def mixed_inner(layout: StateLayout, a: np.ndarray, b: np.ndarray):
     """Inner product pairing states with cotangent vectors.
 
     dx-weighted on field slots, plain Euclidean on the reservoir slot.  All
-    adjointness conventions in the package refer to this pairing.
+    adjointness conventions in the package refer to this pairing.  It acts
+    on the last axis: a float for two vectors, one value per row for stacks.
     """
     dx = layout.grid.dx
     nf = layout.grid.n * layout.n_fields
-    s = dx * float(np.dot(a[:nf], b[:nf]))
+    s = dx * row_dot(a[..., :nf], b[..., :nf])
     if layout.has_reservoir:
-        s += float(a[nf]) * float(b[nf])
-    return s
+        s += a[..., nf] * b[..., nf]
+    return scalar_or_array(s)

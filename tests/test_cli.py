@@ -171,6 +171,34 @@ def test_decay_frictional(tmp_path, capsys):
     assert "confidence" in out
 
 
+def test_decay_rejects_output(tmp_path, capsys):
+    # decay writes no file, so an output key would be silently ignored
+    for output in ("/nonexistent/dir/x.csv", tmp_path / "x.csv"):
+        cfg = write_config(tmp_path, BASE_CONFIG + f"output = {output}\n")
+        assert main(["decay", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "'output'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_keeps_its_default_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    assert main(["simulate", "--config", cfg]) == 0
+    assert (tmp_path / cli.DEFAULT_OUTPUT).read_text().startswith(CSV_HEADER)
+
+
+def test_underflowing_step_bound_names_model_and_spectral_radius(tmp_path, capsys):
+    cfg = write_config(tmp_path, "model = TimoshenkoHeatI\nkappa = 1e300\n")
+    assert main(["decay", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "TimoshenkoHeatI" in err
+    assert "underflows" in err
+    assert "spectral radius 4.096e+303" in err
+    assert "Traceback" not in err
+
+
 def test_decay_zero_energy_is_domain_error(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

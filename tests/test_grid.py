@@ -91,3 +91,23 @@ def test_size_mismatch_errors():
         g.inner(bad, np.zeros(8))
     with pytest.raises(ValueError):
         g.inner(np.zeros(8), bad)
+
+
+def test_operators_act_on_the_last_axis_of_a_stack():
+    g = Grid(16, 1.3)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((3, 2, 16))
+    v = rng.standard_normal((3, 2, 16))
+    for i in range(3):
+        for j in range(2):
+            assert np.array_equal(g.d1(u)[i, j], g.d1(u[i, j]))
+            assert np.array_equal(g.d2(u)[i, j], g.d2(u[i, j]))
+            assert g.inner(u, v)[i, j] == g.inner(u[i, j], v[i, j])
+    assert isinstance(g.inner(u[0, 0], v[0, 0]), float)
+    # user input to field stays one field
+    with pytest.raises(ValueError):
+        g.field(u)
+    with pytest.raises(ValueError):
+        g.d1(np.zeros((3, 15)))
+    with pytest.raises(ValueError):
+        g.inner(5.0, 5.0)

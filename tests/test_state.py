@@ -108,3 +108,28 @@ def test_copy_is_independent(grid4):
     c = z.copy()
     c.field("p")[:] = 7.0
     assert np.all(z.field("p") == 0.0)
+
+
+def test_callers_build_single_vectors_only(grid4):
+    # stacks are built inside the package only (State._stack)
+    layout = StateLayout(grid4, ("p",), has_reservoir=True)
+    for cls in (State, CotangentVector):
+        with pytest.raises(ValueError, match="does not match layout"):
+            cls(layout, np.zeros((3, layout.flat_dim)))
+        with pytest.raises(ValueError, match="does not match layout"):
+            cls(layout, np.zeros((1, layout.flat_dim)))
+
+
+def test_stack_reads_fields_and_reservoir_per_row(grid4):
+    layout = StateLayout(grid4, ("phi", "p"), has_reservoir=True)
+    flat = np.arange(3 * layout.flat_dim, dtype=float).reshape(3, layout.flat_dim)
+    z = State._stack(layout, flat)
+    np.testing.assert_array_equal(z.field("p"), flat[:, 4:8])
+    np.testing.assert_array_equal(z.reservoir, flat[:, 8])
+    z.reservoir = -1.0
+    assert np.all(flat[:, 8] == -1.0)
+    with pytest.raises(ValueError, match="does not match layout"):
+        State._stack(layout, np.zeros((3, 5)))
+    single = State(layout, flat[0].copy())
+    assert isinstance(single.reservoir, float)
+    assert isinstance(mixed_inner(layout, single.flat, single.flat), float)
