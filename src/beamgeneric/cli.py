@@ -165,7 +165,7 @@ def cmd_decay(config: RunConfig, out=None) -> int:
     rate = decay_rate(records)
     window_rates = windowed_decay_rates(records)
     negative = sum(1 for r in window_rates if r < 0.0)
-    confidence = negative / len(window_rates) if window_rates else 0.0
+    confidence = negative / len(window_rates)
     print(
         f"{model.id} decay_rate {rate:.6e} confidence {confidence:.2f} "
         f"({negative}/{len(window_rates)} windows negative)",

@@ -6,8 +6,9 @@ stencils in O(dim), and every model runs compiled, with no object-level
 fallback in the solve loop.  Each model is derived once: one pass
 (:func:`_sparse_form`) builds the sparse form of the building blocks, probes
 the node-0 stencil at the reference state, checks the compiled right-hand
-side against the object-level one and takes the step bound, and the result
-is cached in the model's one private slot.
+side against the object-level one, takes the Fourier symbols of the
+stencil and the step bound, and the result is cached in the model's one
+private slot.
 
 * :func:`compile_rhs` returns the compiled right-hand side: one constant
   sparse matrix (the cyclic shifts of that stencil) plus the terms that are
@@ -18,8 +19,13 @@ is cached in the model's one private slot.
   eigenvalues of the Fourier symbols of the exact linearization, the
   stencil plus the derivative of the quadratic terms.  A model that fails
   the check gets neither.
-* The diagnostics records of :func:`integrate` evaluate the energy, its
-  gradient and the degeneracy residuals through the same sparse form.
+* :func:`integrate` steps a model whose fields evolve linearly (no bilinear
+  term, no log entropy: nine of the ten catalog models) with RK4's exact
+  one-step map on their Fourier symbols, one small matrix product per
+  wavenumber, and any other model through RK4's four stages on the compiled
+  right-hand side (:func:`step_rk4`, also the oracle of the first).  Its
+  diagnostics records evaluate the energy, its gradient and the degeneracy
+  residuals through the same sparse form.
 
 The object-level operators (``apply_L``, ``apply_M``, the gradients,
 :func:`generic_rhs`) and the hand-coded :func:`direct_rhs` stay as the
@@ -108,7 +114,15 @@ class _SparseForm:
       coefficient slice), applied with ``d1``.
     * ``m_rows`` (R) stacks one row block per ``DissipativeRow`` (D or the
       identity on its field); ``m_weights`` are their constant weights (None
-      when a weight depends on the state).
+      when a weight depends on the state), and ``production`` is
+      ``alpha * dx * m_weights`` for a model with a reservoir (else None).
+    * ``stacked`` is the constant matrix A of the right-hand side with the
+      products P the terms that are not linear need stacked under it;
+      ``bilinear`` lists those terms' (rows, coefficient field, c, rows of P)
+      and is empty for a model whose fields evolve linearly.
+    * ``symbols`` holds the f x f Fourier symbols of the exact linearization
+      and ``m_symbols`` the (rows of R) x f symbols of R, one per wavenumber
+      k = 0..n//2 (the other half are their complex conjugates).
     * ``rhs`` is the compiled right-hand side (:func:`compile_rhs`) and
       ``dt_bound`` the RK4 step bound (``ModelSpec.dt_bound``).
     """
@@ -123,6 +137,11 @@ class _SparseForm:
     m_rows: scipy.sparse.csr_matrix
     m_rows_t: scipy.sparse.csr_matrix
     m_weights: Optional[np.ndarray]
+    production: Optional[np.ndarray]
+    stacked: scipy.sparse.csr_matrix
+    bilinear: tuple
+    symbols: np.ndarray
+    m_symbols: np.ndarray
     rhs: Callable[[np.ndarray], np.ndarray]
     dt_bound: float
 
@@ -272,8 +291,13 @@ def _derive_sparse_form(model) -> _SparseForm:
     z = random_state(model, np.random.default_rng(0))
     got = rhs(z.flat.copy())
     want = generic_rhs(model, z).flat
-    symbols = np.fft.fft(jacobian.reshape(nfields, n, nfields), axis=1).transpose(1, 0, 2)
-    if not all(np.isfinite(a).all() for a in (got, want, symbols)):
+    # one FFT of the node-0 columns of the linearization and of R: the step
+    # bound takes the eigenvalues of every bin, the stepper only the bins
+    # k = 0..n//2 (the others are their complex conjugates)
+    columns = np.concatenate([jacobian, m_rows[:, :nf:n].toarray()])
+    spectrum = np.fft.fft(columns.reshape(-1, n, nfields), axis=1).transpose(1, 0, 2)
+    symbols = spectrum[:, :nfields]
+    if not all(np.isfinite(a).all() for a in (got, want, spectrum)):
         raise ValueError(
             f"{model.id}: the right-hand side or its linearization is not finite "
             "(are the constants too extreme?)"
@@ -311,6 +335,11 @@ def _derive_sparse_form(model) -> _SparseForm:
         m_rows=m_rows,
         m_rows_t=m_rows.T.tocsr(),
         m_weights=m_weights,
+        production=production,
+        stacked=stacked,
+        bilinear=tuple(bilinear),
+        symbols=symbols[:n // 2 + 1].copy(),
+        m_symbols=spectrum[:n // 2 + 1, nfields:].copy(),
         rhs=rhs,
         dt_bound=0.9 * limit,
     )
@@ -483,18 +512,115 @@ def step_rk4(model, z: State, dt: float) -> State:
     return State(model.layout, _rk4(compile_rhs(model), z.flat, dt))
 
 
+def _rk4_symbol_map(sparse: _SparseForm, n: int, dt: float) -> np.ndarray:
+    """RK4's exact one-step map for a model whose fields evolve linearly,
+    ``y' = A y``, on the Fourier bins k = 0..n//2 of the fields: one stacked
+    ``[P; H]`` of shape (2f, f) per bin.
+
+    With ``Z = dt A(k)`` the stage fields are ``y_s = S_s y``, where
+    ``S_1 = I`` and ``S_(s+1) = I + c_s Z S_s`` (c = 1/2, 1/2, 1), and the
+    step is ``P = I + Z/6 sum_s b_s S_s`` (b = 1, 2, 2, 1), which is
+    ``I + Z + Z^2/2 + Z^3/6 + Z^4/24``.  The reservoir gains the stages'
+    production ``dt/6 sum_s b_s alpha dx sum_r w_r |R_r y_s|^2``.  By
+    Parseval over the half spectrum (weight 1 at k = 0 and at the Nyquist
+    bin of an even n, 2 elsewhere, over n) that is ``sum_k y^H H y`` with
+    ``H = dt/6 weight/n sum_s b_s (R S_s)^H W (R S_s)``, where R(k) stacks
+    the rows' symbols and W holds their ``alpha dx w_r``.  The stages are
+    folded in as they are formed, in place, so besides the map only one S
+    and one work buffer per bin are held at a time.
+    """
+    a = sparse.symbols
+    bins, f, _ = a.shape
+    eye = np.eye(f)
+    r = sparse.m_symbols
+    production = np.zeros(r.shape[1]) if sparse.production is None else sparse.production[::n]
+    step_map = np.zeros((bins, 2 * f, f), dtype=complex)
+    total, gain = step_map[:, :f], step_map[:, f:]
+    stage = np.broadcast_to(eye, a.shape).astype(complex)
+    buffer = np.empty_like(stage)
+    for b, c in ((1.0, 0.5), (2.0, 0.5), (2.0, 1.0), (1.0, None)):
+        total += np.multiply(b, stage, out=buffer)
+        rows = r @ stage
+        np.matmul(rows.conj().transpose(0, 2, 1), production[:, None] * rows, out=buffer)
+        gain += np.multiply(b, buffer, out=buffer)
+        if c is not None:
+            np.matmul(a, stage, out=buffer)
+            buffer *= c * dt
+            buffer += eye
+            stage, buffer = buffer, stage
+    np.matmul(a, total, out=buffer)
+    buffer *= dt / 6.0
+    buffer += eye
+    total[...] = buffer
+    parseval = np.full(bins, 2.0)
+    parseval[0] = 1.0
+    if n % 2 == 0:
+        parseval[-1] = 1.0
+    gain *= (dt / (6.0 * n) * parseval)[:, None, None]
+    return step_map
+
+
+def _stage_stepper(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float):
+    """``(advance, flat)`` for RK4 through its stages on ``rhs``: ``advance()``
+    steps and says whether the state is still finite, ``flat()`` is the
+    state itself."""
+
+    def advance() -> bool:
+        nonlocal y
+        y = _rk4(rhs, y, dt)
+        return bool(np.isfinite(y).all())
+
+    return advance, lambda: y
+
+
+def _symbol_stepper(model, sparse: _SparseForm, y: np.ndarray, dt: float):
+    """``(advance, flat)`` for RK4's one-step map on the Fourier bins of the
+    fields (:func:`_rk4_symbol_map`): each step is one batched product and
+    one ``vdot`` for the reservoir; ``flat()`` transforms back into ``y``."""
+    layout = model.layout
+    n, f = layout.grid.n, layout.n_fields
+    nf = n * f
+    step_map = _rk4_symbol_map(sparse, n, dt)
+    y_hat = np.fft.rfft(y[:nf].reshape(f, n), axis=1).T[:, :, None]
+    e = float(y[nf]) if layout.has_reservoir else 0.0
+
+    def advance() -> bool:
+        nonlocal y_hat, e
+        mapped = step_map @ y_hat
+        e += np.vdot(y_hat, mapped[:, f:]).real
+        y_hat = mapped[:, :f]
+        return bool(np.isfinite(y_hat).all()) and math.isfinite(e)
+
+    def flat() -> np.ndarray:
+        y[:nf] = np.fft.irfft(y_hat[:, :, 0].T, n, axis=1).ravel()
+        y[nf:] = e
+        return y
+
+    return advance, flat
+
+
 def _failure_context(step: int, dt: float, records: List[DiagnosticsRecord]) -> str:
     last = records[-1]
     return f"t = {step * dt:g}; last recorded energy {last.energy:.6g} at t = {last.t:g}"
 
 
 def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord]:
-    """March z0 forward to t_end, recording diagnostics every few steps.
+    """March z0 forward to t_end with classical RK4, recording diagnostics
+    every few steps.
+
+    When the model's derivation finds no bilinear term and its entropy is
+    not the log entropy, the fields evolve linearly: each step applies RK4's
+    exact one-step map to their Fourier bins and adds the reservoir's gain
+    over the stages as one quadratic form (:func:`_rk4_symbol_map`), and the
+    fields return to the grid only at record steps.  Any other model steps
+    through the four stages of the compiled right-hand side
+    (:func:`step_rk4`).  Both give the same records to roundoff.
 
     Rejects steps above the model's stability bound; aborts with
     :class:`PositivityError` if a log-entropy temperature leaves the positive
-    cone, and with :class:`DivergenceError` on non-finite states.  Both name
-    the step, its time and the last recorded energy.
+    cone, and with :class:`DivergenceError` on non-finite states (the
+    fields or the reservoir).  Both name the step, its time and the last
+    recorded energy.
     """
     if z0.layout != model.layout:
         raise ValueError(f"initial state layout does not match model {model.id}")
@@ -506,28 +632,32 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     if log_entropy and not float(np.min(z0.field("theta"))) > 0.0:
         raise PositivityError("initial temperature must be strictly positive")
 
-    rhs = compile_rhs(model)
+    sparse = _sparse_form(model)
     n_steps = cfg.n_steps
     y = z0.flat.copy()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         records = [_diagnostics(model, 0.0, y)]
+        if sparse.bilinear or log_entropy:
+            advance, flat = _stage_stepper(sparse.rhs, y, cfg.dt)
+        else:
+            advance, flat = _symbol_stepper(model, sparse, y, cfg.dt)
         for step in range(1, n_steps + 1):
-            y = _rk4(rhs, y, cfg.dt)
-            if not np.isfinite(y).all():
+            if not advance():
                 raise DivergenceError(
                     f"non-finite state at step {step} "
                     f"({_failure_context(step, cfg.dt, records)})",
                     step=step,
                 )
             if log_entropy:
-                tmin = float(np.min(y[model.layout.field_slice("theta")]))
+                # the stage form: flat() is the state itself
+                tmin = float(np.min(flat()[model.layout.field_slice("theta")]))
                 if not tmin > 0.0:
                     raise PositivityError(
                         f"temperature became nonpositive at step {step} "
                         f"(min {tmin:g}; {_failure_context(step, cfg.dt, records)})"
                     )
             if step % cfg.record_every == 0 or step == n_steps:
-                records.append(_diagnostics(model, step * cfg.dt, y))
+                records.append(_diagnostics(model, step * cfg.dt, flat()))
     return records
 
 
@@ -775,13 +905,21 @@ DECAY_WINDOWS = 5
 
 def windowed_decay_rates(records: Sequence[DiagnosticsRecord]):
     """Decay slopes over :data:`DECAY_WINDOWS` consecutive windows of the
-    trajectory's last half, for a sign test on the fitted rate."""
-    if len(records) < 2 * DECAY_WINDOWS:
-        raise ValueError("not enough records for windowed fits")
+    trajectory's last half, for a sign test on the fitted rate.
+
+    Neighbouring windows share their end record, so every window holds at
+    least two records once the last half holds ``DECAY_WINDOWS + 1``; fewer
+    raise :class:`ValueError` rather than return fewer rates.
+    """
+    tail = len(records) - len(records) // 2
+    if tail < DECAY_WINDOWS + 1:
+        raise ValueError(
+            f"the windowed decay fit needs at least {DECAY_WINDOWS + 1} records in the "
+            f"trajectory's last half, got {tail} of {len(records)} records"
+        )
     t, log_me = _log_mech_energy_tail(records)
-    bounds = np.linspace(0, len(t), DECAY_WINDOWS + 1).astype(int)
-    rates = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b - a >= 2:
-            rates.append(float(np.polyfit(t[a:b], log_me[a:b], 1)[0]))
-    return rates
+    bounds = np.linspace(0, len(t) - 1, DECAY_WINDOWS + 1).astype(int)
+    return [
+        float(np.polyfit(t[a:b + 1], log_me[a:b + 1], 1)[0])
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]

@@ -171,6 +171,21 @@ def test_decay_frictional(tmp_path, capsys):
     assert "confidence" in out
 
 
+def test_decay_refuses_too_few_records_for_the_windows(tmp_path, capsys):
+    # 10 records fit a rate, but their last half (5) cannot give each of the
+    # five windows two records; 11 can
+    text = "model = TimoshenkoFrictional\nn = 16\ndt = 1e-3\nrecord_every = 1\n"
+    cfg = write_config(tmp_path, text + "t_end = 0.009\n")
+    assert main(["decay", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert "last half" in captured.err
+    assert "Traceback" not in captured.err
+    assert "confidence" not in captured.out
+    cfg = write_config(tmp_path, text + "t_end = 0.01\n")
+    assert main(["decay", "--config", cfg]) == 0
+    assert "/5 windows negative)" in capsys.readouterr().out
+
+
 def test_decay_rejects_output(tmp_path, capsys):
     # decay writes no file, so an output key would be silently ignored
     for output in ("/nonexistent/dir/x.csv", tmp_path / "x.csv"):

@@ -28,7 +28,14 @@ from beamgeneric import (
     uniform_scaling,
     verify_brackets,
 )
-from beamgeneric.engine import DiagnosticsRecord, _diagnostics, _rk4_stability_limit
+from beamgeneric.engine import (
+    DECAY_WINDOWS,
+    DiagnosticsRecord,
+    _diagnostics,
+    _rk4,
+    _rk4_stability_limit,
+    windowed_decay_rates,
+)
 from conftest import rel_inf
 
 
@@ -374,6 +381,62 @@ def test_failure_messages_name_time_and_last_energy(models32, grid32):
     assert energy == pytest.approx(1.0 - t, abs=1e-5)
 
 
+LINEAR_IDS = tuple(m for m in bg.ALL_MODEL_IDS if m is not bg.ModelId.TIMOSHENKO_NEW)
+
+
+def _stage_reference(model, z0, cfg):
+    """The records of integrate, from RK4 through its stages on the compiled
+    right-hand side."""
+    rhs = compile_rhs(model)
+    y = z0.flat.copy()
+    records = [_diagnostics(model, 0.0, y)]
+    for step in range(1, cfg.n_steps + 1):
+        y = _rk4(rhs, y, cfg.dt)
+        if step % cfg.record_every == 0 or step == cfg.n_steps:
+            records.append(_diagnostics(model, step * cfg.dt, y))
+    return records
+
+
+@pytest.mark.parametrize(
+    "n, mid",
+    [(n, mid) for n in (4, 5, 7, 32, 64) for mid in LINEAR_IDS]
+    + [(512, bg.ModelId.BRESSE_HEAT_II)],
+)
+def test_integrate_matches_stage_rk4(n, mid):
+    # the linear models step on their Fourier symbols; ten steps from a
+    # random state (every wavenumber excited, nonzero reservoir) must give
+    # the stage form's records to roundoff
+    model = bg.build_model(mid, ModelParams(), Grid(n, 1.0))
+    z0 = bg.random_state(model, np.random.default_rng(n))
+    assert z0.reservoir != 0.0
+    cfg = IntegratorConfig(dt=model.dt_bound, t_end=10 * model.dt_bound, record_every=3)
+    got = integrate(model, z0, cfg)
+    want = _stage_reference(model, z0, cfg)
+    assert [r.t for r in got] == [r.t for r in want]
+    for a, b in zip(got, want):
+        for name in ("energy", "entropy", "mech_energy", "res_l_ds", "res_m_de"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y)), (n, mid, a.t, name)
+
+
+def test_linear_models_never_call_compiled_rhs_in_integrate(grid32):
+    def raising(flat):
+        raise AssertionError("integrate called the compiled right-hand side")
+
+    for mid in bg.ALL_MODEL_IDS:
+        base = bg.build_model(mid, ModelParams(), grid32)
+        model = dataclasses.replace(base)
+        model._sparse = dataclasses.replace(engine._sparse_form(base), rhs=raising)
+        z0 = bg.default_initial_state(mid, grid32)
+        cfg = IntegratorConfig(dt=1e-4, t_end=1e-3)
+        if mid is bg.ModelId.TIMOSHENKO_NEW:
+            # the bilinear coupling keeps it on the stage form
+            with pytest.raises(AssertionError, match="compiled right-hand side"):
+                integrate(model, z0, cfg)
+        else:
+            assert len(integrate(model, z0, cfg)) == cfg.n_steps + 1, mid
+
+
 def test_integrate_layout_mismatch(models32):
     model = models32[bg.ModelId.TIMOSHENKO_UNDAMPED]
     other = bg.build_model("TimoshenkoUndamped", ModelParams(), Grid(16, 1.0))
@@ -525,3 +588,26 @@ def test_decay_rates_on_trajectories(grid32):
     z0 = bg.default_initial_state(und.id, grid32)
     records = integrate(und, z0, IntegratorConfig(dt=1e-3, t_end=6.0, record_every=20))
     assert abs(decay_rate(records)) <= 1e-6
+
+
+def _exponential_records(count, rate=-0.5):
+    return [
+        DiagnosticsRecord(t=0.1 * i, energy=1.0, entropy=0.0, mech_energy=math.exp(rate * 0.1 * i),
+                          res_l_ds=0.0, res_m_de=0.0, theta_min=math.nan)
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("count", range(2 * DECAY_WINDOWS - 1, 20))
+def test_windowed_decay_rates_never_drop_a_window(count):
+    # neighbouring windows share their end record: a last half of
+    # DECAY_WINDOWS + 1 records (11 records) is the least that gives every
+    # window two; fewer raise instead of returning fewer rates
+    records = _exponential_records(count)
+    if count - count // 2 < DECAY_WINDOWS + 1:
+        with pytest.raises(ValueError, match="last half"):
+            windowed_decay_rates(records)
+        return
+    rates = windowed_decay_rates(records)
+    assert len(rates) == DECAY_WINDOWS
+    assert rates == pytest.approx([-0.5] * DECAY_WINDOWS, abs=1e-9)
