@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import _sparse_form
+from .engine import SETUP_BYTES_PER_SLOT, _check_budget, _sparse_form
 from .functionals import LinearTerm, LogThetaEntropy, ModelParams, ReservoirEntropy, SquareTerm
 from .grid import Grid
 from .operators import Block, DissipativeRow
@@ -475,6 +475,9 @@ def build_model(model_id, params: ModelParams = None, grid: Grid = None) -> Mode
 
     ``model_id`` may be a :class:`ModelId` or its string name.  ``params``
     defaults to unit constants; ``grid`` defaults to 64 nodes on a unit domain.
+    A grid whose estimated set-up memory is above the engine's
+    ``MEMORY_LIMIT_BYTES`` raises :class:`ValueError` before anything of its
+    size is allocated.
     The entropy and the reference state follow the layout: with a reservoir,
     ``alpha * e`` and the zero state; without one, the integral of
     ``log(theta)`` and the zero state with ``theta = 1``.
@@ -486,6 +489,8 @@ def build_model(model_id, params: ModelParams = None, grid: Grid = None) -> Mode
         grid = Grid(64, 1.0)
     _validate_params(mid, params)
     layout, terms, l_blocks, rows, direct = _BUILDERS[mid](params, grid)
+    _check_budget(f"{mid} on n = {grid.n}",
+                  memory=layout.flat_dim * SETUP_BYTES_PER_SLOT)
     reference = State.zeros(layout)
     if layout.has_reservoir:
         entropy = ReservoirEntropy(params.alpha)

@@ -21,11 +21,17 @@ private slot.
   the check gets neither.
 * :func:`integrate` steps a model whose fields evolve linearly (no bilinear
   term, no log entropy: nine of the ten catalog models) with RK4's exact
-  one-step map on their Fourier symbols, one small matrix product per
-  wavenumber, and any other model through RK4's four stages on the compiled
-  right-hand side (:func:`step_rk4`, also the oracle of the first).  Its
-  diagnostics records evaluate the energy, its gradient and the degeneracy
-  residuals through the same sparse form.
+  one-step map on their Fourier symbols.  Those maps compose exactly, so
+  each record interval is one batched product, with the map raised to
+  ``record_every`` steps by squaring and cached on the model per
+  ``(dt, record_every)``.  Any other model steps through RK4's four stages
+  on the compiled right-hand side (:func:`step_rk4`, also the oracle of
+  the first).  Its diagnostics records evaluate the energy, its gradient
+  and the degeneracy residuals through the same sparse form.
+* ``scipy.sparse`` is imported by the first derivation, not with the
+  package.  ``build_model``, :func:`integrate` and :func:`verify_brackets`
+  check their estimated memory and work against :data:`MEMORY_LIMIT_BYTES`
+  and :data:`WORK_LIMIT` before they allocate or step.
 
 The object-level operators (``apply_L``, ``apply_M``, the gradients,
 :func:`generic_rhs`) and the hand-coded :func:`direct_rhs` stay as the
@@ -41,11 +47,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DivergenceError, DomainError, PositivityError
 from .functionals import (
@@ -58,6 +63,51 @@ from .functionals import (
 )
 from .operators import apply_L, apply_M
 from .state import CotangentVector, State, StateLayout, mixed_inner, stack_rows
+
+if TYPE_CHECKING:  # the annotations are strings; scipy loads with the first derivation
+    import scipy.sparse
+
+
+# --------------------------------------------------------------------------
+# resource budget
+
+#: Largest memory a call is estimated to take, in bytes (1 GiB).
+MEMORY_LIMIT_BYTES = 2**30
+#: Set-up memory per slot of the flat state: the peak resident growth of
+#: ``build_model``, the derivation and a three-step ``integrate`` measured
+#: 505-757 bytes per slot at n = 2^12, 2^14 and 2^16 (BresseHeatII,
+#: TimoshenkoNew, TimoshenkoUndamped; Python 3.11, numpy 2.4), rounded up.
+SETUP_BYTES_PER_SLOT = 1024
+#: Memory of one diagnostics record held by ``integrate`` (312 measured).
+RECORD_BYTES = 512
+#: Largest work a call may take, in slot updates: records times slots on
+#: the Fourier path of ``integrate``, steps times slots on its stage path,
+#: trials times slots in ``verify_brackets``.  An update costs about
+#: 0.25 us when stepping and 1.5 us when verifying (n = 64, one core of a
+#: shared 2-vCPU VM), so the limit is about 40 minutes of stepping.
+WORK_LIMIT = 1e10
+
+
+def _check_budget(what: str, memory: int = 0, work: int = 0) -> None:
+    """Raise :class:`ValueError` naming the estimate and the limit when
+    ``memory`` (bytes) or ``work`` (slot updates) is above its limit.  Callers
+    check before they allocate or step."""
+    if memory > MEMORY_LIMIT_BYTES:
+        raise ValueError(
+            f"{what}: estimated memory {_magnitude(memory, 2**30)} GiB is above "
+            f"the limit of {MEMORY_LIMIT_BYTES / 2**30:g} GiB"
+        )
+    if work > WORK_LIMIT:
+        raise ValueError(
+            f"{what}: estimated work {_magnitude(work)} slot updates is above "
+            f"the limit of {WORK_LIMIT:.3g}"
+        )
+
+
+def _magnitude(x, unit: int = 1) -> str:
+    """``x / unit`` to three digits; an integer beyond the float range reads
+    'inf'."""
+    return f"{x / unit:.3g}" if x < 1e300 else "inf"
 
 
 # --------------------------------------------------------------------------
@@ -86,6 +136,8 @@ def _periodic_matrix(n: int, shape: tuple, entries) -> scipy.sparse.csr_matrix:
     ``(row * n + i, column * n + (i + offset) % n)`` for every node i;
     coinciding entries add up.
     """
+    import scipy.sparse
+
     nodes = np.arange(n)
     rows, cols, vals = [], [], []
     for row, col, offset, value in entries:
@@ -97,6 +149,15 @@ def _periodic_matrix(n: int, shape: tuple, entries) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
     )
+
+
+@dataclass
+class _MapCache:
+    """RK4's Fourier maps over ``steps`` steps, ``{steps: [P^steps; H_steps]}``,
+    for one ``key = (dt, record_every)``."""
+
+    key: Optional[tuple] = None
+    maps: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -125,6 +186,8 @@ class _SparseForm:
       k = 0..n//2 (the other half are their complex conjugates).
     * ``rhs`` is the compiled right-hand side (:func:`compile_rhs`) and
       ``dt_bound`` the RK4 step bound (``ModelSpec.dt_bound``).
+    * ``step_maps`` caches the Fourier stepper's maps for the last
+      ``(dt, record_every)`` it ran (:func:`_step_maps`).
     """
 
     d1: scipy.sparse.csr_matrix
@@ -144,6 +207,7 @@ class _SparseForm:
     m_symbols: np.ndarray
     rhs: Callable[[np.ndarray], np.ndarray]
     dt_bound: float
+    step_maps: _MapCache = field(default_factory=_MapCache, init=False, repr=False, compare=False)
 
 
 def _sparse_form(model) -> _SparseForm:
@@ -187,6 +251,10 @@ def _sparse_form(model) -> _SparseForm:
 
 
 def _derive_sparse_form(model) -> _SparseForm:
+    # scipy is imported here, not with the package: the object-level
+    # operators and the verifier never need it
+    import scipy.sparse
+
     layout = model.layout
     n, nfields, dim, dx = layout.grid.n, layout.n_fields, layout.flat_dim, layout.grid.dx
     nf = n * nfields
@@ -560,36 +628,109 @@ def _rk4_symbol_map(sparse: _SparseForm, n: int, dt: float) -> np.ndarray:
     return step_map
 
 
-def _stage_stepper(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float):
-    """``(advance, flat)`` for RK4 through its stages on ``rhs``: ``advance()``
-    steps and says whether the state is still finite, ``flat()`` is the
-    state itself."""
+def _compose(first: np.ndarray, then: np.ndarray) -> np.ndarray:
+    """The map of ``first`` followed by ``then``, both stacked ``[P; H]`` per
+    bin: ``[P2 P1; H1 + P1^H H2 P1]``, two batched products."""
+    f = first.shape[2]
+    p1 = first[:, :f]
+    out = then @ p1
+    gain = out[:, f:]
+    gain[...] = np.conj(p1).transpose(0, 2, 1) @ gain
+    gain += first[:, f:]
+    return out
 
-    def advance() -> bool:
+
+def _map_power(step_map: np.ndarray, steps: int) -> np.ndarray:
+    """m = ``steps`` applications of the stacked map ``[P; H]`` as one map,
+    ``[P^m; sum_(j<m) (P^j)^H H P^j]``, by binary powering from the leading
+    bit: square, then compose with the one-step map on a set bit.  That is
+    at most 2 log2(m) compositions, with only the running power held."""
+    result = step_map
+    for bit in bin(steps)[3:]:
+        result = _compose(result, result)
+        if bit == "1":
+            result = _compose(result, step_map)
+    return result
+
+
+def _step_maps(sparse: _SparseForm, n: int, dt: float, record_every: int, n_steps: int) -> dict:
+    """``{steps: [P^steps; H_steps]}`` holding the one-step map and the maps
+    of a run's record intervals: ``record_every`` steps (when the run has a
+    whole interval) and the remainder ``n_steps % record_every`` (when it is
+    not 0).
+
+    They are cached on the sparse form for the last ``(dt, record_every)``
+    only, and of the remainders only the last, so a sweep holds three maps
+    at most.
+    """
+    cache = sparse.step_maps
+    if cache.key != (dt, record_every):
+        cache.key, cache.maps = (dt, record_every), {1: _rk4_symbol_map(sparse, n, dt)}
+    maps = cache.maps
+    intervals = {record_every if n_steps >= record_every else 0, n_steps % record_every} - {0}
+    for steps in set(maps) - intervals - {1, record_every}:
+        del maps[steps]
+    for steps in intervals - set(maps):
+        maps[steps] = _map_power(maps[1], steps)
+    return maps
+
+
+def _stage_stepper(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float,
+                   theta: Optional[slice]):
+    """``(advance, flat)`` for RK4 through its stages on ``rhs``.
+
+    ``advance(m)`` takes up to m steps and returns the first one (1..m) whose
+    state is not finite or, with ``theta`` a slice, has a temperature that is
+    not positive, where it stops; 0 when all m are fine.  ``flat()`` is the
+    state itself.
+    """
+
+    def advance(m: int) -> int:
         nonlocal y
-        y = _rk4(rhs, y, dt)
-        return bool(np.isfinite(y).all())
+        for k in range(1, m + 1):
+            y = _rk4(rhs, y, dt)
+            if not np.isfinite(y).all() or (theta is not None and not np.min(y[theta]) > 0.0):
+                return k
+        return 0
 
     return advance, lambda: y
 
 
-def _symbol_stepper(model, sparse: _SparseForm, y: np.ndarray, dt: float):
-    """``(advance, flat)`` for RK4's one-step map on the Fourier bins of the
-    fields (:func:`_rk4_symbol_map`): each step is one batched product and
-    one ``vdot`` for the reservoir; ``flat()`` transforms back into ``y``."""
+def _symbol_stepper(model, sparse: _SparseForm, y: np.ndarray, cfg: IntegratorConfig):
+    """``(advance, flat)`` for RK4's map on the Fourier bins of the fields.
+
+    ``advance(m)`` takes m steps (one record interval, or the last, shorter
+    one) as one batched product with the m-step map of :func:`_step_maps`
+    and one ``vdot`` for the reservoir.  When the result is not finite, it
+    replays the interval one step at a time from its start and returns the
+    first step (1..m) whose coefficients or reservoir are not finite; 0 when
+    all m are fine (a finite replay goes on from the replayed state).
+    ``flat()`` transforms back into ``y``.
+    """
     layout = model.layout
     n, f = layout.grid.n, layout.n_fields
     nf = n * f
-    step_map = _rk4_symbol_map(sparse, n, dt)
+    maps = _step_maps(sparse, n, cfg.dt, cfg.record_every, cfg.n_steps)
     y_hat = np.fft.rfft(y[:nf].reshape(f, n), axis=1).T[:, :, None]
     e = float(y[nf]) if layout.has_reservoir else 0.0
 
-    def advance() -> bool:
+    def apply(step_map: np.ndarray) -> bool:
         nonlocal y_hat, e
         mapped = step_map @ y_hat
         e += np.vdot(y_hat, mapped[:, f:]).real
         y_hat = mapped[:, :f]
         return bool(np.isfinite(y_hat).all()) and math.isfinite(e)
+
+    def advance(m: int) -> int:
+        nonlocal y_hat, e
+        start = y_hat, e
+        if apply(maps[m]):
+            return 0
+        y_hat, e = start
+        for k in range(1, m + 1):
+            if not apply(maps[1]):
+                return k
+        return 0
 
     def flat() -> np.ndarray:
         y[:nf] = np.fft.irfft(y_hat[:, :, 0].T, n, axis=1).ravel()
@@ -606,21 +747,26 @@ def _failure_context(step: int, dt: float, records: List[DiagnosticsRecord]) -> 
 
 def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord]:
     """March z0 forward to t_end with classical RK4, recording diagnostics
-    every few steps.
+    every ``record_every`` steps and at the last.
 
     When the model's derivation finds no bilinear term and its entropy is
-    not the log entropy, the fields evolve linearly: each step applies RK4's
-    exact one-step map to their Fourier bins and adds the reservoir's gain
-    over the stages as one quadratic form (:func:`_rk4_symbol_map`), and the
-    fields return to the grid only at record steps.  Any other model steps
-    through the four stages of the compiled right-hand side
+    not the log entropy, the fields evolve linearly: RK4's exact one-step map
+    on their Fourier bins, with the reservoir's gain over the stages as one
+    quadratic form (:func:`_rk4_symbol_map`), composes exactly, so each
+    record interval is one batched product with the map raised to
+    ``record_every`` steps by squaring (and one with the remainder's map at
+    the end).  The maps are cached on the model per ``(dt, record_every)``,
+    and the fields return to the grid only for a record.  Any other model
+    steps through the four stages of the compiled right-hand side
     (:func:`step_rk4`).  Both give the same records to roundoff.
 
-    Rejects steps above the model's stability bound; aborts with
+    Rejects steps above the model's stability bound, and a run whose
+    estimated memory (set-up and records) or work is above
+    :data:`MEMORY_LIMIT_BYTES` or :data:`WORK_LIMIT`; aborts with
     :class:`PositivityError` if a log-entropy temperature leaves the positive
     cone, and with :class:`DivergenceError` on non-finite states (the
-    fields or the reservoir).  Both name the step, its time and the last
-    recorded energy.
+    fields or the reservoir).  Both name the first such step, its time and
+    the last recorded energy.
     """
     if z0.layout != model.layout:
         raise ValueError(f"initial state layout does not match model {model.id}")
@@ -633,31 +779,39 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
         raise PositivityError("initial temperature must be strictly positive")
 
     sparse = _sparse_form(model)
+    stage = bool(sparse.bilinear) or log_entropy
     n_steps = cfg.n_steps
+    n_records = 1 + -(-n_steps // cfg.record_every)  # the initial one and one per interval
+    dim = model.layout.flat_dim
+    _check_budget(
+        f"{model.id} integrate over {n_steps} steps",
+        memory=dim * SETUP_BYTES_PER_SLOT + n_records * RECORD_BYTES,
+        work=(n_steps if stage else n_records) * dim,
+    )
     y = z0.flat.copy()
+    theta = model.layout.field_slice("theta") if log_entropy else None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         records = [_diagnostics(model, 0.0, y)]
-        if sparse.bilinear or log_entropy:
-            advance, flat = _stage_stepper(sparse.rhs, y, cfg.dt)
+        if stage:
+            advance, flat = _stage_stepper(sparse.rhs, y, cfg.dt, theta)
         else:
-            advance, flat = _symbol_stepper(model, sparse, y, cfg.dt)
-        for step in range(1, n_steps + 1):
-            if not advance():
-                raise DivergenceError(
-                    f"non-finite state at step {step} "
-                    f"({_failure_context(step, cfg.dt, records)})",
-                    step=step,
-                )
-            if log_entropy:
-                # the stage form: flat() is the state itself
-                tmin = float(np.min(flat()[model.layout.field_slice("theta")]))
-                if not tmin > 0.0:
+            advance, flat = _symbol_stepper(model, sparse, y, cfg)
+        step = 0
+        while step < n_steps:
+            interval = min(cfg.record_every, n_steps - step)
+            bad = advance(interval)
+            if bad:
+                step += bad
+                context = _failure_context(step, cfg.dt, records)
+                state = flat()
+                if theta is not None and np.isfinite(state).all():
                     raise PositivityError(
                         f"temperature became nonpositive at step {step} "
-                        f"(min {tmin:g}; {_failure_context(step, cfg.dt, records)})"
+                        f"(min {float(np.min(state[theta])):g}; {context})"
                     )
-            if step % cfg.record_every == 0 or step == n_steps:
-                records.append(_diagnostics(model, step * cfg.dt, flat()))
+                raise DivergenceError(f"non-finite state at step {step} ({context})", step=step)
+            step += interval
+            records.append(_diagnostics(model, step * cfg.dt, flat()))
     return records
 
 
@@ -715,10 +869,13 @@ def verify_brackets(model, trials: int = 20, seed: int = 0) -> VerificationRepor
     operators acting row by row, so each trial's residuals are bitwise those
     of evaluating it alone, and a NaN residual fails its check.
     Residuals are normalized per trial by max(1, magnitudes involved); the
-    report keeps the worst over all trials.
+    report keeps the worst over all trials.  More than :data:`WORK_LIMIT`
+    trials times slots raise :class:`ValueError` before the first trial.
     """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    _check_budget(f"{model.id} verify over {trials} trials",
+                  work=int(trials) * model.layout.flat_dim)
     rng = np.random.default_rng(seed)
     layout = model.layout
     worst = dict.fromkeys(

@@ -264,3 +264,133 @@ def test_console_script_entry_point(tmp_path):
 def test_usage_errors_exit_one(capsys):
     assert main(["simulate"]) == 1          # missing --config
     assert main(["no-such-command"]) == 1
+
+
+# --------------------------------------------------------------------------
+# resource budget: every case fails before anything of its size is allocated
+
+
+@pytest.mark.parametrize("command, text, estimate", [
+    # a grid whose set-up alone would take hundreds of GiB
+    ("simulate", "model = TimoshenkoHeatI\nn = 100000000\n", "estimated memory 477 GiB"),
+    ("decay", "model = BresseHeatII\nn = 100000000\n", "estimated memory 763 GiB"),
+    # 1e13 steps: their records alone are above the memory limit
+    ("simulate", "model = TimoshenkoHeatI\nn = 16\ndt = 1e-12\n", "estimated memory"),
+    # 1e9 stage steps of TimoshenkoNew on 80 slots hold few records
+    ("simulate", "model = TimoshenkoNew\nn = 16\ndt = 1e-8\nrecord_every = 100000\n",
+     "estimated work 8e+10 slot updates"),
+])
+def test_runs_above_the_budget_exit_one(tmp_path, capsys, command, text, estimate):
+    if command == "simulate":
+        text += f"output = {tmp_path / 'x.csv'}\n"
+    assert main([command, "--config", write_config(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert estimate in err
+    assert "above the limit of" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_verify_trials_above_the_budget_exit_one(capsys):
+    # 1e9 trials of TimoshenkoUndamped's 257 slots at n = 64
+    assert main(["verify", "--model", "all", "--trials", "1000000000"]) == 1
+    captured = capsys.readouterr()
+    assert "estimated work 2.57e+11 slot updates is above the limit of 1e+10" in captured.err
+    assert captured.out == ""
+
+
+# --------------------------------------------------------------------------
+# lean import
+
+
+def test_import_and_verify_leave_scipy_unloaded():
+    # scipy.sparse loads with the first derivation (compile_rhs, dt_bound,
+    # integrate), never with the package or the object-level verifier
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import beamgeneric
+
+    src = str(Path(beamgeneric.__file__).resolve().parent.parent)
+    code = (
+        "import io, sys\n"
+        "import beamgeneric\n"
+        "from beamgeneric import cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "assert cli.cmd_verify('TimoshenkoHeatI', 1, 0, out=io.StringIO()) == 0\n"
+        "assert 'scipy' not in sys.modules, 'verify'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src, "PATH": ""}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+# --------------------------------------------------------------------------
+# seeded fuzzer of config files
+
+
+_FUZZ_FLOATS = ("0.5", "1", "2.0", "1e-300", "5e-324", "1e300", "-1", "-1e-3", "0", "nan",
+                "-inf", "inf", "x", "", "é", "１", "1e999", "0x10", "1_0")
+_FUZZ_INTS = ("0", "-1", "1", "3", "4", "5", "16", "1e3", "2.5", "", "nan", "ünï",
+              "99999999999999999999", "٣")
+
+
+def _fuzz_config(rng, tmp_path) -> str:
+    """One config text: the run's and the model's keys with values drawn
+    from the valid and the invalid, plus unknown and duplicate keys.  n is at
+    most 16 (or fails before any allocation) and t_end at most 10 dt."""
+    def pick(values):
+        return values[int(rng.integers(len(values)))]
+
+    lines = {}
+    if rng.random() < 0.95:
+        lines["model"] = pick([m.value for m in cli.ALL_MODEL_IDS] * 3 + ["NoBeam", "", "Tïmo"])
+    lines["n"] = str(int(rng.integers(4, 17))) if rng.random() < 0.75 else pick(_FUZZ_INTS)
+    if rng.random() < 0.8:
+        dt = float(10.0 ** rng.uniform(-6, -1))
+        lines["dt"] = repr(dt)
+        lines["t_end"] = repr(dt * float(rng.uniform(1.0, 10.0)))
+    else:
+        lines["dt"], lines["t_end"] = pick(_FUZZ_FLOATS), pick(_FUZZ_FLOATS)
+    if rng.random() < 0.3:
+        lines["amplitude"] = pick(("0.1", "1e200", "1e-300", "0", "-0.2") + _FUZZ_FLOATS)
+    if rng.random() < 0.3:
+        lines["record_every"] = pick(("1", "2", "7") + _FUZZ_INTS)
+    for key in rng.permutation(sorted(cli._KEY_TYPES)):
+        if key in lines or rng.random() > 0.05:
+            continue
+        if key == "output":
+            lines[key] = pick([str(tmp_path / "out.csv"), str(tmp_path), str(tmp_path / "no" / "x"),
+                               str(tmp_path / "ü.csv"), ""])
+        elif cli._KEY_TYPES[key] is int:
+            lines[key] = pick(_FUZZ_INTS)
+        else:
+            lines[key] = pick(_FUZZ_FLOATS)
+    text = [f"{key} = {value}" for key, value in lines.items()]
+    if rng.random() < 0.1:
+        text.append(pick(["kapa = 1", "n_steps = 3", "= 4", "model", "# note = 1"]))
+    if rng.random() < 0.1:
+        text.append(pick(text))
+    return "\n".join(str(line) for line in rng.permutation(text)) + "\n"
+
+
+def test_fuzzed_configs_exit_cleanly(tmp_path, capsys, monkeypatch):
+    # every config either runs (exit 0, nothing on stderr) or fails with one
+    # 'error:' line and exit 1 or 2; no exception escapes main
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(2026)
+    codes = set()
+    for case in range(300):
+        text = _fuzz_config(rng, tmp_path)
+        path = write_config(tmp_path, text)
+        command = "simulate" if rng.random() < 0.7 else "decay"
+        code = main([command, "--config", path])
+        err = capsys.readouterr().err
+        codes.add(code)
+        assert code in (0, 1, 2), (case, text)
+        if code == 0:
+            assert err == "", (case, text, err)
+        else:
+            assert err.count("\n") == 1 and err.startswith("error: "), (case, text, err)
+    assert codes == {0, 1, 2}

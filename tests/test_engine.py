@@ -419,6 +419,82 @@ def test_integrate_matches_stage_rk4(n, mid):
             assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y)), (n, mid, a.t, name)
 
 
+@pytest.mark.parametrize("n", (64, 512))
+@pytest.mark.parametrize("mid", (bg.ModelId.TIMOSHENKO_HEAT_I, bg.ModelId.BRESSE_HEAT_II))
+def test_map_power_matches_sequential_steps(n, mid):
+    # [P^m; H_m] by squaring against m steps of the one-step map, chained one
+    # by one: P^m = P P^(m-1) and H_m = sum_(j<m) (P^j)^H H P^j
+    model = bg.build_model(mid, ModelParams(), Grid(n, 1.0))
+    sparse = engine._sparse_form(model)
+    step = engine._rk4_symbol_map(sparse, n, model.dt_bound)
+    f = model.layout.n_fields
+    p, h = step[:, :f], step[:, f:]
+    power = np.broadcast_to(np.eye(f), p.shape).astype(complex)
+    gain = np.zeros_like(power)
+    done = 0
+    for m in (1, 2, 3, 10, 1000):
+        for _ in range(m - done):
+            gain += power.conj().transpose(0, 2, 1) @ h @ power
+            power = p @ power
+        done = m
+        got = engine._map_power(step, m)
+        for part, want in ((got[:, :f], power), (got[:, f:], gain)):
+            scale = float(np.max(np.abs(want)))
+            assert scale > 0.0
+            assert float(np.max(np.abs(part - want))) <= 1e-12 * scale, (mid, n, m)
+
+
+def test_step_maps_follow_dt_and_record_every(grid32):
+    # the maps cached on a model for one (dt, record_every) must never serve
+    # another: the same model run over a sweep gives bitwise the records of a
+    # freshly built one, and holds the last key's maps only
+    mid = bg.ModelId.BRESSE_HEAT_I
+    model = bg.build_model(mid, ModelParams(), grid32)
+    z0 = bg.random_state(model, np.random.default_rng(7))
+    bound = model.dt_bound
+    for dt, t_end, record_every in ((bound, 20 * bound, 4), (0.5 * bound, 7 * bound, 4),
+                                    (0.5 * bound, 7 * bound, 5), (0.5 * bound, 9 * bound, 5),
+                                    (bound, 20 * bound, 4)):
+        cfg = IntegratorConfig(dt=dt, t_end=t_end, record_every=record_every)
+        fresh = bg.build_model(mid, ModelParams(), grid32)
+        assert integrate(model, z0, cfg) == integrate(fresh, z0, cfg), cfg
+        cache = engine._sparse_form(model).step_maps
+        assert cache.key == (dt, record_every)
+        assert set(cache.maps) == {1, record_every, cfg.n_steps % record_every} - {0}
+
+
+def test_divergence_on_the_first_step_of_a_long_interval(models32):
+    model = models32[bg.ModelId.TIMOSHENKO_FRICTIONAL]
+    z0 = State.zeros(model.layout)
+    z0.field("p")[:] = 1e200
+    with pytest.raises(DivergenceError) as info:
+        integrate(model, z0, IntegratorConfig(dt=1e-3, t_end=1.0, record_every=100))
+    assert info.value.step == 1
+    assert "step 1 (t = 0.001;" in str(info.value)
+
+
+def test_divergence_inside_an_interval_names_the_exact_step(grid32):
+    # scale the state so that its first step alone raises the reservoir to
+    # about a fifth of the largest float: the reservoir overflows a few steps
+    # later, strictly inside a record interval of ten, and the step named
+    # must be the one a run recording every step names
+    model = bg.build_model(bg.ModelId.TIMOSHENKO_FRICTIONAL, ModelParams(), grid32)
+    z0 = bg.random_state(model, np.random.default_rng(3))
+    z0.reservoir = 0.0
+    cfg = IntegratorConfig(dt=1e-3, t_end=1.0, record_every=10)
+    first = integrate(model, z0, IntegratorConfig(dt=1e-3, t_end=1e-3))
+    gain = first[1].entropy - first[0].entropy   # alpha = 1: S = e
+    scale = math.sqrt(float(np.finfo(float).max) / 4.5) / math.sqrt(gain)
+    z0 = State(model.layout, scale * z0.flat)
+    with pytest.raises(DivergenceError) as each:
+        integrate(model, z0, IntegratorConfig(dt=1e-3, t_end=1.0, record_every=1))
+    assert 1 < each.value.step < cfg.record_every
+    with pytest.raises(DivergenceError) as info:
+        integrate(model, z0, cfg)
+    assert info.value.step == each.value.step
+    assert f"step {each.value.step} (t = {each.value.step * 1e-3:g};" in str(info.value)
+
+
 def test_linear_models_never_call_compiled_rhs_in_integrate(grid32):
     def raising(flat):
         raise AssertionError("integrate called the compiled right-hand side")
