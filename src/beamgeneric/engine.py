@@ -23,10 +23,9 @@ private slot.
   term, no log entropy: nine of the ten catalog models) with RK4's exact
   one-step map on their Fourier symbols.  Those maps compose exactly, so
   each record interval is one batched product, with the map raised to
-  ``record_every`` steps by squaring and cached on the model per
-  ``(dt, record_every)``.  Any other model steps through RK4's four stages
-  on the compiled right-hand side (:func:`step_rk4`, also the oracle of
-  the first).  Its diagnostics records evaluate the energy, its gradient
+  ``record_every`` steps by squaring once per call.  Any other model
+  steps through RK4's four stages on the compiled right-hand side
+  (:func:`step_rk4`, also the oracle of the first).  Its diagnostics records evaluate the energy, its gradient
   and the degeneracy residuals through the same sparse form.
 * ``scipy.sparse`` is imported by the first derivation, not with the
   package.  ``build_model``, :func:`integrate` and :func:`verify_brackets`
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
@@ -80,8 +79,10 @@ MEMORY_LIMIT_BYTES = 2**30
 SETUP_BYTES_PER_SLOT = 1024
 #: Memory of one diagnostics record held by ``integrate`` (312 measured).
 RECORD_BYTES = 512
-#: Largest work a call may take, in slot updates: records times slots on
-#: the Fourier path of ``integrate``, steps times slots on its stage path,
+#: Largest work a call may take, in slot updates: records plus one record
+#: interval's steps (the step-by-step replay that finds a first non-finite
+#: step) times slots on the Fourier path of ``integrate``, steps times slots
+#: on its stage path,
 #: trials times slots in ``verify_brackets``.  An update costs about
 #: 0.25 us when stepping and 1.5 us when verifying (n = 64, one core of a
 #: shared 2-vCPU VM), so the limit is about 40 minutes of stepping.
@@ -151,15 +152,6 @@ def _periodic_matrix(n: int, shape: tuple, entries) -> scipy.sparse.csr_matrix:
     )
 
 
-@dataclass
-class _MapCache:
-    """RK4's Fourier maps over ``steps`` steps, ``{steps: [P^steps; H_steps]}``,
-    for one ``key = (dt, record_every)``."""
-
-    key: Optional[tuple] = None
-    maps: dict = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class _SparseForm:
     """Everything the engine derives from a model's building blocks, built in
@@ -186,8 +178,6 @@ class _SparseForm:
       k = 0..n//2 (the other half are their complex conjugates).
     * ``rhs`` is the compiled right-hand side (:func:`compile_rhs`) and
       ``dt_bound`` the RK4 step bound (``ModelSpec.dt_bound``).
-    * ``step_maps`` caches the Fourier stepper's maps for the last
-      ``(dt, record_every)`` it ran (:func:`_step_maps`).
     """
 
     d1: scipy.sparse.csr_matrix
@@ -207,7 +197,6 @@ class _SparseForm:
     m_symbols: np.ndarray
     rhs: Callable[[np.ndarray], np.ndarray]
     dt_bound: float
-    step_maps: _MapCache = field(default_factory=_MapCache, init=False, repr=False, compare=False)
 
 
 def _sparse_form(model) -> _SparseForm:
@@ -653,28 +642,6 @@ def _map_power(step_map: np.ndarray, steps: int) -> np.ndarray:
     return result
 
 
-def _step_maps(sparse: _SparseForm, n: int, dt: float, record_every: int, n_steps: int) -> dict:
-    """``{steps: [P^steps; H_steps]}`` holding the one-step map and the maps
-    of a run's record intervals: ``record_every`` steps (when the run has a
-    whole interval) and the remainder ``n_steps % record_every`` (when it is
-    not 0).
-
-    They are cached on the sparse form for the last ``(dt, record_every)``
-    only, and of the remainders only the last, so a sweep holds three maps
-    at most.
-    """
-    cache = sparse.step_maps
-    if cache.key != (dt, record_every):
-        cache.key, cache.maps = (dt, record_every), {1: _rk4_symbol_map(sparse, n, dt)}
-    maps = cache.maps
-    intervals = {record_every if n_steps >= record_every else 0, n_steps % record_every} - {0}
-    for steps in set(maps) - intervals - {1, record_every}:
-        del maps[steps]
-    for steps in intervals - set(maps):
-        maps[steps] = _map_power(maps[1], steps)
-    return maps
-
-
 def _stage_stepper(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float,
                    theta: Optional[slice]):
     """``(advance, flat)`` for RK4 through its stages on ``rhs``.
@@ -699,18 +666,25 @@ def _stage_stepper(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: f
 def _symbol_stepper(model, sparse: _SparseForm, y: np.ndarray, cfg: IntegratorConfig):
     """``(advance, flat)`` for RK4's map on the Fourier bins of the fields.
 
-    ``advance(m)`` takes m steps (one record interval, or the last, shorter
-    one) as one batched product with the m-step map of :func:`_step_maps`
-    and one ``vdot`` for the reservoir.  When the result is not finite, it
-    replays the interval one step at a time from its start and returns the
-    first step (1..m) whose coefficients or reservoir are not finite; 0 when
-    all m are fine (a finite replay goes on from the replayed state).
+    The one-step map, and its powers over ``record_every`` steps and over
+    the remainder ``n_steps % record_every`` when the run has them
+    (:func:`_map_power`), are built once per call.  ``advance(m)`` takes m
+    steps (one record interval, or the last, shorter one) as one batched
+    product with the m-step map and one ``vdot`` for the reservoir.  When
+    the result is not finite, it replays the interval one step at a time
+    from its start and returns the first step (1..m) whose coefficients or
+    reservoir are not finite; 0 when all m are fine (a finite replay goes
+    on from the replayed state).
     ``flat()`` transforms back into ``y``.
     """
     layout = model.layout
     n, f = layout.grid.n, layout.n_fields
     nf = n * f
-    maps = _step_maps(sparse, n, cfg.dt, cfg.record_every, cfg.n_steps)
+    one_step = _rk4_symbol_map(sparse, n, cfg.dt)
+    maps = {1: one_step}
+    for m in {min(cfg.record_every, cfg.n_steps), cfg.n_steps % cfg.record_every}:
+        if m > 1:
+            maps[m] = _map_power(one_step, m)
     y_hat = np.fft.rfft(y[:nf].reshape(f, n), axis=1).T[:, :, None]
     e = float(y[nf]) if layout.has_reservoir else 0.0
 
@@ -755,8 +729,7 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     quadratic form (:func:`_rk4_symbol_map`), composes exactly, so each
     record interval is one batched product with the map raised to
     ``record_every`` steps by squaring (and one with the remainder's map at
-    the end).  The maps are cached on the model per ``(dt, record_every)``,
-    and the fields return to the grid only for a record.  Any other model
+    the end); the fields return to the grid only for a record.  Any other model
     steps through the four stages of the compiled right-hand side
     (:func:`step_rk4`).  Both give the same records to roundoff.
 
@@ -783,10 +756,12 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     n_steps = cfg.n_steps
     n_records = 1 + -(-n_steps // cfg.record_every)  # the initial one and one per interval
     dim = model.layout.flat_dim
+    # the Fourier path takes one product per record, and the steps of one
+    # interval again when it replays a non-finite interval step by step
     _check_budget(
         f"{model.id} integrate over {n_steps} steps",
         memory=dim * SETUP_BYTES_PER_SLOT + n_records * RECORD_BYTES,
-        work=(n_steps if stage else n_records) * dim,
+        work=(n_steps if stage else n_records + min(cfg.record_every, n_steps)) * dim,
     )
     y = z0.flat.copy()
     theta = model.layout.field_slice("theta") if log_entropy else None

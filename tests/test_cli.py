@@ -276,6 +276,10 @@ def test_usage_errors_exit_one(capsys):
     ("decay", "model = BresseHeatII\nn = 100000000\n", "estimated memory 763 GiB"),
     # 1e13 steps: their records alone are above the memory limit
     ("simulate", "model = TimoshenkoHeatI\nn = 16\ndt = 1e-12\n", "estimated memory"),
+    # two records, but finding a first non-finite step may replay the
+    # interval's 1e12 steps on 81 slots one by one
+    ("simulate", "model = TimoshenkoHeatI\nn = 16\ndt = 1e-12\nt_end = 1\n"
+     "record_every = 1000000000000\n", "estimated work 8.1e+13 slot updates"),
     # 1e9 stage steps of TimoshenkoNew on 80 slots hold few records
     ("simulate", "model = TimoshenkoNew\nn = 16\ndt = 1e-8\nrecord_every = 100000\n",
      "estimated work 8e+10 slot updates"),
