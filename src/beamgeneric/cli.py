@@ -53,7 +53,8 @@ _KEY_TYPES = {
 
 
 def parse_config_text(text: str) -> RunConfig:
-    """Parse ``key = value`` lines; unknown keys are rejected by name."""
+    """Parse ``key = value`` lines; an empty key is rejected at its line and
+    unknown keys by name (``repr``, so any name stays visible)."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -62,13 +63,15 @@ def parse_config_text(text: str) -> RunConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise ValueError(f"line {lineno}: empty key in {line!r}")
         if key in raw:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
 
     unknown = sorted(set(raw) - set(_KEY_TYPES))
     if unknown:
-        raise ValueError("unknown config key(s): " + ", ".join(unknown))
+        raise ValueError("unknown config key(s): " + ", ".join(map(repr, unknown)))
     if "model" not in raw:
         raise ValueError("config must set 'model'")
 

@@ -25,8 +25,14 @@ private slot.
   each record interval is one batched product, with the map raised to
   ``record_every`` steps by squaring once per call.  Any other model
   steps through RK4's four stages on the compiled right-hand side
-  (:func:`step_rk4`, also the oracle of the first).  Its diagnostics records evaluate the energy, its gradient
-  and the degeneracy residuals through the same sparse form.
+  (:func:`step_rk4`, also the oracle of the first).
+* A diagnostics record of those nine models is one sparse product with a
+  matrix stacked from the energy rows, the dissipative rows and the
+  degeneracy residual's rows, plus a few dots (:func:`_product_record`);
+  ``|L dS|`` is a constant of the derivation.  ``TimoshenkoNew`` records on
+  the grid (:func:`_diagnostics`: the energy, its gradient and the
+  residuals through the same sparse form), and that record is the oracle
+  the derivation checks the one-product record against.
 * ``scipy.sparse`` is imported by the first derivation, not with the
   package.  ``build_model``, :func:`integrate` and :func:`verify_brackets`
   check their estimated memory and work against :data:`MEMORY_LIMIT_BYTES`
@@ -55,6 +61,7 @@ from .errors import DivergenceError, DomainError, PositivityError
 from .functionals import (
     LinearTerm,
     LogThetaEntropy,
+    ReservoirEntropy,
     entropy,
     fd_gradient,
     grad_energy,
@@ -82,11 +89,17 @@ RECORD_BYTES = 512
 #: Largest work a call may take, in slot updates: records plus one record
 #: interval's steps (the step-by-step replay that finds a first non-finite
 #: step) times slots on the Fourier path of ``integrate``, steps times slots
-#: on its stage path,
-#: trials times slots in ``verify_brackets``.  An update costs about
-#: 0.25 us when stepping and 1.5 us when verifying (n = 64, one core of a
-#: shared 2-vCPU VM), so the limit is about 40 minutes of stepping.
+#: on its stage path, and trials times slots times
+#: :data:`VERIFY_WORK_WEIGHT` in ``verify_brackets``.  An RK4 stage step
+#: costs 20-250 ns per slot (less at larger n; n = 64..4096, one core of a
+#: shared 2-vCPU VM), so the limit is about 3 to 40 minutes of stepping.
 WORK_LIMIT = 1e10
+#: Slot updates one verify trial counts per slot: a trial's cost per slot
+#: over an RK4 stage step's, measured 1.2-2.3 at n = 64, 2.3-5.6 at n = 256
+#: and 2.5-6.2 (median 4) at n = 1024 and 4096, where the limit binds (the
+#: ten catalog models, same VM), so the limit allows verify about the wall
+#: time it allows stepping.
+VERIFY_WORK_WEIGHT = 4
 
 
 def _check_budget(what: str, memory: int = 0, work: int = 0) -> None:
@@ -139,17 +152,25 @@ def _periodic_matrix(n: int, shape: tuple, entries) -> scipy.sparse.csr_matrix:
     """
     import scipy.sparse
 
-    nodes = np.arange(n)
-    rows, cols, vals = [], [], []
-    for row, col, offset, value in entries:
-        rows.append(row * n + nodes)
-        cols.append(col * n + (nodes + offset) % n)
-        vals.append(np.full(n, value))
-    if not vals:
+    if not entries:
         return scipy.sparse.csr_matrix(shape)
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
-    )
+    row, col, offset, value = (np.array(part)[:, None] for part in zip(*entries))
+    nodes = np.arange(n)
+    rows = row * n + nodes
+    cols = col * n + (nodes + offset) % n
+    vals = np.broadcast_to(value.astype(float), rows.shape)
+    return scipy.sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
+
+
+def _circulant(n: int, shape: tuple, columns) -> scipy.sparse.csr_matrix:
+    """Sparse matrix made of n x n periodic blocks whose column ``j * n`` is
+    the j-th vector ``columns`` yields, the node-0 column of field j over
+    every block row, and whose other columns in that block column are its
+    cyclic shifts."""
+    return _periodic_matrix(n, shape, [
+        (int(r) // n, j, -(int(r) % n), column[r])
+        for j, column in enumerate(columns) for r in np.flatnonzero(column)
+    ])
 
 
 @dataclass(frozen=True)
@@ -178,6 +199,14 @@ class _SparseForm:
       k = 0..n//2 (the other half are their complex conjugates).
     * ``rhs`` is the compiled right-hand side (:func:`compile_rhs`) and
       ``dt_bound`` the RK4 step bound (``ModelSpec.dt_bound``).
+    * ``records`` is the matrix of the one-product diagnostics record
+      (:func:`_product_record`) of a model whose fields evolve linearly, whose
+      entropy is the reservoir's and whose energy has no linear term: G, R,
+      the weighted ``J = W R (G^T C G - I)`` of :func:`_apply_m` at
+      ``dE_e = 1``, and ``R^T J`` on the field rows (plus an empty reservoir
+      row), stacked.  ``res_l_ds`` is that record's constant ``|L dS|_inf``
+      (``dS = alpha`` on the reservoir slot only).  Any other model has
+      ``records = None`` and records through :func:`_diagnostics`.
     """
 
     d1: scipy.sparse.csr_matrix
@@ -197,6 +226,8 @@ class _SparseForm:
     m_symbols: np.ndarray
     rhs: Callable[[np.ndarray], np.ndarray]
     dt_bound: float
+    records: Optional[scipy.sparse.csr_matrix]
+    res_l_ds: float
 
 
 def _sparse_form(model) -> _SparseForm:
@@ -228,10 +259,13 @@ def _sparse_form(model) -> _SparseForm:
     at a seeded random state (temperatures positive for the log entropy); a
     mismatch above 1e-12 relative (a model that is not translation-invariant)
     raises :class:`ValueError`, so neither the right-hand side nor the step
-    bound of such a model is ever returned.  Extreme constants can overflow
-    the derivation: it runs with numpy's floating-point warnings off and
-    raises :class:`ValueError` when the seeded check or the symbols of the
-    linearization are not finite.
+    bound of such a model is ever returned.  At the same state, the
+    one-product record (``records``, built in O(dim) from node-0 columns of
+    the G, G^T and R products) is checked against :func:`_diagnostics` at
+    the same tolerance, so an unchecked record form is never used either.
+    Extreme constants can overflow the derivation: it runs with numpy's
+    floating-point warnings off and raises :class:`ValueError` when the
+    seeded check or the symbols of the linearization are not finite.
     """
     if model._sparse is None:
         with np.errstate(all="ignore"):
@@ -329,17 +363,20 @@ def _derive_sparse_form(model) -> _SparseForm:
     def affine(y: np.ndarray) -> np.ndarray:
         return (generic_rhs(model, State(layout, y)).flat - nonlinear(y))[:nf]
 
-    base = affine(z0.copy())
-    entries, jacobian = [], np.empty((nf, nfields))
-    for j in range(nfields):
+    def unit(j: int) -> np.ndarray:
+        """e_j, the unit vector of field j at node 0."""
         e = np.zeros(dim)
         e[j * n] = 1.0
-        column = affine(z0 + e) - base
-        jacobian[:, j] = column + 0.5 * (nonlinear(z0 + e) - nonlinear(z0 - e))[:nf]
-        for r in np.flatnonzero(column):
-            field, node = divmod(int(r), n)
-            entries.append((field, j, -node, column[r]))
-    stacked = scipy.sparse.vstack([_periodic_matrix(n, (dim, dim), entries), products], format="csr")
+        return e
+
+    base = affine(z0.copy())
+    # row j is A's node-0 column of field j, then, with N's derivative
+    # added, the exact linearization's
+    jacobian = np.array([affine(z0 + unit(j)) - base for j in range(nfields)])
+    stacked = scipy.sparse.vstack([_circulant(n, (dim, dim), jacobian), products], format="csr")
+    for j, column in enumerate(jacobian):
+        e = unit(j)
+        column += 0.5 * (nonlinear(z0 + e) - nonlinear(z0 - e))[:nf]
 
     def rhs(flat: np.ndarray) -> np.ndarray:
         full = stacked @ flat
@@ -351,7 +388,7 @@ def _derive_sparse_form(model) -> _SparseForm:
     # one FFT of the node-0 columns of the linearization and of R: the step
     # bound takes the eigenvalues of every bin, the stepper only the bins
     # k = 0..n//2 (the others are their complex conjugates)
-    columns = np.concatenate([jacobian, m_rows[:, :nf:n].toarray()])
+    columns = np.concatenate([jacobian.T, m_rows[:, :nf:n].toarray()])
     spectrum = np.fft.fft(columns.reshape(-1, n, nfields), axis=1).transpose(1, 0, 2)
     symbols = spectrum[:, :nfields]
     if not all(np.isfinite(a).all() for a in (got, want, spectrum)):
@@ -381,16 +418,35 @@ def _derive_sparse_form(model) -> _SparseForm:
             "(are the constants too extreme?)"
         )
 
-    return _SparseForm(
+    m_rows_t = m_rows.T.tocsr()
+    l_const = _periodic_matrix(n, (dim, dim), l_entries)
+    records, res_l_ds = None, math.nan
+    if not bilinear and isinstance(model.entropy, ReservoirEntropy) and not energy_const[:nf].any():
+        def residual(e: np.ndarray) -> np.ndarray:
+            """J e = W R (G^T C G - I) e, the weighted J y of _apply_m at
+            dE_e = 1, stacked over the field rows of R^T J e."""
+            j_e = m_weights * (m_rows @ (energy_rows_t @ (energy_coeffs * (energy_rows @ e)) - e))
+            return np.concatenate([j_e, (m_rows_t @ j_e)[:nf]])
+
+        records = scipy.sparse.vstack([
+            energy_rows,
+            m_rows,
+            _circulant(n, (m_rows.shape[0] + dim, dim), (residual(unit(j)) for j in range(nfields))),
+        ], format="csr")
+        ds = np.zeros(dim)
+        ds[-1] = model.entropy.alpha
+        res_l_ds = float(np.max(np.abs(l_const @ ds)))
+
+    form = _SparseForm(
         d1=d1,
         energy_rows=energy_rows,
         energy_rows_t=energy_rows_t,
         energy_coeffs=energy_coeffs,
         energy_const=energy_const,
-        l_const=_periodic_matrix(n, (dim, dim), l_entries),
+        l_const=l_const,
         l_state=tuple(l_state),
         m_rows=m_rows,
-        m_rows_t=m_rows.T.tocsr(),
+        m_rows_t=m_rows_t,
         m_weights=m_weights,
         production=production,
         stacked=stacked,
@@ -399,7 +455,22 @@ def _derive_sparse_form(model) -> _SparseForm:
         m_symbols=spectrum[:n // 2 + 1, nfields:].copy(),
         rhs=rhs,
         dt_bound=0.9 * limit,
+        records=records,
+        res_l_ds=res_l_ds,
     )
+    if records is not None:
+        got, want = (vars(record(model, form, 0.0, z.flat)).values()
+                     for record in (_product_record, _diagnostics))
+        for a, b in zip(got, want):
+            if math.isnan(a) and math.isnan(b):  # theta_min of a model without theta
+                continue
+            gap = abs(a - b) / max(1.0, abs(a), abs(b))
+            if not gap <= 1e-12:
+                raise ValueError(
+                    f"{model.id}: the one-product diagnostics record differs from the "
+                    f"sparse form's by {gap:.3e}"
+                )
+    return form
 
 
 def _apply_l(sparse: _SparseForm, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -525,11 +596,15 @@ class DiagnosticsRecord:
     theta_min: float      # min(theta), NaN when the model has no theta field
 
 
-def _diagnostics(model, t: float, flat: np.ndarray) -> DiagnosticsRecord:
-    """One record, through the model's sparse form: the energy is evaluated
-    once, as 1/2 dx sum c |G y|^2 plus the linear terms and the reservoir,
-    and its gradient as G^T C G y plus a constant."""
-    sparse = _sparse_form(model)
+def _diagnostics(model, sparse: _SparseForm, t: float, flat: np.ndarray) -> DiagnosticsRecord:
+    """One record on the grid, through the model's sparse form: the energy
+    is evaluated once, as 1/2 dx sum c |G y|^2 plus the linear terms and the
+    reservoir, its gradient as G^T C G y plus a constant, and the residuals
+    as ``|L dS|`` and ``|M dE|`` with :func:`_apply_l` and :func:`_apply_m`.
+
+    It records every model whose sparse form has no ``records`` matrix
+    (``TimoshenkoNew``), and it is the oracle the one-product record
+    (:func:`_product_record`) is checked against."""
     layout = model.layout
     dx = layout.grid.dx
     nf = layout.grid.n * layout.n_fields
@@ -549,6 +624,35 @@ def _diagnostics(model, t: float, flat: np.ndarray) -> DiagnosticsRecord:
         mech_energy=total - e if layout.has_reservoir else total - linear,
         res_l_ds=float(np.max(np.abs(_apply_l(sparse, flat, ds)))),
         res_m_de=float(np.max(np.abs(_apply_m(model, sparse, z, de)))),
+        theta_min=theta_min,
+    )
+
+
+def _product_record(model, sparse: _SparseForm, t: float, flat: np.ndarray) -> DiagnosticsRecord:
+    """One record from one sparse product ``p = records @ y`` (see
+    :class:`_SparseForm`) and a few dots: ``E = 1/2 dx sum c g^2 + e`` with
+    g = G y, ``S = alpha e``, the mechanical energy ``E - e``, ``|M dE|`` as
+    the sup norm of the field rows ``R^T J y`` and of the reservoir entry
+    ``-dx (R y) . (J y)``, and the constant ``|L dS|``.  The energy, entropy
+    and mechanical energy are bitwise those of :func:`_diagnostics`, whose
+    G and R rows the matrix shares."""
+    layout = model.layout
+    dx = layout.grid.dx
+    nf = flat.size - 1
+    ng, nr = sparse.energy_coeffs.size, sparse.m_rows.shape[0]
+    p = sparse.records @ flat
+    g, coupled, j, m_de = p[:ng], p[ng:ng + nr], p[ng + nr:ng + 2 * nr], p[ng + 2 * nr:]
+    e = float(flat[nf])
+    total = 0.5 * dx * float(np.dot(sparse.energy_coeffs * g, g)) + e
+    m_de[-1] = -dx * float(np.dot(coupled, j))
+    theta_min = float(np.min(flat[layout.field_slice("theta")])) if "theta" in layout else math.nan
+    return DiagnosticsRecord(
+        t=t,
+        energy=total,
+        entropy=model.entropy.alpha * e,
+        mech_energy=total - e,
+        res_l_ds=sparse.res_l_ds,
+        res_m_de=float(np.max(np.abs(m_de))),
         theta_min=theta_min,
     )
 
@@ -733,6 +837,10 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     steps through the four stages of the compiled right-hand side
     (:func:`step_rk4`).  Both give the same records to roundoff.
 
+    The record function is chosen once, the initial record included: one
+    sparse product (:func:`_product_record`) when the derivation built the
+    model's ``records`` matrix, else :func:`_diagnostics` on the grid.
+
     Rejects steps above the model's stability bound, and a run whose
     estimated memory (set-up and records) or work is above
     :data:`MEMORY_LIMIT_BYTES` or :data:`WORK_LIMIT`; aborts with
@@ -765,8 +873,9 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     )
     y = z0.flat.copy()
     theta = model.layout.field_slice("theta") if log_entropy else None
+    record = _diagnostics if sparse.records is None else _product_record
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        records = [_diagnostics(model, 0.0, y)]
+        records = [record(model, sparse, 0.0, y)]
         if stage:
             advance, flat = _stage_stepper(sparse.rhs, y, cfg.dt, theta)
         else:
@@ -786,7 +895,7 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
                     )
                 raise DivergenceError(f"non-finite state at step {step} ({context})", step=step)
             step += interval
-            records.append(_diagnostics(model, step * cfg.dt, flat()))
+            records.append(record(model, sparse, step * cfg.dt, flat()))
     return records
 
 
@@ -844,13 +953,14 @@ def verify_brackets(model, trials: int = 20, seed: int = 0) -> VerificationRepor
     operators acting row by row, so each trial's residuals are bitwise those
     of evaluating it alone, and a NaN residual fails its check.
     Residuals are normalized per trial by max(1, magnitudes involved); the
-    report keeps the worst over all trials.  More than :data:`WORK_LIMIT`
-    trials times slots raise :class:`ValueError` before the first trial.
+    report keeps the worst over all trials.  Trials times slots times
+    :data:`VERIFY_WORK_WEIGHT` above :data:`WORK_LIMIT` raise
+    :class:`ValueError` before the first trial.
     """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     _check_budget(f"{model.id} verify over {trials} trials",
-                  work=int(trials) * model.layout.flat_dim)
+                  work=int(trials) * model.layout.flat_dim * VERIFY_WORK_WEIGHT)
     rng = np.random.default_rng(seed)
     layout = model.layout
     worst = dict.fromkeys(

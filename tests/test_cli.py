@@ -38,6 +38,16 @@ def test_parse_config_rejects_unknown_key():
         parse_config_text("model = TimoshenkoHeatI\nkapa = 1\n")
 
 
+def test_parse_config_rejects_an_empty_key_at_its_line(tmp_path, capsys):
+    with pytest.raises(ValueError, match=r"^line 2: empty key in '= 4'$"):
+        parse_config_text("model = TimoshenkoHeatI\n = 4\n")
+    cfg = write_config(tmp_path, "model = TimoshenkoHeatI\n\n= 4\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: line 3: empty key in '= 4'\n"
+    with pytest.raises(ValueError, match=r"^unknown config key\(s\): 'a b', 'kapa'$"):
+        parse_config_text("model = TimoshenkoHeatI\nkapa = 1\na b = 2\n")
+
+
 def test_parse_config_rejects_duplicates_and_garbage():
     with pytest.raises(ValueError, match="duplicate"):
         parse_config_text("model = A\nmodel = B\n")
@@ -296,10 +306,11 @@ def test_runs_above_the_budget_exit_one(tmp_path, capsys, command, text, estimat
 
 
 def test_verify_trials_above_the_budget_exit_one(capsys):
-    # 1e9 trials of TimoshenkoUndamped's 257 slots at n = 64
+    # 1e9 trials of TimoshenkoUndamped's 257 slots at n = 64, each slot
+    # counting VERIFY_WORK_WEIGHT = 4 updates
     assert main(["verify", "--model", "all", "--trials", "1000000000"]) == 1
     captured = capsys.readouterr()
-    assert "estimated work 2.57e+11 slot updates is above the limit of 1e+10" in captured.err
+    assert "estimated work 1.03e+12 slot updates is above the limit of 1e+10" in captured.err
     assert captured.out == ""
 
 

@@ -128,7 +128,7 @@ def test_compiled_diagnostics_match_object_level(models32):
     for model in models32.values():
         for _ in range(5):
             z = bg.random_state(model, rng)
-            record = _diagnostics(model, 0.0, z.flat.copy())
+            record = _diagnostics(model, engine._sparse_form(model), 0.0, z.flat.copy())
             want = {
                 "energy": bg.energy(model, z),
                 "entropy": bg.entropy(model, z),
@@ -389,11 +389,12 @@ def _stage_reference(model, z0, cfg):
     right-hand side."""
     rhs = compile_rhs(model)
     y = z0.flat.copy()
-    records = [_diagnostics(model, 0.0, y)]
+    sparse = engine._sparse_form(model)
+    records = [_diagnostics(model, sparse, 0.0, y)]
     for step in range(1, cfg.n_steps + 1):
         y = _rk4(rhs, y, cfg.dt)
         if step % cfg.record_every == 0 or step == cfg.n_steps:
-            records.append(_diagnostics(model, step * cfg.dt, y))
+            records.append(_diagnostics(model, sparse, step * cfg.dt, y))
     return records
 
 
@@ -509,6 +510,69 @@ def test_linear_models_never_call_compiled_rhs_in_integrate(grid32):
             assert len(integrate(model, z0, cfg)) == cfg.n_steps + 1, mid
 
 
+#: one seeded draw of non-unit constants for every ModelParams field
+_PARAM_FIELDS = dataclasses.fields(ModelParams)
+DRAWN_PARAMS = ModelParams(**{
+    f.name: float(v) for f, v in zip(_PARAM_FIELDS,
+                                     np.random.default_rng(12).uniform(0.4, 2.5, len(_PARAM_FIELDS)))
+})
+
+
+@pytest.mark.parametrize("params", (ModelParams(), DRAWN_PARAMS), ids=("unit", "drawn"))
+@pytest.mark.parametrize("n", (16, 64, 512))
+def test_product_record_matches_grid_record(n, params):
+    # the nine linear models, the undamped ones without dissipative rows
+    # included, record with one sparse product: energy, entropy, mechanical
+    # energy and theta_min bitwise those of the grid record, the residuals
+    # within 1e-15
+    rng = np.random.default_rng(n)
+    for mid in LINEAR_IDS:
+        model = bg.build_model(mid, params, Grid(n, 1.0))
+        sparse = engine._sparse_form(model)
+        assert sparse.records is not None, mid
+        assert (sparse.m_rows.shape[0] > 0) == model.damped, mid
+        for _ in range(3):
+            y = bg.random_state(model, rng).flat
+            got = engine._product_record(model, sparse, 0.25, y)
+            want = _diagnostics(model, sparse, 0.25, y)
+            for name in ("t", "energy", "entropy", "mech_energy"):
+                assert getattr(got, name) == getattr(want, name), (mid, name)
+            np.testing.assert_equal(got.theta_min, want.theta_min)
+            assert math.isnan(got.theta_min) != ("theta" in model.layout), mid
+            for name in ("res_l_ds", "res_m_de"):
+                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-15, (mid, name)
+
+
+def test_integrate_records_only_timoshenko_new_on_the_grid(models32, grid32, monkeypatch):
+    for model in models32.values():
+        engine._sparse_form(model)   # derived (and its record form checked) before counting
+    calls = []
+    grid_record = engine._diagnostics
+
+    def counting(model, sparse, t, flat):
+        calls.append(model.id)
+        return grid_record(model, sparse, t, flat)
+
+    monkeypatch.setattr(engine, "_diagnostics", counting)
+    cfg = IntegratorConfig(dt=1e-4, t_end=1e-3, record_every=3)
+    for mid, model in models32.items():
+        records = integrate(model, bg.default_initial_state(mid, grid32), cfg)
+        on_grid = mid is bg.ModelId.TIMOSHENKO_NEW
+        assert (engine._sparse_form(model).records is None) == on_grid
+        assert calls.count(mid) == (len(records) if on_grid else 0), mid
+
+
+def test_record_form_is_checked_when_derived(grid32, monkeypatch):
+    product = engine._product_record
+
+    def off(model, sparse, t, flat):
+        return dataclasses.replace(product(model, sparse, t, flat), res_m_de=1e-9)
+
+    monkeypatch.setattr(engine, "_product_record", off)
+    with pytest.raises(ValueError, match="TimoshenkoHeatI: the one-product diagnostics record"):
+        compile_rhs(bg.build_model(bg.ModelId.TIMOSHENKO_HEAT_I, ModelParams(), grid32))
+
+
 def test_integrate_layout_mismatch(models32):
     model = models32[bg.ModelId.TIMOSHENKO_UNDAMPED]
     other = bg.build_model("TimoshenkoUndamped", ModelParams(), Grid(16, 1.0))
@@ -531,6 +595,22 @@ def test_verify_brackets_deterministic(models32):
 def test_verify_brackets_trials_validation(models32):
     with pytest.raises(ValueError):
         verify_brackets(models32[bg.ModelId.TIMOSHENKO_UNDAMPED], trials=0)
+
+
+def test_verify_work_counts_the_trial_weight(models32, monkeypatch):
+    # trials times slots at the limit itself pass unweighted, so only the
+    # weight rejects them, before the first draw
+    def no_draw(model, rng):
+        raise AssertionError("verify_brackets drew a trial")
+
+    monkeypatch.setattr(engine, "random_state", no_draw)
+    model = models32[bg.ModelId.TIMOSHENKO_UNDAMPED]
+    dim = model.layout.flat_dim
+    trials = int(engine.WORK_LIMIT) // dim
+    work = trials * dim * engine.VERIFY_WORK_WEIGHT
+    assert trials * dim <= engine.WORK_LIMIT < work
+    with pytest.raises(ValueError, match=re.escape(f"estimated work {work:.3g} slot updates is above")):
+        verify_brackets(model, trials=trials)
 
 
 def test_corrupted_L_fails_antisymmetry(models32):
