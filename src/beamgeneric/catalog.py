@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import SETUP_BYTES_PER_SLOT, _check_budget, _sparse_form
+from .engine import SETUP_BYTES_PER_SLOT, _check_budget, _is_count, _sparse_form
 from .functionals import LinearTerm, LogThetaEntropy, ModelParams, ReservoirEntropy, SquareTerm
 from .grid import Grid
 from .operators import Block, DissipativeRow
@@ -520,7 +520,7 @@ def default_initial_state(model_id, grid: Grid, mode: int = 1, amplitude: float 
     would alias to a lower one.
     """
     mid = ModelId(model_id)
-    if not isinstance(mode, (int, np.integer)) or mode < 1:
+    if not _is_count(mode):
         raise ValueError(f"mode must be a positive integer, got {mode!r}")
     if mode > grid.n // 2:
         raise ValueError(

@@ -26,13 +26,16 @@ private slot.
   ``record_every`` steps by squaring once per call.  Any other model
   steps through RK4's four stages on the compiled right-hand side
   (:func:`step_rk4`, also the oracle of the first).
-* A diagnostics record of those nine models is one sparse product with a
-  matrix stacked from the energy rows, the dissipative rows and the
-  degeneracy residual's rows, plus a few dots (:func:`_product_record`);
-  ``|L dS|`` is a constant of the derivation.  ``TimoshenkoNew`` records on
-  the grid (:func:`_diagnostics`: the energy, its gradient and the
-  residuals through the same sparse form), and that record is the oracle
-  the derivation checks the one-product record against.
+* The degeneracy conditions are properties of the building blocks, not of
+  a trajectory, so the derivation settles them once.  It proves
+  ``M dE = 0`` in O(dim): the dissipative rows applied to the energy
+  gradient must vanish exactly (see :func:`_sparse_form`), or the model
+  is rejected.  ``|L dS|`` is a constant of the derivation for the
+  reservoir entropy.
+* One function records every model (:func:`_diagnostics`): the energy from
+  one product with the energy rows, the entropy, the mechanical energy,
+  ``|L dS|`` (computed on the grid only for the log entropy, whose ``dS``
+  depends on the state) and ``|M dE| = 0``.
 * ``scipy.sparse`` is imported by the first derivation, not with the
   package.  ``build_model``, :func:`integrate` and :func:`verify_brackets`
   check their estimated memory and work against :data:`MEMORY_LIMIT_BYTES`
@@ -118,6 +121,12 @@ def _check_budget(what: str, memory: int = 0, work: int = 0) -> None:
         )
 
 
+def _is_count(x) -> bool:
+    """Whether ``x`` is a positive integer: a Python or numpy int, not a bool
+    (which ``isinstance(x, int)`` accepts as 0 or 1)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
+
+
 def _magnitude(x, unit: int = 1) -> str:
     """``x / unit`` to three digits; an integer beyond the float range reads
     'inf'."""
@@ -186,48 +195,37 @@ class _SparseForm:
     * ``l_const`` holds the constant Poisson blocks; ``l_state`` the blocks
       with a coefficient field, as (row slice, column slice, kind, c,
       coefficient slice), applied with ``d1``.
-    * ``m_rows`` (R) stacks one row block per ``DissipativeRow`` (D or the
-      identity on its field); ``m_weights`` are their constant weights (None
-      when a weight depends on the state), and ``production`` is
-      ``alpha * dx * m_weights`` for a model with a reservoir (else None).
-    * ``stacked`` is the constant matrix A of the right-hand side with the
-      products P the terms that are not linear need stacked under it;
-      ``bilinear`` lists those terms' (rows, coefficient field, c, rows of P)
-      and is empty for a model whose fields evolve linearly.
+    * ``production`` is ``alpha * dx`` times the constant weights of the
+      dissipative rows R (one row block per ``DissipativeRow``: D or the
+      identity on its field) for a model with a reservoir, else None.
+    * ``bilinear`` lists the bilinear terms of the right-hand side as (rows,
+      coefficient field, c, rows of the products P that ``rhs`` stacks under
+      its constant matrix A); it is empty for a model whose fields evolve
+      linearly.
     * ``symbols`` holds the f x f Fourier symbols of the exact linearization
       and ``m_symbols`` the (rows of R) x f symbols of R, one per wavenumber
       k = 0..n//2 (the other half are their complex conjugates).
     * ``rhs`` is the compiled right-hand side (:func:`compile_rhs`) and
       ``dt_bound`` the RK4 step bound (``ModelSpec.dt_bound``).
-    * ``records`` is the matrix of the one-product diagnostics record
-      (:func:`_product_record`) of a model whose fields evolve linearly, whose
-      entropy is the reservoir's and whose energy has no linear term: G, R,
-      the weighted ``J = W R (G^T C G - I)`` of :func:`_apply_m` at
-      ``dE_e = 1``, and ``R^T J`` on the field rows (plus an empty reservoir
-      row), stacked.  ``res_l_ds`` is that record's constant ``|L dS|_inf``
-      (``dS = alpha`` on the reservoir slot only).  Any other model has
-      ``records = None`` and records through :func:`_diagnostics`.
+    * ``res_l_ds`` is the constant ``|L dS|_inf`` of the reservoir entropy
+      (``dS = alpha`` on the reservoir slot only); None for the log entropy,
+      whose ``dS = 1/theta`` depends on the state, so that each record
+      computes it.  ``M dE = 0`` needs no field: the derivation proves it.
     """
 
     d1: scipy.sparse.csr_matrix
     energy_rows: scipy.sparse.csr_matrix
-    energy_rows_t: scipy.sparse.csr_matrix
     energy_coeffs: np.ndarray
     energy_const: np.ndarray
     l_const: scipy.sparse.csr_matrix
     l_state: tuple
-    m_rows: scipy.sparse.csr_matrix
-    m_rows_t: scipy.sparse.csr_matrix
-    m_weights: Optional[np.ndarray]
     production: Optional[np.ndarray]
-    stacked: scipy.sparse.csr_matrix
     bilinear: tuple
     symbols: np.ndarray
     m_symbols: np.ndarray
     rhs: Callable[[np.ndarray], np.ndarray]
     dt_bound: float
-    records: Optional[scipy.sparse.csr_matrix]
-    res_l_ds: float
+    res_l_ds: Optional[float]
 
 
 def _sparse_form(model) -> _SparseForm:
@@ -255,14 +253,24 @@ def _sparse_form(model) -> _SparseForm:
     Jacobian is the union of the eigenvalues of the n Fourier symbols of its
     columns (von Neumann analysis).
 
+    The degeneracy ``M dE = 0`` is proved once, exactly.  M is built in
+    factored form, ``M(z) = sum_r J_r^T w_r J_r`` with
+    ``J_r xi = R_r xi - (R_r z) xi_e`` (the second term only with a
+    reservoir, where ``dE_e = 1``).  So ``M(z) dE(z) = 0`` at every state,
+    whatever the weights, when the affine map
+    ``y -> J dE(y) = R (G^T C G y + c) - [reservoir] R y`` vanishes.  Its
+    node-0 columns and its offset ``R c`` are checked in O(dim), and an
+    entry that is not exactly zero raises :class:`ValueError` naming the
+    degeneracy.  Every catalog model passes at any constants, because each
+    dissipated field enters the energy only through a unit square (so
+    ``R G^T C G y = R y``) or linearly (so ``R c`` is a difference of a
+    constant, exactly zero).
+
     The compiled right-hand side is checked once against the object-level one
     at a seeded random state (temperatures positive for the log entropy); a
     mismatch above 1e-12 relative (a model that is not translation-invariant)
     raises :class:`ValueError`, so neither the right-hand side nor the step
-    bound of such a model is ever returned.  At the same state, the
-    one-product record (``records``, built in O(dim) from node-0 columns of
-    the G, G^T and R products) is checked against :func:`_diagnostics` at
-    the same tolerance, so an unchecked record form is never used either.
+    bound of such a model is ever returned.
     Extreme constants can overflow the derivation: it runs with numpy's
     floating-point warnings off and raises :class:`ValueError` when the
     seeded check or the symbols of the linearization are not finite.
@@ -328,14 +336,12 @@ def _derive_sparse_form(model) -> _SparseForm:
         for r, row in enumerate(dissipative)
         for o, v in tap(row.differentiate)
     ])
-    m_weights = None
-    if not any(callable(row.weight) for row in dissipative):
-        m_weights = np.repeat(np.array([row.weight for row in dissipative], dtype=float), n)
-    elif layout.has_reservoir:
-        raise ValueError(f"{model.id}: a state-dependent row weight rules out a reservoir")
     production = None
     if layout.has_reservoir and dissipative:
-        production = model.entropy.alpha * dx * m_weights
+        if any(callable(row.weight) for row in dissipative):
+            raise ValueError(f"{model.id}: a state-dependent row weight rules out a reservoir")
+        weights = np.repeat(np.array([row.weight for row in dissipative], dtype=float), n)
+        production = model.entropy.alpha * dx * weights
 
     d1 = _periodic_matrix(n, (n, n), [(0, 0, o, v) for o, v in taps["d1"]])
     products, bilinear = [m_rows], []
@@ -368,6 +374,22 @@ def _derive_sparse_form(model) -> _SparseForm:
         e = np.zeros(dim)
         e[j * n] = 1.0
         return e
+
+    def j_de_linear(y: np.ndarray) -> np.ndarray:
+        """The linear part of y -> J dE(y), R G^T C G y - [reservoir] R y."""
+        j = m_rows @ (energy_rows_t @ (energy_coeffs * (energy_rows @ y)))
+        if layout.has_reservoir:
+            j -= m_rows @ y
+        return j
+
+    j_de = np.concatenate([m_rows @ energy_const, *(j_de_linear(unit(j)) for j in range(nfields))])
+    worst = float(np.max(np.abs(j_de), initial=0.0))
+    if not worst == 0.0:
+        raise ValueError(
+            f"{model.id}: the degeneracy M dE = 0 does not hold: J dE, the dissipative "
+            f"rows applied to the energy gradient, reaches {worst:.3e} (each dissipated "
+            "field must enter the energy as a unit square or linearly)"
+        )
 
     base = affine(z0.copy())
     # row j is A's node-0 column of field j, then, with N's derivative
@@ -418,59 +440,29 @@ def _derive_sparse_form(model) -> _SparseForm:
             "(are the constants too extreme?)"
         )
 
-    m_rows_t = m_rows.T.tocsr()
     l_const = _periodic_matrix(n, (dim, dim), l_entries)
-    records, res_l_ds = None, math.nan
-    if not bilinear and isinstance(model.entropy, ReservoirEntropy) and not energy_const[:nf].any():
-        def residual(e: np.ndarray) -> np.ndarray:
-            """J e = W R (G^T C G - I) e, the weighted J y of _apply_m at
-            dE_e = 1, stacked over the field rows of R^T J e."""
-            j_e = m_weights * (m_rows @ (energy_rows_t @ (energy_coeffs * (energy_rows @ e)) - e))
-            return np.concatenate([j_e, (m_rows_t @ j_e)[:nf]])
-
-        records = scipy.sparse.vstack([
-            energy_rows,
-            m_rows,
-            _circulant(n, (m_rows.shape[0] + dim, dim), (residual(unit(j)) for j in range(nfields))),
-        ], format="csr")
+    res_l_ds = None
+    if isinstance(model.entropy, ReservoirEntropy):
+        # the state-dependent blocks read only field slots, where dS is 0
         ds = np.zeros(dim)
         ds[-1] = model.entropy.alpha
         res_l_ds = float(np.max(np.abs(l_const @ ds)))
 
-    form = _SparseForm(
+    return _SparseForm(
         d1=d1,
         energy_rows=energy_rows,
-        energy_rows_t=energy_rows_t,
         energy_coeffs=energy_coeffs,
         energy_const=energy_const,
         l_const=l_const,
         l_state=tuple(l_state),
-        m_rows=m_rows,
-        m_rows_t=m_rows_t,
-        m_weights=m_weights,
         production=production,
-        stacked=stacked,
         bilinear=tuple(bilinear),
         symbols=symbols[:n // 2 + 1].copy(),
         m_symbols=spectrum[:n // 2 + 1, nfields:].copy(),
         rhs=rhs,
         dt_bound=0.9 * limit,
-        records=records,
         res_l_ds=res_l_ds,
     )
-    if records is not None:
-        got, want = (vars(record(model, form, 0.0, z.flat)).values()
-                     for record in (_product_record, _diagnostics))
-        for a, b in zip(got, want):
-            if math.isnan(a) and math.isnan(b):  # theta_min of a model without theta
-                continue
-            gap = abs(a - b) / max(1.0, abs(a), abs(b))
-            if not gap <= 1e-12:
-                raise ValueError(
-                    f"{model.id}: the one-product diagnostics record differs from the "
-                    f"sparse form's by {gap:.3e}"
-                )
-    return form
 
 
 def _apply_l(sparse: _SparseForm, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -482,27 +474,6 @@ def _apply_l(sparse: _SparseForm, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
             out[rows] += c * a * (sparse.d1 @ xi[cols])
         else:  # d1_mul
             out[rows] += c * (sparse.d1 @ (a * xi[cols]))
-    return out
-
-
-def _apply_m(model, sparse: _SparseForm, z: State, xi: np.ndarray) -> np.ndarray:
-    """M(z) xi in factored form, sum_r J_r^T w_r J_r xi with
-    J_r xi = R_r xi - (R_r z) xi_e, the second term only with a reservoir."""
-    layout = model.layout
-    weights = sparse.m_weights
-    if weights is None:
-        n = layout.grid.n
-        weights = np.concatenate(
-            [np.broadcast_to(row.weight_values(z), (n,)) for row in model.m_rows]
-        )
-    j = sparse.m_rows @ xi
-    if layout.has_reservoir:
-        coupled = sparse.m_rows @ z.flat
-        j -= coupled * xi[layout.reservoir_index]
-    v = weights * j
-    out = sparse.m_rows_t @ v
-    if layout.has_reservoir:
-        out[layout.reservoir_index] = -layout.grid.dx * float(np.dot(coupled, v))
     return out
 
 
@@ -576,7 +547,7 @@ class IntegratorConfig:
             raise ValueError(f"t_end must be finite and at least dt, got {self.t_end!r}")
         if not math.isfinite(self.t_end / self.dt):
             raise ValueError(f"t_end/dt overflows (t_end={self.t_end!r}, dt={self.dt!r})")
-        if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
+        if not _is_count(self.record_every):
             raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
 
     @property
@@ -597,63 +568,32 @@ class DiagnosticsRecord:
 
 
 def _diagnostics(model, sparse: _SparseForm, t: float, flat: np.ndarray) -> DiagnosticsRecord:
-    """One record on the grid, through the model's sparse form: the energy
-    is evaluated once, as 1/2 dx sum c |G y|^2 plus the linear terms and the
-    reservoir, its gradient as G^T C G y plus a constant, and the residuals
-    as ``|L dS|`` and ``|M dE|`` with :func:`_apply_l` and :func:`_apply_m`.
+    """One record of any model through its sparse form.
 
-    It records every model whose sparse form has no ``records`` matrix
-    (``TimoshenkoNew``), and it is the oracle the one-product record
-    (:func:`_product_record`) is checked against."""
+    The energy is evaluated once, as 1/2 dx sum c |G y|^2 plus the linear
+    terms and the reservoir.  ``|L dS|`` is the derivation's constant for the
+    reservoir entropy, and is computed with :func:`_apply_l` for the log
+    entropy.  ``|M dE|`` is 0: the derivation proved ``M(z) dE(z) = 0`` at
+    every state (:func:`_sparse_form`)."""
     layout = model.layout
     dx = layout.grid.dx
     nf = layout.grid.n * layout.n_fields
     z = State(layout, flat)
     g = sparse.energy_rows @ flat
-    cg = sparse.energy_coeffs * g
     linear = dx * float(np.dot(sparse.energy_const[:nf], flat[:nf]))
     e = float(flat[nf]) if layout.has_reservoir else 0.0
-    total = 0.5 * dx * float(np.dot(cg, g)) + linear + e
-    de = sparse.energy_rows_t @ cg + sparse.energy_const
-    ds = grad_entropy(model, z).flat
-    theta_min = float(np.min(z.field("theta"))) if "theta" in layout else math.nan
+    total = 0.5 * dx * float(np.dot(sparse.energy_coeffs * g, g)) + linear + e
+    res_l_ds = sparse.res_l_ds
+    if res_l_ds is None:
+        res_l_ds = float(np.max(np.abs(_apply_l(sparse, flat, grad_entropy(model, z).flat))))
     return DiagnosticsRecord(
         t=t,
         energy=total,
         entropy=entropy(model, z),
         mech_energy=total - e if layout.has_reservoir else total - linear,
-        res_l_ds=float(np.max(np.abs(_apply_l(sparse, flat, ds)))),
-        res_m_de=float(np.max(np.abs(_apply_m(model, sparse, z, de)))),
-        theta_min=theta_min,
-    )
-
-
-def _product_record(model, sparse: _SparseForm, t: float, flat: np.ndarray) -> DiagnosticsRecord:
-    """One record from one sparse product ``p = records @ y`` (see
-    :class:`_SparseForm`) and a few dots: ``E = 1/2 dx sum c g^2 + e`` with
-    g = G y, ``S = alpha e``, the mechanical energy ``E - e``, ``|M dE|`` as
-    the sup norm of the field rows ``R^T J y`` and of the reservoir entry
-    ``-dx (R y) . (J y)``, and the constant ``|L dS|``.  The energy, entropy
-    and mechanical energy are bitwise those of :func:`_diagnostics`, whose
-    G and R rows the matrix shares."""
-    layout = model.layout
-    dx = layout.grid.dx
-    nf = flat.size - 1
-    ng, nr = sparse.energy_coeffs.size, sparse.m_rows.shape[0]
-    p = sparse.records @ flat
-    g, coupled, j, m_de = p[:ng], p[ng:ng + nr], p[ng + nr:ng + 2 * nr], p[ng + 2 * nr:]
-    e = float(flat[nf])
-    total = 0.5 * dx * float(np.dot(sparse.energy_coeffs * g, g)) + e
-    m_de[-1] = -dx * float(np.dot(coupled, j))
-    theta_min = float(np.min(flat[layout.field_slice("theta")])) if "theta" in layout else math.nan
-    return DiagnosticsRecord(
-        t=t,
-        energy=total,
-        entropy=model.entropy.alpha * e,
-        mech_energy=total - e,
-        res_l_ds=sparse.res_l_ds,
-        res_m_de=float(np.max(np.abs(m_de))),
-        theta_min=theta_min,
+        res_l_ds=res_l_ds,
+        res_m_de=0.0,
+        theta_min=float(np.min(z.field("theta"))) if "theta" in layout else math.nan,
     )
 
 
@@ -835,13 +775,13 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     ``record_every`` steps by squaring (and one with the remainder's map at
     the end); the fields return to the grid only for a record.  Any other model
     steps through the four stages of the compiled right-hand side
-    (:func:`step_rk4`).  Both give the same records to roundoff.
+    (:func:`step_rk4`).  Both give the same records to roundoff.  One
+    function, :func:`_diagnostics`, records every model, the initial state
+    included.
 
-    The record function is chosen once, the initial record included: one
-    sparse product (:func:`_product_record`) when the derivation built the
-    model's ``records`` matrix, else :func:`_diagnostics` on the grid.
-
-    Rejects steps above the model's stability bound, and a run whose
+    Rejects a model whose derivation fails (:func:`_sparse_form`: among
+    others, one that is not translation-invariant or whose ``M dE = 0`` does
+    not hold exactly), steps above the model's stability bound, and a run whose
     estimated memory (set-up and records) or work is above
     :data:`MEMORY_LIMIT_BYTES` or :data:`WORK_LIMIT`; aborts with
     :class:`PositivityError` if a log-entropy temperature leaves the positive
@@ -873,9 +813,8 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     )
     y = z0.flat.copy()
     theta = model.layout.field_slice("theta") if log_entropy else None
-    record = _diagnostics if sparse.records is None else _product_record
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        records = [record(model, sparse, 0.0, y)]
+        records = [_diagnostics(model, sparse, 0.0, y)]
         if stage:
             advance, flat = _stage_stepper(sparse.rhs, y, cfg.dt, theta)
         else:
@@ -895,7 +834,7 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
                     )
                 raise DivergenceError(f"non-finite state at step {step} ({context})", step=step)
             step += interval
-            records.append(record(model, sparse, step * cfg.dt, flat()))
+            records.append(_diagnostics(model, sparse, step * cfg.dt, flat()))
     return records
 
 
@@ -957,7 +896,7 @@ def verify_brackets(model, trials: int = 20, seed: int = 0) -> VerificationRepor
     :data:`VERIFY_WORK_WEIGHT` above :data:`WORK_LIMIT` raise
     :class:`ValueError` before the first trial.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
+    if not _is_count(trials):
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     _check_budget(f"{model.id} verify over {trials} trials",
                   work=int(trials) * model.layout.flat_dim * VERIFY_WORK_WEIGHT)
@@ -1139,6 +1078,23 @@ def decay_rate(records: Sequence[DiagnosticsRecord]) -> float:
         raise ValueError(f"need at least 10 records for a decay fit, got {len(records)}")
     t, log_me = _log_mech_energy_tail(records)
     return float(np.polyfit(t, log_me, 1)[0])
+
+
+def mode_abscissa(model, mode: int) -> float:
+    """The largest real part over the nonzero eigenvalues (|lambda| > 1e-9)
+    of the Fourier symbol of wavenumber ``mode`` (1..n/2) of the model's
+    exact linearization, from its derivation.
+
+    Below zero, every motion of that mode decays; at zero, up to eigensolver
+    noise, some motion of it goes undamped.  Zero eigenvalues are steady
+    states, not motions (a frictional model's zero-energy sawtooth of phi at
+    the Nyquist bin), and are left out; -inf when every eigenvalue is zero.
+    """
+    n = model.layout.grid.n
+    if not (_is_count(mode) and mode <= n // 2):
+        raise ValueError(f"mode must be an integer in 1..{n // 2} on n = {n} nodes, got {mode!r}")
+    eigs = np.linalg.eigvals(_sparse_form(model).symbols[mode])
+    return float(np.max(eigs.real[np.abs(eigs) > 1e-9], initial=-math.inf))
 
 
 #: number of windows :func:`windowed_decay_rates` splits the fit range into

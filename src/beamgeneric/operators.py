@@ -8,9 +8,13 @@ Second derivatives are realized as the iterated central difference d1(d1 .)
 so that every adjointness identity used below is exact.
 
 M is *constructed* in factored form M = sum_r J_r^T w_r J_r with nonnegative
-weights, which makes symmetry, positive semidefiniteness and the degeneracy
-M dE = 0 hold by construction to roundoff.  Every row is coupled to the
-reservoir exactly when the layout has one.
+weights, which makes symmetry and positive semidefiniteness hold by
+construction to roundoff.  Every row is coupled to the reservoir exactly
+when the layout has one.  The degeneracy M dE = 0 is not a consequence of
+the form: it holds because each dissipated field enters the energy only
+through a unit square (so J_r dE = 0 against the reservoir coupling) or
+linearly (so the row differentiates a constant).  The engine checks that
+exactly when it derives a model.
 
 Both operators also apply to stacks of states and covectors (built inside the
 package): the result is the stack of what each pair gives on its own.

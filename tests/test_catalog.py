@@ -77,6 +77,12 @@ def test_default_initial_state(grid32):
         bg.default_initial_state("TimoshenkoNew", grid32, mode=0)
 
 
+def test_default_initial_state_rejects_bool_mode(grid32):
+    # isinstance(True, int) holds, so True would excite mode 1
+    with pytest.raises(ValueError, match="mode must be a positive integer, got True"):
+        bg.default_initial_state("TimoshenkoFrictional", grid32, mode=True)
+
+
 def test_default_initial_state_rejects_aliased_mode(grid32):
     # mode n/2 is the Nyquist mode, still resolved; mode n/2 + 1 would alias
     # to mode n/2 - 1 with phi negated

@@ -246,6 +246,32 @@ def test_decay_undamped_warns(tmp_path, capsys):
     assert abs(rate) <= 1e-6
 
 
+def _decay_output(tmp_path, capsys, model: str, n: int, mode: int) -> str:
+    cfg = write_config(
+        tmp_path,
+        f"model = {model}\nn = {n}\nmode = {mode}\ndt = 5e-4\nt_end = 0.02\nrecord_every = 2\n",
+    )
+    assert main(["decay", "--config", cfg]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("model", ("TimoshenkoHeatI", "TimoshenkoNew"))
+def test_decay_warns_on_an_undamped_mode(tmp_path, capsys, model):
+    # at the Nyquist bin of an even n the central difference vanishes, so
+    # the heat coupling cannot damp mode n/2; an odd n has no such bin
+    out = _decay_output(tmp_path, capsys, model, 64, 32)
+    assert f"warning: {model} does not damp mode 32 on n = 64" in out
+    assert "decay_rate" in out
+    for n, mode in ((64, 1), (65, 32)):
+        assert "warning" not in _decay_output(tmp_path, capsys, model, n, mode), (n, mode)
+
+
+def test_decay_no_warning_for_the_frictional_nyquist_mode(tmp_path, capsys):
+    # friction damps every motion of mode n/2; its zero eigenvalue (a
+    # zero-energy sawtooth of phi) is a steady state, not an undamped motion
+    assert "warning" not in _decay_output(tmp_path, capsys, "TimoshenkoFrictional", 64, 32)
+
+
 def test_verify_all_models(capsys):
     assert main(["verify", "--model", "all", "--trials", "2", "--seed", "0"]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]

@@ -36,6 +36,7 @@ from beamgeneric.engine import (
     _rk4_stability_limit,
     windowed_decay_rates,
 )
+from beamgeneric.functionals import SquareTerm
 from conftest import rel_inf
 
 
@@ -123,12 +124,27 @@ def test_compiled_reservoir_rate_matches_direct_rhs(models32):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(got), abs(want)), model.id
 
 
-def test_compiled_diagnostics_match_object_level(models32):
+#: one seeded draw of non-unit constants for every ModelParams field
+_PARAM_FIELDS = dataclasses.fields(ModelParams)
+DRAWN_PARAMS = ModelParams(**{
+    f.name: float(v) for f, v in zip(_PARAM_FIELDS,
+                                     np.random.default_rng(12).uniform(0.4, 2.5, len(_PARAM_FIELDS)))
+})
+
+
+@pytest.mark.parametrize("params", (ModelParams(), DRAWN_PARAMS), ids=("unit", "drawn"))
+@pytest.mark.parametrize("n", (16, 64, 512))
+def test_compiled_diagnostics_match_object_level(n, params):
+    # one record serves all ten models; its |M dE| is the 0 the derivation
+    # proved, the object-level value is roundoff
     rng = np.random.default_rng(25)
-    for model in models32.values():
+    for mid in bg.ALL_MODEL_IDS:
+        model = bg.build_model(mid, params, Grid(n, 1.0))
         for _ in range(5):
             z = bg.random_state(model, rng)
             record = _diagnostics(model, engine._sparse_form(model), 0.0, z.flat.copy())
+            theta = z.field("theta") if "theta" in model.layout else [math.nan]
+            np.testing.assert_equal(record.theta_min, np.min(theta))
             want = {
                 "energy": bg.energy(model, z),
                 "entropy": bg.entropy(model, z),
@@ -286,6 +302,12 @@ def test_integrator_config_validation():
                       (1e-3, math.inf), (1e-300, 1e300)):
         with pytest.raises(ValueError):
             IntegratorConfig(dt=dt, t_end=t_end)
+
+
+def test_record_every_rejects_bool():
+    # isinstance(True, int) holds, so True would run as record_every = 1
+    with pytest.raises(ValueError, match="record_every"):
+        IntegratorConfig(dt=1e-3, t_end=1e-2, record_every=True)
 
 
 def test_record_schedule(models32):
@@ -510,67 +532,24 @@ def test_linear_models_never_call_compiled_rhs_in_integrate(grid32):
             assert len(integrate(model, z0, cfg)) == cfg.n_steps + 1, mid
 
 
-#: one seeded draw of non-unit constants for every ModelParams field
-_PARAM_FIELDS = dataclasses.fields(ModelParams)
-DRAWN_PARAMS = ModelParams(**{
-    f.name: float(v) for f, v in zip(_PARAM_FIELDS,
-                                     np.random.default_rng(12).uniform(0.4, 2.5, len(_PARAM_FIELDS)))
-})
-
-
-@pytest.mark.parametrize("params", (ModelParams(), DRAWN_PARAMS), ids=("unit", "drawn"))
-@pytest.mark.parametrize("n", (16, 64, 512))
-def test_product_record_matches_grid_record(n, params):
-    # the nine linear models, the undamped ones without dissipative rows
-    # included, record with one sparse product: energy, entropy, mechanical
-    # energy and theta_min bitwise those of the grid record, the residuals
-    # within 1e-15
-    rng = np.random.default_rng(n)
-    for mid in LINEAR_IDS:
-        model = bg.build_model(mid, params, Grid(n, 1.0))
-        sparse = engine._sparse_form(model)
-        assert sparse.records is not None, mid
-        assert (sparse.m_rows.shape[0] > 0) == model.damped, mid
-        for _ in range(3):
-            y = bg.random_state(model, rng).flat
-            got = engine._product_record(model, sparse, 0.25, y)
-            want = _diagnostics(model, sparse, 0.25, y)
-            for name in ("t", "energy", "entropy", "mech_energy"):
-                assert getattr(got, name) == getattr(want, name), (mid, name)
-            np.testing.assert_equal(got.theta_min, want.theta_min)
-            assert math.isnan(got.theta_min) != ("theta" in model.layout), mid
-            for name in ("res_l_ds", "res_m_de"):
-                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-15, (mid, name)
-
-
-def test_integrate_records_only_timoshenko_new_on_the_grid(models32, grid32, monkeypatch):
-    for model in models32.values():
-        engine._sparse_form(model)   # derived (and its record form checked) before counting
-    calls = []
-    grid_record = engine._diagnostics
-
-    def counting(model, sparse, t, flat):
-        calls.append(model.id)
-        return grid_record(model, sparse, t, flat)
-
-    monkeypatch.setattr(engine, "_diagnostics", counting)
-    cfg = IntegratorConfig(dt=1e-4, t_end=1e-3, record_every=3)
-    for mid, model in models32.items():
-        records = integrate(model, bg.default_initial_state(mid, grid32), cfg)
-        on_grid = mid is bg.ModelId.TIMOSHENKO_NEW
-        assert (engine._sparse_form(model).records is None) == on_grid
-        assert calls.count(mid) == (len(records) if on_grid else 0), mid
-
-
-def test_record_form_is_checked_when_derived(grid32, monkeypatch):
-    product = engine._product_record
-
-    def off(model, sparse, t, flat):
-        return dataclasses.replace(product(model, sparse, t, flat), res_m_de=1e-9)
-
-    monkeypatch.setattr(engine, "_product_record", off)
-    with pytest.raises(ValueError, match="TimoshenkoHeatI: the one-product diagnostics record"):
-        compile_rhs(bg.build_model(bg.ModelId.TIMOSHENKO_HEAT_I, ModelParams(), grid32))
+def test_derivation_rejects_a_model_without_m_de_degeneracy(grid32):
+    # with 2 p^2 / 2 in the energy, dE_p = 2 p, while the friction row's
+    # reservoir coupling removes only p: M dE = J^T w J dE with J dE = p
+    base = bg.build_model("TimoshenkoFrictional", ModelParams(), grid32)
+    terms = tuple(SquareTerm(2.0, (("p", False, 1.0),)) if t.parts == (("p", False, 1.0),) else t
+                  for t in base.energy_terms)
+    assert terms != base.energy_terms
+    model = dataclasses.replace(base, energy_terms=terms)
+    z0 = bg.default_initial_state(model.id, grid32)
+    for call in (lambda: compile_rhs(model),
+                 lambda: integrate(model, z0, IntegratorConfig(dt=1e-4, t_end=1e-3))):
+        with pytest.raises(ValueError, match="TimoshenkoFrictional: the degeneracy M dE = 0"):
+            call()
+    # the object-level verifier, which needs no derivation, still measures it
+    checks = {c.name: c for c in verify_brackets(model, trials=5).checks}
+    assert not checks["degeneracy_MdE"].passed
+    assert checks["degeneracy_MdE"].max_residual > 1e-3
+    assert all(checks[name].passed for name in ("antisymmetry", "symmetry", "psd", "degeneracy_LdS"))
 
 
 def test_integrate_layout_mismatch(models32):
@@ -595,6 +574,11 @@ def test_verify_brackets_deterministic(models32):
 def test_verify_brackets_trials_validation(models32):
     with pytest.raises(ValueError):
         verify_brackets(models32[bg.ModelId.TIMOSHENKO_UNDAMPED], trials=0)
+
+
+def test_verify_brackets_rejects_bool_trials(models32):
+    with pytest.raises(ValueError, match="trials"):
+        verify_brackets(models32[bg.ModelId.TIMOSHENKO_UNDAMPED], trials=True)
 
 
 def test_verify_work_counts_the_trial_weight(models32, monkeypatch):
