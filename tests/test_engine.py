@@ -132,29 +132,40 @@ DRAWN_PARAMS = ModelParams(**{
 })
 
 
-@pytest.mark.parametrize("params", (ModelParams(), DRAWN_PARAMS), ids=("unit", "drawn"))
-@pytest.mark.parametrize("n", (16, 64, 512))
-def test_compiled_diagnostics_match_object_level(n, params):
+def _assert_record_matches_object_level(model, rng, trials):
     # one record serves all ten models; its |M dE| is the 0 the derivation
     # proved, the object-level value is roundoff
+    for _ in range(trials):
+        z = bg.random_state(model, rng)
+        record = _diagnostics(model, engine._sparse_form(model), 0.0, z.flat.copy())
+        theta = z.field("theta") if "theta" in model.layout else [math.nan]
+        np.testing.assert_equal(record.theta_min, np.min(theta))
+        want = {
+            "energy": bg.energy(model, z),
+            "entropy": bg.entropy(model, z),
+            "mech_energy": bg.mechanical_energy(model, z),
+            "res_l_ds": np.max(np.abs(bg.apply_L(model, z, bg.grad_entropy(model, z)).flat)),
+            "res_m_de": np.max(np.abs(bg.apply_M(model, z, bg.grad_energy(model, z)).flat)),
+        }
+        for name, value in want.items():
+            got = getattr(record, name)
+            assert abs(got - value) <= 1e-12 * max(1.0, abs(got), abs(value)), (model.id, name)
+
+
+def test_compiled_diagnostics_match_object_level(models32):
     rng = np.random.default_rng(25)
+    for model in models32.values():
+        _assert_record_matches_object_level(model, rng, trials=5)
+
+
+@pytest.mark.parametrize("params", (ModelParams(), DRAWN_PARAMS), ids=("unit", "drawn"))
+@pytest.mark.parametrize("n", (16, 64, 512))
+def test_product_record_matches_grid_record(n, params):
+    # the record, whose energy is one sparse product G y, against the grid
+    # functions, for all ten models at other sizes and non-unit constants
+    rng = np.random.default_rng(n)
     for mid in bg.ALL_MODEL_IDS:
-        model = bg.build_model(mid, params, Grid(n, 1.0))
-        for _ in range(5):
-            z = bg.random_state(model, rng)
-            record = _diagnostics(model, engine._sparse_form(model), 0.0, z.flat.copy())
-            theta = z.field("theta") if "theta" in model.layout else [math.nan]
-            np.testing.assert_equal(record.theta_min, np.min(theta))
-            want = {
-                "energy": bg.energy(model, z),
-                "entropy": bg.entropy(model, z),
-                "mech_energy": bg.mechanical_energy(model, z),
-                "res_l_ds": np.max(np.abs(bg.apply_L(model, z, bg.grad_entropy(model, z)).flat)),
-                "res_m_de": np.max(np.abs(bg.apply_M(model, z, bg.grad_energy(model, z)).flat)),
-            }
-            for name, value in want.items():
-                got = getattr(record, name)
-                assert abs(got - value) <= 1e-12 * max(1.0, abs(got), abs(value)), (model.id, name)
+        _assert_record_matches_object_level(bg.build_model(mid, params, Grid(n, 1.0)), rng, trials=3)
 
 
 def test_compiled_matrix_equals_dense_probe(grid32):
@@ -532,7 +543,9 @@ def test_linear_models_never_call_compiled_rhs_in_integrate(grid32):
             assert len(integrate(model, z0, cfg)) == cfg.n_steps + 1, mid
 
 
-def test_derivation_rejects_a_model_without_m_de_degeneracy(grid32):
+def test_record_form_is_checked_when_derived(grid32):
+    # the record's |M dE| = 0 rests on the derivation's proof of M dE = 0,
+    # so a model without it is refused before it records:
     # with 2 p^2 / 2 in the energy, dE_p = 2 p, while the friction row's
     # reservoir coupling removes only p: M dE = J^T w J dE with J dE = p
     base = bg.build_model("TimoshenkoFrictional", ModelParams(), grid32)
