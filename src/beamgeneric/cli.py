@@ -31,7 +31,7 @@ class RunConfig:
     model: str
     n: int = 64
     length: float = 1.0
-    dt: float = 1e-3
+    dt: typing.Optional[float] = None       # DEFAULT_DT, capped at the model's step bound, when unset
     t_end: float = 10.0
     record_every: int = 10
     mode: int = 1
@@ -41,6 +41,9 @@ class RunConfig:
 
 
 DEFAULT_OUTPUT = "diagnostics.csv"
+#: the step of a run that sets no ``dt``, unless the model's step bound is
+#: smaller, in which case the bound is the step
+DEFAULT_DT = 1e-3
 
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(ModelParams))
 
@@ -48,7 +51,8 @@ _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(ModelParams))
 #: keys, then the model constants
 _KEY_TYPES = {
     **{key: kind for key, kind in typing.get_type_hints(RunConfig).items() if key != "params"},
-    "output": str,    # a path; RunConfig's None means the key was not set
+    "dt": float,      # RunConfig's None means the key was not set
+    "output": str,    # a path; likewise
     **{key: float for key in _PARAM_KEYS},
 }
 
@@ -106,7 +110,8 @@ def _setup_run(config: RunConfig):
     grid = Grid(config.n, config.length)
     model = build_model(mid, config.params, grid)
     z0 = default_initial_state(mid, grid, mode=config.mode, amplitude=config.amplitude)
-    cfg = IntegratorConfig(dt=config.dt, t_end=config.t_end, record_every=config.record_every)
+    dt = min(DEFAULT_DT, model.dt_bound) if config.dt is None else config.dt
+    cfg = IntegratorConfig(dt=dt, t_end=config.t_end, record_every=config.record_every)
     return model, z0, cfg
 
 

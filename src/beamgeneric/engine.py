@@ -25,17 +25,24 @@ private slot.
   each record interval is one batched product, with the map raised to
   ``record_every`` steps by squaring once per call.  Any other model
   steps through RK4's four stages on the compiled right-hand side
-  (:func:`step_rk4`, also the oracle of the first).
+  (:func:`step_rk4`, also the oracle of the first), with its sums formed
+  in place, the temperature checked every step and finiteness once per
+  record interval (an interval that ends non-finite is replayed step by
+  step to find its first bad step).
 * The degeneracy conditions are properties of the building blocks, not of
   a trajectory, so the derivation settles them once.  It proves
   ``M dE = 0`` in O(dim): the dissipative rows applied to the energy
   gradient must vanish exactly (see :func:`_sparse_form`), or the model
   is rejected.  ``|L dS|`` is a constant of the derivation for the
   reservoir entropy.
-* One function records every model (:func:`_diagnostics`): the energy from
-  one product with the energy rows, the entropy, the mechanical energy,
-  ``|L dS|`` (computed on the grid only for the log entropy, whose ``dS``
-  depends on the state) and ``|M dE| = 0``.
+* One function records every model (:func:`_diagnostics`), on a stack of
+  states: the energy from one product of the energy rows with the whole
+  stack, the entropy, the mechanical energy, ``|L dS|`` (computed on the
+  grid only for the log entropy, whose ``dS`` depends on the state) and
+  ``|M dE| = 0``.  :func:`integrate` holds the stepper's state at each
+  record time and records the held ones together, up to
+  :data:`RECORD_STACK_BYTES` at a time; each record is bitwise the one its
+  state alone gives.
 * ``scipy.sparse`` is imported by the first derivation, not with the
   package.  ``build_model``, :func:`integrate` and :func:`verify_brackets`
   check their estimated memory and work against :data:`MEMORY_LIMIT_BYTES`
@@ -70,6 +77,7 @@ from .functionals import (
     grad_energy,
     grad_entropy,
 )
+from .grid import row_dot
 from .operators import apply_L, apply_M
 from .state import CotangentVector, State, StateLayout, mixed_inner, stack_rows
 
@@ -89,10 +97,10 @@ MEMORY_LIMIT_BYTES = 2**30
 SETUP_BYTES_PER_SLOT = 1024
 #: Memory of one diagnostics record held by ``integrate`` (312 measured).
 RECORD_BYTES = 512
-#: Largest work a call may take, in slot updates: records plus one record
-#: interval's steps (the step-by-step replay that finds a first non-finite
-#: step) times slots on the Fourier path of ``integrate``, steps times slots
-#: on its stage path, and trials times slots times
+#: Largest work a call may take, in slot updates: records (on the Fourier
+#: path of ``integrate``) or steps (on its stage path) plus one record
+#: interval's steps (the step-by-step replay that finds a first bad step)
+#: times slots, and trials times slots times
 #: :data:`VERIFY_WORK_WEIGHT` in ``verify_brackets``.  An RK4 stage step
 #: costs 20-250 ns per slot (less at larger n; n = 64..4096, one core of a
 #: shared 2-vCPU VM), so the limit is about 3 to 40 minutes of stepping.
@@ -238,8 +246,8 @@ def _sparse_form(model) -> _SparseForm:
     production ``sum(production * (R y)**2)`` and, for each ``mul_d1`` block
     with a coefficient field, the bilinear term ``c * y_a * (K y)`` with
     ``K = D (G^T C G)`` restricted to the block's column.  The products P y
-    these terms need (R y and the K y) are stacked under A, so one sparse
-    product per call yields all of them.
+    these terms need (R y when there is a production, and the K y) are
+    stacked under A, so one sparse product per call yields all of them.
 
     One probe of the node-0 stencil at the reference state z0 linearizes the
     model.  For each field j, with e_j its unit vector at node 0, A's column
@@ -344,8 +352,10 @@ def _derive_sparse_form(model) -> _SparseForm:
         production = model.entropy.alpha * dx * weights
 
     d1 = _periodic_matrix(n, (n, n), [(0, 0, o, v) for o, v in taps["d1"]])
-    products, bilinear = [m_rows], []
-    start = m_rows.shape[0]
+    # only the reservoir production reads R y: without it, R's rows are not
+    # stacked, and no call computes them
+    products, bilinear = [m_rows if production is not None else m_rows[:0]], []
+    start = products[0].shape[0]
     for rows, cols, kind, c, a in l_state:
         if kind == "mul_d1":
             hessian = energy_rows_t[cols] @ scipy.sparse.diags(energy_coeffs) @ energy_rows
@@ -466,14 +476,17 @@ def _derive_sparse_form(model) -> _SparseForm:
 
 
 def _apply_l(sparse: _SparseForm, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """L(y) xi: the constant blocks, then the blocks with a coefficient field."""
-    out = sparse.l_const @ xi
+    """L(y) xi for (R, dim) stacks of states and covectors, one pair per row:
+    the constant blocks, then the blocks with a coefficient field.  Each
+    sparse product takes all R rows at once, and each row's sums run in the
+    order of a lone matrix-vector product."""
+    out = (sparse.l_const @ xi.T).T
     for rows, cols, kind, c, coefficient in sparse.l_state:
-        a = y[coefficient]
+        a = y[:, coefficient]
         if kind == "mul_d1":
-            out[rows] += c * a * (sparse.d1 @ xi[cols])
+            out[:, rows] += c * a * (sparse.d1 @ xi[:, cols].T).T
         else:  # d1_mul
-            out[rows] += c * (sparse.d1 @ (a * xi[cols]))
+            out[:, rows] += c * (sparse.d1 @ (a * xi[:, cols]).T).T
     return out
 
 
@@ -567,43 +580,81 @@ class DiagnosticsRecord:
     theta_min: float      # min(theta), NaN when the model has no theta field
 
 
-def _diagnostics(model, sparse: _SparseForm, t: float, flat: np.ndarray) -> DiagnosticsRecord:
-    """One record of any model through its sparse form.
+def _diagnostics(model, sparse: _SparseForm, times: Sequence[float],
+                 flats: np.ndarray) -> List[DiagnosticsRecord]:
+    """The records of the (R, dim) stack of states ``flats`` at ``times``,
+    one per row, through the model's sparse form; any model.
 
-    The energy is evaluated once, as 1/2 dx sum c |G y|^2 plus the linear
-    terms and the reservoir.  ``|L dS|`` is the derivation's constant for the
-    reservoir entropy, and is computed with :func:`_apply_l` for the log
-    entropy.  ``|M dE|`` is 0: the derivation proved ``M(z) dE(z) = 0`` at
-    every state (:func:`_sparse_form`)."""
+    The energy rows G take the whole stack in one sparse product, so the
+    energy is 1/2 dx sum c |G y|^2 plus the linear terms and the reservoir,
+    row by row.  The product is made C-contiguous before the row dots: a
+    dot over a transposed view leaves the BLAS kernel ``np.dot`` uses on a
+    lone vector, and its last bits.  The entropy and ``theta_min`` come
+    from the stack-aware functionals.  ``|L dS|`` is the derivation's
+    constant for the reservoir entropy, and is computed with :func:`_apply_l`
+    for the log entropy.  ``|M dE|`` is 0: the derivation proved
+    ``M(z) dE(z) = 0`` at every state (:func:`_sparse_form`).  Each record
+    is bitwise the one a stack of that row alone gives."""
     layout = model.layout
     dx = layout.grid.dx
     nf = layout.grid.n * layout.n_fields
-    z = State(layout, flat)
-    g = sparse.energy_rows @ flat
-    linear = dx * float(np.dot(sparse.energy_const[:nf], flat[:nf]))
-    e = float(flat[nf]) if layout.has_reservoir else 0.0
-    total = 0.5 * dx * float(np.dot(sparse.energy_coeffs * g, g)) + linear + e
+    z = State._stack(layout, flats)
+    g = np.ascontiguousarray((sparse.energy_rows @ flats.T).T)
+    linear = dx * row_dot(sparse.energy_const[:nf], flats[:, :nf])
+    e = flats[:, nf] if layout.has_reservoir else 0.0
+    total = 0.5 * dx * row_dot(sparse.energy_coeffs * g, g) + linear + e
     res_l_ds = sparse.res_l_ds
     if res_l_ds is None:
-        res_l_ds = float(np.max(np.abs(_apply_l(sparse, flat, grad_entropy(model, z).flat))))
-    return DiagnosticsRecord(
-        t=t,
-        energy=total,
-        entropy=entropy(model, z),
-        mech_energy=total - e if layout.has_reservoir else total - linear,
-        res_l_ds=res_l_ds,
-        res_m_de=0.0,
-        theta_min=float(np.min(z.field("theta"))) if "theta" in layout else math.nan,
-    )
+        res_l_ds = np.max(np.abs(_apply_l(sparse, flats, grad_entropy(model, z).flat)), axis=1)
+    table = np.empty((len(flats), 6))
+    table[:, 0] = times
+    table[:, 1] = total
+    table[:, 2] = entropy(model, z)
+    table[:, 3] = total - e if layout.has_reservoir else total - linear
+    table[:, 4] = res_l_ds
+    table[:, 5] = 0.0
+    rows = table.tolist()
+    if "theta" not in layout:
+        # the one math.nan, so that records compare equal
+        return [DiagnosticsRecord(*row, math.nan) for row in rows]
+    theta_min = np.min(z.field("theta"), axis=1).tolist()
+    return [DiagnosticsRecord(*row, low) for row, low in zip(rows, theta_min)]
+
+
+#: Largest stack of record states :func:`integrate` holds before it records
+#: them, in bytes (at least one state).  A stack costs some 50 us of calls
+#: besides its rows; BresseHeatII's integrate over 250 steps at n = 512 (26
+#: records, 8 per stack) took 10.6 ms with 256 KB stacks against 11.5 ms
+#: with 64 KB and 13.1 ms with 1 MB (medians of 30, a shared 2-vCPU VM).
+RECORD_STACK_BYTES = 256 * 1024
 
 
 def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of the flat-array right-hand side ``rhs``."""
+    """One classical RK4 step of the flat-array right-hand side ``rhs``.
+
+    The stage inputs share one buffer and the step's sums are formed in
+    place in the first stage's output, in the order of
+    ``y + dt/6 (k1 + 2 (k2 + k3) + k4)``, so the result is bitwise that of
+    the expression.  ``rhs`` must return a new array, never one aliased to
+    its input; ``y`` is left as it is."""
+    half = 0.5 * dt
     k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    stage = np.multiply(half, k1)
+    stage += y
+    k2 = rhs(stage)
+    np.multiply(half, k2, out=stage)
+    stage += y
+    k3 = rhs(stage)
+    np.multiply(dt, k3, out=stage)
+    stage += y
+    k4 = rhs(stage)
+    k2 += k3
+    k2 *= 2.0
+    k1 += k2
+    k1 += k4
+    k1 *= dt / 6.0
+    k1 += y
+    return k1
 
 
 def step_rk4(model, z: State, dt: float) -> State:
@@ -688,27 +739,46 @@ def _map_power(step_map: np.ndarray, steps: int) -> np.ndarray:
 
 def _stage_stepper(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float,
                    theta: Optional[slice]):
-    """``(advance, flat)`` for RK4 through its stages on ``rhs``.
+    """``(advance, snapshot, states)`` for RK4 through its stages on ``rhs``.
 
     ``advance(m)`` takes up to m steps and returns the first one (1..m) whose
     state is not finite or, with ``theta`` a slice, has a temperature that is
-    not positive, where it stops; 0 when all m are fine.  ``flat()`` is the
-    state itself.
+    not positive, where it stops; 0 when all m are fine.  The temperature is
+    checked every step, finiteness once at the end: a slot that is not
+    finite stays so under ``y + dt/6 (...)``, so a state that is finite
+    there was finite at every step before it.  Otherwise the interval is
+    replayed one step at a time from its start, bitwise the same steps, to
+    find the first bad one.  ``snapshot()`` is the state itself (a step
+    makes a new array), and ``states`` stacks snapshots as rows.
     """
+
+    def cold(state: np.ndarray) -> bool:
+        return theta is not None and not state[theta].min() > 0.0
 
     def advance(m: int) -> int:
         nonlocal y
+        start = y
         for k in range(1, m + 1):
             y = _rk4(rhs, y, dt)
-            if not np.isfinite(y).all() or (theta is not None and not np.min(y[theta]) > 0.0):
+            if cold(y):
+                break
+        else:
+            k = 0
+        if np.isfinite(y).all():
+            return k
+        y = start
+        for k in range(1, m + 1):
+            y = _rk4(rhs, y, dt)
+            if not np.isfinite(y).all() or cold(y):
                 return k
         return 0
 
-    return advance, lambda: y
+    return advance, lambda: y, np.stack
 
 
 def _symbol_stepper(model, sparse: _SparseForm, y: np.ndarray, cfg: IntegratorConfig):
-    """``(advance, flat)`` for RK4's map on the Fourier bins of the fields.
+    """``(advance, snapshot, states)`` for RK4's map on the Fourier bins of
+    the fields.
 
     The one-step map, and its powers over ``record_every`` steps and over
     the remainder ``n_steps % record_every`` when the run has them
@@ -719,7 +789,10 @@ def _symbol_stepper(model, sparse: _SparseForm, y: np.ndarray, cfg: IntegratorCo
     from its start and returns the first step (1..m) whose coefficients or
     reservoir are not finite; 0 when all m are fine (a finite replay goes
     on from the replayed state).
-    ``flat()`` transforms back into ``y``.
+    ``snapshot()`` is the coefficients and the reservoir, which no later
+    step changes; ``states`` turns snapshots back into an (R, dim) stack of
+    states with one ``irfft`` over all their bins, bitwise one ``irfft``
+    per snapshot.
     """
     layout = model.layout
     n, f = layout.grid.n, layout.n_fields
@@ -750,12 +823,15 @@ def _symbol_stepper(model, sparse: _SparseForm, y: np.ndarray, cfg: IntegratorCo
                 return k
         return 0
 
-    def flat() -> np.ndarray:
-        y[:nf] = np.fft.irfft(y_hat[:, :, 0].T, n, axis=1).ravel()
-        y[nf:] = e
-        return y
+    def states(snapshots) -> np.ndarray:
+        # (R, n, f): the transform runs along the bins of the stack as it lies
+        fields = np.fft.irfft(np.stack([c[:, :, 0] for c, _ in snapshots]), n, axis=1)
+        out = np.empty((len(snapshots), layout.flat_dim))
+        out[:, :nf] = fields.transpose(0, 2, 1).reshape(len(snapshots), nf)
+        out[:, nf:] = np.array([e for _, e in snapshots])[:, None]
+        return out
 
-    return advance, flat
+    return advance, lambda: (y_hat, e), states
 
 
 def _failure_context(step: int, dt: float, records: List[DiagnosticsRecord]) -> str:
@@ -773,11 +849,17 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     quadratic form (:func:`_rk4_symbol_map`), composes exactly, so each
     record interval is one batched product with the map raised to
     ``record_every`` steps by squaring (and one with the remainder's map at
-    the end); the fields return to the grid only for a record.  Any other model
-    steps through the four stages of the compiled right-hand side
-    (:func:`step_rk4`).  Both give the same records to roundoff.  One
-    function, :func:`_diagnostics`, records every model, the initial state
-    included.
+    the end).  Any other model steps through the four stages of the
+    compiled right-hand side (:func:`step_rk4`), with the temperature
+    checked every step and finiteness once per interval.  Both give the
+    same records to roundoff.
+
+    Records are taken in stacks: the stepper's snapshot at each record time
+    is held, and the held ones go back to the grid and through
+    :func:`_diagnostics` together, once they fill
+    :data:`RECORD_STACK_BYTES` (at least one state), at the end, and before
+    a failure is reported.  Each record is bitwise the one its state alone
+    gives.  The initial record is taken from z0 itself.
 
     Rejects a model whose derivation fails (:func:`_sparse_form`: among
     others, one that is not translation-invariant or whose ``M dE = 0`` does
@@ -787,7 +869,7 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     :class:`PositivityError` if a log-entropy temperature leaves the positive
     cone, and with :class:`DivergenceError` on non-finite states (the
     fields or the reservoir).  Both name the first such step, its time and
-    the last recorded energy.
+    the last record before it.
     """
     if z0.layout != model.layout:
         raise ValueError(f"initial state layout does not match model {model.id}")
@@ -804,29 +886,40 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     n_steps = cfg.n_steps
     n_records = 1 + -(-n_steps // cfg.record_every)  # the initial one and one per interval
     dim = model.layout.flat_dim
-    # the Fourier path takes one product per record, and the steps of one
-    # interval again when it replays a non-finite interval step by step
+    # both paths may replay the steps of one interval one by one to find a
+    # first bad step; the Fourier path takes one product per record besides
+    replay = min(cfg.record_every, n_steps)
     _check_budget(
         f"{model.id} integrate over {n_steps} steps",
         memory=dim * SETUP_BYTES_PER_SLOT + n_records * RECORD_BYTES,
-        work=(n_steps if stage else n_records + min(cfg.record_every, n_steps)) * dim,
+        work=((n_steps if stage else n_records) + replay) * dim,
     )
     y = z0.flat.copy()
     theta = model.layout.field_slice("theta") if log_entropy else None
+    per_stack = stack_rows(model.layout, RECORD_STACK_BYTES)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        records = [_diagnostics(model, sparse, 0.0, y)]
+        records = _diagnostics(model, sparse, (0.0,), y[None])
         if stage:
-            advance, flat = _stage_stepper(sparse.rhs, y, cfg.dt, theta)
+            advance, snapshot, states = _stage_stepper(sparse.rhs, y, cfg.dt, theta)
         else:
-            advance, flat = _symbol_stepper(model, sparse, y, cfg)
+            advance, snapshot, states = _symbol_stepper(model, sparse, y, cfg)
+        times, held = [], []
+
+        def record():
+            if held:
+                records.extend(_diagnostics(model, sparse, times, states(held)))
+                times.clear()
+                held.clear()
+
         step = 0
         while step < n_steps:
             interval = min(cfg.record_every, n_steps - step)
             bad = advance(interval)
             if bad:
                 step += bad
+                record()
                 context = _failure_context(step, cfg.dt, records)
-                state = flat()
+                state = states([snapshot()])[0]
                 if theta is not None and np.isfinite(state).all():
                     raise PositivityError(
                         f"temperature became nonpositive at step {step} "
@@ -834,7 +927,11 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
                     )
                 raise DivergenceError(f"non-finite state at step {step} ({context})", step=step)
             step += interval
-            records.append(_diagnostics(model, sparse, step * cfg.dt, flat()))
+            times.append(step * cfg.dt)
+            held.append(snapshot())
+            if len(held) == per_stack:
+                record()
+        record()
     return records
 
 

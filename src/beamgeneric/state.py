@@ -71,9 +71,10 @@ class StateLayout:
 STACK_BYTES = 64 * 1024
 
 
-def stack_rows(layout: StateLayout) -> int:
-    """Number of flat vectors of ``layout`` that fit in one stack."""
-    return max(1, STACK_BYTES // (8 * layout.flat_dim))
+def stack_rows(layout: StateLayout, size: int = STACK_BYTES) -> int:
+    """Number of flat vectors of ``layout`` that fit in a stack of ``size``
+    bytes; at least one."""
+    return max(1, size // (8 * layout.flat_dim))
 
 
 class _FlatVector:

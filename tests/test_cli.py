@@ -30,7 +30,7 @@ def test_parse_config_defaults_and_overrides():
     assert cfg.n == 32
     assert cfg.params.kappa == 0.5
     assert cfg.params.k == 1.0
-    assert cfg.dt == 1e-3 and cfg.t_end == 10.0
+    assert cfg.dt is None and cfg.t_end == 10.0   # unset: the run picks its step
 
 
 def test_parse_config_rejects_unknown_key():
@@ -73,6 +73,26 @@ def test_simulate_writes_csv(tmp_path, capsys):
     # energy column stays flat to integrator accuracy
     energy = data[:, 1]
     assert np.max(np.abs(energy - energy[0])) <= 1e-6 * abs(energy[0])
+
+
+@pytest.mark.parametrize("model", [m.value for m in cli.ALL_MODEL_IDS])
+def test_simulate_without_dt_runs_every_model(tmp_path, capsys, model):
+    # an unset dt is DEFAULT_DT capped at the model's step bound, so the
+    # documented minimal config runs for every model of the catalog
+    out = tmp_path / "diag.csv"
+    cfg = write_config(tmp_path, f"model = {model}\noutput = {out}\nt_end = 0.05\n")
+    assert main(["simulate", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    bound = cli.build_model(cli.ModelId(model)).dt_bound
+    t = np.loadtxt(str(out), delimiter=",", skiprows=1)[:, 0]
+    assert t[1] == 10 * min(cli.DEFAULT_DT, bound)
+
+
+def test_simulate_explicit_dt_above_the_bound_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, f"model = TimoshenkoHeatI\ndt = 1e-3\noutput = {tmp_path / 'x.csv'}\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "dt=0.001 exceeds the stable bound" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_deterministic(tmp_path):

@@ -37,6 +37,7 @@ from beamgeneric.engine import (
     windowed_decay_rates,
 )
 from beamgeneric.functionals import SquareTerm
+from beamgeneric.state import stack_rows
 from conftest import rel_inf
 
 
@@ -137,7 +138,7 @@ def _assert_record_matches_object_level(model, rng, trials):
     # proved, the object-level value is roundoff
     for _ in range(trials):
         z = bg.random_state(model, rng)
-        record = _diagnostics(model, engine._sparse_form(model), 0.0, z.flat.copy())
+        record, = _diagnostics(model, engine._sparse_form(model), (0.0,), z.flat.copy()[None])
         theta = z.field("theta") if "theta" in model.layout else [math.nan]
         np.testing.assert_equal(record.theta_min, np.min(theta))
         want = {
@@ -423,11 +424,11 @@ def _stage_reference(model, z0, cfg):
     rhs = compile_rhs(model)
     y = z0.flat.copy()
     sparse = engine._sparse_form(model)
-    records = [_diagnostics(model, sparse, 0.0, y)]
+    records = _diagnostics(model, sparse, (0.0,), y[None])
     for step in range(1, cfg.n_steps + 1):
         y = _rk4(rhs, y, cfg.dt)
         if step % cfg.record_every == 0 or step == cfg.n_steps:
-            records.append(_diagnostics(model, sparse, step * cfg.dt, y))
+            records += _diagnostics(model, sparse, (step * cfg.dt,), y[None])
     return records
 
 
@@ -503,6 +504,13 @@ def test_divergence_on_the_first_step_of_a_long_interval(models32):
     assert "step 1 (t = 0.001;" in str(info.value)
 
 
+def _last_record_named(message, model, z0, dt, step):
+    # the message names the record of step - 1, the last before the failure
+    before = integrate(model, z0, IntegratorConfig(dt=dt, t_end=(step - 1) * dt, record_every=1))[-1]
+    assert before.t == (step - 1) * dt
+    assert f"last recorded energy {before.energy:.6g} at t = {before.t:g})" in message
+
+
 def test_divergence_inside_an_interval_names_the_exact_step(grid32):
     # scale the state so that its first step alone raises the reservoir to
     # about a fifth of the largest float: the reservoir overflows a few steps
@@ -519,10 +527,110 @@ def test_divergence_inside_an_interval_names_the_exact_step(grid32):
     with pytest.raises(DivergenceError) as each:
         integrate(model, z0, IntegratorConfig(dt=1e-3, t_end=1.0, record_every=1))
     assert 1 < each.value.step < cfg.record_every
+    _last_record_named(str(each.value), model, z0, 1e-3, each.value.step)
     with pytest.raises(DivergenceError) as info:
         integrate(model, z0, cfg)
     assert info.value.step == each.value.step
     assert f"step {each.value.step} (t = {each.value.step * 1e-3:g};" in str(info.value)
+
+
+def _stepper(model, y, cfg):
+    sparse = engine._sparse_form(model)
+    if model.id is bg.ModelId.TIMOSHENKO_NEW:
+        return engine._stage_stepper(sparse.rhs, y, cfg.dt, model.layout.field_slice("theta"))
+    return engine._symbol_stepper(model, sparse, y, cfg)
+
+
+def _one_row_records(model, z0, cfg):
+    """integrate's records, each from a one-row _diagnostics call on its
+    own state, brought back to the grid alone."""
+    sparse = engine._sparse_form(model)
+    y = z0.flat.copy()
+    advance, snapshot, states = _stepper(model, y, cfg)
+    records = _diagnostics(model, sparse, (0.0,), y[None])
+    step = 0
+    while step < cfg.n_steps:
+        interval = min(cfg.record_every, cfg.n_steps - step)
+        assert advance(interval) == 0
+        step += interval
+        records += _diagnostics(model, sparse, (step * cfg.dt,), states([snapshot()]))
+    return records
+
+
+def _record_bytes(records):
+    return np.array([dataclasses.astuple(r) for r in records]).tobytes()
+
+
+@pytest.mark.parametrize("n", (16, 64, 512))
+def test_stacked_records_equal_one_row_records(n):
+    # integrate records its held states in stacks of RECORD_STACK_BYTES;
+    # with one stack short of full, full and one over, the last interval a
+    # remainder, every record must be bitwise the one-row record
+    for mid in bg.ALL_MODEL_IDS:
+        model = bg.build_model(mid, ModelParams(), Grid(n, 1.0))
+        if mid is bg.ModelId.TIMOSHENKO_NEW:
+            z0 = bg.default_initial_state(mid, model.grid, mode=2, amplitude=0.2)
+        else:
+            z0 = bg.random_state(model, np.random.default_rng(n))
+        rows = stack_rows(model.layout, engine.RECORD_STACK_BYTES)
+        for intervals in (rows - 1, rows, rows + 1):
+            if intervals < 1:
+                continue
+            dt = 0.5 * model.dt_bound
+            cfg = IntegratorConfig(dt=dt, t_end=(3 * intervals - 1) * dt, record_every=3)
+            assert cfg.n_steps % 3 == 2
+            got = integrate(model, z0, cfg)
+            assert len(got) == intervals + 1
+            assert _record_bytes(got) == _record_bytes(_one_row_records(model, z0, cfg)), (mid, intervals)
+
+
+def test_positivity_error_with_held_records_names_the_last_record(grid32):
+    # theta = 1 - t: the failure near step 1000 comes with hundreds of
+    # records held, more than one stack of them already recorded
+    model = _sinking_model(grid32)
+    z0 = model.reference_state.copy()
+    assert stack_rows(model.layout, engine.RECORD_STACK_BYTES) < 900
+    with pytest.raises(PositivityError) as info:
+        integrate(model, z0, IntegratorConfig(dt=1e-3, t_end=2.0, record_every=1))
+    message = str(info.value)
+    step = int(re.search(r"at step (\d+)", message).group(1))
+    assert 990 < step < 1010
+    _last_record_named(message, model, z0, 1e-3, step)
+
+
+def _growing_model(grid):
+    """TimoshenkoNew with a preset compiled right-hand side that multiplies
+    the first slot by 1000 per unit time and leaves theta alone."""
+    base = bg.build_model("TimoshenkoNew", ModelParams(), grid)
+    dim = base.layout.flat_dim
+
+    def growing(flat):
+        out = np.zeros(dim)
+        out[0] = 1000.0 * flat[0]
+        return out
+
+    model = dataclasses.replace(base)
+    model._sparse = dataclasses.replace(engine._sparse_form(base), rhs=growing)
+    return model
+
+
+def test_stage_divergence_inside_an_interval_names_the_exact_step(grid32):
+    # the stage loop checks finiteness once per interval: a slot that
+    # overflows strictly inside the second interval of ten must be named at
+    # the step a run recording every step names
+    model = _growing_model(grid32)
+    z0 = model.reference_state.copy()
+    z0.flat[0] = 1e300
+    with pytest.raises(DivergenceError) as each:
+        integrate(model, z0, IntegratorConfig(dt=1e-3, t_end=1.0, record_every=1))
+    step = each.value.step
+    assert 10 < step < 20
+    _last_record_named(str(each.value), model, z0, 1e-3, step)
+    with pytest.raises(DivergenceError) as info:
+        integrate(model, z0, IntegratorConfig(dt=1e-3, t_end=1.0, record_every=10))
+    assert info.value.step == step
+    assert f"step {step} (t = {step * 1e-3:g}; last recorded energy" in str(info.value)
+    assert str(info.value).endswith("at t = 0.01)")
 
 
 def test_linear_models_never_call_compiled_rhs_in_integrate(grid32):
@@ -760,3 +868,29 @@ def test_windowed_decay_rates_never_drop_a_window(count):
     rates = windowed_decay_rates(records)
     assert len(rates) == DECAY_WINDOWS
     assert rates == pytest.approx([-0.5] * DECAY_WINDOWS, abs=1e-9)
+
+
+THERMAL_IDS = (bg.ModelId.TIMOSHENKO_HEAT_I, bg.ModelId.TIMOSHENKO_HEAT_II,
+               bg.ModelId.TIMOSHENKO_HEAT_III, bg.ModelId.BRESSE_HEAT_I, bg.ModelId.BRESSE_HEAT_II)
+
+
+@pytest.mark.parametrize("n", (16, 64, 256))
+def test_thermal_models_leave_only_the_sawtooth_undamped(n):
+    # the central difference vanishes at k = n/2, so the heat coupling cannot
+    # reach that mode's motion (measured <= 8.5e-17); every other mode is
+    # damped (the weakest measured, TimoshenkoHeatII at n = 256, -7.6e-6)
+    for mid in THERMAL_IDS:
+        model = bg.build_model(mid, ModelParams(), Grid(n, 1.0))
+        assert abs(engine.mode_abscissa(model, n // 2)) <= 1e-12, (mid, n)
+        for k in range(1, n // 2):
+            assert engine.mode_abscissa(model, k) < 0.0, (mid, n, k)
+
+
+@pytest.mark.parametrize("n", (16, 64, 256))
+@pytest.mark.parametrize("mid", (bg.ModelId.TIMOSHENKO_FRICTIONAL, bg.ModelId.BRESSE_FRICTIONAL))
+def test_frictional_models_damp_every_mode_at_half_the_friction(n, mid):
+    # unit friction on the momenta: every nonzero eigenvalue has Re = -1/2,
+    # the sawtooth included (its zero eigenvalue is a steady state)
+    model = bg.build_model(mid, ModelParams(), Grid(n, 1.0))
+    for k in range(1, n // 2 + 1):
+        assert abs(engine.mode_abscissa(model, k) + 0.5) <= 1e-12, (n, k)
