@@ -622,10 +622,11 @@ def _diagnostics(model, sparse: _SparseForm, times: Sequence[float],
 
 
 #: Largest stack of record states :func:`integrate` holds before it records
-#: them, in bytes (at least one state).  A stack costs some 50 us of calls
-#: besides its rows; BresseHeatII's integrate over 250 steps at n = 512 (26
-#: records, 8 per stack) took 10.6 ms with 256 KB stacks against 11.5 ms
-#: with 64 KB and 13.1 ms with 1 MB (medians of 30, a shared 2-vCPU VM).
+#: them, in bytes (at least one state).  A stack costs tens of microseconds
+#: of calls besides its rows; BresseHeatII's integrate over 250 steps at
+#: n = 512 (26 records, 8 per stack) took 8.6 ms with 256 KB stacks against
+#: 10.1 ms with 64 KB and 10.5 ms with 1 MB (medians of 30, a shared 2-vCPU
+#: VM).
 RECORD_STACK_BYTES = 256 * 1024
 
 

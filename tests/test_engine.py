@@ -534,19 +534,16 @@ def test_divergence_inside_an_interval_names_the_exact_step(grid32):
     assert f"step {each.value.step} (t = {each.value.step * 1e-3:g};" in str(info.value)
 
 
-def _stepper(model, y, cfg):
-    sparse = engine._sparse_form(model)
-    if model.id is bg.ModelId.TIMOSHENKO_NEW:
-        return engine._stage_stepper(sparse.rhs, y, cfg.dt, model.layout.field_slice("theta"))
-    return engine._symbol_stepper(model, sparse, y, cfg)
-
-
 def _one_row_records(model, z0, cfg):
     """integrate's records, each from a one-row _diagnostics call on its
     own state, brought back to the grid alone."""
     sparse = engine._sparse_form(model)
     y = z0.flat.copy()
-    advance, snapshot, states = _stepper(model, y, cfg)
+    if model.id is bg.ModelId.TIMOSHENKO_NEW:
+        stepper = engine._stage_stepper(sparse.rhs, y, cfg.dt, model.layout.field_slice("theta"))
+    else:
+        stepper = engine._symbol_stepper(model, sparse, y, cfg)
+    advance, snapshot, states = stepper
     records = _diagnostics(model, sparse, (0.0,), y[None])
     step = 0
     while step < cfg.n_steps:
@@ -574,8 +571,6 @@ def test_stacked_records_equal_one_row_records(n):
             z0 = bg.random_state(model, np.random.default_rng(n))
         rows = stack_rows(model.layout, engine.RECORD_STACK_BYTES)
         for intervals in (rows - 1, rows, rows + 1):
-            if intervals < 1:
-                continue
             dt = 0.5 * model.dt_bound
             cfg = IntegratorConfig(dt=dt, t_end=(3 * intervals - 1) * dt, record_every=3)
             assert cfg.n_steps % 3 == 2
