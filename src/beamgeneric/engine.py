@@ -4,17 +4,18 @@ The integrator is classical explicit RK4 with a fixed step.  Every catalog
 operator is a stencil on the periodic grid, so set-up works from node-0
 stencils in O(dim), and every model runs compiled, with no object-level
 fallback in the solve loop.  Each model is derived once: one pass
-(:func:`_sparse_form`) builds the sparse form of the building blocks, probes
-the node-0 stencil at the reference state, checks the compiled right-hand
-side against the object-level one, takes the Fourier symbols of the
-stencil and the step bound, and the result is cached in the model's one
-private slot.
+(:func:`_sparse_form`) builds the building blocks as node-0 stencils
+(:class:`_Stencil`, applied in numpy), probes the node-0 stencil of the
+right-hand side at the reference state, takes its Fourier symbols, checks
+the Fourier form against the object-level right-hand side and takes the
+step bound, and the result is cached in the model's one private slot.
 
 * :func:`compile_rhs` returns the compiled right-hand side: one constant
   sparse matrix (the cyclic shifts of that stencil) plus the terms that are
   not linear, the reservoir production ``alpha * dx * sum_r w_r |D_r y|^2``
   and the bilinear coupling of the nonlinear model.  It reproduces the
-  object-level assembly to roundoff.
+  object-level assembly to roundoff.  Its CSR matrix is built, and checked,
+  on its first call.
 * ``ModelSpec.dt_bound`` reads the step bound: the RK4 limit over the
   eigenvalues of the Fourier symbols of the exact linearization, the
   stencil plus the derivative of the quadratic terms.  A model that fails
@@ -36,17 +37,22 @@ private slot.
   is rejected.  ``|L dS|`` is a constant of the derivation for the
   reservoir entropy.
 * One function records every model (:func:`_diagnostics`), on a stack of
-  states: the energy from one product of the energy rows with the whole
+  states: the energy from one application of the energy rows to the whole
   stack, the entropy, the mechanical energy, ``|L dS|`` (computed on the
   grid only for the log entropy, whose ``dS`` depends on the state) and
   ``|M dE| = 0``.  :func:`integrate` holds the stepper's state at each
   record time and records the held ones together, up to
   :data:`RECORD_STACK_BYTES` at a time; each record is bitwise the one its
   state alone gives.
-* ``scipy.sparse`` is imported by the first derivation, not with the
-  package.  ``build_model``, :func:`integrate` and :func:`verify_brackets`
-  check their estimated memory and work against :data:`MEMORY_LIMIT_BYTES`
-  and :data:`WORK_LIMIT` before they allocate or step.
+* ``scipy.sparse`` is imported in one place: the first call of a compiled
+  right-hand side, which builds its CSR matrix.  The derivation, the step
+  bound, the records, the Fourier path of :func:`integrate` and the
+  verifier are numpy only, so a ``simulate``, ``decay`` or ``verify`` of a
+  linear model never loads scipy; :func:`step_rk4` and the nonlinear
+  model's stage path do.
+* ``build_model``, :func:`integrate` and :func:`verify_brackets` check
+  their estimated memory and work against :data:`MEMORY_LIMIT_BYTES` and
+  :data:`WORK_LIMIT` before they allocate or step.
 
 The object-level operators (``apply_L``, ``apply_M``, the gradients,
 :func:`generic_rhs`) and the hand-coded :func:`direct_rhs` stay as the
@@ -81,7 +87,7 @@ from .grid import row_dot
 from .operators import apply_L, apply_M
 from .state import CotangentVector, State, StateLayout, mixed_inner, stack_rows
 
-if TYPE_CHECKING:  # the annotations are strings; scipy loads with the first derivation
+if TYPE_CHECKING:  # the annotations are strings; scipy loads with a compiled rhs's first call
     import scipy.sparse
 
 
@@ -160,12 +166,68 @@ def direct_rhs(model, z: State) -> State:
     return model.direct_rhs(z)
 
 
+@dataclass(frozen=True)
+class _Stencil:
+    """``rows`` x ``columns`` blocks of n x n periodic stencils, held as their
+    node-0 taps.
+
+    Each tap ``(block row, block column, offset, value)`` stands for
+    ``value`` at ``(row * n + i, column * n + (i + offset) % n)`` for every
+    node i, the entries :func:`_periodic_matrix` takes.  Called on an
+    (R, columns * n) stack (slots beyond it, such as the reservoir, are not
+    read), it returns the (R, rows * n) stack of products, in numpy only:
+    the stack is padded by wrapping, and each tap adds its multiple of a
+    shifted view, elementwise, in the order of block column and offset.
+    The CSR product of the same entries sums each row in the order of its
+    columns, so the two agree to roundoff, and bitwise on a row of at most
+    two taps, such as the difference operator's.  :meth:`matrix` builds
+    that CSR matrix, and imports scipy.
+    """
+
+    n: int
+    columns: int
+    rows: int
+    taps: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "taps", tuple(sorted(self.taps, key=lambda t: t[:3])))
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        n, count = self.n, len(y)
+        reach = max((abs(offset) for _, _, offset, _ in self.taps), default=0)
+        # block-major, so that each tap reads and writes (R, n) blocks whose
+        # rows are contiguous
+        x = np.empty((self.columns, count, n + 2 * reach))
+        fields = y[:, :self.columns * n].reshape(count, self.columns, n)
+        x[:, :, reach:reach + n] = fields.transpose(1, 0, 2)
+        x[:, :, :reach] = x[:, :, n:n + reach]
+        x[:, :, n + reach:] = x[:, :, reach:2 * reach]
+        out = np.zeros((self.rows, count, n))
+        term = np.empty((count, n))
+        for row, col, offset, value in self.taps:
+            shifted = x[col, :, reach + offset:reach + offset + n]
+            if value == 1.0:  # 1.0 * x is x: skip the product
+                out[row] += shifted
+            else:
+                out[row] += np.multiply(value, shifted, out=term)
+        return np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(count, self.rows * n)
+
+    def transpose(self) -> _Stencil:
+        return _Stencil(self.n, self.rows, self.columns,
+                        tuple((c, r, -offset, v) for r, c, offset, v in self.taps))
+
+    def matrix(self, width: int) -> scipy.sparse.csr_matrix:
+        """The (rows * n, width) CSR matrix of the taps."""
+        return _periodic_matrix(self.n, (self.rows * self.n, width), self.taps)
+
+
 def _periodic_matrix(n: int, shape: tuple, entries) -> scipy.sparse.csr_matrix:
     """Sparse matrix made of n x n periodic stencil blocks.
 
     Each entry ``(block row, block column, offset, value)`` puts ``value`` at
     ``(row * n + i, column * n + (i + offset) % n)`` for every node i;
-    coinciding entries add up.
+    coinciding entries add up.  scipy is imported here, on the first call
+    of a compiled right-hand side (:func:`compile_rhs`).
     """
     import scipy.sparse
 
@@ -193,7 +255,9 @@ def _circulant(n: int, shape: tuple, columns) -> scipy.sparse.csr_matrix:
 @dataclass(frozen=True)
 class _SparseForm:
     """Everything the engine derives from a model's building blocks, built in
-    one pass by :func:`_sparse_form`.
+    one pass by :func:`_sparse_form`.  Its blocks are stencils
+    (:class:`_Stencil`), applied in numpy; only the compiled right-hand side
+    ``rhs`` builds a CSR matrix, and imports scipy, on its first call.
 
     * ``energy_rows`` (G) stacks one row block per ``SquareTerm``, the
       combination g it squares, so the quadratic energy is
@@ -221,11 +285,11 @@ class _SparseForm:
       computes it.  ``M dE = 0`` needs no field: the derivation proves it.
     """
 
-    d1: scipy.sparse.csr_matrix
-    energy_rows: scipy.sparse.csr_matrix
+    d1: _Stencil
+    energy_rows: _Stencil
     energy_coeffs: np.ndarray
     energy_const: np.ndarray
-    l_const: scipy.sparse.csr_matrix
+    l_const: _Stencil
     l_state: tuple
     production: Optional[np.ndarray]
     bilinear: tuple
@@ -241,13 +305,13 @@ def _sparse_form(model) -> _SparseForm:
     cached in the model's private slot.
 
     The blocks are built in O(dim) from the SquareTerm/LinearTerm, Block and
-    DissipativeRow data.  The right-hand side is ``A y + N(y)``: A is a
-    constant matrix and N holds the terms that are not linear, the reservoir
-    production ``sum(production * (R y)**2)`` and, for each ``mul_d1`` block
-    with a coefficient field, the bilinear term ``c * y_a * (K y)`` with
-    ``K = D (G^T C G)`` restricted to the block's column.  The products P y
-    these terms need (R y when there is a production, and the K y) are
-    stacked under A, so one sparse product per call yields all of them.
+    DissipativeRow data, as node-0 stencils.  The right-hand side is
+    ``A y + N(y)``: A is a constant matrix and N holds the terms that are not
+    linear, the reservoir production ``sum(production * (R y)**2)`` and, for
+    each ``mul_d1`` block with a coefficient field, the bilinear term
+    ``c * y_a * (K y)`` with ``K = D (G^T C G)`` restricted to the block's
+    column.  N reads the products P y (R y when there is a production, and
+    the K y).
 
     One probe of the node-0 stencil at the reference state z0 linearizes the
     model.  For each field j, with e_j its unit vector at node 0, A's column
@@ -259,7 +323,9 @@ def _sparse_form(model) -> _SparseForm:
     catalog operator is a periodic stencil, A is the block-circulant matrix
     generated by cyclic shifts of its columns, and the spectrum of the
     Jacobian is the union of the eigenvalues of the n Fourier symbols of its
-    columns (von Neumann analysis).
+    columns (von Neumann analysis).  The symbols of bins k = 0..n//2 give
+    the step bound; the others are their complex conjugates, with the same
+    RK4 amplification.
 
     The degeneracy ``M dE = 0`` is proved once, exactly.  M is built in
     factored form, ``M(z) = sum_r J_r^T w_r J_r`` with
@@ -274,11 +340,16 @@ def _sparse_form(model) -> _SparseForm:
     ``R G^T C G y = R y``) or linearly (so ``R c`` is a difference of a
     constant, exactly zero).
 
-    The compiled right-hand side is checked once against the object-level one
-    at a seeded random state (temperatures positive for the log entropy); a
-    mismatch above 1e-12 relative (a model that is not translation-invariant)
-    raises :class:`ValueError`, so neither the right-hand side nor the step
-    bound of such a model is ever returned.
+    At a seeded random state (temperatures positive for the log entropy),
+    the Fourier form ``irfft(A(k) rfft(y))`` plus N(y) is checked against
+    the object-level right-hand side; for a model without a bilinear term,
+    A(k) are the symbols it steps on.  A mismatch above 1e-12 relative (a
+    model that is not translation-invariant) raises :class:`ValueError`,
+    so neither the right-hand side nor the step bound of such a model is
+    ever returned.  The compiled right-hand side, ``A y + N(y)`` from one
+    CSR product with A stacked on P, is built on its first call, checked
+    against the object-level one at the same state (1e-12, else
+    :class:`ValueError`), and only then returned or stepped with.
     Extreme constants can overflow the derivation: it runs with numpy's
     floating-point warnings off and raises :class:`ValueError` when the
     seeded check or the symbols of the linearization are not finite.
@@ -289,11 +360,13 @@ def _sparse_form(model) -> _SparseForm:
     return model._sparse
 
 
-def _derive_sparse_form(model) -> _SparseForm:
-    # scipy is imported here, not with the package: the object-level
-    # operators and the verifier never need it
-    import scipy.sparse
+def _relative_mismatch(got: np.ndarray, want: np.ndarray) -> float:
+    """``|got - want|_inf`` over ``max(1, |got|_inf, |want|_inf)``."""
+    scale = max(1.0, float(np.max(np.abs(got))), float(np.max(np.abs(want))))
+    return float(np.max(np.abs(got - want))) / scale
 
+
+def _derive_sparse_form(model) -> _SparseForm:
     layout = model.layout
     n, nfields, dim, dx = layout.grid.n, layout.n_fields, layout.flat_dim, layout.grid.dx
     nf = n * nfields
@@ -315,13 +388,13 @@ def _derive_sparse_form(model) -> _SparseForm:
         return taps["d1" if differentiate else "identity"]
 
     squares = [t for t in model.energy_terms if not isinstance(t, LinearTerm)]
-    energy_rows = _periodic_matrix(n, (len(squares) * n, dim), [
+    energy_rows = _Stencil(n, nfields, len(squares), tuple(
         (r, index[name], offset, factor * value)
         for r, term in enumerate(squares)
         for name, differentiate, factor in term.parts
         for offset, value in tap(differentiate)
-    ])
-    energy_rows_t = energy_rows.T.tocsr()
+    ))
+    energy_rows_t = energy_rows.transpose()
     energy_coeffs = np.repeat(np.array([t.coeff for t in squares], dtype=float), n)
     energy_const = np.zeros(dim)
     for term in model.energy_terms:
@@ -337,13 +410,14 @@ def _derive_sparse_form(model) -> _SparseForm:
         else:
             l_state.append((layout.field_slice(row), layout.field_slice(col),
                             block.kind, block.c, layout.field_slice(block.a)))
+    l_const = _Stencil(n, nfields, nfields, tuple(l_entries))
 
     dissipative = model.m_rows
-    m_rows = _periodic_matrix(n, (len(dissipative) * n, dim), [
+    m_rows = _Stencil(n, nfields, len(dissipative), tuple(
         (r, index[row.field], o, v)
         for r, row in enumerate(dissipative)
         for o, v in tap(row.differentiate)
-    ])
+    ))
     production = None
     if layout.has_reservoir and dissipative:
         if any(callable(row.weight) for row in dissipative):
@@ -351,18 +425,24 @@ def _derive_sparse_form(model) -> _SparseForm:
         weights = np.repeat(np.array([row.weight for row in dissipative], dtype=float), n)
         production = model.entropy.alpha * dx * weights
 
-    d1 = _periodic_matrix(n, (n, n), [(0, 0, o, v) for o, v in taps["d1"]])
-    # only the reservoir production reads R y: without it, R's rows are not
-    # stacked, and no call computes them
-    products, bilinear = [m_rows if production is not None else m_rows[:0]], []
-    start = products[0].shape[0]
+    d1 = _Stencil(n, 1, 1, tuple((0, 0, o, v) for o, v in taps["d1"]))
+    # the products N reads: R y only for the reservoir production, then one
+    # K y per mul_d1 block
+    hessian_columns, bilinear = [], []
+    start = m_rows.rows * n if production is not None else 0
     for rows, cols, kind, c, a in l_state:
         if kind == "mul_d1":
-            hessian = energy_rows_t[cols] @ scipy.sparse.diags(energy_coeffs) @ energy_rows
-            products.append(d1 @ hessian)
+            hessian_columns.append(cols)
             bilinear.append((rows, a, c, slice(start, start + n)))
             start += n
-    products = scipy.sparse.vstack(products, format="csr")
+
+    def products(y: np.ndarray) -> np.ndarray:
+        """P y for one flat vector."""
+        parts = [m_rows(y[None])[0]] if production is not None else []
+        if hessian_columns:
+            hessian = energy_rows_t(energy_coeffs * energy_rows(y[None]))[0]
+            parts += [d1(hessian[None, cols])[0] for cols in hessian_columns]
+        return np.concatenate(parts) if parts else np.zeros(0)
 
     def add_nonlinear(y: np.ndarray, p: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Add N(y) to ``out``, given the products ``p = P y``."""
@@ -374,26 +454,21 @@ def _derive_sparse_form(model) -> _SparseForm:
         return out
 
     def nonlinear(y: np.ndarray) -> np.ndarray:
-        return add_nonlinear(y, products @ y, np.zeros_like(y))
+        return add_nonlinear(y, products(y), np.zeros_like(y))
 
     def affine(y: np.ndarray) -> np.ndarray:
         return (generic_rhs(model, State(layout, y)).flat - nonlinear(y))[:nf]
 
-    def unit(j: int) -> np.ndarray:
-        """e_j, the unit vector of field j at node 0."""
-        e = np.zeros(dim)
-        e[j * n] = 1.0
-        return e
+    # e_j, the unit vector of field j at node 0, one per row
+    units = np.zeros((nfields, dim))
+    units[np.arange(nfields), np.arange(nfields) * n] = 1.0
 
-    def j_de_linear(y: np.ndarray) -> np.ndarray:
-        """The linear part of y -> J dE(y), R G^T C G y - [reservoir] R y."""
-        j = m_rows @ (energy_rows_t @ (energy_coeffs * (energy_rows @ y)))
-        if layout.has_reservoir:
-            j -= m_rows @ y
-        return j
-
-    j_de = np.concatenate([m_rows @ energy_const, *(j_de_linear(unit(j)) for j in range(nfields))])
-    worst = float(np.max(np.abs(j_de), initial=0.0))
+    # the node-0 columns of the linear part of y -> J dE(y),
+    # R G^T C G y - [reservoir] R y, after its offset R c
+    j_de = m_rows(energy_rows_t(energy_coeffs * energy_rows(units)))
+    if layout.has_reservoir:
+        j_de -= m_rows(units)
+    worst = float(np.max(np.abs(np.concatenate([m_rows(energy_const[None]), j_de])), initial=0.0))
     if not worst == 0.0:
         raise ValueError(
             f"{model.id}: the degeneracy M dE = 0 does not hold: J dE, the dissipative "
@@ -402,37 +477,41 @@ def _derive_sparse_form(model) -> _SparseForm:
         )
 
     base = affine(z0.copy())
-    # row j is A's node-0 column of field j, then, with N's derivative
-    # added, the exact linearization's
-    jacobian = np.array([affine(z0 + unit(j)) - base for j in range(nfields)])
-    stacked = scipy.sparse.vstack([_circulant(n, (dim, dim), jacobian), products], format="csr")
-    for j, column in enumerate(jacobian):
-        e = unit(j)
+    # row j is A's node-0 column of field j; the exact linearization's adds
+    # N's derivative
+    a_columns = np.array([affine(z0 + e) - base for e in units])
+    jacobian = a_columns.copy()
+    for column, e in zip(jacobian, units):
         column += 0.5 * (nonlinear(z0 + e) - nonlinear(z0 - e))[:nf]
 
-    def rhs(flat: np.ndarray) -> np.ndarray:
-        full = stacked @ flat
-        return add_nonlinear(flat, full[dim:], full[:dim])
+    def fourier(columns: np.ndarray) -> np.ndarray:
+        """The (n, rows, f) symbols of blocks given by their node-0 columns."""
+        return np.fft.fft(columns.reshape(-1, n, nfields), axis=1).transpose(1, 0, 2)
 
-    z = random_state(model, np.random.default_rng(0))
-    got = rhs(z.flat.copy())
-    want = generic_rhs(model, z).flat
-    # one FFT of the node-0 columns of the linearization and of R: the step
-    # bound takes the eigenvalues of every bin, the stepper only the bins
-    # k = 0..n//2 (the others are their complex conjugates)
-    columns = np.concatenate([jacobian.T, m_rows[:, :nf:n].toarray()])
-    spectrum = np.fft.fft(columns.reshape(-1, n, nfields), axis=1).transpose(1, 0, 2)
+    # one FFT of the node-0 columns of the linearization and of R; the step
+    # bound and the stepper take the bins k = 0..n//2
+    bins = n // 2 + 1
+    spectrum = fourier(np.concatenate([jacobian.T, m_rows(units).T]))[:bins]
     symbols = spectrum[:, :nfields]
+    # N adds nothing to the fields of a model without a bilinear term: its
+    # A(k) are the symbols it steps on
+    a_symbols = fourier(a_columns.T)[:bins] if bilinear else symbols
+
+    z = random_state(model, np.random.default_rng(0)).flat
+    want = generic_rhs(model, State(layout, z)).flat
+    got = np.zeros(dim)
+    y_hat = np.fft.rfft(z[:nf].reshape(nfields, n), axis=1).T[:, :, None]
+    got[:nf] = np.fft.irfft((a_symbols @ y_hat)[:, :, 0].T, n, axis=1).ravel()
+    add_nonlinear(z, products(z), got)
     if not all(np.isfinite(a).all() for a in (got, want, spectrum)):
         raise ValueError(
             f"{model.id}: the right-hand side or its linearization is not finite "
             "(are the constants too extreme?)"
         )
-    scale = max(1.0, float(np.max(np.abs(got))), float(np.max(np.abs(want))))
-    mismatch = float(np.max(np.abs(got - want))) / scale
+    mismatch = _relative_mismatch(got, want)
     if not mismatch <= 1e-12:
         raise ValueError(
-            f"{model.id}: the stencil assembly differs from the object-level "
+            f"{model.id}: the Fourier form of the stencil assembly differs from the object-level "
             f"right-hand side by {mismatch:.3e} (is the model translation-invariant?)"
         )
 
@@ -450,13 +529,49 @@ def _derive_sparse_form(model) -> _SparseForm:
             "(are the constants too extreme?)"
         )
 
-    l_const = _periodic_matrix(n, (dim, dim), l_entries)
+    def compile_csr() -> Callable[[np.ndarray], np.ndarray]:
+        """``A y + N(y)`` from one product with the CSR matrix ``[A; P]``."""
+        import scipy.sparse
+
+        g = energy_rows.matrix(dim)
+        g_t = g.T.tocsr()
+        d1_matrix = d1.matrix(n)
+        r = m_rows.matrix(dim)
+        rows = [r if production is not None else r[:0]]
+        for cols in hessian_columns:
+            rows.append(d1_matrix @ (g_t[cols] @ scipy.sparse.diags(energy_coeffs) @ g))
+        stacked = scipy.sparse.vstack([_circulant(n, (dim, dim), a_columns),
+                                       scipy.sparse.vstack(rows, format="csr")], format="csr")
+
+        def rhs(flat: np.ndarray) -> np.ndarray:
+            full = stacked @ flat
+            return add_nonlinear(flat, full[dim:], full[:dim])
+
+        return rhs
+
+    # the model's id, not the model: the model caches this form, and a
+    # closure over the model would make a reference cycle
+    compiled, model_id = None, model.id
+
+    def rhs(flat: np.ndarray) -> np.ndarray:
+        nonlocal compiled
+        if compiled is None:
+            candidate = compile_csr()
+            mismatch = _relative_mismatch(candidate(z.copy()), want)
+            if not mismatch <= 1e-12:
+                raise ValueError(
+                    f"{model_id}: the compiled sparse right-hand side differs from the "
+                    f"object-level one by {mismatch:.3e} at the derivation's seeded state"
+                )
+            compiled = candidate
+        return compiled(flat)
+
     res_l_ds = None
     if isinstance(model.entropy, ReservoirEntropy):
         # the state-dependent blocks read only field slots, where dS is 0
-        ds = np.zeros(dim)
-        ds[-1] = model.entropy.alpha
-        res_l_ds = float(np.max(np.abs(l_const @ ds)))
+        ds = np.zeros((1, dim))
+        ds[0, -1] = model.entropy.alpha
+        res_l_ds = float(np.max(np.abs(l_const(ds))))
 
     return _SparseForm(
         d1=d1,
@@ -467,8 +582,8 @@ def _derive_sparse_form(model) -> _SparseForm:
         l_state=tuple(l_state),
         production=production,
         bilinear=tuple(bilinear),
-        symbols=symbols[:n // 2 + 1].copy(),
-        m_symbols=spectrum[:n // 2 + 1, nfields:].copy(),
+        symbols=symbols.copy(),
+        m_symbols=spectrum[:, nfields:].copy(),
         rhs=rhs,
         dt_bound=0.9 * limit,
         res_l_ds=res_l_ds,
@@ -477,16 +592,16 @@ def _derive_sparse_form(model) -> _SparseForm:
 
 def _apply_l(sparse: _SparseForm, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """L(y) xi for (R, dim) stacks of states and covectors, one pair per row:
-    the constant blocks, then the blocks with a coefficient field.  Each
-    sparse product takes all R rows at once, and each row's sums run in the
-    order of a lone matrix-vector product."""
-    out = (sparse.l_const @ xi.T).T
+    the constant blocks, then the blocks with a coefficient field, each
+    stencil applied to all R rows at once (:class:`_Stencil`)."""
+    out = np.zeros(xi.shape)
+    out[:, :sparse.l_const.rows * sparse.l_const.n] = sparse.l_const(xi)
     for rows, cols, kind, c, coefficient in sparse.l_state:
         a = y[:, coefficient]
         if kind == "mul_d1":
-            out[:, rows] += c * a * (sparse.d1 @ xi[:, cols].T).T
+            out[:, rows] += c * a * sparse.d1(xi[:, cols])
         else:  # d1_mul
-            out[:, rows] += c * (sparse.d1 @ (a * xi[:, cols]).T).T
+            out[:, rows] += c * sparse.d1(a * xi[:, cols])
     return out
 
 
@@ -500,6 +615,13 @@ def compile_rhs(model) -> Callable[[np.ndarray], np.ndarray]:
     dissipative rows, all from one sparse product per call.  A is the
     constant matrix of cyclic shifts of the node-0 stencil.  A model that is
     not translation-invariant raises :class:`ValueError`.
+
+    Calling ``compile_rhs`` derives the model, in numpy only.  The CSR
+    matrix is built on the returned function's first call, which imports
+    ``scipy.sparse`` and checks the product against the object-level
+    right-hand side at the derivation's seeded state (1e-12 relative, else
+    :class:`ValueError`).  Only :func:`step_rk4` and the stage path of
+    :func:`integrate` (the nonlinear model) call it.
     """
     return _sparse_form(model).rhs
 
@@ -536,6 +658,8 @@ def _rk4_stability_limit(eigs: np.ndarray) -> float:
                 return 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: no later step moves either
+            break
         if ok(mid):
             lo = mid
         else:
@@ -583,14 +707,14 @@ class DiagnosticsRecord:
 def _diagnostics(model, sparse: _SparseForm, times: Sequence[float],
                  flats: np.ndarray) -> List[DiagnosticsRecord]:
     """The records of the (R, dim) stack of states ``flats`` at ``times``,
-    one per row, through the model's sparse form; any model.
+    one per row, through the model's sparse form; any model, in numpy only.
 
-    The energy rows G take the whole stack in one sparse product, so the
-    energy is 1/2 dx sum c |G y|^2 plus the linear terms and the reservoir,
-    row by row.  The product is made C-contiguous before the row dots: a
-    dot over a transposed view leaves the BLAS kernel ``np.dot`` uses on a
-    lone vector, and its last bits.  The entropy and ``theta_min`` come
-    from the stack-aware functionals.  ``|L dS|`` is the derivation's
+    The energy rows G take the whole stack in one stencil application, so
+    the energy is 1/2 dx sum c |G y|^2 plus the linear terms and the
+    reservoir, row by row.  The stencil's output is C-contiguous, as the row
+    dots need: a dot over a transposed view leaves the BLAS kernel
+    ``np.dot`` uses on a lone vector, and its last bits.  The entropy and
+    ``theta_min`` come from the stack-aware functionals.  ``|L dS|`` is the derivation's
     constant for the reservoir entropy, and is computed with :func:`_apply_l`
     for the log entropy.  ``|M dE|`` is 0: the derivation proved
     ``M(z) dE(z) = 0`` at every state (:func:`_sparse_form`).  Each record
@@ -599,7 +723,7 @@ def _diagnostics(model, sparse: _SparseForm, times: Sequence[float],
     dx = layout.grid.dx
     nf = layout.grid.n * layout.n_fields
     z = State._stack(layout, flats)
-    g = np.ascontiguousarray((sparse.energy_rows @ flats.T).T)
+    g = sparse.energy_rows(flats)
     linear = dx * row_dot(sparse.energy_const[:nf], flats[:, :nf])
     e = flats[:, nf] if layout.has_reservoir else 0.0
     total = 0.5 * dx * row_dot(sparse.energy_coeffs * g, g) + linear + e
@@ -628,6 +752,13 @@ def _diagnostics(model, sparse: _SparseForm, times: Sequence[float],
 #: 10.1 ms with 64 KB and 10.5 ms with 1 MB (medians of 30, a shared 2-vCPU
 #: VM).
 RECORD_STACK_BYTES = 256 * 1024
+#: Peak memory of recording one stack, in multiples of its states' bytes:
+#: the held snapshots, their stacked coefficients, the ``irfft`` output, its
+#: transposed copy, the (R, dim) states and the stencils' buffers are alive
+#: at once.  tracemalloc put the peak of a whole ``integrate`` at 4.6-6.7
+#: times one full stack (n = 64, T = 0.5: TimoshenkoHeatI, BresseHeatII,
+#: TimoshenkoNew), rounded up.
+RECORD_STACK_PEAK = 7
 
 
 def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) -> np.ndarray:
@@ -810,7 +941,8 @@ def _symbol_stepper(model, sparse: _SparseForm, y: np.ndarray, cfg: IntegratorCo
         nonlocal y_hat, e
         mapped = step_map @ y_hat
         e += np.vdot(y_hat, mapped[:, f:]).real
-        y_hat = mapped[:, :f]
+        # a copy: a held view would keep the whole product alive
+        y_hat = mapped[:, :f].copy()
         return bool(np.isfinite(y_hat).all()) and math.isfinite(e)
 
     def advance(m: int) -> int:
@@ -865,7 +997,7 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     Rejects a model whose derivation fails (:func:`_sparse_form`: among
     others, one that is not translation-invariant or whose ``M dE = 0`` does
     not hold exactly), steps above the model's stability bound, and a run whose
-    estimated memory (set-up and records) or work is above
+    estimated memory (set-up, records and one record stack) or work is above
     :data:`MEMORY_LIMIT_BYTES` or :data:`WORK_LIMIT`; aborts with
     :class:`PositivityError` if a log-entropy temperature leaves the positive
     cone, and with :class:`DivergenceError` on non-finite states (the
@@ -890,14 +1022,15 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     # both paths may replay the steps of one interval one by one to find a
     # first bad step; the Fourier path takes one product per record besides
     replay = min(cfg.record_every, n_steps)
+    per_stack = stack_rows(model.layout, RECORD_STACK_BYTES)
     _check_budget(
         f"{model.id} integrate over {n_steps} steps",
-        memory=dim * SETUP_BYTES_PER_SLOT + n_records * RECORD_BYTES,
+        memory=(dim * SETUP_BYTES_PER_SLOT + n_records * RECORD_BYTES
+                + RECORD_STACK_PEAK * per_stack * 8 * dim),
         work=((n_steps if stage else n_records) + replay) * dim,
     )
     y = z0.flat.copy()
     theta = model.layout.field_slice("theta") if log_entropy else None
-    per_stack = stack_rows(model.layout, RECORD_STACK_BYTES)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         records = _diagnostics(model, sparse, (0.0,), y[None])
         if stage:

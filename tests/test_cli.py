@@ -364,9 +364,9 @@ def test_verify_trials_above_the_budget_exit_one(capsys):
 # lean import
 
 
-def test_import_and_verify_leave_scipy_unloaded():
-    # scipy.sparse loads with the first derivation (compile_rhs, dt_bound,
-    # integrate), never with the package or the object-level verifier
+def _run_python(code, cwd=None):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package; return the finished process."""
     import subprocess
     import sys
     from pathlib import Path
@@ -374,17 +374,88 @@ def test_import_and_verify_leave_scipy_unloaded():
     import beamgeneric
 
     src = str(Path(beamgeneric.__file__).resolve().parent.parent)
-    code = (
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd,
+                          env={"PYTHONPATH": src, "PATH": ""}, timeout=120)
+
+
+def test_import_and_verify_leave_scipy_unloaded():
+    # scipy.sparse loads with the first call of a compiled right-hand side
+    # (step_rk4, TimoshenkoNew's stage path), never with the package, the
+    # derivation or the object-level verifier
+    proc = _run_python(
         "import io, sys\n"
-        "import beamgeneric\n"
+        "import beamgeneric as bg\n"
         "from beamgeneric import cli\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
         "assert cli.cmd_verify('TimoshenkoHeatI', 1, 0, out=io.StringIO()) == 0\n"
         "assert 'scipy' not in sys.modules, 'verify'\n"
+        "model = bg.build_model('TimoshenkoNew', bg.ModelParams(), bg.Grid(16, 1.0))\n"
+        "z0 = bg.default_initial_state(model.id, model.grid)\n"
+        "bg.integrate(model, z0, bg.IntegratorConfig(1e-4, 1e-3))\n"
+        "assert 'scipy.sparse' in sys.modules, 'TimoshenkoNew integrate'\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={"PYTHONPATH": src, "PATH": ""}, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    proc = _run_python(
+        "import sys\n"
+        "import numpy as np\n"
+        "import beamgeneric as bg\n"
+        "model = bg.build_model('TimoshenkoHeatI', bg.ModelParams(), bg.Grid(16, 1.0))\n"
+        "rhs = bg.compile_rhs(model)\n"
+        "assert 'scipy' not in sys.modules, 'compile_rhs'\n"
+        "rhs(np.zeros(model.layout.flat_dim))\n"
+        "assert 'scipy.sparse' in sys.modules, 'a call of compile_rhs(model)'\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+#: makes every import of scipy fail, as on an install without it
+_NO_SCIPY = """
+import sys
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy is blocked: {name}")
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def test_linear_models_run_without_scipy(tmp_path):
+    # the nine linear models never call a compiled right-hand side, so their
+    # whole library and CLI path runs where scipy cannot be imported
+    for name in ("TimoshenkoHeatI", "BresseHeatII"):
+        config = f"model = {name}\nn = 64\nt_end = 0.5\nrecord_every = 5\n"
+        write_config(tmp_path, config + f"output = {tmp_path / name}.csv\n", f"{name}.cfg")
+        write_config(tmp_path, config, f"{name}-decay.cfg")
+    proc = _run_python(_NO_SCIPY + """
+import io
+from contextlib import redirect_stdout
+import beamgeneric as bg
+from beamgeneric import cli, engine
+for name in ("TimoshenkoHeatI", "BresseHeatII"):
+    model = bg.build_model(name, bg.ModelParams(), bg.Grid(64, 1.0))
+    dt = model.dt_bound
+    bg.compile_rhs(model)
+    z0 = bg.default_initial_state(model.id, model.grid)
+    records = bg.integrate(model, z0, bg.IntegratorConfig(dt, 50 * dt, 5))
+    assert len(records) == 11, name
+    assert engine.mode_abscissa(model, 1) < 0.0, name
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--config", f"{name}.cfg"]) == 0, name
+        assert cli.main(["decay", "--config", f"{name}-decay.cfg"]) == 0, name
+with redirect_stdout(io.StringIO()) as out:
+    assert cli.main(["verify", "--model", "all"]) == 0
+assert "FAIL" not in out.getvalue()
+try:
+    import scipy.sparse
+except ImportError:
+    pass
+else:
+    raise AssertionError("scipy was importable")
+""", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("TimoshenkoHeatI", "BresseHeatII"):
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) > 2
 
 
 # --------------------------------------------------------------------------

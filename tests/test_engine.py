@@ -125,6 +125,8 @@ def test_compiled_reservoir_rate_matches_direct_rhs(models32):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(got), abs(want)), model.id
 
 
+LINEAR_IDS = tuple(m for m in bg.ALL_MODEL_IDS if m is not bg.ModelId.TIMOSHENKO_NEW)
+
 #: one seeded draw of non-unit constants for every ModelParams field
 _PARAM_FIELDS = dataclasses.fields(ModelParams)
 DRAWN_PARAMS = ModelParams(**{
@@ -195,6 +197,30 @@ def test_compile_rhs_rejects_non_translation_invariant_model(grid32):
         varying.dt_bound
 
 
+def test_corrupted_csr_is_refused_on_its_first_call(grid32, monkeypatch):
+    # compile_rhs returns before any CSR matrix exists; the first call builds
+    # it and checks it against the object-level right-hand side, so a matrix
+    # with an entry A does not have is refused there, and on every later call
+    original = engine._circulant
+
+    def injected(n, shape, columns):
+        columns = columns.copy()
+        columns[0, 5] += 1.0
+        return original(n, shape, columns)
+
+    monkeypatch.setattr(engine, "_circulant", injected)
+    for mid in (bg.ModelId.TIMOSHENKO_HEAT_I, bg.ModelId.TIMOSHENKO_NEW):
+        model = bg.build_model(mid, ModelParams(), grid32)
+        rhs = compile_rhs(model)
+        y = model.reference_state.flat.copy()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"{mid}: the compiled sparse right-hand side differs"):
+                rhs(y)
+    model = bg.build_model(bg.ModelId.TIMOSHENKO_NEW, ModelParams(), grid32)
+    with pytest.raises(ValueError, match="compiled sparse right-hand side"):
+        integrate(model, model.reference_state.copy(), IntegratorConfig(dt=1e-4, t_end=1e-3))
+
+
 def test_compile_rhs_rejects_state_dependent_weight_with_reservoir(grid32):
     base = bg.build_model("TimoshenkoFrictional", ModelParams(), grid32)
     rows = tuple(dataclasses.replace(row, weight=lambda z: np.ones(grid32.n)) for row in base.m_rows)
@@ -254,6 +280,24 @@ def test_symbol_dt_matches_dense_spectrum(grid32, grid64):
             eigs = np.minimum(eigs.real, 0.0) + 1j * eigs.imag
             dense = 0.9 * _rk4_stability_limit(eigs)
             assert abs(model.dt_bound - dense) <= 1e-12 * dense, (grid.n, mid)
+
+
+@pytest.mark.parametrize("params", (ModelParams(), DRAWN_PARAMS), ids=("unit", "drawn"))
+@pytest.mark.parametrize("n", (5, 16, 17, 64))
+def test_step_bound_from_half_the_spectrum(n, params):
+    # the derivation takes the eigenvalues of bins k = 0..n//2 only, the
+    # others being their complex conjugates; the bound must be bitwise the
+    # one over every bin of the FFT of the node-0 columns, which the
+    # compiled right-hand side returns for the unit vectors e_j
+    for mid in LINEAR_IDS:
+        model = bg.build_model(mid, params, Grid(n, 1.0))
+        f, dim = model.layout.n_fields, model.layout.flat_dim
+        rhs = compile_rhs(model)
+        columns = np.array([rhs(np.eye(1, dim, j * n)[0])[:n * f] for j in range(f)])
+        spectrum = np.fft.fft(columns.T.reshape(f, n, f), axis=1).transpose(1, 0, 2)
+        eigs = np.linalg.eigvals(spectrum).ravel()
+        eigs = np.minimum(eigs.real, 0.0) + 1j * eigs.imag
+        assert model.dt_bound == 0.9 * _rk4_stability_limit(eigs), (n, mid)
 
 
 def test_each_model_is_linearized_once(grid32, monkeypatch):
@@ -413,9 +457,6 @@ def test_failure_messages_name_time_and_last_energy(models32, grid32):
     energy, t = map(float, re.search(r"last recorded energy (\S+) at t = (\S+)\)", message).groups())
     assert t == pytest.approx(0.9)
     assert energy == pytest.approx(1.0 - t, abs=1e-5)
-
-
-LINEAR_IDS = tuple(m for m in bg.ALL_MODEL_IDS if m is not bg.ModelId.TIMOSHENKO_NEW)
 
 
 def _stage_reference(model, z0, cfg):
