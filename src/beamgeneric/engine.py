@@ -2,23 +2,25 @@
 
 The integrator is classical explicit RK4 with a fixed step.  Every catalog
 operator is a stencil on the periodic grid, so set-up works from node-0
-stencils in O(dim), and every model runs compiled, with no object-level
+columns in O(dim), and every model runs compiled, with no object-level
 fallback in the solve loop.  Each model is derived once: one pass
-(:func:`_sparse_form`) builds the building blocks as node-0 stencils
-(:class:`_Stencil`, applied in numpy), probes the node-0 stencil of the
-right-hand side at the reference state, takes its Fourier symbols, checks
-the Fourier form against the object-level right-hand side and takes the
-step bound, and the result is cached in the model's one private slot.
+(:func:`_sparse_form`) applies the building blocks themselves (the
+gradients, ``apply_L``, the dissipative rows and the grid's ``d1``) to the
+reference state and to unit vectors at node 0, which gives the node-0
+columns of the right-hand side's linear part and of the products its other
+terms read.  It takes their Fourier symbols, checks the Fourier form
+against the object-level right-hand side and takes the step bound, and the
+result is cached in the model's one private slot.
 
 * :func:`compile_rhs` returns the compiled right-hand side: one constant
-  sparse matrix (the cyclic shifts of that stencil) plus the terms that are
+  sparse matrix (the cyclic shifts of those columns) plus the terms that are
   not linear, the reservoir production ``alpha * dx * sum_r w_r |D_r y|^2``
   and the bilinear coupling of the nonlinear model.  It reproduces the
   object-level assembly to roundoff.  Its CSR matrix is built, and checked,
   on its first call.
 * ``ModelSpec.dt_bound`` reads the step bound: the RK4 limit over the
   eigenvalues of the Fourier symbols of the exact linearization, the
-  stencil plus the derivative of the quadratic terms.  A model that fails
+  linear part plus the derivative of the quadratic terms.  A model that fails
   the check gets neither.
 * :func:`integrate` steps a model whose fields evolve linearly (no bilinear
   term, no log entropy: nine of the ten catalog models) with RK4's exact
@@ -37,13 +39,12 @@ step bound, and the result is cached in the model's one private slot.
   is rejected.  ``|L dS|`` is a constant of the derivation for the
   reservoir entropy.
 * One function records every model (:func:`_diagnostics`), on a stack of
-  states: the energy from one application of the energy rows to the whole
-  stack, the entropy, the mechanical energy, ``|L dS|`` (computed on the
-  grid only for the log entropy, whose ``dS`` depends on the state) and
-  ``|M dE| = 0``.  :func:`integrate` holds the stepper's state at each
-  record time and records the held ones together, up to
-  :data:`RECORD_STACK_BYTES` at a time; each record is bitwise the one its
-  state alone gives.
+  states through the stack-aware functionals: the energy, the entropy, the
+  mechanical energy, ``|L dS|`` (computed with ``apply_L`` only for the log
+  entropy, whose ``dS`` depends on the state) and ``|M dE| = 0``.
+  :func:`integrate` holds the stepper's state at each record time and
+  records the held ones together, up to :data:`RECORD_STACK_BYTES` at a
+  time; each record is bitwise the one its state alone gives.
 * ``scipy.sparse`` is imported in one place: the first call of a compiled
   right-hand side, which builds its CSR matrix.  The derivation, the step
   bound, the records, the Fourier path of :func:`integrate` and the
@@ -78,12 +79,12 @@ from .functionals import (
     LinearTerm,
     LogThetaEntropy,
     ReservoirEntropy,
+    energy,
     entropy,
     fd_gradient,
     grad_energy,
     grad_entropy,
 )
-from .grid import row_dot
 from .operators import apply_L, apply_M
 from .state import CotangentVector, State, StateLayout, mixed_inner, stack_rows
 
@@ -166,112 +167,35 @@ def direct_rhs(model, z: State) -> State:
     return model.direct_rhs(z)
 
 
-@dataclass(frozen=True)
-class _Stencil:
-    """``rows`` x ``columns`` blocks of n x n periodic stencils, held as their
-    node-0 taps.
-
-    Each tap ``(block row, block column, offset, value)`` stands for
-    ``value`` at ``(row * n + i, column * n + (i + offset) % n)`` for every
-    node i, the entries :func:`_periodic_matrix` takes.  Called on an
-    (R, columns * n) stack (slots beyond it, such as the reservoir, are not
-    read), it returns the (R, rows * n) stack of products, in numpy only:
-    the stack is padded by wrapping, and each tap adds its multiple of a
-    shifted view, elementwise, in the order of block column and offset.
-    The CSR product of the same entries sums each row in the order of its
-    columns, so the two agree to roundoff, and bitwise on a row of at most
-    two taps, such as the difference operator's.  :meth:`matrix` builds
-    that CSR matrix, and imports scipy.
-    """
-
-    n: int
-    columns: int
-    rows: int
-    taps: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "taps", tuple(sorted(self.taps, key=lambda t: t[:3])))
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        n, count = self.n, len(y)
-        reach = max((abs(offset) for _, _, offset, _ in self.taps), default=0)
-        # block-major, so that each tap reads and writes (R, n) blocks whose
-        # rows are contiguous
-        x = np.empty((self.columns, count, n + 2 * reach))
-        fields = y[:, :self.columns * n].reshape(count, self.columns, n)
-        x[:, :, reach:reach + n] = fields.transpose(1, 0, 2)
-        x[:, :, :reach] = x[:, :, n:n + reach]
-        x[:, :, n + reach:] = x[:, :, reach:2 * reach]
-        out = np.zeros((self.rows, count, n))
-        term = np.empty((count, n))
-        for row, col, offset, value in self.taps:
-            shifted = x[col, :, reach + offset:reach + offset + n]
-            if value == 1.0:  # 1.0 * x is x: skip the product
-                out[row] += shifted
-            else:
-                out[row] += np.multiply(value, shifted, out=term)
-        return np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(count, self.rows * n)
-
-    def transpose(self) -> _Stencil:
-        return _Stencil(self.n, self.rows, self.columns,
-                        tuple((c, r, -offset, v) for r, c, offset, v in self.taps))
-
-    def matrix(self, width: int) -> scipy.sparse.csr_matrix:
-        """The (rows * n, width) CSR matrix of the taps."""
-        return _periodic_matrix(self.n, (self.rows * self.n, width), self.taps)
-
-
-def _periodic_matrix(n: int, shape: tuple, entries) -> scipy.sparse.csr_matrix:
-    """Sparse matrix made of n x n periodic stencil blocks.
-
-    Each entry ``(block row, block column, offset, value)`` puts ``value`` at
-    ``(row * n + i, column * n + (i + offset) % n)`` for every node i;
-    coinciding entries add up.  scipy is imported here, on the first call
-    of a compiled right-hand side (:func:`compile_rhs`).
-    """
+def _circulant(n: int, shape: tuple, columns: np.ndarray) -> scipy.sparse.csr_matrix:
+    """The CSR matrix of ``shape`` made of n x n periodic blocks whose column
+    ``j * n`` is ``columns[j]``, the node-0 column of field j over every
+    block row, and whose other columns in that block column are its cyclic
+    shifts: ``columns[j, r]`` stands at ``(r // n * n + i, j * n + (i - r) % n)``
+    for every node i.  Rows of ``shape`` beyond the columns are zero.  scipy
+    is imported here, and only here, on the first call of a compiled
+    right-hand side (:func:`compile_rhs`)."""
     import scipy.sparse
 
-    if not entries:
-        return scipy.sparse.csr_matrix(shape)
-    row, col, offset, value = (np.array(part)[:, None] for part in zip(*entries))
+    field, row = np.nonzero(columns)
     nodes = np.arange(n)
-    rows = row * n + nodes
-    cols = col * n + (nodes + offset) % n
-    vals = np.broadcast_to(value.astype(float), rows.shape)
-    return scipy.sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-
-
-def _circulant(n: int, shape: tuple, columns) -> scipy.sparse.csr_matrix:
-    """Sparse matrix made of n x n periodic blocks whose column ``j * n`` is
-    the j-th vector ``columns`` yields, the node-0 column of field j over
-    every block row, and whose other columns in that block column are its
-    cyclic shifts."""
-    return _periodic_matrix(n, shape, [
-        (int(r) // n, j, -(int(r) % n), column[r])
-        for j, column in enumerate(columns) for r in np.flatnonzero(column)
-    ])
+    rows = (row // n * n)[:, None] + nodes
+    cols = (field * n)[:, None] + (nodes - row[:, None]) % n
+    values = np.broadcast_to(columns[field, row][:, None], rows.shape)
+    return scipy.sparse.csr_matrix((values.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
 
 
 @dataclass(frozen=True)
 class _SparseForm:
     """Everything the engine derives from a model's building blocks, built in
-    one pass by :func:`_sparse_form`.  Its blocks are stencils
-    (:class:`_Stencil`), applied in numpy; only the compiled right-hand side
-    ``rhs`` builds a CSR matrix, and imports scipy, on its first call.
+    one pass by :func:`_sparse_form`, in numpy; only the compiled right-hand
+    side ``rhs`` builds a CSR matrix, and imports scipy, on its first call.
 
-    * ``energy_rows`` (G) stacks one row block per ``SquareTerm``, the
-      combination g it squares, so the quadratic energy is
-      ``1/2 dx sum(energy_coeffs * g**2)`` and its gradient ``G^T C G y``;
-      ``energy_const`` is the gradient of the rest (the ``LinearTerm``
-      coefficients, and 1 on the reservoir slot).
-    * ``l_const`` holds the constant Poisson blocks; ``l_state`` the blocks
-      with a coefficient field, as (row slice, column slice, kind, c,
-      coefficient slice), applied with ``d1``.
     * ``production`` is ``alpha * dx`` times the constant weights of the
       dissipative rows R (one row block per ``DissipativeRow``: D or the
       identity on its field) for a model with a reservoir, else None.
     * ``bilinear`` lists the bilinear terms of the right-hand side as (rows,
-      coefficient field, c, rows of the products P that ``rhs`` stacks under
+      coefficient field, c, rows of the products P that ``rhs`` stacks above
       its constant matrix A); it is empty for a model whose fields evolve
       linearly.
     * ``symbols`` holds the f x f Fourier symbols of the exact linearization
@@ -279,18 +203,13 @@ class _SparseForm:
       k = 0..n//2 (the other half are their complex conjugates).
     * ``rhs`` is the compiled right-hand side (:func:`compile_rhs`) and
       ``dt_bound`` the RK4 step bound (``ModelSpec.dt_bound``).
-    * ``res_l_ds`` is the constant ``|L dS|_inf`` of the reservoir entropy
-      (``dS = alpha`` on the reservoir slot only); None for the log entropy,
-      whose ``dS = 1/theta`` depends on the state, so that each record
-      computes it.  ``M dE = 0`` needs no field: the derivation proves it.
+    * ``res_l_ds`` is ``|L dS|_inf`` of the reservoir entropy at the
+      reference state, a constant (``dS = alpha`` on the reservoir slot
+      only, which L never reads); None for the log entropy, whose
+      ``dS = 1/theta`` depends on the state, so that each record computes
+      it.  ``M dE = 0`` needs no field: the derivation proves it.
     """
 
-    d1: _Stencil
-    energy_rows: _Stencil
-    energy_coeffs: np.ndarray
-    energy_const: np.ndarray
-    l_const: _Stencil
-    l_state: tuple
     production: Optional[np.ndarray]
     bilinear: tuple
     symbols: np.ndarray
@@ -304,41 +223,42 @@ def _sparse_form(model) -> _SparseForm:
     """The model's :class:`_SparseForm`, derived in one pass on first use and
     cached in the model's private slot.
 
-    The blocks are built in O(dim) from the SquareTerm/LinearTerm, Block and
-    DissipativeRow data, as node-0 stencils.  The right-hand side is
-    ``A y + N(y)``: A is a constant matrix and N holds the terms that are not
-    linear, the reservoir production ``sum(production * (R y)**2)`` and, for
-    each ``mul_d1`` block with a coefficient field, the bilinear term
-    ``c * y_a * (K y)`` with ``K = D (G^T C G)`` restricted to the block's
-    column.  N reads the products P y (R y when there is a production, and
-    the K y).
+    Everything is taken through the building blocks (the gradients,
+    ``apply_L``, the ``DissipativeRow`` methods and the grid's ``d1``),
+    applied to the reference state, to unit vectors at node 0 or to a seeded
+    random state, in O(dim).  The right-hand side is ``A y + N(y)``: A is a
+    constant matrix and N holds the terms that are not linear, the reservoir
+    production ``sum(production * (R y)**2)`` and, for each ``mul_d1`` block
+    with a coefficient field, the bilinear term ``c * y_a * (K y)`` with
+    ``K y = D dE(y)`` on the block's column.  N reads the products P y (R y
+    when there is a production, and the K y).
 
-    One probe of the node-0 stencil at the reference state z0 linearizes the
-    model.  For each field j, with e_j its unit vector at node 0, A's column
-    is the unit secant ``F(z0 + e_j) - F(z0)`` of ``F = generic_rhs - N``,
-    exact because F is affine (F(z0) is exactly 0 for the linear models,
-    z0 = 0), and N's derivative is the central secant
-    ``(N(z0 + e_j) - N(z0 - e_j)) / 2``, exact because N is quadratic.  z0
-    must be uniform on the grid, so that node 0 stands for every node: every
-    catalog operator is a periodic stencil, A is the block-circulant matrix
-    generated by cyclic shifts of its columns, and the spectrum of the
-    Jacobian is the union of the eigenvalues of the n Fourier symbols of its
-    columns (von Neumann analysis).  The symbols of bins k = 0..n//2 give
-    the step bound; the others are their complex conjugates, with the same
-    RK4 amplification.
+    One probe at the reference state z0 linearizes the model.  For each
+    field j, with e_j its unit vector at node 0, A's column is the unit
+    secant ``F(z0 + e_j) - F(z0)`` of ``F = generic_rhs - N``, exact because
+    F is affine (F(z0) is exactly 0 for the linear models, z0 = 0), and N's
+    derivative is the central secant ``(N(z0 + e_j) - N(z0 - e_j)) / 2``,
+    exact because N is quadratic.  z0 must be uniform on the grid, so that
+    node 0 stands for every node: every catalog operator is a periodic
+    stencil, A is the block-circulant matrix generated by cyclic shifts of
+    its columns, and the spectrum of the Jacobian is the union of the
+    eigenvalues of the n Fourier symbols of its columns (von Neumann
+    analysis).  The symbols of bins k = 0..n//2 give the step bound; the
+    others are their complex conjugates, with the same RK4 amplification.
 
     The degeneracy ``M dE = 0`` is proved once, exactly.  M is built in
     factored form, ``M(z) = sum_r J_r^T w_r J_r`` with
     ``J_r xi = R_r xi - (R_r z) xi_e`` (the second term only with a
     reservoir, where ``dE_e = 1``).  So ``M(z) dE(z) = 0`` at every state,
     whatever the weights, when the affine map
-    ``y -> J dE(y) = R (G^T C G y + c) - [reservoir] R y`` vanishes.  Its
-    node-0 columns and its offset ``R c`` are checked in O(dim), and an
-    entry that is not exactly zero raises :class:`ValueError` naming the
-    degeneracy.  Every catalog model passes at any constants, because each
-    dissipated field enters the energy only through a unit square (so
-    ``R G^T C G y = R y``) or linearly (so ``R c`` is a difference of a
-    constant, exactly zero).
+    ``y -> J dE(y) = R dE(y) - [reservoir] R y`` vanishes.  The rows'
+    ``apply`` evaluates it on the stack ``[0; e_1 .. e_f]``, in O(dim): its
+    offset ``R c`` (c the gradient of the ``LinearTerm`` densities), then
+    the offset plus each node-0 column.  An entry that is not exactly zero
+    raises :class:`ValueError` naming the degeneracy.  Every catalog model
+    passes at any constants, because each dissipated field enters the
+    energy only through a unit square (so ``R dE(y) = R y``) or linearly
+    (so ``R c`` is a difference of a constant, exactly zero).
 
     At a seeded random state (temperatures positive for the log entropy),
     the Fourier form ``irfft(A(k) rfft(y))`` plus N(y) is checked against
@@ -347,12 +267,13 @@ def _sparse_form(model) -> _SparseForm:
     model that is not translation-invariant) raises :class:`ValueError`,
     so neither the right-hand side nor the step bound of such a model is
     ever returned.  The compiled right-hand side, ``A y + N(y)`` from one
-    CSR product with A stacked on P, is built on its first call, checked
-    against the object-level one at the same state (1e-12, else
-    :class:`ValueError`), and only then returned or stepped with.
-    Extreme constants can overflow the derivation: it runs with numpy's
-    floating-point warnings off and raises :class:`ValueError` when the
-    seeded check or the symbols of the linearization are not finite.
+    CSR product with P stacked on A (:func:`_circulant` of their node-0
+    columns), is built on its first call, checked against the object-level
+    one at the same state (1e-12, else :class:`ValueError`), and only then
+    returned or stepped with.  Extreme constants can overflow the
+    derivation: it runs with numpy's floating-point warnings off and raises
+    :class:`ValueError` when the seeded check or the symbols of the
+    linearization are not finite.
     """
     if model._sparse is None:
         with np.errstate(all="ignore"):
@@ -368,7 +289,8 @@ def _relative_mismatch(got: np.ndarray, want: np.ndarray) -> float:
 
 def _derive_sparse_form(model) -> _SparseForm:
     layout = model.layout
-    n, nfields, dim, dx = layout.grid.n, layout.n_fields, layout.flat_dim, layout.grid.dx
+    grid = layout.grid
+    n, nfields, dim = grid.n, layout.n_fields, layout.flat_dim
     nf = n * nfields
     z0 = model.reference_state.flat
     fields = z0[:nf].reshape(nfields, n)
@@ -377,72 +299,36 @@ def _derive_sparse_form(model) -> _SparseForm:
             f"{model.id}: the reference state must be uniform on the grid "
             "for the stencil linearization"
         )
-    index = {name: i for i, name in enumerate(layout.field_order)}
-    half = 1.0 / (2.0 * dx)
-    taps = {
-        "identity": ((0, 1.0),),
-        "d1": ((1, half), (-1, -half)),
-    }
-
-    def tap(differentiate: bool):
-        return taps["d1" if differentiate else "identity"]
-
-    squares = [t for t in model.energy_terms if not isinstance(t, LinearTerm)]
-    energy_rows = _Stencil(n, nfields, len(squares), tuple(
-        (r, index[name], offset, factor * value)
-        for r, term in enumerate(squares)
-        for name, differentiate, factor in term.parts
-        for offset, value in tap(differentiate)
-    ))
-    energy_rows_t = energy_rows.transpose()
-    energy_coeffs = np.repeat(np.array([t.coeff for t in squares], dtype=float), n)
-    energy_const = np.zeros(dim)
-    for term in model.energy_terms:
-        if isinstance(term, LinearTerm):
-            energy_const[layout.field_slice(term.field)] += term.coeff
-    if layout.has_reservoir:
-        energy_const[layout.reservoir_index] = 1.0
-
-    l_entries, l_state = [], []
-    for row, col, block in model.l_blocks:
-        if block.kind in taps:
-            l_entries += [(index[row], index[col], o, block.c * v) for o, v in taps[block.kind]]
-        else:
-            l_state.append((layout.field_slice(row), layout.field_slice(col),
-                            block.kind, block.c, layout.field_slice(block.a)))
-    l_const = _Stencil(n, nfields, nfields, tuple(l_entries))
 
     dissipative = model.m_rows
-    m_rows = _Stencil(n, nfields, len(dissipative), tuple(
-        (r, index[row.field], o, v)
-        for r, row in enumerate(dissipative)
-        for o, v in tap(row.differentiate)
-    ))
     production = None
     if layout.has_reservoir and dissipative:
         if any(callable(row.weight) for row in dissipative):
             raise ValueError(f"{model.id}: a state-dependent row weight rules out a reservoir")
         weights = np.repeat(np.array([row.weight for row in dissipative], dtype=float), n)
-        production = model.entropy.alpha * dx * weights
+        production = model.entropy.alpha * grid.dx * weights
 
-    d1 = _Stencil(n, 1, 1, tuple((0, 0, o, v) for o, v in taps["d1"]))
     # the products N reads: R y only for the reservoir production, then one
     # K y per mul_d1 block
-    hessian_columns, bilinear = [], []
-    start = m_rows.rows * n if production is not None else 0
-    for rows, cols, kind, c, a in l_state:
-        if kind == "mul_d1":
-            hessian_columns.append(cols)
-            bilinear.append((rows, a, c, slice(start, start + n)))
+    k_fields, bilinear = [], []
+    start = len(dissipative) * n if production is not None else 0
+    for row, col, block in model.l_blocks:
+        if block.kind == "mul_d1":
+            k_fields.append(col)
+            bilinear.append((layout.field_slice(row), layout.field_slice(block.a), block.c,
+                             slice(start, start + n)))
             start += n
 
     def products(y: np.ndarray) -> np.ndarray:
-        """P y for one flat vector."""
-        parts = [m_rows(y[None])[0]] if production is not None else []
-        if hessian_columns:
-            hessian = energy_rows_t(energy_coeffs * energy_rows(y[None]))[0]
-            parts += [d1(hessian[None, cols])[0] for cols in hessian_columns]
-        return np.concatenate(parts) if parts else np.zeros(0)
+        """P y for one flat vector or an (R, dim) stack."""
+        z = State._stack(layout, y)
+        parts = [np.zeros(y.shape[:-1] + (0,))]  # P y is empty without products
+        if production is not None:
+            parts += [row.coefficient(z) for row in dissipative]
+        if k_fields:
+            de = grad_energy(model, z)
+            parts += [grid.d1(de.field(col)) for col in k_fields]
+        return np.concatenate(parts, axis=-1)
 
     def add_nonlinear(y: np.ndarray, p: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Add N(y) to ``out``, given the products ``p = P y``."""
@@ -459,16 +345,16 @@ def _derive_sparse_form(model) -> _SparseForm:
     def affine(y: np.ndarray) -> np.ndarray:
         return (generic_rhs(model, State(layout, y)).flat - nonlinear(y))[:nf]
 
-    # e_j, the unit vector of field j at node 0, one per row
-    units = np.zeros((nfields, dim))
-    units[np.arange(nfields), np.arange(nfields) * n] = 1.0
+    # the stack [0; e_1 .. e_f], e_j the unit vector of field j at node 0
+    probes = State._stack(layout, np.zeros((nfields + 1, dim)))
+    probes.flat[np.arange(1, nfields + 1), np.arange(nfields) * n] = 1.0
+    units = probes.flat[1:]
 
-    # the node-0 columns of the linear part of y -> J dE(y),
-    # R G^T C G y - [reservoir] R y, after its offset R c
-    j_de = m_rows(energy_rows_t(energy_coeffs * energy_rows(units)))
-    if layout.has_reservoir:
-        j_de -= m_rows(units)
-    worst = float(np.max(np.abs(np.concatenate([m_rows(energy_const[None]), j_de])), initial=0.0))
+    # y -> J dE(y) at 0, its offset R c, and at each e_j, the offset plus
+    # the node-0 column of field j
+    energy_gradients = grad_energy(model, probes)
+    j_de = [row.apply(probes, energy_gradients) for row in dissipative]
+    worst = float(np.max(np.abs(j_de), initial=0.0))
     if not worst == 0.0:
         raise ValueError(
             f"{model.id}: the degeneracy M dE = 0 does not hold: J dE, the dissipative "
@@ -483,6 +369,9 @@ def _derive_sparse_form(model) -> _SparseForm:
     jacobian = a_columns.copy()
     for column, e in zip(jacobian, units):
         column += 0.5 * (nonlinear(z0 + e) - nonlinear(z0 - e))[:nf]
+    # R's node-0 columns, row j for field j
+    r_columns = np.concatenate([units[:, :0]] + [row.coefficient(probes)[1:] for row in dissipative],
+                               axis=1)
 
     def fourier(columns: np.ndarray) -> np.ndarray:
         """The (n, rows, f) symbols of blocks given by their node-0 columns."""
@@ -491,7 +380,7 @@ def _derive_sparse_form(model) -> _SparseForm:
     # one FFT of the node-0 columns of the linearization and of R; the step
     # bound and the stepper take the bins k = 0..n//2
     bins = n // 2 + 1
-    spectrum = fourier(np.concatenate([jacobian.T, m_rows(units).T]))[:bins]
+    spectrum = fourier(np.concatenate([jacobian.T, r_columns.T]))[:bins]
     symbols = spectrum[:, :nfields]
     # N adds nothing to the fields of a model without a bilinear term: its
     # A(k) are the symbols it steps on
@@ -529,23 +418,20 @@ def _derive_sparse_form(model) -> _SparseForm:
             "(are the constants too extreme?)"
         )
 
-    def compile_csr() -> Callable[[np.ndarray], np.ndarray]:
-        """``A y + N(y)`` from one product with the CSR matrix ``[A; P]``."""
-        import scipy.sparse
+    # the node-0 columns of the CSR matrix [P; A]: P's rows come first, so
+    # that the product ends with A's rows, the reservoir's (zero) among
+    # them, as the right-hand side's.  Taken now, not on the first call, so
+    # that the form refers to no closure over the model (see below).
+    csr_columns = np.concatenate([products(units), a_columns], axis=1)
+    p_rows = csr_columns.shape[1] - nf
 
-        g = energy_rows.matrix(dim)
-        g_t = g.T.tocsr()
-        d1_matrix = d1.matrix(n)
-        r = m_rows.matrix(dim)
-        rows = [r if production is not None else r[:0]]
-        for cols in hessian_columns:
-            rows.append(d1_matrix @ (g_t[cols] @ scipy.sparse.diags(energy_coeffs) @ g))
-        stacked = scipy.sparse.vstack([_circulant(n, (dim, dim), a_columns),
-                                       scipy.sparse.vstack(rows, format="csr")], format="csr")
+    def compile_csr() -> Callable[[np.ndarray], np.ndarray]:
+        """``A y + N(y)`` from one product with the CSR matrix ``[P; A]``."""
+        stacked = _circulant(n, (p_rows + dim, dim), csr_columns)
 
         def rhs(flat: np.ndarray) -> np.ndarray:
             full = stacked @ flat
-            return add_nonlinear(flat, full[dim:], full[:dim])
+            return add_nonlinear(flat, full[:p_rows], full[p_rows:])
 
         return rhs
 
@@ -568,18 +454,11 @@ def _derive_sparse_form(model) -> _SparseForm:
 
     res_l_ds = None
     if isinstance(model.entropy, ReservoirEntropy):
-        # the state-dependent blocks read only field slots, where dS is 0
-        ds = np.zeros((1, dim))
-        ds[0, -1] = model.entropy.alpha
-        res_l_ds = float(np.max(np.abs(l_const(ds))))
+        reference = model.reference_state
+        ds = grad_entropy(model, reference)
+        res_l_ds = float(np.max(np.abs(apply_L(model, reference, ds).flat)))
 
     return _SparseForm(
-        d1=d1,
-        energy_rows=energy_rows,
-        energy_coeffs=energy_coeffs,
-        energy_const=energy_const,
-        l_const=l_const,
-        l_state=tuple(l_state),
         production=production,
         bilinear=tuple(bilinear),
         symbols=symbols.copy(),
@@ -590,21 +469,6 @@ def _derive_sparse_form(model) -> _SparseForm:
     )
 
 
-def _apply_l(sparse: _SparseForm, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """L(y) xi for (R, dim) stacks of states and covectors, one pair per row:
-    the constant blocks, then the blocks with a coefficient field, each
-    stencil applied to all R rows at once (:class:`_Stencil`)."""
-    out = np.zeros(xi.shape)
-    out[:, :sparse.l_const.rows * sparse.l_const.n] = sparse.l_const(xi)
-    for rows, cols, kind, c, coefficient in sparse.l_state:
-        a = y[:, coefficient]
-        if kind == "mul_d1":
-            out[:, rows] += c * a * sparse.d1(xi[:, cols])
-        else:  # d1_mul
-            out[:, rows] += c * sparse.d1(a * xi[:, cols])
-    return out
-
-
 def compile_rhs(model) -> Callable[[np.ndarray], np.ndarray]:
     """Flat-array form of :func:`generic_rhs`, for every model.
 
@@ -613,12 +477,14 @@ def compile_rhs(model) -> Callable[[np.ndarray], np.ndarray]:
     ``gamma * theta * (D q)`` and, for models with a reservoir, the
     production ``alpha * dx * sum_r w_r |D_r y|^2`` over the stacked
     dissipative rows, all from one sparse product per call.  A is the
-    constant matrix of cyclic shifts of the node-0 stencil.  A model that is
-    not translation-invariant raises :class:`ValueError`.
+    constant matrix of cyclic shifts of the node-0 columns the derivation
+    probes through the building blocks.  A model that is not
+    translation-invariant raises :class:`ValueError`.
 
     Calling ``compile_rhs`` derives the model, in numpy only.  The CSR
-    matrix is built on the returned function's first call, which imports
-    ``scipy.sparse`` and checks the product against the object-level
+    matrix, P stacked on A, is built from their node-0 columns
+    (:func:`_circulant`) on the returned function's first call, which
+    imports ``scipy.sparse`` and checks the product against the object-level
     right-hand side at the derivation's seeded state (1e-12 relative, else
     :class:`ValueError`).  Only :func:`step_rk4` and the stage path of
     :func:`integrate` (the nonlinear model) call it.
@@ -707,34 +573,30 @@ class DiagnosticsRecord:
 def _diagnostics(model, sparse: _SparseForm, times: Sequence[float],
                  flats: np.ndarray) -> List[DiagnosticsRecord]:
     """The records of the (R, dim) stack of states ``flats`` at ``times``,
-    one per row, through the model's sparse form; any model, in numpy only.
+    one per row; any model, in numpy only.
 
-    The energy rows G take the whole stack in one stencil application, so
-    the energy is 1/2 dx sum c |G y|^2 plus the linear terms and the
-    reservoir, row by row.  The stencil's output is C-contiguous, as the row
-    dots need: a dot over a transposed view leaves the BLAS kernel
-    ``np.dot`` uses on a lone vector, and its last bits.  The entropy and
-    ``theta_min`` come from the stack-aware functionals.  ``|L dS|`` is the derivation's
-    constant for the reservoir entropy, and is computed with :func:`_apply_l`
-    for the log entropy.  ``|M dE|`` is 0: the derivation proved
-    ``M(z) dE(z) = 0`` at every state (:func:`_sparse_form`).  Each record
-    is bitwise the one a stack of that row alone gives."""
+    The energy, the entropy and ``theta_min`` come from the stack-aware
+    functionals, the mechanical energy is the energy minus the reservoir or
+    minus the ``LinearTerm`` values, and ``|L dS|`` is the derivation's
+    constant for the reservoir entropy and ``apply_L(z, dS(z))`` for the log
+    entropy.  ``|M dE|`` is 0: the derivation proved ``M(z) dE(z) = 0`` at
+    every state (:func:`_sparse_form`).  Each record is bitwise the one a
+    stack of that row alone gives."""
     layout = model.layout
-    dx = layout.grid.dx
-    nf = layout.grid.n * layout.n_fields
     z = State._stack(layout, flats)
-    g = sparse.energy_rows(flats)
-    linear = dx * row_dot(sparse.energy_const[:nf], flats[:, :nf])
-    e = flats[:, nf] if layout.has_reservoir else 0.0
-    total = 0.5 * dx * row_dot(sparse.energy_coeffs * g, g) + linear + e
+    total = energy(model, z)
+    if layout.has_reservoir:
+        mech = total - z.reservoir
+    else:
+        mech = total - sum(t.value(z) for t in model.energy_terms if isinstance(t, LinearTerm))
     res_l_ds = sparse.res_l_ds
     if res_l_ds is None:
-        res_l_ds = np.max(np.abs(_apply_l(sparse, flats, grad_entropy(model, z).flat)), axis=1)
+        res_l_ds = np.max(np.abs(apply_L(model, z, grad_entropy(model, z)).flat), axis=1)
     table = np.empty((len(flats), 6))
     table[:, 0] = times
     table[:, 1] = total
     table[:, 2] = entropy(model, z)
-    table[:, 3] = total - e if layout.has_reservoir else total - linear
+    table[:, 3] = mech
     table[:, 4] = res_l_ds
     table[:, 5] = 0.0
     rows = table.tolist()
@@ -754,10 +616,12 @@ def _diagnostics(model, sparse: _SparseForm, times: Sequence[float],
 RECORD_STACK_BYTES = 256 * 1024
 #: Peak memory of recording one stack, in multiples of its states' bytes:
 #: the held snapshots, their stacked coefficients, the ``irfft`` output, its
-#: transposed copy, the (R, dim) states and the stencils' buffers are alive
-#: at once.  tracemalloc put the peak of a whole ``integrate`` at 4.6-6.7
-#: times one full stack (n = 64, T = 0.5: TimoshenkoHeatI, BresseHeatII,
-#: TimoshenkoNew), rounded up.
+#: transposed copy, the (R, dim) states and the functionals' temporaries are
+#: alive at once.  tracemalloc put the peak of a whole ``integrate``, less
+#: its records' :data:`RECORD_BYTES`, at 3.5-4.6 times one full stack
+#: (n = 64, T = 0.5, ``record_every = 1``, dt = min(1e-3, bound), the CSR
+#: matrix already built: TimoshenkoHeatI 3.5, BresseHeatII 3.6,
+#: TimoshenkoNew 4.6), rounded up with room to spare.
 RECORD_STACK_PEAK = 7
 
 

@@ -36,7 +36,7 @@ from beamgeneric.engine import (
     _rk4_stability_limit,
     windowed_decay_rates,
 )
-from beamgeneric.functionals import SquareTerm
+from beamgeneric.functionals import LinearTerm, SquareTerm
 from beamgeneric.state import stack_rows
 from conftest import rel_inf
 
@@ -164,8 +164,8 @@ def test_compiled_diagnostics_match_object_level(models32):
 @pytest.mark.parametrize("params", (ModelParams(), DRAWN_PARAMS), ids=("unit", "drawn"))
 @pytest.mark.parametrize("n", (16, 64, 512))
 def test_product_record_matches_grid_record(n, params):
-    # the record, whose energy is one sparse product G y, against the grid
-    # functions, for all ten models at other sizes and non-unit constants
+    # the record, taken on a stack of states, against the grid functions on
+    # one state, for all ten models at other sizes and non-unit constants
     rng = np.random.default_rng(n)
     for mid in bg.ALL_MODEL_IDS:
         _assert_record_matches_object_level(bg.build_model(mid, params, Grid(n, 1.0)), rng, trials=3)
@@ -687,25 +687,41 @@ def test_linear_models_never_call_compiled_rhs_in_integrate(grid32):
             assert len(integrate(model, z0, cfg)) == cfg.n_steps + 1, mid
 
 
-def test_record_form_is_checked_when_derived(grid32):
-    # the record's |M dE| = 0 rests on the derivation's proof of M dE = 0,
-    # so a model without it is refused before it records:
+def _doubled_square(field):
+    # an edit of a model's energy terms: the unit square of field, doubled
+    def edit(terms):
+        return tuple(SquareTerm(2.0, t.parts) if t == SquareTerm(1.0, ((field, False, 1.0),)) else t
+                     for t in terms)
+    return edit
+
+
+@pytest.mark.parametrize("mid, edit, floor", (
     # with 2 p^2 / 2 in the energy, dE_p = 2 p, while the friction row's
     # reservoir coupling removes only p: M dE = J^T w J dE with J dE = p
-    base = bg.build_model("TimoshenkoFrictional", ModelParams(), grid32)
-    terms = tuple(SquareTerm(2.0, (("p", False, 1.0),)) if t.parts == (("p", False, 1.0),) else t
-                  for t in base.energy_terms)
+    ("TimoshenkoFrictional", _doubled_square("p"), 1e-3),
+    # the same through a differentiated row: J dE = D theta
+    ("TimoshenkoHeatI", _doubled_square("theta"), 1e-3),
+    # a linear density of a dissipated field: the offset R c = 1
+    ("TimoshenkoFrictional", lambda terms: terms + (LinearTerm("p", 1.0),), 1e-4),
+    # no reservoir: J dE = D dE_theta = D theta
+    ("TimoshenkoNew", lambda terms: terms + (SquareTerm(1.0, (("theta", False, 1.0),)),), 1e-3),
+), ids=("friction-square", "heat-square", "friction-linear", "new-square"))
+def test_record_form_is_checked_when_derived(grid32, mid, edit, floor):
+    # the record's |M dE| = 0 rests on the derivation's proof of M dE = 0,
+    # so a model without it is refused before it records
+    base = bg.build_model(mid, ModelParams(), grid32)
+    terms = edit(base.energy_terms)
     assert terms != base.energy_terms
     model = dataclasses.replace(base, energy_terms=terms)
     z0 = bg.default_initial_state(model.id, grid32)
     for call in (lambda: compile_rhs(model),
                  lambda: integrate(model, z0, IntegratorConfig(dt=1e-4, t_end=1e-3))):
-        with pytest.raises(ValueError, match="TimoshenkoFrictional: the degeneracy M dE = 0"):
+        with pytest.raises(ValueError, match=f"{mid}: the degeneracy M dE = 0"):
             call()
     # the object-level verifier, which needs no derivation, still measures it
     checks = {c.name: c for c in verify_brackets(model, trials=5).checks}
     assert not checks["degeneracy_MdE"].passed
-    assert checks["degeneracy_MdE"].max_residual > 1e-3
+    assert checks["degeneracy_MdE"].max_residual > floor
     assert all(checks[name].passed for name in ("antisymmetry", "symmetry", "psd", "degeneracy_LdS"))
 
 
