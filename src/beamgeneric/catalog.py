@@ -55,13 +55,23 @@ class ModelId(str, enum.Enum):
 #: catalog order, used by the CLI and the verification suite
 ALL_MODEL_IDS = tuple(ModelId)
 
-_TIMOSHENKO_IDS = {
-    ModelId.TIMOSHENKO_UNDAMPED,
-    ModelId.TIMOSHENKO_FRICTIONAL,
-    ModelId.TIMOSHENKO_HEAT_I,
-    ModelId.TIMOSHENKO_HEAT_II,
-    ModelId.TIMOSHENKO_HEAT_III,
-    ModelId.TIMOSHENKO_NEW,
+_TIMOSHENKO = ("k", "b")
+_BRESSE = ("k", "b", "k0", "l")
+
+#: the ``ModelParams`` fields each model reads; ``alpha`` scales the
+#: reservoir entropy, so the nonlinear model, which has no reservoir, does
+#: not read it
+MODEL_CONSTANTS = {
+    ModelId.TIMOSHENKO_UNDAMPED: _TIMOSHENKO + ("alpha",),
+    ModelId.TIMOSHENKO_FRICTIONAL: _TIMOSHENKO + ("delta1", "delta2", "alpha"),
+    ModelId.TIMOSHENKO_HEAT_I: _TIMOSHENKO + ("gamma", "kappa", "alpha"),
+    ModelId.TIMOSHENKO_HEAT_II: _TIMOSHENKO + ("gamma", "beta", "alpha"),
+    ModelId.TIMOSHENKO_HEAT_III: _TIMOSHENKO + ("gamma", "delta", "K", "alpha"),
+    ModelId.TIMOSHENKO_NEW: _TIMOSHENKO + ("gamma", "delta"),
+    ModelId.BRESSE_UNDAMPED: _BRESSE + ("alpha",),
+    ModelId.BRESSE_FRICTIONAL: _BRESSE + ("gamma1", "gamma2", "gamma3", "alpha"),
+    ModelId.BRESSE_HEAT_I: _BRESSE + ("gamma", "kappa", "alpha"),
+    ModelId.BRESSE_HEAT_II: _BRESSE + ("gamma", "delta", "kappa1", "kappa2", "alpha"),
 }
 
 
@@ -130,11 +140,8 @@ def _validate_params(mid: ModelId, params: ModelParams):
         for name, value in values.items()
         if not math.isfinite(value)
     ]
-    positive = ["k", "b"]
-    if mid not in _TIMOSHENKO_IDS:
-        positive += ["k0", "l"]
-    for name in positive:
-        if not values[name] > 0.0:
+    for name in ("k", "b", "k0", "l"):
+        if name in MODEL_CONSTANTS[mid] and not values[name] > 0.0:
             problems.append(f"{name} must be > 0, got {values[name]}")
     for name in _NONNEGATIVE:
         if values[name] < 0.0:

@@ -14,7 +14,8 @@ import sys
 import typing
 from dataclasses import dataclass
 
-from .catalog import ALL_MODEL_IDS, ModelId, ModelParams, build_model, default_initial_state
+from .catalog import (ALL_MODEL_IDS, MODEL_CONSTANTS, ModelId, ModelParams, build_model,
+                      default_initial_state)
 from .engine import (
     IntegratorConfig,
     decay_rate,
@@ -59,7 +60,10 @@ _KEY_TYPES = {
 
 def parse_config_text(text: str) -> RunConfig:
     """Parse ``key = value`` lines; an empty key is rejected at its line and
-    unknown keys by name (``repr``, so any name stays visible)."""
+    unknown keys by name (``repr``, so any name stays visible).  Once every
+    value has parsed, a model constant that the model does not read
+    (``catalog.MODEL_CONSTANTS``) is rejected, naming the model and each
+    such constant."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -88,6 +92,11 @@ def parse_config_text(text: str) -> RunConfig:
             except ValueError:
                 raise ValueError(f"config key {key!r}: cannot parse {raw[key]!r} as {kind.__name__}") from None
     params = {key: value for key, value in values.items() if key in _PARAM_KEYS}
+    if params:
+        mid = _resolve_model_id(values["model"])
+        unread = [key for key in params if key not in MODEL_CONSTANTS[mid]]
+        if unread:
+            raise ValueError(f"{mid} does not read the constant(s) " + ", ".join(map(repr, unread)))
     run = {key: value for key, value in values.items() if key not in _PARAM_KEYS}
     return RunConfig(params=ModelParams(**params), **run)
 

@@ -39,8 +39,10 @@ result is cached in the model's one private slot.
   is rejected.  ``|L dS|`` is a constant of the derivation for the
   reservoir entropy.
 * One function records every model (:func:`_diagnostics`), on a stack of
-  states through the stack-aware functionals: the energy, the entropy, the
-  mechanical energy, ``|L dS|`` (computed with ``apply_L`` only for the log
+  states through the stack-aware functionals: the energy and the
+  mechanical energy (the sum of the square terms, so that it keeps its
+  relative precision as it decays) from one pass over the energy terms,
+  the entropy, ``|L dS|`` (computed with ``apply_L`` only for the log
   entropy, whose ``dS`` depends on the state) and ``|M dE| = 0``.
   :func:`integrate` holds the stepper's state at each record time and
   records the held ones together, up to :data:`RECORD_STACK_BYTES` at a
@@ -76,10 +78,9 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, PositivityError
 from .functionals import (
-    LinearTerm,
     LogThetaEntropy,
     ReservoirEntropy,
-    energy,
+    _energy_parts,
     entropy,
     fd_gradient,
     grad_energy,
@@ -424,33 +425,26 @@ def _derive_sparse_form(model) -> _SparseForm:
     # that the form refers to no closure over the model (see below).
     csr_columns = np.concatenate([products(units), a_columns], axis=1)
     p_rows = csr_columns.shape[1] - nf
-
-    def compile_csr() -> Callable[[np.ndarray], np.ndarray]:
-        """``A y + N(y)`` from one product with the CSR matrix ``[P; A]``."""
-        stacked = _circulant(n, (p_rows + dim, dim), csr_columns)
-
-        def rhs(flat: np.ndarray) -> np.ndarray:
-            full = stacked @ flat
-            return add_nonlinear(flat, full[:p_rows], full[p_rows:])
-
-        return rhs
-
     # the model's id, not the model: the model caches this form, and a
     # closure over the model would make a reference cycle
-    compiled, model_id = None, model.id
+    stacked, model_id = None, model.id
 
     def rhs(flat: np.ndarray) -> np.ndarray:
-        nonlocal compiled
-        if compiled is None:
-            candidate = compile_csr()
-            mismatch = _relative_mismatch(candidate(z.copy()), want)
+        """``A y + N(y)`` from one product with the CSR matrix ``[P; A]``,
+        built and checked on the first call."""
+        nonlocal stacked
+        if stacked is None:
+            candidate = _circulant(n, (p_rows + dim, dim), csr_columns)
+            full = candidate @ z
+            mismatch = _relative_mismatch(add_nonlinear(z, full[:p_rows], full[p_rows:]), want)
             if not mismatch <= 1e-12:
                 raise ValueError(
                     f"{model_id}: the compiled sparse right-hand side differs from the "
                     f"object-level one by {mismatch:.3e} at the derivation's seeded state"
                 )
-            compiled = candidate
-        return compiled(flat)
+            stacked = candidate
+        full = stacked @ flat
+        return add_nonlinear(flat, full[:p_rows], full[p_rows:])
 
     res_l_ds = None
     if isinstance(model.entropy, ReservoirEntropy):
@@ -575,20 +569,16 @@ def _diagnostics(model, sparse: _SparseForm, times: Sequence[float],
     """The records of the (R, dim) stack of states ``flats`` at ``times``,
     one per row; any model, in numpy only.
 
-    The energy, the entropy and ``theta_min`` come from the stack-aware
-    functionals, the mechanical energy is the energy minus the reservoir or
-    minus the ``LinearTerm`` values, and ``|L dS|`` is the derivation's
+    The energy, the entropy, the mechanical energy (the sum of the square
+    terms, taken with the energy in one pass) and ``theta_min`` come from the
+    stack-aware functionals, and ``|L dS|`` is the derivation's
     constant for the reservoir entropy and ``apply_L(z, dS(z))`` for the log
     entropy.  ``|M dE|`` is 0: the derivation proved ``M(z) dE(z) = 0`` at
     every state (:func:`_sparse_form`).  Each record is bitwise the one a
     stack of that row alone gives."""
     layout = model.layout
     z = State._stack(layout, flats)
-    total = energy(model, z)
-    if layout.has_reservoir:
-        mech = total - z.reservoir
-    else:
-        mech = total - sum(t.value(z) for t in model.energy_terms if isinstance(t, LinearTerm))
+    total, mech = _energy_parts(model, z)
     res_l_ds = sparse.res_l_ds
     if res_l_ds is None:
         res_l_ds = np.max(np.abs(apply_L(model, z, grad_entropy(model, z)).flat), axis=1)

@@ -30,7 +30,9 @@ from .state import CotangentVector, State, stack_rows
 class ModelParams:
     """Physical constants shared by all catalog models.
 
-    Every model reads only the constants it needs; unused ones are ignored.
+    Every model reads only some of the constants
+    (``catalog.MODEL_CONSTANTS``); a config that sets one its model does not
+    read is rejected.
     Defaults are unit values, which expose structural bugs without scale
     masking.
     """
@@ -159,13 +161,25 @@ def _check_state(model, z: State):
         raise ValueError(f"state layout does not match model {model.id}")
 
 
+def _energy_parts(model, z: State):
+    """``(total, mechanical)``: the mechanical energy is the sum of the
+    :class:`SquareTerm` values; the total adds the other terms to it, then
+    the reservoir.  Every catalog model lists its squares first, so the total
+    is summed in the order of its terms.  A sum, not the total less the rest,
+    keeps the mechanical energy to relative roundoff as it decays."""
+    _check_state(model, z)
+    terms = model.energy_terms
+    mech = sum(term.value(z) for term in terms if isinstance(term, SquareTerm))
+    total = sum((term.value(z) for term in terms if not isinstance(term, SquareTerm)), mech)
+    if model.layout.has_reservoir:
+        # out of place: with no other term, total is mech itself
+        total = total + z.reservoir
+    return scalar_or_array(total), scalar_or_array(mech)
+
+
 def energy(model, z: State):
     """Total energy: quadrature of the model's energy density plus the reservoir."""
-    _check_state(model, z)
-    val = sum(term.value(z) for term in model.energy_terms)
-    if model.layout.has_reservoir:
-        val += z.reservoir
-    return scalar_or_array(val)
+    return _energy_parts(model, z)[0]
 
 
 def grad_energy(model, z: State) -> CotangentVector:
@@ -190,15 +204,9 @@ def grad_entropy(model, z: State) -> CotangentVector:
 
 
 def mechanical_energy(model, z: State):
-    """Energy minus the reservoir (or minus the thermal content for the
-    nonlinear model); the part that decays in damped runs."""
-    val = energy(model, z)
-    if model.layout.has_reservoir:
-        return val - z.reservoir
-    for term in model.energy_terms:
-        if isinstance(term, LinearTerm):
-            val -= term.value(z)
-    return val
+    """The sum of the square terms, without the reservoir or the nonlinear
+    model's thermal content: the part that decays in damped runs."""
+    return _energy_parts(model, z)[1]
 
 
 def fd_gradient(f, z: State, rel_step: float = 1e-6) -> CotangentVector:

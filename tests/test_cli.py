@@ -201,6 +201,32 @@ def test_decay_frictional(tmp_path, capsys):
     assert "confidence" in out
 
 
+def test_decay_frictional_over_a_long_horizon(tmp_path, capsys):
+    # by t = 40 the mechanical energy is about 5e-18 of the total; taken as
+    # the sum of the square terms it stays positive, and the rate is -1
+    cfg = write_config(
+        tmp_path,
+        "model = TimoshenkoFrictional\nn = 64\nt_end = 40\nrecord_every = 100\n",
+    )
+    assert main(["decay", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    rate = float(out.split("decay_rate")[1].split()[0])
+    assert abs(rate + 1.0) <= 1e-3
+    assert "(5/5 windows negative)" in out
+
+
+def test_a_constant_the_model_does_not_read_is_rejected(tmp_path, capsys):
+    with pytest.raises(ValueError, match=r"^TimoshenkoFrictional does not read the constant\(s\) 'kappa'$"):
+        parse_config_text("model = TimoshenkoFrictional\nkappa = 5\n")
+    with pytest.raises(ValueError, match=r"^TimoshenkoNew does not read the constant\(s\) 'k0', 'alpha'$"):
+        parse_config_text("model = TimoshenkoNew\nalpha = 2\ndelta = 0.5\nk0 = 3\n")
+    assert parse_config_text("model = TimoshenkoNew\ndelta = 0.5\n").params.delta == 0.5
+    cfg = write_config(tmp_path, f"model = TimoshenkoFrictional\nkappa = 5\noutput = {tmp_path / 'x.csv'}\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: TimoshenkoFrictional does not read the constant(s) 'kappa'\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_decay_refuses_too_few_records_for_the_windows(tmp_path, capsys):
     # 10 records fit a rate, but their last half (5) cannot give each of the
     # five windows two records; 11 can

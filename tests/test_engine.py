@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -219,6 +221,31 @@ def test_corrupted_csr_is_refused_on_its_first_call(grid32, monkeypatch):
     model = bg.build_model(bg.ModelId.TIMOSHENKO_NEW, ModelParams(), grid32)
     with pytest.raises(ValueError, match="compiled sparse right-hand side"):
         integrate(model, model.reference_state.copy(), IntegratorConfig(dt=1e-4, t_end=1e-3))
+
+
+def _derived_model_reference(mid, grid):
+    """A weak reference to a model whose derivation has served the step
+    bound, an integrate and a first compiled call, once the model is dropped."""
+    model = bg.build_model(mid, ModelParams(), grid)
+    z0 = bg.default_initial_state(mid, grid)
+    integrate(model, z0, IntegratorConfig(dt=0.5 * model.dt_bound, t_end=model.dt_bound * 2.5,
+                                          record_every=2))
+    compile_rhs(model)(z0.flat.copy())
+    return weakref.ref(model)
+
+
+@pytest.mark.parametrize("mid", bg.ALL_MODEL_IDS, ids=str)
+def test_a_derived_model_is_freed_without_the_cycle_collector(grid32, mid):
+    # the model caches its derivation, so a closure of the derivation that
+    # reached the model would make a reference cycle, which only the cycle
+    # collector frees
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert _derived_model_reference(mid, grid32)() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_compile_rhs_rejects_state_dependent_weight_with_reservoir(grid32):

@@ -187,3 +187,16 @@ def test_mechanical_energy(models16, grid16):
     z = new.reference_state.copy()
     z.field("p")[:] = 2.0
     assert mechanical_energy(new, z) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("mid", (bg.ModelId.TIMOSHENKO_FRICTIONAL, bg.ModelId.TIMOSHENKO_NEW), ids=str)
+def test_mechanical_energy_keeps_its_precision_beside_a_large_rest(models16, mid):
+    # 5e-21 of square terms beside a reservoir of 1 (or theta = 1): a sum of
+    # the squares keeps it to roundoff, the total less the rest reads 0
+    model = models16[mid]
+    z = model.reference_state.copy()
+    z.field("p")[:] = 1e-10
+    if model.layout.has_reservoir:
+        z.reservoir = 1.0
+    assert abs(mechanical_energy(model, z) - 5e-21) <= 1e-15 * 5e-21
+    assert energy(model, z) == 1.0

@@ -3,14 +3,18 @@
 At unit parameters a swapped coefficient (say gamma for delta) is invisible;
 with all constants distinct, the assembled operators, the hand-coded
 transcription, the energy gradients and the finite-difference oracle must
-still agree, which pins each constant to its slot.
+still agree, which pins each constant to its slot.  One constant moved at a
+time pins the table of the constants each model reads.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import beamgeneric as bg
 from beamgeneric import Grid, ModelParams, fd_gradient
+from beamgeneric.catalog import MODEL_CONSTANTS
 from conftest import ALL_IDS, rel_inf
 
 SCRAMBLED = ModelParams(
@@ -56,3 +60,23 @@ def test_gradient_oracle_scrambled(scrambled_models, mid):
         numeric = fd_gradient(lambda s: bg.energy(model, s), z).flat
         err = float(np.max(np.abs(analytic - numeric))) / (1.0 + float(np.max(np.abs(analytic))))
         assert err <= 1e-6
+
+
+@pytest.mark.parametrize("mid", ALL_IDS, ids=str)
+def test_model_constants_are_the_ones_read(mid):
+    # a constant set to 1.7 moves the right-hand sides, the energy or the
+    # entropy at a random state exactly when the table lists it, so a config
+    # that sets any other is rightly refused
+    grid = Grid(8, 1.0)
+    z = bg.random_state(bg.build_model(mid, ModelParams(), grid), np.random.default_rng(3))
+
+    def observed(params):
+        model = bg.build_model(mid, params, grid)
+        return [bg.generic_rhs(model, z).flat, bg.direct_rhs(model, z).flat,
+                bg.energy(model, z), bg.entropy(model, z)]
+
+    unit = observed(ModelParams())
+    for field in dataclasses.fields(ModelParams):
+        moved = observed(dataclasses.replace(ModelParams(), **{field.name: 1.7}))
+        changed = not all(np.array_equal(a, b) for a, b in zip(unit, moved))
+        assert changed == (field.name in MODEL_CONSTANTS[mid]), field.name
