@@ -22,16 +22,19 @@ result is cached in the model's one private slot.
   eigenvalues of the Fourier symbols of the exact linearization, the
   linear part plus the derivative of the quadratic terms.  A model that fails
   the check gets neither.
-* :func:`integrate` steps a model whose fields evolve linearly (no bilinear
-  term, no log entropy: nine of the ten catalog models) with RK4's exact
+* :func:`integrate` holds the one stepping loop: the record interval, the
+  replay and the failure report.  Each of its two paths is a pure
+  ``jump(state, m)`` that takes m steps and says whether the result is
+  fine.  A model whose fields evolve linearly (no bilinear term, no log
+  entropy: nine of the ten catalog models) jumps with RK4's exact
   one-step map on their Fourier symbols.  Those maps compose exactly, so
   each record interval is one batched product, with the map raised to
   ``record_every`` steps by squaring once per call.  Any other model
   steps through RK4's four stages on the compiled right-hand side
   (:func:`step_rk4`, also the oracle of the first), with its sums formed
   in place, the temperature checked every step and finiteness once per
-  record interval (an interval that ends non-finite is replayed step by
-  step to find its first bad step).
+  jump.  An interval whose jump is not fine is replayed from its start one
+  step at a time, which names its first bad step.
 * The degeneracy conditions are properties of the building blocks, not of
   a trajectory, so the derivation settles them once.  It proves
   ``M dE = 0`` in O(dim): the dissipative rows applied to the energy
@@ -44,7 +47,7 @@ result is cached in the model's one private slot.
   relative precision as it decays) from one pass over the energy terms,
   the entropy, ``|L dS|`` (computed with ``apply_L`` only for the log
   entropy, whose ``dS`` depends on the state) and ``|M dE| = 0``.
-  :func:`integrate` holds the stepper's state at each record time and
+  :func:`integrate` holds the path's state at each record time and
   records the held ones together, up to :data:`RECORD_STACK_BYTES` at a
   time; each record is bitwise the one its state alone gives.
 * ``scipy.sparse`` is imported in one place: the first call of a compiled
@@ -137,10 +140,11 @@ def _check_budget(what: str, memory: int = 0, work: int = 0) -> None:
         )
 
 
-def _is_count(x) -> bool:
-    """Whether ``x`` is a positive integer: a Python or numpy int, not a bool
-    (which ``isinstance(x, int)`` accepts as 0 or 1)."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
+def _is_count(x, least: int = 1) -> bool:
+    """Whether ``x`` is an integer of at least ``least`` (by default, a
+    positive one): a Python or numpy int, not a bool (which
+    ``isinstance(x, int)`` accepts as 0 or 1)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least
 
 
 def _magnitude(x, unit: int = 1) -> str:
@@ -379,7 +383,7 @@ def _derive_sparse_form(model) -> _SparseForm:
         return np.fft.fft(columns.reshape(-1, n, nfields), axis=1).transpose(1, 0, 2)
 
     # one FFT of the node-0 columns of the linearization and of R; the step
-    # bound and the stepper take the bins k = 0..n//2
+    # bound and the Fourier path take the bins k = 0..n//2
     bins = n // 2 + 1
     spectrum = fourier(np.concatenate([jacobian.T, r_columns.T]))[:bins]
     symbols = spectrum[:, :nfields]
@@ -605,7 +609,7 @@ def _diagnostics(model, sparse: _SparseForm, times: Sequence[float],
 #: VM).
 RECORD_STACK_BYTES = 256 * 1024
 #: Peak memory of recording one stack, in multiples of its states' bytes:
-#: the held snapshots, their stacked coefficients, the ``irfft`` output, its
+#: the held states, their stacked coefficients, the ``irfft`` output, its
 #: transposed copy, the (R, dim) states and the functionals' temporaries are
 #: alive at once.  tracemalloc put the peak of a whole ``integrate``, less
 #: its records' :data:`RECORD_BYTES`, at 3.5-4.6 times one full stack
@@ -723,62 +727,45 @@ def _map_power(step_map: np.ndarray, steps: int) -> np.ndarray:
     return result
 
 
-def _stage_stepper(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float,
-                   theta: Optional[slice]):
-    """``(advance, snapshot, states)`` for RK4 through its stages on ``rhs``.
+def _stage_path(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float,
+                theta: Optional[slice]):
+    """``(state, jump, to_grid)`` for RK4 through its stages on ``rhs``,
+    starting from the flat state ``y``.
 
-    ``advance(m)`` takes up to m steps and returns the first one (1..m) whose
-    state is not finite or, with ``theta`` a slice, has a temperature that is
-    not positive, where it stops; 0 when all m are fine.  The temperature is
-    checked every step, finiteness once at the end: a slot that is not
-    finite stays so under ``y + dt/6 (...)``, so a state that is finite
-    there was finite at every step before it.  Otherwise the interval is
-    replayed one step at a time from its start, bitwise the same steps, to
-    find the first bad one.  ``snapshot()`` is the state itself (a step
-    makes a new array), and ``states`` stacks snapshots as rows.
+    ``jump(state, m)`` takes m steps from ``state`` and returns
+    ``(new_state, ok)``, where ok means finite and, with ``theta`` a slice,
+    with a positive temperature.  The temperature is checked every step, and
+    the jump stops at the first cold one; finiteness is checked once at the
+    end: a slot that is not finite stays so under ``y + dt/6 (...)``, so a
+    state that is finite there was finite at every step before it.  A step
+    makes a new array, so the input is left as it is.  ``to_grid`` stacks
+    states as rows.
     """
 
-    def cold(state: np.ndarray) -> bool:
-        return theta is not None and not state[theta].min() > 0.0
+    def jump(state: np.ndarray, m: int):
+        for _ in range(m):
+            state = _rk4(rhs, state, dt)
+            if theta is not None and not state[theta].min() > 0.0:
+                return state, False
+        return state, bool(np.isfinite(state).all())
 
-    def advance(m: int) -> int:
-        nonlocal y
-        start = y
-        for k in range(1, m + 1):
-            y = _rk4(rhs, y, dt)
-            if cold(y):
-                break
-        else:
-            k = 0
-        if np.isfinite(y).all():
-            return k
-        y = start
-        for k in range(1, m + 1):
-            y = _rk4(rhs, y, dt)
-            if not np.isfinite(y).all() or cold(y):
-                return k
-        return 0
-
-    return advance, lambda: y, np.stack
+    return y, jump, np.stack
 
 
-def _symbol_stepper(model, sparse: _SparseForm, y: np.ndarray, cfg: IntegratorConfig):
-    """``(advance, snapshot, states)`` for RK4's map on the Fourier bins of
-    the fields.
+def _symbol_path(model, sparse: _SparseForm, y: np.ndarray, cfg: IntegratorConfig):
+    """``(state, jump, to_grid)`` for RK4's map on the Fourier bins of the
+    fields, starting from the flat state ``y``.
 
-    The one-step map, and its powers over ``record_every`` steps and over
-    the remainder ``n_steps % record_every`` when the run has them
-    (:func:`_map_power`), are built once per call.  ``advance(m)`` takes m
-    steps (one record interval, or the last, shorter one) as one batched
-    product with the m-step map and one ``vdot`` for the reservoir.  When
-    the result is not finite, it replays the interval one step at a time
-    from its start and returns the first step (1..m) whose coefficients or
-    reservoir are not finite; 0 when all m are fine (a finite replay goes
-    on from the replayed state).
-    ``snapshot()`` is the coefficients and the reservoir, which no later
-    step changes; ``states`` turns snapshots back into an (R, dim) stack of
-    states with one ``irfft`` over all their bins, bitwise one ``irfft``
-    per snapshot.
+    A state is the fields' coefficients and the reservoir.  The one-step
+    map, and its powers over ``record_every`` steps and over the remainder
+    ``n_steps % record_every`` when the run has them (:func:`_map_power`),
+    are built once per call.  ``jump(state, m)`` takes m steps (1, one record
+    interval, or the last, shorter one) as one batched product with the
+    m-step map and one ``vdot`` for the reservoir, and returns
+    ``(new_state, ok)``, where ok means the coefficients and the reservoir
+    are finite; the input is left as it is.  ``to_grid`` turns states back
+    into an (R, dim) stack with one ``irfft`` over all their bins, bitwise
+    one ``irfft`` per state.
     """
     layout = model.layout
     n, f = layout.grid.n, layout.n_fields
@@ -788,42 +775,25 @@ def _symbol_stepper(model, sparse: _SparseForm, y: np.ndarray, cfg: IntegratorCo
     for m in {min(cfg.record_every, cfg.n_steps), cfg.n_steps % cfg.record_every}:
         if m > 1:
             maps[m] = _map_power(one_step, m)
-    y_hat = np.fft.rfft(y[:nf].reshape(f, n), axis=1).T[:, :, None]
-    e = float(y[nf]) if layout.has_reservoir else 0.0
 
-    def apply(step_map: np.ndarray) -> bool:
-        nonlocal y_hat, e
-        mapped = step_map @ y_hat
+    def jump(state, m: int):
+        y_hat, e = state
+        mapped = maps[m] @ y_hat
         e += np.vdot(y_hat, mapped[:, f:]).real
         # a copy: a held view would keep the whole product alive
         y_hat = mapped[:, :f].copy()
-        return bool(np.isfinite(y_hat).all()) and math.isfinite(e)
+        return (y_hat, e), bool(np.isfinite(y_hat).all()) and math.isfinite(e)
 
-    def advance(m: int) -> int:
-        nonlocal y_hat, e
-        start = y_hat, e
-        if apply(maps[m]):
-            return 0
-        y_hat, e = start
-        for k in range(1, m + 1):
-            if not apply(maps[1]):
-                return k
-        return 0
-
-    def states(snapshots) -> np.ndarray:
+    def to_grid(states) -> np.ndarray:
         # (R, n, f): the transform runs along the bins of the stack as it lies
-        fields = np.fft.irfft(np.stack([c[:, :, 0] for c, _ in snapshots]), n, axis=1)
-        out = np.empty((len(snapshots), layout.flat_dim))
-        out[:, :nf] = fields.transpose(0, 2, 1).reshape(len(snapshots), nf)
-        out[:, nf:] = np.array([e for _, e in snapshots])[:, None]
+        fields = np.fft.irfft(np.stack([c[:, :, 0] for c, _ in states]), n, axis=1)
+        out = np.empty((len(states), layout.flat_dim))
+        out[:, :nf] = fields.transpose(0, 2, 1).reshape(len(states), nf)
+        out[:, nf:] = np.array([e for _, e in states])[:, None]
         return out
 
-    return advance, lambda: (y_hat, e), states
-
-
-def _failure_context(step: int, dt: float, records: List[DiagnosticsRecord]) -> str:
-    last = records[-1]
-    return f"t = {step * dt:g}; last recorded energy {last.energy:.6g} at t = {last.t:g}"
+    y_hat = np.fft.rfft(y[:nf].reshape(f, n), axis=1).T[:, :, None]
+    return (y_hat, float(y[nf]) if layout.has_reservoir else 0.0), jump, to_grid
 
 
 def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord]:
@@ -841,7 +811,16 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     checked every step and finiteness once per interval.  Both give the
     same records to roundoff.
 
-    Records are taken in stacks: the stepper's snapshot at each record time
+    Each path is one ``jump(state, m)`` (:func:`_stage_path`,
+    :func:`_symbol_path`); the loop here is the same for both.  It keeps
+    each interval's start and jumps over the interval at once.  When the
+    jump is not fine, it replays the interval from the start with one-step
+    jumps, bitwise the steps of a run that records every step, and reports
+    the first step that is not fine.  If every replayed step is fine (a
+    composed map can overflow where its single steps do not), the run goes
+    on from the replayed state.
+
+    Records are taken in stacks: the path's state at each record time
     is held, and the held ones go back to the grid and through
     :func:`_diagnostics` together, once they fill
     :data:`RECORD_STACK_BYTES` (at least one state), at the end, and before
@@ -878,7 +857,7 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     replay = min(cfg.record_every, n_steps)
     per_stack = stack_rows(model.layout, RECORD_STACK_BYTES)
     _check_budget(
-        f"{model.id} integrate over {n_steps} steps",
+        f"{model.id} integrate over {_magnitude(n_steps)} steps",
         memory=(dim * SETUP_BYTES_PER_SLOT + n_records * RECORD_BYTES
                 + RECORD_STACK_PEAK * per_stack * 8 * dim),
         work=((n_steps if stage else n_records) + replay) * dim,
@@ -888,35 +867,44 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         records = _diagnostics(model, sparse, (0.0,), y[None])
         if stage:
-            advance, snapshot, states = _stage_stepper(sparse.rhs, y, cfg.dt, theta)
+            state, jump, to_grid = _stage_path(sparse.rhs, y, cfg.dt, theta)
         else:
-            advance, snapshot, states = _symbol_stepper(model, sparse, y, cfg)
+            state, jump, to_grid = _symbol_path(model, sparse, y, cfg)
         times, held = [], []
 
         def record():
             if held:
-                records.extend(_diagnostics(model, sparse, times, states(held)))
+                records.extend(_diagnostics(model, sparse, times, to_grid(held)))
                 times.clear()
                 held.clear()
 
         step = 0
         while step < n_steps:
             interval = min(cfg.record_every, n_steps - step)
-            bad = advance(interval)
-            if bad:
-                step += bad
-                record()
-                context = _failure_context(step, cfg.dt, records)
-                state = states([snapshot()])[0]
-                if theta is not None and np.isfinite(state).all():
-                    raise PositivityError(
-                        f"temperature became nonpositive at step {step} "
-                        f"(min {float(np.min(state[theta])):g}; {context})"
-                    )
-                raise DivergenceError(f"non-finite state at step {step} ({context})", step=step)
+            start = state
+            state, ok = jump(start, interval)
+            if not ok:
+                # replay the interval one step at a time to name its first bad
+                # step; a replay that stays fine goes on from where it ends
+                state = start
+                for bad in range(step + 1, step + interval + 1):
+                    state, ok = jump(state, 1)
+                    if ok:
+                        continue
+                    record()
+                    last = records[-1]
+                    context = (f"t = {bad * cfg.dt:g}; last recorded energy "
+                               f"{last.energy:.6g} at t = {last.t:g}")
+                    flat = to_grid([state])[0]
+                    if theta is not None and np.isfinite(flat).all():
+                        raise PositivityError(
+                            f"temperature became nonpositive at step {bad} "
+                            f"(min {float(np.min(flat[theta])):g}; {context})"
+                        )
+                    raise DivergenceError(f"non-finite state at step {bad} ({context})", step=bad)
             step += interval
             times.append(step * cfg.dt)
-            held.append(snapshot())
+            held.append(state)
             if len(held) == per_stack:
                 record()
         record()
@@ -977,12 +965,15 @@ def verify_brackets(model, trials: int = 20, seed: int = 0) -> VerificationRepor
     operators acting row by row, so each trial's residuals are bitwise those
     of evaluating it alone, and a NaN residual fails its check.
     Residuals are normalized per trial by max(1, magnitudes involved); the
-    report keeps the worst over all trials.  Trials times slots times
-    :data:`VERIFY_WORK_WEIGHT` above :data:`WORK_LIMIT` raise
-    :class:`ValueError` before the first trial.
+    report keeps the worst over all trials.  ``trials`` that is not a
+    positive integer, ``seed`` that is not a non-negative one (bools are
+    neither), and trials times slots times :data:`VERIFY_WORK_WEIGHT` above
+    :data:`WORK_LIMIT` raise :class:`ValueError` before the first trial.
     """
     if not _is_count(trials):
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if not _is_count(seed, least=0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     _check_budget(f"{model.id} verify over {trials} trials",
                   work=int(trials) * model.layout.flat_dim * VERIFY_WORK_WEIGHT)
     rng = np.random.default_rng(seed)

@@ -188,6 +188,13 @@ def test_verify_unknown_model_and_bad_trials(capsys):
     assert main(["verify", "--model", "TimoshenkoHeatI", "--trials", "0"]) == 1
 
 
+def test_verify_negative_seed_names_the_key(capsys):
+    assert main(["verify", "--model", "TimoshenkoHeatI", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+    assert captured.out == ""
+
+
 def test_decay_frictional(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -375,6 +382,17 @@ def test_runs_above_the_budget_exit_one(tmp_path, capsys, command, text, estimat
     assert "above the limit of" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_budget_message_gives_a_huge_step_count_to_three_digits(tmp_path, capsys):
+    # k = 1e300 shrinks TimoshenkoFrictional's step bound so far that the
+    # run would take a 153-digit count of steps
+    cfg = write_config(tmp_path, "model = TimoshenkoFrictional\nk = 1e300\n")
+    assert main(["decay", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "error: TimoshenkoFrictional integrate over 5.29e+152 steps: estimated memory" in err
+    assert "above the limit of" in err
+    assert len(err) < 150
 
 
 def test_verify_trials_above_the_budget_exit_one(capsys):

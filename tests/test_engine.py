@@ -602,23 +602,52 @@ def test_divergence_inside_an_interval_names_the_exact_step(grid32):
     assert f"step {each.value.step} (t = {each.value.step * 1e-3:g};" in str(info.value)
 
 
+def test_finite_replay_goes_on_from_the_replayed_state():
+    # with the reservoir at the largest float, a gain below half its ulp
+    # (2**970) rounds back to it: scale the fields so that the first step
+    # alone gains 0.85 * 2**970, which each single step leaves there, while
+    # the first interval's ten-step map (which sums about 1.33 first-step
+    # gains) overflows.  The replay is then finite, and the run must go on
+    # from it, not raise
+    model = bg.build_model(bg.ModelId.TIMOSHENKO_FRICTIONAL, ModelParams(), Grid(16, 1.0))
+    dt = model.dt_bound
+    z0 = bg.random_state(model, np.random.default_rng(5))
+    z0.reservoir = 0.0
+    first = integrate(model, z0, IntegratorConfig(dt=dt, t_end=dt))
+    gain = first[1].entropy - first[0].entropy   # alpha = 1: S = e
+    z0 = State(model.layout, math.sqrt(0.85 * 2.0**970 / gain) * z0.flat)
+    z0.reservoir = float(np.finfo(float).max)
+    got = integrate(model, z0, IntegratorConfig(dt=dt, t_end=40 * dt, record_every=10))
+    each = integrate(model, z0, IntegratorConfig(dt=dt, t_end=40 * dt, record_every=1))
+    assert len(got) == 5
+    assert got[1].entropy == np.finfo(float).max
+    # the replayed interval took the single steps: bitwise the same state
+    assert _record_bytes(got[:2]) == _record_bytes(each[:11:10])
+    for a, b in zip(got[2:], each[20::10]):
+        assert a.t == b.t
+        for name in ("energy", "entropy", "mech_energy", "res_l_ds", "res_m_de"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert abs(x - y) <= 1e-12 * max(abs(x), abs(y)), (a.t, name)
+
+
 def _one_row_records(model, z0, cfg):
     """integrate's records, each from a one-row _diagnostics call on its
     own state, brought back to the grid alone."""
     sparse = engine._sparse_form(model)
     y = z0.flat.copy()
     if model.id is bg.ModelId.TIMOSHENKO_NEW:
-        stepper = engine._stage_stepper(sparse.rhs, y, cfg.dt, model.layout.field_slice("theta"))
+        path = engine._stage_path(sparse.rhs, y, cfg.dt, model.layout.field_slice("theta"))
     else:
-        stepper = engine._symbol_stepper(model, sparse, y, cfg)
-    advance, snapshot, states = stepper
+        path = engine._symbol_path(model, sparse, y, cfg)
+    state, jump, to_grid = path
     records = _diagnostics(model, sparse, (0.0,), y[None])
     step = 0
     while step < cfg.n_steps:
         interval = min(cfg.record_every, cfg.n_steps - step)
-        assert advance(interval) == 0
+        state, ok = jump(state, interval)
+        assert ok
         step += interval
-        records += _diagnostics(model, sparse, (step * cfg.dt,), states([snapshot()]))
+        records += _diagnostics(model, sparse, (step * cfg.dt,), to_grid([state]))
     return records
 
 
@@ -659,6 +688,18 @@ def test_positivity_error_with_held_records_names_the_last_record(grid32):
     step = int(re.search(r"at step (\d+)", message).group(1))
     assert 990 < step < 1010
     _last_record_named(message, model, z0, 1e-3, step)
+
+
+@pytest.mark.parametrize("record_every", (1, 7, 100))
+def test_positivity_error_names_the_same_step_at_any_interval(grid32, record_every):
+    # a cold but finite step goes through the replay that names a first bad
+    # step: every record interval must name the step and the temperature a
+    # run recording every step names
+    model = _sinking_model(grid32)
+    with pytest.raises(PositivityError) as info:
+        integrate(model, model.reference_state.copy(),
+                  IntegratorConfig(dt=1e-3, t_end=2.0, record_every=record_every))
+    assert "temperature became nonpositive at step 1000 (min -8.8124e-16; t = 1;" in str(info.value)
 
 
 def _growing_model(grid):
@@ -779,6 +820,17 @@ def test_verify_brackets_trials_validation(models32):
 def test_verify_brackets_rejects_bool_trials(models32):
     with pytest.raises(ValueError, match="trials"):
         verify_brackets(models32[bg.ModelId.TIMOSHENKO_UNDAMPED], trials=True)
+
+
+@pytest.mark.parametrize("seed", (-1, True, 1.0, "0"))
+def test_verify_brackets_rejects_a_seed_that_is_not_a_non_negative_integer(models32, seed):
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        verify_brackets(models32[bg.ModelId.TIMOSHENKO_UNDAMPED], trials=1, seed=seed)
+
+
+def test_verify_brackets_takes_numpy_integer_seeds(models32):
+    model = models32[bg.ModelId.TIMOSHENKO_UNDAMPED]
+    assert verify_brackets(model, trials=2, seed=np.int64(0)) == verify_brackets(model, trials=2, seed=0)
 
 
 def test_verify_work_counts_the_trial_weight(models32, monkeypatch):
