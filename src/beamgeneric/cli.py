@@ -185,6 +185,10 @@ def cmd_decay(config: RunConfig, out=None) -> int:
     if config.output is not None:
         raise ValueError(f"config key 'output': decay writes no file, got {config.output!r}")
     model, z0, cfg = _setup_run(config)
+    records = integrate(model, z0, cfg)
+    rate = decay_rate(records)
+    window_rates = windowed_decay_rates(records)
+    # warn only about a run that has been accepted, run and fitted
     if not model.damped:
         print(f"warning: {model.id} is undamped; expecting a rate near zero", file=out)
     elif (abscissa := mode_abscissa(model, config.mode)) >= -UNDAMPED_MODE_TOLERANCE:
@@ -193,9 +197,6 @@ def cmd_decay(config: RunConfig, out=None) -> int:
             f"(largest Re(lambda) {abscissa:.1e}); expecting a rate near zero",
             file=out,
         )
-    records = integrate(model, z0, cfg)
-    rate = decay_rate(records)
-    window_rates = windowed_decay_rates(records)
     negative = sum(1 for r in window_rates if r < 0.0)
     confidence = negative / len(window_rates)
     print(

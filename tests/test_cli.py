@@ -395,6 +395,25 @@ def test_budget_message_gives_a_huge_step_count_to_three_digits(tmp_path, capsys
     assert len(err) < 150
 
 
+@pytest.mark.parametrize("config, error", [
+    # the budget rejects the run
+    ("model = TimoshenkoFrictional\nk = 1e300\n",
+     "error: TimoshenkoFrictional integrate over 5.29e+152 steps: "),
+    # mode n/2 is undamped, and the fit rejects the run's four records
+    ("model = TimoshenkoHeatI\nmode = 32\ndt = 5e-4\nt_end = 0.003\nrecord_every = 2\n",
+     "error: need at least 10 records for a decay fit, got 4"),
+])
+def test_decay_warns_nothing_for_a_run_it_rejects(tmp_path, capsys, config, error):
+    # the undamped-mode warning comes only once the run has been accepted
+    # and fitted, so a rejected run prints its error alone
+    cfg = write_config(tmp_path, config)
+    assert main(["decay", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(error)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_verify_trials_above_the_budget_exit_one(capsys):
     # 1e9 trials of TimoshenkoUndamped's 257 slots at n = 64, each slot
     # counting VERIFY_WORK_WEIGHT = 4 updates
@@ -505,6 +524,28 @@ else:
     for name in LINEAR_NAMES:
         lines = (tmp_path / f"{name}.csv").read_text().splitlines()
         assert lines[0] == CSV_HEADER and len(lines) > 2
+
+
+def test_timoshenko_new_without_scipy_exits_one(tmp_path):
+    # TimoshenkoNew steps on its compiled right-hand side, whose first call
+    # imports scipy: where that fails, simulate and decay exit 1 naming the
+    # model and scipy, with no traceback and no CSV
+    config = "model = TimoshenkoNew\nn = 16\nt_end = 0.01\n"
+    write_config(tmp_path, config + "output = new.csv\n", "new.cfg")
+    write_config(tmp_path, config, "new-decay.cfg")
+    for argv in (["simulate", "--config", "new.cfg"], ["decay", "--config", "new-decay.cfg"]):
+        proc = _run_python(_NO_SCIPY + f"""
+import sys
+from beamgeneric import cli
+sys.exit(cli.main({argv!r}))
+""", cwd=tmp_path)
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert proc.stdout == "", argv
+        assert proc.stderr.startswith(
+            "error: TimoshenkoNew: the compiled right-hand side needs scipy, which cannot be "
+            "imported (scipy is blocked: scipy"), argv
+        assert "Traceback" not in proc.stderr, argv
+    assert not (tmp_path / "new.csv").exists()
 
 
 # --------------------------------------------------------------------------

@@ -367,6 +367,15 @@ def test_stable_dt_requires_uniform_reference_state(grid32):
 # integration
 
 
+def test_step_rk4_rejects_a_state_of_another_layout(models32):
+    # the stages hand the state to the CSR kernel, which reads dim slots of
+    # whatever it is given
+    model = models32[bg.ModelId.TIMOSHENKO_NEW]
+    other = bg.build_model(bg.ModelId.TIMOSHENKO_NEW, ModelParams(), Grid(16, 1.0))
+    with pytest.raises(ValueError, match="state layout does not match model TimoshenkoNew"):
+        step_rk4(model, other.reference_state, 1e-4)
+
+
 def test_step_rk4_positive_dt(models32):
     model = models32[bg.ModelId.TIMOSHENKO_UNDAMPED]
     with pytest.raises(ValueError):
@@ -445,10 +454,11 @@ def _sinking_model(grid):
     dim = base.layout.flat_dim
     sl = base.layout.field_slice("theta")
 
-    def sinking(flat):
-        out = np.zeros(dim)
-        out[sl] = -1.0
-        return out
+    def sinking(flat, out):
+        k = out[:dim]
+        k[:] = 0.0
+        k[sl] = -1.0
+        return k
 
     model = dataclasses.replace(base)
     model._sparse = dataclasses.replace(engine._sparse_form(base), rhs=sinking)
@@ -492,12 +502,76 @@ def _stage_reference(model, z0, cfg):
     rhs = compile_rhs(model)
     y = z0.flat.copy()
     sparse = engine._sparse_form(model)
+    work = engine._rk4_work(y.size, sparse.work_rows)
     records = _diagnostics(model, sparse, (0.0,), y[None])
     for step in range(1, cfg.n_steps + 1):
-        y = _rk4(rhs, y, cfg.dt)
+        y = _rk4(rhs, y, cfg.dt, work)
         if step % cfg.record_every == 0 or step == cfg.n_steps:
             records += _diagnostics(model, sparse, (step * cfg.dt,), y[None])
     return records
+
+
+@pytest.mark.parametrize("start", ("default", "random"))
+@pytest.mark.parametrize("record_every", (1, 7))
+@pytest.mark.parametrize("n", (16, 64))
+def test_stage_path_equals_the_rk4_loop_bitwise(n, record_every, start):
+    # the stage path writes its stages into work arrays of its own; every
+    # record must equal the plain _rk4 loop's, and with a record every step
+    # a held state that shared a work buffer would be overwritten
+    model = bg.build_model(bg.ModelId.TIMOSHENKO_NEW, ModelParams(), Grid(n, 1.0))
+    if start == "default":
+        z0 = bg.default_initial_state(model.id, model.grid)
+    else:
+        z0 = bg.random_state(model, np.random.default_rng(n + record_every))
+    dt = 0.5 * model.dt_bound
+    cfg = IntegratorConfig(dt=dt, t_end=40 * dt, record_every=record_every)
+    got = integrate(model, z0, cfg)
+    assert len(got) == 1 + -(-cfg.n_steps // record_every)
+    assert got == _stage_reference(model, z0, cfg)
+
+
+def test_csr_kernel_product_equals_the_matrix_product_bitwise(grid32, monkeypatch):
+    # the compiled right-hand side runs scipy's CSR kernel itself, into a
+    # buffer that may hold anything; its product must be bitwise that of
+    # matrix @ y, whatever scipy release is installed
+    built = []
+
+    def keep(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    original = engine._circulant
+    monkeypatch.setattr(engine, "_circulant", keep)
+    rng = np.random.default_rng(25)
+    for mid in bg.ALL_MODEL_IDS:
+        model = bg.build_model(mid, ModelParams(), grid32)
+        rhs = compile_rhs(model)
+        y = bg.random_state(model, rng).flat
+        public = rhs(y)
+        matrix, product = built[-1]
+        rows = engine._sparse_form(model).work_rows
+        assert matrix.shape == (rows, y.size)
+        dirty = np.full(rows, np.nan)
+        assert product(y, dirty) is dirty
+        assert dirty.tobytes() == (matrix @ y).tobytes(), mid
+        # the public call and a call into a work buffer agree bitwise; only
+        # the latter writes the buffer
+        buffer = np.full(rows, np.nan)
+        staged = rhs(y, buffer)
+        assert np.shares_memory(staged, buffer) and not np.shares_memory(public, rhs(y))
+        assert staged.tobytes() == public.tobytes(), mid
+    assert len(built) == len(bg.ALL_MODEL_IDS)
+
+
+def test_compiled_rhs_rejects_a_state_of_another_shape(grid32):
+    # the kernel reads dim slots of whatever it is given, so the public call
+    # checks the shape
+    model = bg.build_model(bg.ModelId.TIMOSHENKO_NEW, ModelParams(), grid32)
+    rhs = compile_rhs(model)
+    dim = model.layout.flat_dim
+    for shape in ((dim - 1,), (dim, 1), (2, dim)):
+        with pytest.raises(ValueError, match=rf"TimoshenkoNew: expected a flat state of shape \({dim},\)"):
+            rhs(np.zeros(shape))
 
 
 @pytest.mark.parametrize(
@@ -636,7 +710,7 @@ def _one_row_records(model, z0, cfg):
     sparse = engine._sparse_form(model)
     y = z0.flat.copy()
     if model.id is bg.ModelId.TIMOSHENKO_NEW:
-        path = engine._stage_path(sparse.rhs, y, cfg.dt, model.layout.field_slice("theta"))
+        path = engine._stage_path(sparse, y, cfg.dt, model.layout.field_slice("theta"))
     else:
         path = engine._symbol_path(model, sparse, y, cfg)
     state, jump, to_grid = path
@@ -708,10 +782,11 @@ def _growing_model(grid):
     base = bg.build_model("TimoshenkoNew", ModelParams(), grid)
     dim = base.layout.flat_dim
 
-    def growing(flat):
-        out = np.zeros(dim)
-        out[0] = 1000.0 * flat[0]
-        return out
+    def growing(flat, out):
+        k = out[:dim]
+        k[:] = 0.0
+        k[0] = 1000.0 * flat[0]
+        return k
 
     model = dataclasses.replace(base)
     model._sparse = dataclasses.replace(engine._sparse_form(base), rhs=growing)
@@ -738,7 +813,7 @@ def test_stage_divergence_inside_an_interval_names_the_exact_step(grid32):
 
 
 def test_linear_models_never_call_compiled_rhs_in_integrate(grid32):
-    def raising(flat):
+    def raising(flat, out):
         raise AssertionError("integrate called the compiled right-hand side")
 
     for mid in bg.ALL_MODEL_IDS:
