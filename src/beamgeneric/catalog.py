@@ -5,9 +5,12 @@ blocks, the factored dissipative rows and an independently hand-coded
 transcription of the underlying PDE system (``direct_rhs``).  Each beam
 family's conservative core is transcribed once (:func:`_timoshenko_core`,
 :func:`_bresse_core`); a damped model's transcription adds only its own
-friction, heat or flux terms and reservoir rate.  The entropy and the
-reference state follow the layout: ``alpha * e`` and the zero state with a
-reservoir, the log entropy and ``theta = 1`` without one.  The generic
+friction, heat or flux terms and reservoir rate.  The undamped, frictional
+and type-I heat models are written once for both families, over a
+:class:`_Family` record of the family's fields, energy, canonical blocks,
+core and friction constants.  The entropy and the reference state follow
+the layout: ``alpha * e`` and the zero state with a reservoir, the log
+entropy and ``theta = 1`` without one.  The generic
 assembly L dE + M dS and the direct transcription must agree to roundoff;
 that equivalence is the central consistency check of the package.
 
@@ -20,10 +23,10 @@ mechanical subsystem loses.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional
 
@@ -126,30 +129,27 @@ class ModelSpec:
 # parameter validation
 
 
-_NONNEGATIVE = (
-    "delta1", "delta2", "gamma1", "gamma2", "gamma3",
-    "gamma", "delta", "beta", "kappa", "kappa1", "kappa2", "K",
-)
+#: the constants that must be > 0; every other constant a model reads must
+#: be >= 0.  alpha < 0 would flip the sign of the dissipative quadratic form
+#: and break positive semidefiniteness, so it is rejected along with
+#: alpha == 0.
+_POSITIVE = ("k", "b", "k0", "l", "alpha")
 
 
 def _validate_params(mid: ModelId, params: ModelParams):
-    # NaN passes the `< 0` checks below, so finiteness is checked on its own.
-    values = dataclasses.asdict(params)
+    # Only the constants the model reads are checked; it ignores the rest.
+    # NaN passes the sign checks below, so finiteness is checked on its own.
+    values = {name: getattr(params, name) for name in MODEL_CONSTANTS[mid]}
     problems = [
         f"{name} must be finite, got {value}"
         for name, value in values.items()
         if not math.isfinite(value)
     ]
-    for name in ("k", "b", "k0", "l"):
-        if name in MODEL_CONSTANTS[mid] and not values[name] > 0.0:
-            problems.append(f"{name} must be > 0, got {values[name]}")
-    for name in _NONNEGATIVE:
-        if values[name] < 0.0:
-            problems.append(f"{name} must be >= 0, got {values[name]}")
-    # alpha < 0 would flip the sign of the dissipative quadratic form and break
-    # positive semidefiniteness, so it is rejected along with alpha == 0.
-    if not params.alpha > 0.0:
-        problems.append(f"alpha must be > 0, got {params.alpha}")
+    for name, value in values.items():
+        if name in _POSITIVE and not value > 0.0:
+            problems.append(f"{name} must be > 0, got {value}")
+        elif name not in _POSITIVE and value < 0.0:
+            problems.append(f"{name} must be >= 0, got {value}")
     if problems:
         raise ValueError(f"invalid parameters for {mid.value}: " + "; ".join(problems))
 
@@ -231,48 +231,71 @@ def _bresse_core(params: ModelParams, z: State) -> State:
     return out
 
 
+@dataclass(frozen=True)
+class _Family:
+    """What the undamped, frictional and type-I heat models of one beam
+    family take from it: its fields, energy terms, canonical Poisson blocks
+    and conservative core, and its frictions as (velocity, constant name)
+    pairs."""
+
+    fields: tuple
+    energy: Callable[[ModelParams], tuple]
+    canonical: tuple
+    core: Callable[[ModelParams, State], State]
+    friction: tuple
+
+
+_TIMOSHENKO_FAMILY = _Family(
+    ("phi", "psi", "p", "q"), _timoshenko_energy, _CANONICAL_TIMOSHENKO, _timoshenko_core,
+    (("p", "delta1"), ("q", "delta2")),
+)
+
+_BRESSE_FAMILY = _Family(
+    ("phi", "psi", "chi", "p", "q", "w"), _bresse_energy, _CANONICAL_BRESSE, _bresse_core,
+    (("p", "gamma1"), ("q", "gamma2"), ("w", "gamma3")),
+)
+
+
 # --------------------------------------------------------------------------
 # model builders: the building blocks, and a direct transcription that adds
 # the model's own friction, heat or flux terms and reservoir rate to its core
 
 
-def _build_timoshenko_undamped(params: ModelParams, grid: Grid):
-    layout = StateLayout(grid, ("phi", "psi", "p", "q"), has_reservoir=True)
-    direct = functools.partial(_timoshenko_core, params)
-    return layout, _timoshenko_energy(params), _CANONICAL_TIMOSHENKO, (), direct
+def _build_undamped(family: _Family, params: ModelParams, grid: Grid):
+    layout = StateLayout(grid, family.fields, has_reservoir=True)
+    direct = functools.partial(family.core, params)
+    return layout, family.energy(params), family.canonical, (), direct
 
 
-def _build_timoshenko_frictional(params: ModelParams, grid: Grid):
-    layout = StateLayout(grid, ("phi", "psi", "p", "q"), has_reservoir=True)
-    d1f, d2f, alpha = params.delta1, params.delta2, params.alpha
-    rows = (
-        DissipativeRow("p", weight=d1f / alpha),
-        DissipativeRow("q", weight=d2f / alpha),
-    )
+def _build_frictional(family: _Family, params: ModelParams, grid: Grid):
+    layout = StateLayout(grid, family.fields, has_reservoir=True)
+    friction = tuple((v, getattr(params, name)) for v, name in family.friction)
+    rows = tuple(DissipativeRow(v, weight=c / params.alpha) for v, c in friction)
 
     def direct(z: State) -> State:
-        out = _timoshenko_core(params, z)
-        p, q = z.field("p"), z.field("q")
-        out.field("p")[:] -= d1f * p
-        out.field("q")[:] -= d2f * q
-        out.reservoir = d1f * grid.inner(p, p) + d2f * grid.inner(q, q)
+        out = family.core(params, z)
+        for v, c in friction:
+            out.field(v)[:] -= c * z.field(v)
+        # summed left to right from the first velocity: the order fixes the rounding
+        rates = (c * grid.inner(z.field(v), z.field(v)) for v, c in friction)
+        out.reservoir = functools.reduce(operator.add, rates)
         return out
 
-    return layout, _timoshenko_energy(params), _CANONICAL_TIMOSHENKO, rows, direct
+    return layout, family.energy(params), family.canonical, rows, direct
 
 
-def _build_timoshenko_heat_i(params: ModelParams, grid: Grid):
-    layout = StateLayout(grid, ("phi", "psi", "p", "q", "theta"), has_reservoir=True)
+def _build_heat_i(family: _Family, params: ModelParams, grid: Grid):
+    layout = StateLayout(grid, family.fields + ("theta",), has_reservoir=True)
     gam, kap, alpha = params.gamma, params.kappa, params.alpha
-    terms = _timoshenko_energy(params) + (_sq("theta"),)
-    l_blocks = _CANONICAL_TIMOSHENKO + (
+    terms = family.energy(params) + (_sq("theta"),)
+    l_blocks = family.canonical + (
         ("q", "theta", Block("d1", -gam)),
         ("theta", "q", Block("d1", -gam)),
     )
     rows = (DissipativeRow("theta", differentiate=True, weight=kap / alpha),)
 
     def direct(z: State) -> State:
-        out = _timoshenko_core(params, z)
+        out = family.core(params, z)
         q, theta = z.field("q"), z.field("theta")
         dth = grid.d1(theta)
         out.field("q")[:] -= gam * dth
@@ -376,55 +399,6 @@ def _build_timoshenko_new(params: ModelParams, grid: Grid):
     return layout, terms, l_blocks, rows, direct
 
 
-def _build_bresse_undamped(params: ModelParams, grid: Grid):
-    layout = StateLayout(grid, ("phi", "psi", "chi", "p", "q", "w"), has_reservoir=True)
-    direct = functools.partial(_bresse_core, params)
-    return layout, _bresse_energy(params), _CANONICAL_BRESSE, (), direct
-
-
-def _build_bresse_frictional(params: ModelParams, grid: Grid):
-    layout = StateLayout(grid, ("phi", "psi", "chi", "p", "q", "w"), has_reservoir=True)
-    g1, g2, g3, alpha = params.gamma1, params.gamma2, params.gamma3, params.alpha
-    rows = (
-        DissipativeRow("p", weight=g1 / alpha),
-        DissipativeRow("q", weight=g2 / alpha),
-        DissipativeRow("w", weight=g3 / alpha),
-    )
-
-    def direct(z: State) -> State:
-        out = _bresse_core(params, z)
-        p, q, w = z.field("p"), z.field("q"), z.field("w")
-        out.field("p")[:] -= g1 * p
-        out.field("q")[:] -= g2 * q
-        out.field("w")[:] -= g3 * w
-        out.reservoir = g1 * grid.inner(p, p) + g2 * grid.inner(q, q) + g3 * grid.inner(w, w)
-        return out
-
-    return layout, _bresse_energy(params), _CANONICAL_BRESSE, rows, direct
-
-
-def _build_bresse_heat_i(params: ModelParams, grid: Grid):
-    layout = StateLayout(grid, ("phi", "psi", "chi", "p", "q", "w", "theta"), has_reservoir=True)
-    gam, kap, alpha = params.gamma, params.kappa, params.alpha
-    terms = _bresse_energy(params) + (_sq("theta"),)
-    l_blocks = _CANONICAL_BRESSE + (
-        ("q", "theta", Block("d1", -gam)),
-        ("theta", "q", Block("d1", -gam)),
-    )
-    rows = (DissipativeRow("theta", differentiate=True, weight=kap / alpha),)
-
-    def direct(z: State) -> State:
-        out = _bresse_core(params, z)
-        q, theta = z.field("q"), z.field("theta")
-        dth = grid.d1(theta)
-        out.field("q")[:] -= gam * dth
-        out.field("theta")[:] = kap * grid.d1(dth) - gam * grid.d1(q)
-        out.reservoir = kap * grid.inner(dth, dth)
-        return out
-
-    return layout, terms, l_blocks, rows, direct
-
-
 def _build_bresse_heat_ii(params: ModelParams, grid: Grid):
     # Two temperatures: theta damps the shear angle, eta damps the longitudinal
     # displacement (and couples to p through the curvature).
@@ -464,15 +438,15 @@ def _build_bresse_heat_ii(params: ModelParams, grid: Grid):
 
 
 _BUILDERS = {
-    ModelId.TIMOSHENKO_UNDAMPED: _build_timoshenko_undamped,
-    ModelId.TIMOSHENKO_FRICTIONAL: _build_timoshenko_frictional,
-    ModelId.TIMOSHENKO_HEAT_I: _build_timoshenko_heat_i,
+    ModelId.TIMOSHENKO_UNDAMPED: functools.partial(_build_undamped, _TIMOSHENKO_FAMILY),
+    ModelId.TIMOSHENKO_FRICTIONAL: functools.partial(_build_frictional, _TIMOSHENKO_FAMILY),
+    ModelId.TIMOSHENKO_HEAT_I: functools.partial(_build_heat_i, _TIMOSHENKO_FAMILY),
     ModelId.TIMOSHENKO_HEAT_II: _build_timoshenko_heat_ii,
     ModelId.TIMOSHENKO_HEAT_III: _build_timoshenko_heat_iii,
     ModelId.TIMOSHENKO_NEW: _build_timoshenko_new,
-    ModelId.BRESSE_UNDAMPED: _build_bresse_undamped,
-    ModelId.BRESSE_FRICTIONAL: _build_bresse_frictional,
-    ModelId.BRESSE_HEAT_I: _build_bresse_heat_i,
+    ModelId.BRESSE_UNDAMPED: functools.partial(_build_undamped, _BRESSE_FAMILY),
+    ModelId.BRESSE_FRICTIONAL: functools.partial(_build_frictional, _BRESSE_FAMILY),
+    ModelId.BRESSE_HEAT_I: functools.partial(_build_heat_i, _BRESSE_FAMILY),
     ModelId.BRESSE_HEAT_II: _build_bresse_heat_ii,
 }
 

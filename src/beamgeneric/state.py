@@ -77,6 +77,7 @@ def stack_rows(layout: StateLayout, size: int = STACK_BYTES) -> int:
     return max(1, size // (8 * layout.flat_dim))
 
 
+@dataclass(eq=False)
 class _FlatVector:
     """Shared behaviour of states and cotangent vectors (layout + flat storage).
 
@@ -88,14 +89,14 @@ class _FlatVector:
     layout: StateLayout
     flat: np.ndarray
 
-    def _validate(self):
+    def __post_init__(self):
         flat = np.asarray(self.flat, dtype=float)
         if flat.shape != (self.layout.flat_dim,):
             raise ValueError(
                 f"flat vector of shape {flat.shape} does not match layout "
                 f"dimension {self.layout.flat_dim}"
             )
-        object.__setattr__(self, "flat", flat)
+        self.flat = flat
 
     @classmethod
     def _stack(cls, layout: StateLayout, flat: np.ndarray):
@@ -131,26 +132,12 @@ class _FlatVector:
         return cls(layout, np.zeros(layout.flat_dim))
 
 
-@dataclass(eq=False)
 class State(_FlatVector):
     """A point z of the state space: field values plus the reservoir scalar."""
 
-    layout: StateLayout
-    flat: np.ndarray
 
-    def __post_init__(self):
-        self._validate()
-
-
-@dataclass(eq=False)
 class CotangentVector(_FlatVector):
     """A functional derivative dF/dz; same storage shape as a State."""
-
-    layout: StateLayout
-    flat: np.ndarray
-
-    def __post_init__(self):
-        self._validate()
 
 
 def unpack(z) -> dict:

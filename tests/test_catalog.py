@@ -13,16 +13,28 @@ def test_all_models_build_and_verify(models32):
         assert report.all_passed, report
 
 
+#: README's catalog table: each model's field order, and whether it has the
+#: reservoir slot e
+README_LAYOUTS = {
+    "TimoshenkoUndamped": (("phi", "psi", "p", "q"), True),
+    "TimoshenkoFrictional": (("phi", "psi", "p", "q"), True),
+    "TimoshenkoHeatI": (("phi", "psi", "p", "q", "theta"), True),
+    "TimoshenkoHeatII": (("phi", "psi", "p", "q", "theta", "s"), True),
+    "TimoshenkoHeatIII": (("phi", "psi", "p", "q", "theta", "w"), True),
+    "TimoshenkoNew": (("phi", "psi", "p", "q", "theta"), False),
+    "BresseUndamped": (("phi", "psi", "chi", "p", "q", "w"), True),
+    "BresseFrictional": (("phi", "psi", "chi", "p", "q", "w"), True),
+    "BresseHeatI": (("phi", "psi", "chi", "p", "q", "w", "theta"), True),
+    "BresseHeatII": (("phi", "psi", "chi", "p", "q", "w", "theta", "eta"), True),
+}
+
+
 def test_layouts(models32):
-    lay = {mid: m.layout for mid, m in models32.items()}
-    assert lay[bg.ModelId.TIMOSHENKO_UNDAMPED].field_order == ("phi", "psi", "p", "q")
-    assert lay[bg.ModelId.TIMOSHENKO_UNDAMPED].has_reservoir
-    assert lay[bg.ModelId.TIMOSHENKO_NEW].field_order == ("phi", "psi", "p", "q", "theta")
-    assert not lay[bg.ModelId.TIMOSHENKO_NEW].has_reservoir
-    assert lay[bg.ModelId.TIMOSHENKO_HEAT_II].field_order == ("phi", "psi", "p", "q", "theta", "s")
-    assert lay[bg.ModelId.TIMOSHENKO_HEAT_III].field_order == ("phi", "psi", "p", "q", "theta", "w")
-    assert "theta" in lay[bg.ModelId.BRESSE_HEAT_II] and "eta" in lay[bg.ModelId.BRESSE_HEAT_II]
-    assert lay[bg.ModelId.BRESSE_FRICTIONAL].field_order == ("phi", "psi", "chi", "p", "q", "w")
+    assert set(README_LAYOUTS) == {mid.value for mid in ALL_IDS}
+    for mid, model in models32.items():
+        fields, has_reservoir = README_LAYOUTS[mid.value]
+        assert model.layout.field_order == fields, mid
+        assert model.layout.has_reservoir is has_reservoir, mid
 
 
 def test_damped_flags(models32):
@@ -57,6 +69,9 @@ def test_parameter_validation():
         bg.build_model("TimoshenkoUndamped", ModelParams(k=-1.0, b=0.0), grid)
     # Timoshenko models do not restrict the Bresse-only constants
     bg.build_model("TimoshenkoUndamped", ModelParams(k0=0.0, l=0.0), grid)
+    # nor any other constant the model does not read
+    bg.build_model("TimoshenkoFrictional", ModelParams(kappa=-1.0), grid)
+    bg.build_model("TimoshenkoNew", ModelParams(alpha=-1.0), grid)
     # non-finite constants are rejected by name (NaN passes the sign checks)
     with pytest.raises(ValueError, match="kappa must be finite, got nan"):
         bg.build_model("TimoshenkoHeatI", ModelParams(kappa=float("nan")), grid)
