@@ -125,14 +125,15 @@ def _setup_run(config: RunConfig):
 
 
 CSV_HEADER = "t,energy,entropy,mech_energy,res_LdS,res_MdE,theta_min"
+#: one CSV line of a record, whose fields are in the header's order
+_CSV_ROW = ",".join(["%.17g"] * 7) + "\n"
 
 
 def write_csv(path: str, records):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in records:
-            fields = (r.t, r.energy, r.entropy, r.mech_energy, r.res_l_ds, r.res_m_de, r.theta_min)
-            fh.write(",".join("%.17g" % value for value in fields) + "\n")
+            fh.write(_CSV_ROW % r)
 
 
 def cmd_simulate(config: RunConfig, out=None) -> int:

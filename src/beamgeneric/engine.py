@@ -51,8 +51,8 @@ result is cached in the model's one private slot.
   the entropy, ``|L dS|`` (computed with ``apply_L`` only for the log
   entropy, whose ``dS`` depends on the state) and ``|M dE| = 0``.
   :func:`integrate` holds the path's state at each record time and
-  records the held ones together, up to :data:`RECORD_STACK_BYTES` at a
-  time; each record is bitwise the one its state alone gives.
+  records the held ones together, up to ``state.STACK_BYTES`` (256 KB) at
+  a time; each record is bitwise the one its state alone gives.
 * ``scipy.sparse`` is imported in one place (:func:`_circulant`): the
   first call of a compiled right-hand side, which builds its CSR matrix
   and takes the compiled kernel ``csr_matvec`` that its products run on.
@@ -81,7 +81,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -120,10 +120,12 @@ RECORD_BYTES = 512
 #: so the limit is about 2.5 to 30 minutes of stepping.
 WORK_LIMIT = 1e10
 #: Slot updates one verify trial counts per slot: a trial's cost per slot
-#: over an RK4 stage step's, measured 1.2-2.3 at n = 64, 2.3-5.6 at n = 256
-#: and 2.5-6.2 (median 4) at n = 1024 and 4096, where the limit binds (the
-#: ten catalog models, same VM), so the limit allows verify about the wall
-#: time it allows stepping.
+#: over an RK4 stage step's, measured 1.2-2.3 at n = 64 and 2.3-5.6 at
+#: n = 256 with 64 KB trial stacks.  At n = 1024 and 4096, where the limit
+#: binds, the 256 KB stacks of ``state.STACK_BYTES`` give 2.4-6.3 over the
+#: ten catalog models, median 4.1 and 3.9 in two runs (64 KB stacks gave
+#: a median of 5.2 by the same method; same VM).  So the limit allows verify
+#: about the wall time it allows stepping.
 VERIFY_WORK_WEIGHT = 4
 
 
@@ -597,8 +599,9 @@ class IntegratorConfig:
         return int(math.ceil(self.t_end / self.dt - 1e-9))
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
+class DiagnosticsRecord(NamedTuple):
+    """One row of a run's diagnostics, in the column order of the CSV."""
+
     t: float
     energy: float
     entropy: float
@@ -641,13 +644,6 @@ def _diagnostics(model, sparse: _SparseForm, times: Sequence[float],
     return [DiagnosticsRecord(*row, low) for row, low in zip(rows, theta_min)]
 
 
-#: Largest stack of record states :func:`integrate` holds before it records
-#: them, in bytes (at least one state).  A stack costs tens of microseconds
-#: of calls besides its rows; BresseHeatII's integrate over 250 steps at
-#: n = 512 (26 records, 8 per stack) took 8.6 ms with 256 KB stacks against
-#: 10.1 ms with 64 KB and 10.5 ms with 1 MB (medians of 30, a shared 2-vCPU
-#: VM).
-RECORD_STACK_BYTES = 256 * 1024
 #: Peak memory of recording one stack, in multiples of its states' bytes:
 #: the held states, their stacked coefficients, the ``irfft`` output, its
 #: transposed copy, the (R, dim) states and the functionals' temporaries are
@@ -882,8 +878,8 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
 
     Records are taken in stacks: the path's state at each record time
     is held, and the held ones go back to the grid and through
-    :func:`_diagnostics` together, once they fill
-    :data:`RECORD_STACK_BYTES` (at least one state), at the end, and before
+    :func:`_diagnostics` together, once they fill ``state.STACK_BYTES``
+    (256 KB, at least one state), at the end, and before
     a failure is reported.  Each record is bitwise the one its state alone
     gives.  The initial record is taken from z0 itself.
 
@@ -915,7 +911,7 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     # both paths may replay the steps of one interval one by one to find a
     # first bad step; the Fourier path takes one product per record besides
     replay = min(cfg.record_every, n_steps)
-    per_stack = stack_rows(model.layout, RECORD_STACK_BYTES)
+    per_stack = stack_rows(model.layout)
     _check_budget(
         f"{model.id} integrate over {_magnitude(n_steps)} steps",
         memory=(dim * SETUP_BYTES_PER_SLOT + n_records * RECORD_BYTES
@@ -1020,7 +1016,7 @@ def verify_brackets(model, trials: int = 20, seed: int = 0) -> VerificationRepor
 
     Each trial draws a state z and covectors xi and eta, in that order, from
     one generator seeded with ``seed``.  The trials are then evaluated as one
-    stack (at most ``state.STACK_BYTES``, 64 KB, per stack of states; more
+    stack (at most ``state.STACK_BYTES``, 256 KB, per stack of states; more
     trials make more stacks, drawn in the same order), with the object-level
     operators acting row by row, so each trial's residuals are bitwise those
     of evaluating it alone, and a NaN residual fails its check.

@@ -225,7 +225,7 @@ def fd_gradient(f, z: State, rel_step: float = 1e-6) -> CotangentVector:
     Jacobi check) do, and so does an ``f`` that reads ``z.field`` and
     ``z.reservoir`` (one row per state) and reduces with the grid's
     ``inner`` or over the last axis.  A stack holds at most
-    ``state.STACK_BYTES`` (64 KB; at least one slot), so k shrinks as the
+    ``state.STACK_BYTES`` (256 KB; at least one slot), so k shrinks as the
     layout grows; the result is bitwise that of perturbing one slot at a
     time.  An ``f`` returning one scalar for a stack raises
     :class:`ValueError`; its evaluation failures (e.g. log of a nonpositive

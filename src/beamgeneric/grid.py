@@ -50,8 +50,9 @@ class Grid:
         return np.arange(self.n) * self.dx
 
     def field(self, values) -> np.ndarray:
-        """Coerce ``values`` to a float field on this grid, validating its size."""
-        u = np.asarray(values, dtype=float)
+        """Coerce ``values`` to a float field on this grid, validating its
+        size and that it is real."""
+        u = real_array(values, "field")
         if u.shape != (self.n,):
             raise ValueError(
                 f"field of shape {u.shape} does not live on a grid with n={self.n}"
@@ -96,6 +97,16 @@ class Grid:
         """Rectangle-rule pairing dx * sum(u * v): a float for two fields, an
         array for stacks."""
         return self.dx * row_dot(self._nodal(u), self._nodal(v))
+
+
+def real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array.  A complex one raises
+    :class:`ValueError` naming ``what`` and its dtype, where a cast would
+    drop the imaginary part with only a warning."""
+    u = np.asarray(values)
+    if u.dtype.kind == "c":
+        raise ValueError(f"{what} of dtype {u.dtype} is not real")
+    return np.asarray(u, dtype=float)
 
 
 def row_dot(a: np.ndarray, b: np.ndarray):

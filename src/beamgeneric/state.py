@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, row_dot, scalar_or_array
+from .grid import Grid, real_array, row_dot, scalar_or_array
 
 #: Field tags understood by layouts, in canonical display order.
 FIELD_NAMES = ("phi", "psi", "chi", "p", "q", "w", "theta", "eta", "s")
@@ -63,18 +63,26 @@ class StateLayout:
         return name in self.field_order
 
 
-#: size bound of one stack of vectors built inside the package (the
+#: Size bound of every stack of vectors built inside the package (the
 #: finite-difference blocks of ``fd_gradient``, the trials of
-#: ``verify_brackets``), whatever the grid: large enough that Python overhead
-#: is paid per stack rather than per state, small enough to add little to
-#: the peak memory
-STACK_BYTES = 64 * 1024
+#: ``verify_brackets``, the record states of ``integrate``), whatever the
+#: grid: large enough that Python overhead is paid per stack rather than per
+#: state, small enough to add little to the peak memory.  Every stacked
+#: result is bitwise that of its rows alone, so the size moves only time.
+#: Medians of two runs of 9 alternated rounds at 64 KB / 256 KB / 512 KB /
+#: 1 MB (a shared 2-vCPU VM, one BLAS thread), summed over the ten models:
+#: the energy's ``fd_gradient`` at n = 64 took 47-65 / 17-21 / 14-18 /
+#: 18-27 ms, ``jacobi_check`` at n = 32 44-60 / 29-35 / 43-49 / 51-68 ms,
+#: ``verify_brackets`` (20 trials, n = 64) 14-18 / 12-15 / 13-17 / 15-20
+#: ms; BresseHeatII's integrate over 250 steps at n = 512 took 9.9-12.9 /
+#: 9.2-9.5 / 9.3-13.2 / 10.1-12.0 ms.
+STACK_BYTES = 256 * 1024
 
 
-def stack_rows(layout: StateLayout, size: int = STACK_BYTES) -> int:
-    """Number of flat vectors of ``layout`` that fit in a stack of ``size``
-    bytes; at least one."""
-    return max(1, size // (8 * layout.flat_dim))
+def stack_rows(layout: StateLayout) -> int:
+    """Number of flat vectors of ``layout`` that fit in a stack of
+    :data:`STACK_BYTES`; at least one."""
+    return max(1, STACK_BYTES // (8 * layout.flat_dim))
 
 
 @dataclass(eq=False)
@@ -90,7 +98,7 @@ class _FlatVector:
     flat: np.ndarray
 
     def __post_init__(self):
-        flat = np.asarray(self.flat, dtype=float)
+        flat = real_array(self.flat, "flat vector")
         if flat.shape != (self.layout.flat_dim,):
             raise ValueError(
                 f"flat vector of shape {flat.shape} does not match layout "

@@ -726,12 +726,12 @@ def _one_row_records(model, z0, cfg):
 
 
 def _record_bytes(records):
-    return np.array([dataclasses.astuple(r) for r in records]).tobytes()
+    return np.array([tuple(r) for r in records]).tobytes()
 
 
 @pytest.mark.parametrize("n", (16, 64, 512))
 def test_stacked_records_equal_one_row_records(n):
-    # integrate records its held states in stacks of RECORD_STACK_BYTES;
+    # integrate records its held states in stacks of stack_rows states;
     # with one stack short of full, full and one over, the last interval a
     # remainder, every record must be bitwise the one-row record
     for mid in bg.ALL_MODEL_IDS:
@@ -740,7 +740,7 @@ def test_stacked_records_equal_one_row_records(n):
             z0 = bg.default_initial_state(mid, model.grid, mode=2, amplitude=0.2)
         else:
             z0 = bg.random_state(model, np.random.default_rng(n))
-        rows = stack_rows(model.layout, engine.RECORD_STACK_BYTES)
+        rows = stack_rows(model.layout)
         for intervals in (rows - 1, rows, rows + 1):
             dt = 0.5 * model.dt_bound
             cfg = IntegratorConfig(dt=dt, t_end=(3 * intervals - 1) * dt, record_every=3)
@@ -755,7 +755,7 @@ def test_positivity_error_with_held_records_names_the_last_record(grid32):
     # records held, more than one stack of them already recorded
     model = _sinking_model(grid32)
     z0 = model.reference_state.copy()
-    assert stack_rows(model.layout, engine.RECORD_STACK_BYTES) < 900
+    assert stack_rows(model.layout) < 900
     with pytest.raises(PositivityError) as info:
         integrate(model, z0, IntegratorConfig(dt=1e-3, t_end=2.0, record_every=1))
     message = str(info.value)

@@ -93,6 +93,16 @@ def test_size_mismatch_errors():
         g.inner(np.zeros(8), bad)
 
 
+def test_field_rejects_complex_values():
+    g = Grid(8, 1.0)
+    with pytest.raises(ValueError, match="complex128"):
+        g.field(np.full(8, 1 + 2j))
+    with pytest.raises(ValueError, match="complex128"):
+        g.field([0.5j] * 8)
+    u = g.field(list(range(8)))
+    assert u.dtype == np.float64
+
+
 def test_operators_act_on_the_last_axis_of_a_stack():
     g = Grid(16, 1.3)
     rng = np.random.default_rng(5)

@@ -72,6 +72,29 @@ def test_flat_dim_validation(grid4):
         CotangentVector(layout, np.zeros(6))
 
 
+def test_complex_input_is_rejected_naming_its_dtype(grid4):
+    # a cast to float would keep only the real part, with a mere warning
+    layout = StateLayout(grid4, ("phi", "p"), has_reservoir=True)
+    flat = np.zeros(layout.flat_dim, dtype=complex)
+    flat[0] = 1 + 2j
+    for cls in (State, CotangentVector):
+        with pytest.raises(ValueError, match="complex128"):
+            cls(layout, flat)
+        with pytest.raises(ValueError, match="complex64"):
+            cls(layout, flat.astype(np.complex64))
+    with pytest.raises(ValueError, match="complex128"):
+        State(layout, [1 + 2j] + [0.0] * (layout.flat_dim - 1))
+    with pytest.raises(ValueError, match="field of dtype complex128 is not real"):
+        pack(layout, {"phi": np.array([1 + 2j, 0, 0, 0])})
+    # a complex dtype is rejected even when every imaginary part is zero
+    with pytest.raises(ValueError, match="complex128"):
+        pack(layout, {"p": np.zeros(4, dtype=complex)})
+    # real input of any dtype is still cast
+    z = pack(layout, {"phi": np.arange(4), "p": np.ones(4, dtype=np.float32)})
+    assert z.flat.dtype == np.float64
+    np.testing.assert_array_equal(z.field("phi"), [0.0, 1.0, 2.0, 3.0])
+
+
 def test_pack_unpack_bit_exact(grid4):
     layout = StateLayout(grid4, ("phi", "p"), has_reservoir=True)
     rng = np.random.default_rng(0)
