@@ -2,9 +2,10 @@
 
 The package casts ten beam models as metriplectic systems z_t = L dE + M dS
 on a periodic mimetic grid, verifies the bracket axioms (antisymmetry,
-symmetry, positive semidefiniteness, degeneracy, a numerical Jacobi check)
-to roundoff, and integrates the dynamics with diagnostics for energy
-conservation, entropy production and decay rates.
+symmetry, positive semidefiniteness, degeneracy, and the Jacobi identity
+by a stencil that is exact for the catalog's brackets) to roundoff, and
+integrates the dynamics with diagnostics for energy conservation, entropy
+production and decay rates.
 """
 
 from .catalog import (

@@ -221,8 +221,8 @@ def fd_gradient(f, z: State, rel_step: float = 1e-6) -> CotangentVector:
     ``State`` whose ``flat`` holds 2k perturbed copies of z as rows (the +h
     copies of k consecutive slots, then their -h copies), and must return
     one value per row, an array of shape (2k,).  The functionals of this
-    package (:func:`energy`, :func:`entropy`, the Poisson bracket of the
-    Jacobi check) do, and so does an ``f`` that reads ``z.field`` and
+    package (:func:`energy`, :func:`entropy`, ``engine.poisson_bracket``)
+    do, and so does an ``f`` that reads ``z.field`` and
     ``z.reservoir`` (one row per state) and reduces with the grid's
     ``inner`` or over the last axis.  A stack holds at most
     ``state.STACK_BYTES`` (256 KB; at least one slot), so k shrinks as the

@@ -65,14 +65,16 @@ class StateLayout:
 
 #: Size bound of every stack of vectors built inside the package (the
 #: finite-difference blocks of ``fd_gradient``, the trials of
-#: ``verify_brackets``, the record states of ``integrate``), whatever the
+#: ``verify_brackets``, the record states of ``integrate``, the four probes
+#: of a bracket in ``jacobi_check``), whatever the
 #: grid: large enough that Python overhead is paid per stack rather than per
 #: state, small enough to add little to the peak memory.  Every stacked
 #: result is bitwise that of its rows alone, so the size moves only time.
 #: Medians of two runs of 9 alternated rounds at 64 KB / 256 KB / 512 KB /
 #: 1 MB (a shared 2-vCPU VM, one BLAS thread), summed over the ten models:
 #: the energy's ``fd_gradient`` at n = 64 took 47-65 / 17-21 / 14-18 /
-#: 18-27 ms, ``jacobi_check`` at n = 32 44-60 / 29-35 / 43-49 / 51-68 ms,
+#: 18-27 ms, ``jacobi_check`` at n = 32 (when it still took the full
+#: ``fd_gradient`` of each bracket) 44-60 / 29-35 / 43-49 / 51-68 ms,
 #: ``verify_brackets`` (20 trials, n = 64) 14-18 / 12-15 / 13-17 / 15-20
 #: ms; BresseHeatII's integrate over 250 steps at n = 512 took 9.9-12.9 /
 #: 9.2-9.5 / 9.3-13.2 / 10.1-12.0 ms.
@@ -158,14 +160,17 @@ def unpack(z) -> dict:
 
 def pack(layout: StateLayout, fields: dict) -> State:
     """Inverse of :func:`unpack`; missing fields, the reservoir ``"e"``
-    included, default to zero."""
+    included, default to zero.  The reservoir must be one real value."""
     z = State.zeros(layout)
     for name, values in fields.items():
         if name == "e":
             continue
         z.field(name)[:] = layout.grid.field(values)
     if layout.has_reservoir:
-        z.reservoir = fields.get("e", 0.0)
+        e = real_array(fields.get("e", 0.0), "reservoir")
+        if e.ndim != 0:
+            raise ValueError(f"reservoir must be one value, got shape {e.shape}")
+        z.reservoir = e
     return z
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -307,6 +308,21 @@ def test_symbol_dt_matches_dense_spectrum(grid32, grid64):
             eigs = np.minimum(eigs.real, 0.0) + 1j * eigs.imag
             dense = 0.9 * _rk4_stability_limit(eigs)
             assert abs(model.dt_bound - dense) <= 1e-12 * dense, (grid.n, mid)
+
+
+@pytest.mark.parametrize("params", (ModelParams(), DRAWN_PARAMS), ids=("unit", "drawn"))
+@pytest.mark.parametrize("n", (16, 64, 512))
+def test_new_model_linearizes_to_type_i_heat(n, params):
+    # TimoshenkoNew with delta = d linearizes at theta = 1 to TimoshenkoHeatI
+    # with kappa = d under theta_New - 1 <-> -theta_HeatI: the symbols agree
+    # exactly under T = diag(1, 1, 1, 1, -1), and so do the step bounds
+    grid = Grid(n, 1.0)
+    new = bg.build_model("TimoshenkoNew", params, grid)
+    heat = bg.build_model("TimoshenkoHeatI", dataclasses.replace(params, kappa=params.delta), grid)
+    t = np.array([1.0, 1.0, 1.0, 1.0, -1.0])
+    flipped = engine._sparse_form(heat).symbols * np.outer(t, t)
+    np.testing.assert_array_equal(flipped, engine._sparse_form(new).symbols)
+    assert new.dt_bound == heat.dt_bound
 
 
 @pytest.mark.parametrize("params", (ModelParams(), DRAWN_PARAMS), ids=("unit", "drawn"))
@@ -960,7 +976,7 @@ def test_jacobi_nonlinear_model(grid32):
     z = bg.random_state(model, rng)
     fs = [bg.random_test_functional(model.layout, rng) for _ in range(3)]
     residual, scale = jacobi_check(model, z, *fs, h=1e-5)
-    assert residual <= 1e-4 * scale
+    assert residual <= 1e-10 * scale
 
 
 def test_jacobi_repeated_functional_collapses(models32):
@@ -971,6 +987,80 @@ def test_jacobi_repeated_functional_collapses(models32):
     f3 = bg.random_test_functional(model.layout, rng)
     residual, scale = jacobi_check(model, z, f1, f1, f3, h=1e-3)
     assert residual <= 1e-10 * scale
+
+
+def _cyclic_terms_by_fd_gradient(model, z, fs, h):
+    """The three terms of the cyclic sum with the full finite-difference
+    gradient of each inner bracket: the oracle of the directional form."""
+    f1, f2, f3 = fs
+    terms = []
+    for fa, fb, fc in ((f1, f2, f3), (f2, f3, f1), (f3, f1, f2)):
+        inner = bg.fd_gradient(lambda s: bg.poisson_bracket(model, s, fa, fb), z, rel_step=h)
+        terms.append(bg.mixed_inner(model.layout, inner.flat, bg.apply_L(model, z, fc.grad(z)).flat))
+    return terms
+
+
+def test_jacobi_matches_the_fd_gradient_oracle():
+    # functionals ten times the drawn ones put every model's terms above the
+    # scale's floor of 1 (the smallest largest term is about 2e2); the two
+    # scales agreed to <= 1.5e-14 at n = 16 and 64 (3 draws per model)
+    grid = Grid(16, 1.0)
+    rng = np.random.default_rng(35)
+    for mid in bg.ALL_MODEL_IDS:
+        model = bg.build_model(mid, ModelParams(), grid)
+        for _ in range(2):
+            z = bg.random_state(model, rng)
+            fs = []
+            for _ in range(3):
+                f = bg.random_test_functional(model.layout, rng)
+                fs.append(bg.TestFunctional(f.z0, 10.0 * f.diag,
+                                            bg.CotangentVector(model.layout, 10.0 * f.c.flat)))
+            terms = _cyclic_terms_by_fd_gradient(model, z, fs, h=0.1)
+            oracle_scale = max(1.0, *(abs(t) for t in terms))
+            assert oracle_scale > 10.0, mid
+            residual, scale = jacobi_check(model, z, *fs, h=0.1)
+            assert abs(scale - oracle_scale) <= 1e-13 * oracle_scale, mid
+            assert residual <= 1e-12 * scale, mid
+            assert abs(sum(terms)) <= 1e-12 * oracle_scale, mid
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-9])
+def test_jacobi_detects_an_antisymmetric_mutant(grid32, eps):
+    # an antisymmetric pair of blocks coupling p and theta through q keeps L
+    # antisymmetric but breaks Jacobi by O(eps); a bound of 1e-4 of the
+    # scale passes the eps = 1e-5 mutant, the directional form's 1e-12 fails
+    # both (residual/scale measured 0.02-0.2 eps per draw)
+    base = bg.build_model("TimoshenkoNew", ModelParams(), grid32)
+    mutant = dataclasses.replace(base, l_blocks=tuple(base.l_blocks) + (
+        ("p", "theta", Block("d1_mul", eps, "q")),
+        ("theta", "p", Block("mul_d1", eps, "q")),
+    ))
+    rng = np.random.default_rng(34)
+    ratios = []
+    for _ in range(3):
+        z = bg.random_state(mutant, rng)
+        fs = [bg.random_test_functional(mutant.layout, rng) for _ in range(3)]
+        residual, scale = jacobi_check(mutant, z, *fs, h=0.1)
+        assert residual > 1e-12 * scale
+        ratios.append(residual / scale)
+    assert max(ratios) >= 0.1 * eps
+
+
+def test_jacobi_zero_functional_gives_zero(models32):
+    # a functional with zero diag and c has dF = 0, so L dF = 0: the step
+    # t = h (1 + |z|) / |L dF| is never formed and the term is exactly 0
+    model = models32[bg.ModelId.TIMOSHENKO_NEW]
+    rng = np.random.default_rng(36)
+    z = bg.random_state(model, rng)
+    f1, f2 = (bg.random_test_functional(model.layout, rng) for _ in range(2))
+    zero = bg.TestFunctional(f1.z0, np.zeros_like(f1.diag), bg.CotangentVector.zeros(model.layout))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fs in ((f1, f2, zero), (zero, zero, zero)):
+            residual, scale = jacobi_check(model, z, *fs, h=0.1)
+            assert math.isfinite(residual) and math.isfinite(scale)
+            assert residual == 0.0
+            assert scale == 1.0
 
 
 def test_jacobi_step_validation(models32):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import beamgeneric as bg
+import beamgeneric.engine as engine
 from beamgeneric import (
     CotangentVector,
     State,
@@ -127,6 +128,33 @@ def test_fd_gradient_calls_f_on_bounded_stacks(models64):
     assert all(r % 2 == 0 and r * dim * 8 <= STACK_BYTES for r in rows)
     assert sum(rows) == 2 * dim
     assert len(shapes) == math.ceil(dim / (rows[0] // 2))
+
+
+@pytest.mark.parametrize("n", (64, 2048))
+def test_jacobi_check_brackets_on_bounded_stacks(monkeypatch, n):
+    # four probes per term: one stack at n = 64, split where four rows of
+    # BresseHeatII's layout exceed STACK_BYTES; the split does not move the
+    # result
+    model = bg.build_model("BresseHeatII", bg.ModelParams(), bg.Grid(n, 1.0))
+    rng = np.random.default_rng(15)
+    z = bg.random_state(model, rng)
+    fs = [bg.random_test_functional(model.layout, rng) for _ in range(3)]
+    dim = model.layout.flat_dim
+    shapes = []
+
+    def bracket(model, s, f, g):
+        shapes.append(s.flat.shape)
+        return poisson_bracket(model, s, f, g)
+
+    monkeypatch.setattr(engine, "poisson_bracket", bracket)
+    got = bg.jacobi_check(model, z, *fs, h=0.1)
+    rows = [shape[0] for shape in shapes]
+    assert all(len(shape) == 2 and shape[1] == dim for shape in shapes)
+    assert all(r * dim * 8 <= STACK_BYTES or r == 1 for r in rows)
+    assert sum(rows) == 3 * 4
+    assert (len(shapes) == 3) == (4 * dim * 8 <= STACK_BYTES)
+    monkeypatch.setattr(engine, "stack_rows", lambda layout: 4)
+    assert bg.jacobi_check(model, z, *fs, h=0.1) == got
 
 
 def test_fd_gradient_rejects_one_scalar_for_a_stack(models32):

@@ -95,6 +95,23 @@ def test_complex_input_is_rejected_naming_its_dtype(grid4):
     np.testing.assert_array_equal(z.field("phi"), [0.0, 1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("value", [np.complex128(1 + 2j), 1 + 2j], ids=["numpy", "python"])
+def test_pack_rejects_a_complex_reservoir(grid4, value):
+    # a cast would keep 1.0 (numpy) or raise numpy's TypeError (Python)
+    layout = StateLayout(grid4, ("phi", "p"), has_reservoir=True)
+    with pytest.raises(ValueError, match="reservoir of dtype complex128 is not real"):
+        pack(layout, {"e": value})
+
+
+def test_pack_takes_one_reservoir_value(grid4):
+    layout = StateLayout(grid4, ("phi", "p"), has_reservoir=True)
+    assert pack(layout, {"e": np.float32(0.5)}).reservoir == 0.5
+    assert pack(layout, {"e": np.array(2.0)}).reservoir == 2.0
+    for bad in ([1.0], np.ones(4)):
+        with pytest.raises(ValueError, match="reservoir must be one value"):
+            pack(layout, {"e": bad})
+
+
 def test_pack_unpack_bit_exact(grid4):
     layout = StateLayout(grid4, ("phi", "p"), has_reservoir=True)
     rng = np.random.default_rng(0)
