@@ -53,15 +53,17 @@ result is cached in the model's one private slot.
   :func:`integrate` holds the path's state at each record time and
   records the held ones together, up to ``state.STACK_BYTES`` (256 KB) at
   a time; each record is bitwise the one its state alone gives.
-* ``scipy.sparse`` is imported in one place (:func:`_circulant`): the
-  first call of a compiled right-hand side, which builds its CSR matrix
-  and takes the compiled kernel ``csr_matvec`` that its products run on.
-  Where scipy cannot be imported, that call raises :class:`ValueError`
-  naming the model and scipy.  The derivation, the step bound, the
-  records, the Fourier path of :func:`integrate` and the verifier are
-  numpy only, so a ``simulate``, ``decay`` or ``verify`` of a linear model
-  never loads scipy; :func:`step_rk4` and the nonlinear model's stage path
-  do.
+* scipy is loaded in one place (:func:`_circulant`): the first call of a
+  compiled right-hand side, which builds its CSR arrays in numpy and loads
+  the compiled kernel ``csr_matvec`` that its products run on, from scipy's
+  extension module ``sparse/_sparsetools`` alone, never the
+  ``scipy.sparse`` package (see :func:`_csr_matvec`).  Where scipy cannot
+  be found or loaded, that call raises :class:`ValueError` naming the
+  model and scipy.  The derivation, the step bound, the records, the
+  Fourier path of :func:`integrate` and the verifier are numpy only, so a
+  ``simulate``, ``decay`` or ``verify`` of a linear model never loads
+  scipy; :func:`step_rk4` and the nonlinear model's stage path load that
+  one extension module.
 * ``build_model``, :func:`integrate` and :func:`verify_brackets` check
   their estimated memory and work against :data:`MEMORY_LIMIT_BYTES` and
   :data:`WORK_LIMIT` before they allocate or step.
@@ -79,7 +81,11 @@ quantities being compared)), so tolerances transfer across parameter choices.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
@@ -176,42 +182,87 @@ def direct_rhs(model, z: State) -> State:
     return model.direct_rhs(z)
 
 
-def _circulant(n: int, shape: tuple, columns: np.ndarray):
-    """``(matrix, product)``: the CSR matrix of ``shape`` made of n x n
-    periodic blocks whose column ``j * n`` is ``columns[j]``, the node-0
-    column of field j over every block row, and whose other columns in that
-    block column are its cyclic shifts (``columns[j, r]`` stands at
-    ``(r // n * n + i, j * n + (i - r) % n)`` for every node i; rows of
-    ``shape`` beyond the columns are zero), and ``product(x, out)``, which
-    writes the matrix times the flat x into ``out`` (``shape[0]`` floats)
-    and returns it.  The product runs scipy's compiled CSR kernel on zeros,
-    as ``matrix @ x`` does, so it is bitwise that product without its
-    dispatch and its new array.  scipy is imported here, and only here, on
-    the first call of a compiled right-hand side (:func:`compile_rhs`)."""
-    import scipy.sparse
-    from scipy.sparse._sparsetools import csr_matvec
+@functools.cache
+def _csr_matvec():
+    """scipy's compiled CSR kernel ``csr_matvec``, loaded once per process
+    from the extension module ``scipy/sparse/_sparsetools`` alone: the
+    ``scipy.sparse`` package, and the memory and start-up time it costs, is
+    never imported for it.  ``importlib.util.find_spec`` locates scipy
+    without importing it; where it finds none, or a finder refuses it, this
+    raises :class:`ImportError`."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    return _load_csr_matvec(scipy.submodule_search_locations or ())
 
+
+def _load_csr_matvec(scipy_dirs: Sequence[str]):
+    """``csr_matvec`` from the extension file under ``sparse/`` of the
+    package directories ``scipy_dirs``; through the ``scipy.sparse`` package
+    where scipy keeps no such file there (an editable build) or where that
+    package has loaded the extension already."""
+    name = "scipy.sparse._sparsetools"
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(d, "sparse") for d in scipy_dirs]
+    )
+    if spec is None or name in sys.modules:
+        from scipy.sparse._sparsetools import csr_matvec
+
+        return csr_matvec
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # the extension enters itself in sys.modules; take it out, so that a
+    # later import of scipy.sparse binds a submodule of its own
+    sys.modules.pop(name, None)
+    return module.csr_matvec
+
+
+def _circulant(n: int, shape: tuple, columns: np.ndarray):
+    """``((indptr, indices, data), product)``: the CSR arrays of the matrix
+    of ``shape`` made of n x n periodic blocks whose column ``j * n`` is
+    ``columns[j]``, the node-0 column of field j over every block row, and
+    whose other columns in that block column are its cyclic shifts
+    (``columns[j, r]`` stands at ``(r // n * n + i, j * n + (i - r) % n)``
+    for every node i; rows of ``shape`` beyond the columns are zero), and
+    ``product(x, out)``, which writes the matrix times the flat x into
+    ``out`` (``shape[0]`` floats) and returns it.
+
+    The arrays are in scipy's canonical form, rows in order and columns
+    ascending within a row (the cyclic shifts of distinct entries never
+    meet, so there are no duplicates), as ``scipy.sparse.csr_matrix`` builds
+    them from the same entries.  The product runs scipy's compiled CSR kernel
+    (:func:`_csr_matvec`) on zeros, as ``matrix @ x`` does, so it is bitwise
+    that product without its dispatch and its new array.  The kernel is
+    loaded here, and only here, on the first call of a compiled right-hand
+    side (:func:`compile_rhs`)."""
+    csr_matvec = _csr_matvec()
     field, row = np.nonzero(columns)
     nodes = np.arange(n)
-    rows = (row // n * n)[:, None] + nodes
-    cols = (field * n)[:, None] + (nodes - row[:, None]) % n
-    values = np.broadcast_to(columns[field, row][:, None], rows.shape)
-    matrix = scipy.sparse.csr_matrix((values.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    rows = ((row // n * n)[:, None] + nodes).ravel()
+    cols = ((field * n)[:, None] + (nodes - row[:, None]) % n).ravel()
+    values = np.broadcast_to(columns[field, row][:, None], (row.size, n)).ravel()
+    order = np.lexsort((cols, rows))
+    # scipy's index type below 2**31 entries, which MEMORY_LIMIT_BYTES
+    # keeps every model far under
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    indices = cols[order].astype(np.int32)
+    data = values[order]
 
     def product(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         out.fill(0.0)  # the kernel adds the product to out
         csr_matvec(shape[0], shape[1], indptr, indices, data, x, out)
         return out
 
-    return matrix, product
+    return (indptr, indices, data), product
 
 
 @dataclass(frozen=True)
 class _SparseForm:
     """Everything the engine derives from a model's building blocks, built in
     one pass by :func:`_sparse_form`, in numpy; only the compiled right-hand
-    side ``rhs`` builds a CSR matrix, and imports scipy, on its first call.
+    side ``rhs`` builds CSR arrays, and loads scipy's CSR kernel (the
+    extension module alone, not ``scipy.sparse``), on its first call.
 
     * ``production`` is ``alpha * dx`` times the constant weights of the
       dissipative rows R (one row block per ``DissipativeRow``: D or the
@@ -518,11 +569,13 @@ def compile_rhs(model) -> Callable[[np.ndarray], np.ndarray]:
     translation-invariant raises :class:`ValueError`.
 
     Calling ``compile_rhs`` derives the model, in numpy only.  The CSR
-    matrix, P stacked on A, is built from their node-0 columns
-    (:func:`_circulant`) on the returned function's first call, which
-    imports ``scipy.sparse`` and checks the product against the object-level
-    right-hand side at the derivation's seeded state (1e-12 relative, else
-    :class:`ValueError`; so is an install where scipy cannot be imported).
+    arrays of P stacked on A are built from their node-0 columns
+    (:func:`_circulant`) on the returned function's first call, which loads
+    scipy's compiled CSR kernel from its extension module alone (not the
+    ``scipy.sparse`` package) and checks the product against the
+    object-level right-hand side at the derivation's seeded state (1e-12
+    relative, else :class:`ValueError`; so is an install where scipy cannot
+    be imported).
     Called on a flat state of shape ``(dim,)`` (another shape raises
     :class:`ValueError`), it returns a new array.  Only :func:`step_rk4`
     and the stage path of :func:`integrate` (the nonlinear model) call it,

@@ -160,12 +160,15 @@ def unpack(z) -> dict:
 
 def pack(layout: StateLayout, fields: dict) -> State:
     """Inverse of :func:`unpack`; missing fields, the reservoir ``"e"``
-    included, default to zero.  The reservoir must be one real value."""
+    included, default to zero.  The reservoir must be one real value, and a
+    layout without a reservoir refuses ``"e"`` as it refuses any name it
+    does not hold (:class:`KeyError`)."""
     z = State.zeros(layout)
     for name, values in fields.items():
-        if name == "e":
-            continue
-        z.field(name)[:] = layout.grid.field(values)
+        if name != "e":
+            z.field(name)[:] = layout.grid.field(values)
+        elif not layout.has_reservoir:
+            raise KeyError(f"field 'e' not in layout {layout.field_order}: it has no reservoir")
     if layout.has_reservoir:
         e = real_array(fields.get("e", 0.0), "reservoir")
         if e.ndim != 0:

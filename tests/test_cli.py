@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -442,9 +444,10 @@ def _run_python(code, cwd=None):
 
 
 def test_import_and_verify_leave_scipy_unloaded():
-    # scipy.sparse loads with the first call of a compiled right-hand side
-    # (step_rk4, TimoshenkoNew's stage path), never with the package, the
-    # derivation or the object-level verifier
+    # scipy's CSR kernel loads with the first call of a compiled right-hand
+    # side (step_rk4, TimoshenkoNew's stage path), from its extension module
+    # alone: the package, the derivation and the object-level verifier load
+    # no scipy, and nothing loads scipy.sparse
     proc = _run_python(
         "import io, sys\n"
         "import beamgeneric as bg\n"
@@ -455,7 +458,9 @@ def test_import_and_verify_leave_scipy_unloaded():
         "model = bg.build_model('TimoshenkoNew', bg.ModelParams(), bg.Grid(16, 1.0))\n"
         "z0 = bg.default_initial_state(model.id, model.grid)\n"
         "bg.integrate(model, z0, bg.IntegratorConfig(1e-4, 1e-3))\n"
-        "assert 'scipy.sparse' in sys.modules, 'TimoshenkoNew integrate'\n"
+        "assert 'scipy.sparse' not in sys.modules, 'TimoshenkoNew integrate'\n"
+        "bg.step_rk4(model, z0, 1e-4)\n"
+        "assert 'scipy.sparse' not in sys.modules, 'step_rk4'\n"
     )
     assert proc.returncode == 0, proc.stderr
     proc = _run_python(
@@ -466,8 +471,61 @@ def test_import_and_verify_leave_scipy_unloaded():
         "rhs = bg.compile_rhs(model)\n"
         "assert 'scipy' not in sys.modules, 'compile_rhs'\n"
         "rhs(np.zeros(model.layout.flat_dim))\n"
-        "assert 'scipy.sparse' in sys.modules, 'a call of compile_rhs(model)'\n"
+        "assert 'scipy.sparse' not in sys.modules, 'a call of compile_rhs(model)'\n"
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_csr_kernel_is_loaded_once_and_scipy_sparse_still_imports():
+    # every model reuses the kernel loaded once; a later import of
+    # scipy.sparse binds a submodule of its own, its products stay right and
+    # the stage steps stay bitwise the same
+    proc = _run_python("""
+import sys
+import numpy as np
+import beamgeneric as bg
+from beamgeneric import engine
+grid = bg.Grid(16, 1.0)
+before = []
+for name in ('TimoshenkoNew', 'BresseHeatII', 'TimoshenkoNew'):
+    model = bg.build_model(name, bg.ModelParams(), grid)
+    before.append(bg.step_rk4(model, bg.default_initial_state(model.id, grid), 1e-4).flat)
+assert engine._csr_matvec.cache_info().misses == 1, engine._csr_matvec.cache_info()
+assert 'scipy.sparse' not in sys.modules
+import scipy.sparse
+assert scipy.sparse._sparsetools.csr_matvec is engine._csr_matvec()
+dense = np.random.default_rng(5).standard_normal((40, 30)) * (np.arange(30) % 3 == 0)
+y = np.linspace(-1.0, 1.0, 30)
+assert np.allclose(scipy.sparse.csr_matrix(dense) @ y, dense @ y, rtol=1e-14, atol=1e-14)
+for name, flat in zip(('TimoshenkoNew', 'BresseHeatII'), before):
+    model = bg.build_model(name, bg.ModelParams(), grid)
+    after = bg.step_rk4(model, bg.default_initial_state(model.id, grid), 1e-4).flat
+    assert after.tobytes() == flat.tobytes(), name
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_csr_kernel_falls_back_to_the_scipy_sparse_package(tmp_path):
+    # where scipy's directory holds no _sparsetools file (an editable build),
+    # the kernel comes through the scipy.sparse package, with the same
+    # records; an empty directory stands for that directory here
+    proc = _run_python(f"""
+import sys
+import beamgeneric as bg
+from beamgeneric import engine
+grid = bg.Grid(16, 1.0)
+cfg = bg.IntegratorConfig(1e-4, 2e-3, 5)
+def records():
+    model = bg.build_model('TimoshenkoNew', bg.ModelParams(), grid)
+    return bg.integrate(model, bg.default_initial_state(model.id, grid), cfg)
+direct = records()
+assert 'scipy.sparse' not in sys.modules
+kernel = engine._load_csr_matvec([{str(tmp_path)!r}])
+import scipy.sparse._sparsetools
+assert kernel is scipy.sparse._sparsetools.csr_matvec
+engine._csr_matvec = lambda: kernel
+assert records() == direct
+""")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -528,13 +586,17 @@ else:
 
 def test_timoshenko_new_without_scipy_exits_one(tmp_path):
     # TimoshenkoNew steps on its compiled right-hand side, whose first call
-    # imports scipy: where that fails, simulate and decay exit 1 naming the
-    # model and scipy, with no traceback and no CSV
+    # loads scipy's CSR kernel: where a finder refuses scipy, or none finds
+    # it, simulate and decay exit 1 naming the model and scipy, with no
+    # traceback and no CSV
     config = "model = TimoshenkoNew\nn = 16\nt_end = 0.01\n"
     write_config(tmp_path, config + "output = new.csv\n", "new.cfg")
     write_config(tmp_path, config, "new-decay.cfg")
-    for argv in (["simulate", "--config", "new.cfg"], ["decay", "--config", "new-decay.cfg"]):
-        proc = _run_python(_NO_SCIPY + f"""
+    not_found = "import importlib.util\nimportlib.util.find_spec = lambda name, package=None: None\n"
+    cases = ((_NO_SCIPY, "scipy is blocked: scipy"), (not_found, "No module named 'scipy')"))
+    for (block, reason), argv in itertools.product(
+            cases, (["simulate", "--config", "new.cfg"], ["decay", "--config", "new-decay.cfg"])):
+        proc = _run_python(block + f"""
 import sys
 from beamgeneric import cli
 sys.exit(cli.main({argv!r}))
@@ -543,7 +605,7 @@ sys.exit(cli.main({argv!r}))
         assert proc.stdout == "", argv
         assert proc.stderr.startswith(
             "error: TimoshenkoNew: the compiled right-hand side needs scipy, which cannot be "
-            "imported (scipy is blocked: scipy"), argv
+            f"imported ({reason}"), argv
         assert "Traceback" not in proc.stderr, argv
     assert not (tmp_path / "new.csv").exists()
 

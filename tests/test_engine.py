@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import math
 import re
 import warnings
@@ -325,6 +326,70 @@ def test_new_model_linearizes_to_type_i_heat(n, params):
     assert new.dt_bound == heat.dt_bound
 
 
+def _spectral_distance(timoshenko, bresse, k):
+    """The largest distance from an eigenvalue of the Timoshenko model's
+    symbol at bin k to the nearest eigenvalue of the Bresse model's,
+    relative to the largest Timoshenko eigenvalue."""
+    near = np.linalg.eigvals(engine._sparse_form(timoshenko).symbols[k])
+    far = np.linalg.eigvals(engine._sparse_form(bresse).symbols[k])
+    return np.max(np.min(np.abs(near[:, None] - far[None, :]), axis=1)) / np.max(np.abs(near))
+
+
+@pytest.mark.parametrize("timoshenko, bresse, constants, slope", [
+    ("TimoshenkoUndamped", "BresseUndamped", {}, 0.151),
+    ("TimoshenkoFrictional", "BresseFrictional", {"gamma1": 1.0, "gamma2": 1.0, "gamma3": 0.0}, 0.104),
+    ("TimoshenkoHeatI", "BresseHeatI", {}, 0.0368),
+], ids=("undamped", "frictional", "heat_i"))
+def test_bresse_tends_to_timoshenko_as_the_curvature_vanishes(timoshenko, bresse, constants, slope):
+    # at n = 64 and wavenumber 1, the Bresse spectrum holds the Timoshenko
+    # one up to O(l^2) (frictional: gamma1, gamma2 = delta1, delta2 and no
+    # longitudinal damping): measured slope * l^2 at l = 1e-1..1e-4, so the
+    # distance falls 100x per decade of l
+    grid = Grid(64, 1.0)
+    near = bg.build_model(timoshenko, ModelParams(), grid)
+    curvatures = (1e-1, 1e-2, 1e-3, 1e-4)
+    distances = [
+        _spectral_distance(near, bg.build_model(bresse, ModelParams(l=l, **constants), grid), 1)
+        for l in curvatures
+    ]
+    for l, distance in zip(curvatures, distances):
+        assert distance <= 1.25 * slope * l**2, (l, distance)
+    for coarse, fine in zip(distances, distances[1:]):
+        assert 90.0 <= coarse / fine <= 110.0, distances
+
+
+def test_new_model_deviates_from_type_i_heat_at_first_order_in_the_amplitude():
+    # from default_initial_state at amplitude eps (n = 64, T = 2, RK4 at the
+    # shared step bound), TimoshenkoNew deviates from TimoshenkoHeatI under
+    # theta_New - 1 <-> -theta_HeatI by about 3.1 * eps relative (3.11e-1 at
+    # eps = 0.1 down to 3.64e-2 at 0.0125): the deviation halves with eps
+    grid = Grid(64, 1.0)
+    new = bg.build_model("TimoshenkoNew", ModelParams(), grid)
+    heat = bg.build_model("TimoshenkoHeatI", ModelParams(), grid)
+    assert new.dt_bound == heat.dt_bound
+    steps = math.ceil(2.0 / new.dt_bound)
+    nf = new.layout.flat_dim
+    theta = new.layout.field_slice("theta")
+
+    def final(model, eps):
+        y = bg.default_initial_state(model.id, grid, amplitude=eps).flat
+        _, jump, _ = engine._stage_path(engine._sparse_form(model), y, 2.0 / steps, None)
+        z, ok = jump(y, steps)
+        assert ok, model.id
+        return z[:nf].copy()
+
+    amplitudes = (0.1, 0.05, 0.025, 0.0125)
+    deviations = []
+    for eps in amplitudes:
+        mapped, want = final(new, eps), final(heat, eps)
+        mapped[theta] = 1.0 - mapped[theta]
+        deviations.append(np.max(np.abs(mapped - want)) / np.max(np.abs(want)))
+    for eps, deviation in zip(amplitudes, deviations):
+        assert 2.85 <= deviation / eps <= 3.2, (eps, deviation)
+    for coarse, fine in zip(deviations, deviations[1:]):
+        assert 1.95 <= coarse / fine <= 2.12, deviations
+
+
 @pytest.mark.parametrize("params", (ModelParams(), DRAWN_PARAMS), ids=("unit", "drawn"))
 @pytest.mark.parametrize("n", (5, 16, 17, 64))
 def test_step_bound_from_half_the_spectrum(n, params):
@@ -546,37 +611,56 @@ def test_stage_path_equals_the_rk4_loop_bitwise(n, record_every, start):
     assert got == _stage_reference(model, z0, cfg)
 
 
-def test_csr_kernel_product_equals_the_matrix_product_bitwise(grid32, monkeypatch):
-    # the compiled right-hand side runs scipy's CSR kernel itself, into a
-    # buffer that may hold anything; its product must be bitwise that of
-    # matrix @ y, whatever scipy release is installed
+def _scipy_circulant(n, shape, columns):
+    """scipy's own CSR matrix of the block-circulant matrix that
+    ``engine._circulant`` documents: entry ``columns[j, r]`` at row
+    ``r // n * n + i`` and column ``j * n + (i - r) % n`` for every node i."""
+    rows, cols, values = [], [], []
+    for j, r in zip(*np.nonzero(columns)):
+        for i in range(n):
+            rows.append(r // n * n + i)
+            cols.append(j * n + (i - r) % n)
+            values.append(columns[j, r])
+    return scipy.sparse.csr_matrix((values, (rows, cols)), shape=shape)
+
+
+def test_csr_kernel_product_equals_the_matrix_product_bitwise(monkeypatch):
+    # the compiled right-hand side builds its CSR arrays in numpy and runs
+    # scipy's CSR kernel on them itself, into a buffer that may hold
+    # anything; the arrays must be scipy's canonical ones for the same
+    # entries, and the product bitwise that of matrix @ y, whatever scipy
+    # release is installed
     built = []
 
     def keep(*args):
-        built.append(original(*args))
-        return built[-1]
+        built.append((args, original(*args)))
+        return built[-1][1]
 
     original = engine._circulant
     monkeypatch.setattr(engine, "_circulant", keep)
     rng = np.random.default_rng(25)
-    for mid in bg.ALL_MODEL_IDS:
-        model = bg.build_model(mid, ModelParams(), grid32)
+    for n, mid in itertools.product((4, 5, 16, 64), bg.ALL_MODEL_IDS):
+        model = bg.build_model(mid, ModelParams(), Grid(n, 1.0))
         rhs = compile_rhs(model)
         y = bg.random_state(model, rng).flat
         public = rhs(y)
-        matrix, product = built[-1]
+        args, ((indptr, indices, data), product) = built[-1]
         rows = engine._sparse_form(model).work_rows
-        assert matrix.shape == (rows, y.size)
+        assert args[1] == (rows, y.size)
+        matrix = _scipy_circulant(*args)
+        assert matrix.has_canonical_format, (n, mid)
+        for got, want in ((indptr, matrix.indptr), (indices, matrix.indices), (data, matrix.data)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, mid)
         dirty = np.full(rows, np.nan)
         assert product(y, dirty) is dirty
-        assert dirty.tobytes() == (matrix @ y).tobytes(), mid
+        assert dirty.tobytes() == (matrix @ y).tobytes(), (n, mid)
         # the public call and a call into a work buffer agree bitwise; only
         # the latter writes the buffer
         buffer = np.full(rows, np.nan)
         staged = rhs(y, buffer)
         assert np.shares_memory(staged, buffer) and not np.shares_memory(public, rhs(y))
-        assert staged.tobytes() == public.tobytes(), mid
-    assert len(built) == len(bg.ALL_MODEL_IDS)
+        assert staged.tobytes() == public.tobytes(), (n, mid)
+    assert len(built) == 4 * len(bg.ALL_MODEL_IDS)
 
 
 def test_compiled_rhs_rejects_a_state_of_another_shape(grid32):

@@ -112,6 +112,17 @@ def test_pack_takes_one_reservoir_value(grid4):
             pack(layout, {"e": bad})
 
 
+def test_pack_refuses_a_reservoir_value_on_a_layout_without_one(grid4):
+    # "e" on a layout without a reservoir is refused as an unknown name is,
+    # not dropped
+    layout = StateLayout(grid4, ("phi", "psi", "p", "q", "theta"), has_reservoir=False)
+    with pytest.raises(KeyError, match=r"field 'bogus' not in layout \('phi', 'psi', 'p', 'q', 'theta'\)"):
+        pack(layout, {"bogus": [1, 1, 1, 1]})
+    with pytest.raises(KeyError, match=r"field 'e' not in layout \('phi', .*\): it has no reservoir"):
+        pack(layout, {"e": 5.0, "theta": [1, 1, 1, 1]})
+    np.testing.assert_array_equal(pack(layout, {"theta": [1, 1, 1, 1]}).field("theta"), np.ones(4))
+
+
 def test_pack_unpack_bit_exact(grid4):
     layout = StateLayout(grid4, ("phi", "p"), has_reservoir=True)
     rng = np.random.default_rng(0)
