@@ -17,7 +17,7 @@ result is cached in the model's one private slot.
   not linear, the reservoir production ``alpha * dx * sum_r w_r |D_r y|^2``
   and the bilinear coupling of the nonlinear model.  It reproduces the
   object-level assembly to roundoff.  Its CSR matrix is built, and checked,
-  on its first call.
+  on its first call or binding to a work buffer.
 * ``ModelSpec.dt_bound`` reads the step bound: the RK4 limit over the
   eigenvalues of the Fourier symbols of the exact linearization, the
   linear part plus the derivative of the quadratic terms.  A model that fails
@@ -31,13 +31,16 @@ result is cached in the model's one private slot.
   each record interval is one batched product, with the map raised to
   ``record_every`` steps by squaring once per call.  Any other model
   steps through RK4's four stages on the compiled right-hand side
-  (:func:`step_rk4`, also the oracle of the first).  Each stage is
-  written into work arrays allocated once per call, its sparse product by
-  scipy's compiled CSR kernel; the sums are formed in place, only each
-  step's result is a new array, the temperature is checked every step and
-  finiteness once per jump.  An interval whose jump is not fine is
-  replayed from its start one step at a time, which names its first bad
-  step.
+  (:func:`step_rk4`, also the oracle of the first).  The compiled
+  right-hand side is bound once per call to each of four stage buffers
+  (each evaluation is then the CSR kernel's product plus the bilinear and
+  production updates, on views taken at binding); the sums are formed in
+  place, the steps of a jump alternate between two result buffers and
+  only the state a jump returns is copied out.  The temperature is
+  checked every step and finiteness once per jump.  An interval whose
+  jump is not fine is replayed from its start one step at a time, which
+  names its first bad step.  The one-step map is built in batches of bins
+  with the four stages side by side (:func:`_rk4_symbol_map`).
 * The degeneracy conditions are properties of the building blocks, not of
   a trajectory, so the derivation settles them once.  It proves
   ``M dE = 0`` in O(dim): the dissipative rows applied to the energy
@@ -53,11 +56,11 @@ result is cached in the model's one private slot.
   :func:`integrate` holds the path's state at each record time and
   records the held ones together, up to ``state.STACK_BYTES`` (256 KB) at
   a time; each record is bitwise the one its state alone gives.
-* scipy is loaded in one place (:func:`_circulant`): the first call of a
-  compiled right-hand side, which builds its CSR arrays in numpy and loads
-  the compiled kernel ``csr_matvec`` that its products run on, from scipy's
-  extension module ``sparse/_sparsetools`` alone, never the
-  ``scipy.sparse`` package (see :func:`_csr_matvec`).  Where scipy cannot
+* scipy is loaded in one place (:func:`_circulant`): the first call or
+  binding of a compiled right-hand side, which builds its CSR arrays in
+  numpy and loads the compiled kernel ``csr_matvec`` that its products run
+  on, from scipy's extension module ``sparse/_sparsetools`` alone, never
+  the ``scipy.sparse`` package (see :func:`_csr_matvec`).  Where scipy cannot
   be found or loaded, that call raises :class:`ValueError` naming the
   model and scipy.  The derivation, the step bound, the records, the
   Fourier path of :func:`integrate` and the verifier are numpy only, so a
@@ -101,7 +104,7 @@ from .functionals import (
     grad_entropy,
 )
 from .operators import apply_L, apply_M
-from .state import CotangentVector, State, StateLayout, mixed_inner, stack_rows
+from .state import STACK_BYTES, CotangentVector, State, StateLayout, mixed_inner, stack_rows
 
 # --------------------------------------------------------------------------
 # resource budget
@@ -109,9 +112,11 @@ from .state import CotangentVector, State, StateLayout, mixed_inner, stack_rows
 #: Largest memory a call is estimated to take, in bytes (1 GiB).
 MEMORY_LIMIT_BYTES = 2**30
 #: Set-up memory per slot of the flat state: the peak resident growth of
-#: ``build_model``, the derivation and a three-step ``integrate`` measured
-#: 505-757 bytes per slot at n = 2^12, 2^14 and 2^16 (BresseHeatII,
-#: TimoshenkoNew, TimoshenkoUndamped; Python 3.11, numpy 2.4), rounded up.
+#: ``build_model``, the derivation and a three-step ``integrate`` at the
+#: step bound, from just after the import, measured 355-884 bytes per slot
+#: at n = 2^12, 2^14 and 2^16 (BresseHeatII, TimoshenkoNew,
+#: TimoshenkoUndamped; the most at n = 2^12, where the fixed costs weigh
+#: most; Python 3.11, numpy 2.4), rounded up.
 SETUP_BYTES_PER_SLOT = 1024
 #: Memory of one diagnostics record held by ``integrate`` (312 measured).
 RECORD_BYTES = 512
@@ -120,9 +125,10 @@ RECORD_BYTES = 512
 #: interval's steps (the step-by-step replay that finds a first bad step)
 #: times slots, and trials times slots times
 #: :data:`VERIFY_WORK_WEIGHT` in ``verify_brackets``.  An RK4 stage step
-#: into per-run work arrays costs 15-180 ns per slot (less at larger n;
-#: the ten catalog models at n = 64..4096, one core of a shared 2-vCPU VM),
-#: so the limit is about 2.5 to 30 minutes of stepping.
+#: with the right-hand side bound to per-run work buffers costs 14-100 ns
+#: per slot (less at larger n; the ten catalog models at n = 64..4096,
+#: timeit minima, one core of a shared 2-vCPU VM), so the limit is about
+#: 2.5 to 17 minutes of stepping.
 WORK_LIMIT = 1e10
 #: Slot updates one verify trial counts per slot: a trial's cost per slot
 #: over an RK4 stage step's, measured 1.2-2.3 at n = 64 and 2.3-5.6 at
@@ -233,8 +239,8 @@ def _circulant(n: int, shape: tuple, columns: np.ndarray):
     them from the same entries.  The product runs scipy's compiled CSR kernel
     (:func:`_csr_matvec`) on zeros, as ``matrix @ x`` does, so it is bitwise
     that product without its dispatch and its new array.  The kernel is
-    loaded here, and only here, on the first call of a compiled right-hand
-    side (:func:`compile_rhs`)."""
+    loaded here, and only here, on the first call or binding of a compiled
+    right-hand side (:func:`compile_rhs`, ``_SparseForm.bind``)."""
     csr_matvec = _csr_matvec()
     field, row = np.nonzero(columns)
     nodes = np.arange(n)
@@ -249,9 +255,11 @@ def _circulant(n: int, shape: tuple, columns: np.ndarray):
     indices = cols[order].astype(np.int32)
     data = values[order]
 
+    n_rows, n_cols = shape
+
     def product(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         out.fill(0.0)  # the kernel adds the product to out
-        csr_matvec(shape[0], shape[1], indptr, indices, data, x, out)
+        csr_matvec(n_rows, n_cols, indptr, indices, data, x, out)
         return out
 
     return (indptr, indices, data), product
@@ -274,10 +282,16 @@ class _SparseForm:
     * ``symbols`` holds the f x f Fourier symbols of the exact linearization
       and ``m_symbols`` the (rows of R) x f symbols of R, one per wavenumber
       k = 0..n//2 (the other half are their complex conjugates).
-    * ``rhs`` is the compiled right-hand side (:func:`compile_rhs`),
-      ``work_rows`` the length of the work buffer it writes into (the
-      products P y, then the right-hand side) and ``dt_bound`` the RK4 step
-      bound (``ModelSpec.dt_bound``).
+    * ``rhs`` is the compiled right-hand side (:func:`compile_rhs`), and
+      ``bind(buffer)`` the same right-hand side bound to a work buffer of
+      ``work_rows`` floats (the products P y, then the right-hand side):
+      the evaluator it returns writes into that buffer and returns its
+      tail, with every view it needs taken once, at binding.  The stage
+      path of :func:`integrate` binds one evaluator per stage buffer of
+      :func:`_rk4`, once per run, and :func:`step_rk4` once per step;
+      ``rhs`` binds one to a new buffer per call.  The first call of either
+      builds the CSR matrix.  ``dt_bound`` is the RK4 step bound
+      (``ModelSpec.dt_bound``).
     * ``res_l_ds`` is ``|L dS|_inf`` of the reservoir entropy at the
       reference state, a constant (``dS = alpha`` on the reservoir slot
       only, which L never reads); None for the log entropy, whose
@@ -289,7 +303,8 @@ class _SparseForm:
     bilinear: tuple
     symbols: np.ndarray
     m_symbols: np.ndarray
-    rhs: Callable[..., np.ndarray]
+    rhs: Callable[[np.ndarray], np.ndarray]
+    bind: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
     work_rows: int
     dt_bound: float
     res_l_ds: Optional[float]
@@ -406,19 +421,38 @@ def _derive_sparse_form(model) -> _SparseForm:
             parts += [grid.d1(de.field(col)) for col in k_fields]
         return np.concatenate(parts, axis=-1)
 
-    def add_nonlinear(y: np.ndarray, p: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Add N(y) to ``out``, given the products ``p = P y``."""
-        for rows, coefficient, c, k_rows in bilinear:
-            term = np.multiply(c, y[coefficient])
-            term *= p[k_rows]
-            out[rows] += term
-        if production is not None:
-            g = p[:production.size]
-            out[-1] += production @ (g * g)
-        return out
+    # P y fills the first p_rows of a work buffer, the right-hand side the rest
+    p_rows = start
+
+    def bind(full: np.ndarray, multiply=None) -> Callable[[np.ndarray], np.ndarray]:
+        """``evaluate(y)`` bound to the work buffer ``full`` (``p_rows + dim``
+        floats, written by nothing else while it is bound): it writes
+        ``[P; A] y`` into ``full`` with the CSR product ``multiply`` (else
+        ``full`` must hold P y and the part of the right-hand side to add
+        to), adds N(y) to the tail and returns the tail.  Its views of
+        ``full`` are taken here, once; ``y`` must share no memory with
+        ``full``."""
+        out = full[p_rows:]
+        k_terms = [(out[rows], full[k_rows], coefficient, c)
+                   for rows, coefficient, c, k_rows in bilinear] if bilinear else ()
+        g = full[:production.size] if production is not None else None
+
+        def evaluate(y):
+            if multiply is not None:
+                multiply(y, full)
+            for target, k_y, coefficient, c in k_terms:
+                term = c * y[coefficient]
+                term *= k_y
+                target += term
+            if g is not None:
+                out[-1] += production @ (g * g)
+            return out
+
+        return evaluate
 
     def nonlinear(y: np.ndarray) -> np.ndarray:
-        return add_nonlinear(y, products(y), np.zeros_like(y))
+        """N(y) for one flat vector."""
+        return bind(np.concatenate([products(y), np.zeros_like(y)]))(y)
 
     def affine(y: np.ndarray) -> np.ndarray:
         return (generic_rhs(model, State(layout, y)).flat - nonlinear(y))[:nf]
@@ -466,10 +500,12 @@ def _derive_sparse_form(model) -> _SparseForm:
 
     z = random_state(model, np.random.default_rng(0)).flat
     want = generic_rhs(model, State(layout, z)).flat
-    got = np.zeros(dim)
+    full = np.zeros(p_rows + dim)
+    full[:p_rows] = products(z)
+    got = full[p_rows:]
     y_hat = np.fft.rfft(z[:nf].reshape(nfields, n), axis=1).T[:, :, None]
     got[:nf] = np.fft.irfft((a_symbols @ y_hat)[:, :, 0].T, n, axis=1).ravel()
-    add_nonlinear(z, products(z), got)
+    bind(full)(z)
     if not all(np.isfinite(a).all() for a in (got, want, spectrum)):
         raise ValueError(
             f"{model.id}: the right-hand side or its linearization is not finite "
@@ -501,17 +537,14 @@ def _derive_sparse_form(model) -> _SparseForm:
     # them, as the right-hand side's.  Taken now, not on the first call, so
     # that the form refers to no closure over the model (see below).
     csr_columns = np.concatenate([products(units), a_columns], axis=1)
-    p_rows = csr_columns.shape[1] - nf
     work_rows = p_rows + dim
     # the model's id, not the model: the model caches this form, and a
     # closure over the model would make a reference cycle
     product, model_id = None, model.id
 
-    def rhs(flat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """``A y + N(y)`` from one product with the CSR matrix ``[P; A]``,
-        built and checked on the first call.  The product goes into the work
-        buffer ``out`` of ``work_rows`` floats (a new one when None), P y
-        first, and the right-hand side is its tail, returned."""
+    def compiled(full: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """:func:`bind` with the product by the CSR matrix ``[P; A]``, which
+        the first call builds and checks."""
         nonlocal product
         if product is None:
             try:
@@ -521,22 +554,24 @@ def _derive_sparse_form(model) -> _SparseForm:
                     f"{model_id}: the compiled right-hand side needs scipy, which "
                     f"cannot be imported ({error})"
                 ) from None
-            full = candidate(z, np.empty(work_rows))
-            mismatch = _relative_mismatch(add_nonlinear(z, full[:p_rows], full[p_rows:]), want)
+            mismatch = _relative_mismatch(bind(np.empty(work_rows), candidate)(z), want)
             if not mismatch <= 1e-12:
                 raise ValueError(
                     f"{model_id}: the compiled sparse right-hand side differs from the "
                     f"object-level one by {mismatch:.3e} at the derivation's seeded state"
                 )
             product = candidate
-        if out is None:
-            # the kernel reads dim floats of flat whatever its length
-            if np.shape(flat) != (dim,):
-                raise ValueError(f"{model_id}: expected a flat state of shape ({dim},), "
-                                 f"got {np.shape(flat)}")
-            out = np.empty(work_rows)
-        full = product(flat, out)
-        return add_nonlinear(flat, full[:p_rows], full[p_rows:])
+        return bind(full, product)
+
+    def rhs(flat: np.ndarray) -> np.ndarray:
+        """``A y + N(y)`` at the flat state ``flat``, in a new array."""
+        # the kernel reads dim floats of flat whatever its length, and
+        # refuses a complex one with a message that names no model
+        flat = np.asarray(flat)
+        if flat.shape != (dim,) or flat.dtype.kind not in "biuf":
+            raise ValueError(f"{model_id}: expected a flat state of shape ({dim},) of real "
+                             f"numbers, got shape {flat.shape} of {flat.dtype}")
+        return compiled(np.empty(work_rows))(flat)
 
     res_l_ds = None
     if isinstance(model.entropy, ReservoirEntropy):
@@ -550,6 +585,7 @@ def _derive_sparse_form(model) -> _SparseForm:
         symbols=symbols.copy(),
         m_symbols=spectrum[:, nfields:].copy(),
         rhs=rhs,
+        bind=compiled,
         work_rows=work_rows,
         dt_bound=0.9 * limit,
         res_l_ds=res_l_ds,
@@ -577,9 +613,11 @@ def compile_rhs(model) -> Callable[[np.ndarray], np.ndarray]:
     relative, else :class:`ValueError`; so is an install where scipy cannot
     be imported).
     Called on a flat state of shape ``(dim,)`` (another shape raises
-    :class:`ValueError`), it returns a new array.  Only :func:`step_rk4`
-    and the stage path of :func:`integrate` (the nonlinear model) call it,
-    with a work buffer of theirs as a second argument (:func:`_rk4`).
+    :class:`ValueError`), it returns a new array.  It takes no work buffer:
+    the CSR kernel writes as many floats as the buffer must hold into
+    whatever it is given, so :func:`step_rk4` and the stage path of
+    :func:`integrate` (the nonlinear model) bind the same right-hand side
+    to buffers of their own (``_SparseForm.bind``, :func:`_rk4_work`).
     """
     return _sparse_form(model).rhs
 
@@ -707,42 +745,42 @@ def _diagnostics(model, sparse: _SparseForm, times: Sequence[float],
 RECORD_STACK_PEAK = 7
 
 
-def _rk4_work(dim: int, rows: int) -> tuple:
-    """The work arrays of :func:`_rk4` for a right-hand side on ``dim``
-    slots whose work buffer holds ``rows`` floats: the stage input and one
-    work buffer per stage."""
-    return (np.empty(dim), *np.empty((4, rows)))
+def _rk4_work(bind: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]], dim: int,
+              rows: int) -> tuple:
+    """The work of :func:`_rk4` for a right-hand side on ``dim`` slots:
+    the stage input, then one evaluator per stage, which ``bind`` binds to
+    a work buffer of ``rows`` floats of its own."""
+    return (np.empty(dim), *map(bind, map(np.empty, (rows,) * 4)))
 
 
-def _rk4(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], y: np.ndarray, dt: float,
-         work: tuple) -> np.ndarray:
-    """One classical RK4 step of the flat-array right-hand side ``rhs``.
+def _rk4(work: tuple, y: np.ndarray, dt: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """One classical RK4 step from the flat state ``y``, into ``out`` (a new
+    array when None).
 
-    ``rhs(x, out)`` returns the derivative at x written into the work
-    buffer ``out``, or a part of it, never into x.  ``work`` is the caller's
-    :func:`_rk4_work`: the stages share its stage input, each writes its
-    own buffer, and the step's sums are formed in place in those, in the
-    order of ``y + dt/6 (k1 + 2 (k2 + k3) + k4)``, so the result is bitwise
-    that of the expression.  The result is a new array, never one of the
-    work arrays, so that a state held across steps keeps its value; ``y``
-    is left as it is."""
-    stage, out1, out2, out3, out4 = work
+    ``work`` is the caller's :func:`_rk4_work`: each stage's evaluator
+    returns the derivative at its argument written into its own work
+    buffer, or a part of it.  The stages share the stage input, and the
+    step's sums are formed in place in the stage buffers, in the order of
+    ``y + dt/6 (k1 + 2 (k2 + k3) + k4)``, so the result is bitwise that of
+    the expression.  ``y`` is left as it is; ``out`` must share no memory
+    with it or with the work."""
+    stage, first, second, third, fourth = work
     half = 0.5 * dt
-    k1 = rhs(y, out1)
+    k1 = first(y)
     np.multiply(half, k1, out=stage)
     stage += y
-    k2 = rhs(stage, out2)
+    k2 = second(stage)
     np.multiply(half, k2, out=stage)
     stage += y
-    k3 = rhs(stage, out3)
+    k3 = third(stage)
     np.multiply(dt, k3, out=stage)
     stage += y
-    k4 = rhs(stage, out4)
+    k4 = fourth(stage)
     k2 += k3
     k2 *= 2.0
     k1 += k2
     k1 += k4
-    out = np.multiply(dt / 6.0, k1)
+    out = np.multiply(dt / 6.0, k1, out=out)
     out += y
     return out
 
@@ -755,8 +793,8 @@ def step_rk4(model, z: State, dt: float) -> State:
     if z.layout != model.layout:
         raise ValueError(f"state layout does not match model {model.id}")
     sparse = _sparse_form(model)
-    work = _rk4_work(model.layout.flat_dim, sparse.work_rows)
-    return State(model.layout, _rk4(sparse.rhs, z.flat, dt, work))
+    work = _rk4_work(sparse.bind, model.layout.flat_dim, sparse.work_rows)
+    return State(model.layout, _rk4(work, z.flat, dt))
 
 
 def _rk4_symbol_map(sparse: _SparseForm, n: int, dt: float) -> np.ndarray:
@@ -772,39 +810,62 @@ def _rk4_symbol_map(sparse: _SparseForm, n: int, dt: float) -> np.ndarray:
     Parseval over the half spectrum (weight 1 at k = 0 and at the Nyquist
     bin of an even n, 2 elsewhere, over n) that is ``sum_k y^H H y`` with
     ``H = dt/6 weight/n sum_s b_s (R S_s)^H W (R S_s)``, where R(k) stacks
-    the rows' symbols and W holds their ``alpha dx w_r``.  The stages are
-    folded in as they are formed, in place, so besides the map only one S
-    and one work buffer per bin are held at a time.
+    the rows' symbols and W holds their ``alpha dx w_r``.
+
+    The bins are taken in batches whose stage blocks fill at most
+    ``state.STACK_BYTES`` (all of them up to n = 127 with f = 8), each by
+    :func:`_rk4_stage_sums`; every bin's map is bitwise the same in any
+    batch.  The batches keep the memory of the build small, so that its
+    arrays are reused from one build to the next, not mapped afresh.
     """
-    a = sparse.symbols
+    a, r = sparse.symbols, sparse.m_symbols
     bins, f, _ = a.shape
-    eye = np.eye(f)
-    r = sparse.m_symbols
     production = np.zeros(r.shape[1]) if sparse.production is None else sparse.production[::n]
-    step_map = np.zeros((bins, 2 * f, f), dtype=complex)
-    total, gain = step_map[:, :f], step_map[:, f:]
-    stage = np.broadcast_to(eye, a.shape).astype(complex)
-    buffer = np.empty_like(stage)
-    for b, c in ((1.0, 0.5), (2.0, 0.5), (2.0, 1.0), (1.0, None)):
-        total += np.multiply(b, stage, out=buffer)
-        rows = r @ stage
-        np.matmul(rows.conj().transpose(0, 2, 1), production[:, None] * rows, out=buffer)
-        gain += np.multiply(b, buffer, out=buffer)
-        if c is not None:
-            np.matmul(a, stage, out=buffer)
-            buffer *= c * dt
-            buffer += eye
-            stage, buffer = buffer, stage
-    np.matmul(a, total, out=buffer)
-    buffer *= dt / 6.0
-    buffer += eye
-    total[...] = buffer
     parseval = np.full(bins, 2.0)
     parseval[0] = 1.0
     if n % 2 == 0:
         parseval[-1] = 1.0
-    gain *= (dt / (6.0 * n) * parseval)[:, None, None]
+    step_map = np.empty((bins, 2 * f, f), dtype=complex)
+    per_batch = max(1, STACK_BYTES // (4 * f * f * 16))
+    for start in range(0, bins, per_batch):
+        batch = slice(start, start + per_batch)
+        step_map[batch, :f], step_map[batch, f:] = _rk4_stage_sums(a[batch], r[batch], production, dt)
+    step_map[:, f:] *= (dt / (6.0 * n) * parseval)[:, None, None]
     return step_map
+
+
+def _rk4_stage_sums(a: np.ndarray, r: np.ndarray, production: np.ndarray, dt: float) -> tuple:
+    """``(P, sum_s b_s (R S_s)^H W (R S_s))`` for a batch of bins with the
+    symbols ``a`` and ``r`` (see :func:`_rk4_symbol_map`).
+
+    The four S_s lie side by side in one contiguous (bins, f, 4f) block,
+    each formed in place from the one before, so that one batched product
+    gives every R S_s.  The sums for P and for the gain are taken in
+    contiguous arrays of their own, in the order of the expressions."""
+    bins, f, _ = a.shape
+    eye = np.eye(f)
+    stages = np.empty((bins, f, 4 * f), dtype=complex)
+    blocks = [stages[:, :, s * f:(s + 1) * f] for s in range(4)]
+    blocks[0][...] = eye
+    for stage, following, c in zip(blocks, blocks[1:], (0.5, 0.5, 1.0)):
+        np.matmul(a, stage, out=following)
+        following *= c * dt
+        following += eye
+    rows = r @ stages
+    rows_h = rows.conj().transpose(0, 2, 1)
+    rows *= production[:, None]
+    total = np.zeros((bins, f, f), dtype=complex)
+    gain = np.zeros_like(total)
+    buffer = np.empty_like(total)
+    for s, (stage, b) in enumerate(zip(blocks, (1.0, 2.0, 2.0, 1.0))):
+        total += np.multiply(b, stage, out=buffer)
+        columns = slice(s * f, (s + 1) * f)
+        np.matmul(rows_h[:, columns], rows[:, :, columns], out=buffer)
+        gain += np.multiply(b, buffer, out=buffer)
+    np.matmul(a, total, out=buffer)
+    buffer *= dt / 6.0
+    buffer += eye
+    return buffer, gain
 
 
 def _compose(first: np.ndarray, then: np.ndarray) -> np.ndarray:
@@ -834,28 +895,33 @@ def _map_power(step_map: np.ndarray, steps: int) -> np.ndarray:
 
 def _stage_path(sparse: _SparseForm, y: np.ndarray, dt: float, theta: Optional[slice]):
     """``(state, jump, to_grid)`` for RK4 through its stages on the compiled
-    right-hand side ``sparse.rhs``, starting from the flat state ``y``.
+    right-hand side, starting from the flat state ``y``.
 
     ``jump(state, m)`` takes m steps from ``state`` and returns
     ``(new_state, ok)``, where ok means finite and, with ``theta`` a slice,
     with a positive temperature.  The temperature is checked every step, and
     the jump stops at the first cold one; finiteness is checked once at the
     end: a slot that is not finite stays so under ``y + dt/6 (...)``, so a
-    state that is finite there was finite at every step before it.  The
-    stages write into work arrays allocated here, once per call
-    (:func:`_rk4_work`), and each step's result is a new array, so no state
-    ever shares a buffer and the input is left as it is.  ``to_grid``
-    stacks states as rows.
+    state that is finite there was finite at every step before it.
+
+    The work is allocated and bound here, once per call: the stage input,
+    four stage buffers with the right-hand side bound to each
+    (``sparse.bind``, :func:`_rk4_work`) and two result buffers.  Inside a
+    jump the steps alternate between the result buffers, so a step never
+    writes the state it reads; the state a jump returns is a copy, so no
+    state it hands out or is given shares memory with the work, and the
+    input is left as it is.  ``to_grid`` stacks states as rows.
     """
-    rhs = sparse.rhs
-    work = _rk4_work(y.size, sparse.work_rows)
+    work = _rk4_work(sparse.bind, y.size, sparse.work_rows)
+    results = (np.empty(y.size), np.empty(y.size))
+    temperatures = None if theta is None else tuple(result[theta] for result in results)
 
     def jump(state: np.ndarray, m: int):
-        for _ in range(m):
-            state = _rk4(rhs, state, dt, work)
-            if theta is not None and not state[theta].min() > 0.0:
-                return state, False
-        return state, bool(np.isfinite(state).all())
+        for i in range(m):
+            state = _rk4(work, state, dt, results[i & 1])
+            if temperatures is not None and not temperatures[i & 1].min() > 0.0:
+                return state.copy(), False
+        return state.copy(), bool(np.isfinite(state).all())
 
     return y, jump, np.stack
 
@@ -1241,26 +1307,30 @@ def transform_check(model, t_diag: np.ndarray, z0: State, cfg: IntegratorConfig)
         raise ValueError("transform must be invertible (no zero diagonal entries)")
     t_inv = 1.0 / t_diag
 
-    def rhs_original(flat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        out[:] = generic_rhs(model, State(layout, flat)).flat
-        return out
+    def bind_original(out: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        def evaluate(flat: np.ndarray) -> np.ndarray:
+            out[:] = generic_rhs(model, State(layout, flat)).flat
+            return out
+        return evaluate
 
-    def rhs_transformed(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        z = State(layout, t_inv * v)
-        xi_e = CotangentVector(layout, t_diag * (t_inv * grad_energy(model, z).flat))
-        xi_s = CotangentVector(layout, t_diag * (t_inv * grad_entropy(model, z).flat))
-        return np.multiply(t_diag, apply_L(model, z, xi_e).flat + apply_M(model, z, xi_s).flat,
-                           out=out)
+    def bind_transformed(out: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        def evaluate(v: np.ndarray) -> np.ndarray:
+            z = State(layout, t_inv * v)
+            xi_e = CotangentVector(layout, t_diag * (t_inv * grad_energy(model, z).flat))
+            xi_s = CotangentVector(layout, t_diag * (t_inv * grad_entropy(model, z).flat))
+            return np.multiply(t_diag, apply_L(model, z, xi_e).flat + apply_M(model, z, xi_s).flat,
+                               out=out)
+        return evaluate
 
     n_steps = cfg.n_steps
     y = z0.flat.copy()
     v = t_diag * z0.flat
-    # each step's result is new, so the two systems share the work arrays
-    work = _rk4_work(layout.flat_dim, layout.flat_dim)
+    work_y = _rk4_work(bind_original, layout.flat_dim, layout.flat_dim)
+    work_v = _rk4_work(bind_transformed, layout.flat_dim, layout.flat_dim)
     worst = 0.0
     for step in range(1, n_steps + 1):
-        y = _rk4(rhs_original, y, cfg.dt, work)
-        v = _rk4(rhs_transformed, v, cfg.dt, work)
+        y = _rk4(work_y, y, cfg.dt)
+        v = _rk4(work_v, v, cfg.dt)
         if step % cfg.record_every == 0 or step == n_steps:
             worst = max(worst, float(np.max(np.abs(t_diag * y - v))))
     return worst

@@ -36,7 +36,6 @@ from beamgeneric.engine import (
     DECAY_WINDOWS,
     DiagnosticsRecord,
     _diagnostics,
-    _rk4,
     _rk4_stability_limit,
     windowed_decay_rates,
 )
@@ -528,6 +527,14 @@ def test_initial_positivity_guard(grid32):
         integrate(model, z0, IntegratorConfig(dt=1e-4, t_end=0.1))
 
 
+def _with_stage_rhs(base, bind):
+    """A copy of ``base`` whose stage path steps on the right-hand side that
+    ``bind(buffer)`` binds to each of its work buffers."""
+    model = dataclasses.replace(base)
+    model._sparse = dataclasses.replace(engine._sparse_form(base), bind=bind)
+    return model
+
+
 def _sinking_model(grid):
     """TimoshenkoNew with a preset compiled right-hand side that drives theta
     down at unit rate."""
@@ -535,15 +542,16 @@ def _sinking_model(grid):
     dim = base.layout.flat_dim
     sl = base.layout.field_slice("theta")
 
-    def sinking(flat, out):
-        k = out[:dim]
-        k[:] = 0.0
-        k[sl] = -1.0
-        return k
+    def sinking(buffer):
+        k = buffer[:dim]
 
-    model = dataclasses.replace(base)
-    model._sparse = dataclasses.replace(engine._sparse_form(base), rhs=sinking)
-    return model
+        def evaluate(flat):
+            k[:] = 0.0
+            k[sl] = -1.0
+            return k
+        return evaluate
+
+    return _with_stage_rhs(base, sinking)
 
 
 def test_positivity_abort_mid_run(grid32):
@@ -578,15 +586,19 @@ def test_failure_messages_name_time_and_last_energy(models32, grid32):
 
 
 def _stage_reference(model, z0, cfg):
-    """The records of integrate, from RK4 through its stages on the compiled
-    right-hand side."""
+    """The records of integrate, from the textbook RK4 expression over calls
+    of the public compiled right-hand side."""
     rhs = compile_rhs(model)
+    dt = cfg.dt
     y = z0.flat.copy()
     sparse = engine._sparse_form(model)
-    work = engine._rk4_work(y.size, sparse.work_rows)
     records = _diagnostics(model, sparse, (0.0,), y[None])
     for step in range(1, cfg.n_steps + 1):
-        y = _rk4(rhs, y, cfg.dt, work)
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + dt / 6 * (k1 + 2 * (k2 + k3) + k4)
         if step % cfg.record_every == 0 or step == cfg.n_steps:
             records += _diagnostics(model, sparse, (step * cfg.dt,), y[None])
     return records
@@ -597,8 +609,8 @@ def _stage_reference(model, z0, cfg):
 @pytest.mark.parametrize("n", (16, 64))
 def test_stage_path_equals_the_rk4_loop_bitwise(n, record_every, start):
     # the stage path writes its stages into work arrays of its own; every
-    # record must equal the plain _rk4 loop's, and with a record every step
-    # a held state that shared a work buffer would be overwritten
+    # record must equal the textbook RK4 loop's, and with a record every
+    # step a held state that shared a work buffer would be overwritten
     model = bg.build_model(bg.ModelId.TIMOSHENKO_NEW, ModelParams(), Grid(n, 1.0))
     if start == "default":
         z0 = bg.default_initial_state(model.id, model.grid)
@@ -609,6 +621,54 @@ def test_stage_path_equals_the_rk4_loop_bitwise(n, record_every, start):
     got = integrate(model, z0, cfg)
     assert len(got) == 1 + -(-cfg.n_steps // record_every)
     assert got == _stage_reference(model, z0, cfg)
+
+
+@pytest.mark.parametrize("record_every", (1, 7))
+def test_stage_path_states_share_no_memory_with_its_work(monkeypatch, record_every):
+    # the stage path steps into per-run buffers (the stage input, the four
+    # bound stage buffers and two alternating results): no state a jump
+    # returns, and integrate holds for its records, may share memory with
+    # them, each must keep its value to the end of the run, and z0 must be
+    # left as it is
+    model = bg.build_model(bg.ModelId.TIMOSHENKO_NEW, ModelParams(), Grid(16, 1.0))
+    z0 = bg.default_initial_state(model.id, model.grid)
+    start = z0.flat.copy()
+    sparse = engine._sparse_form(model)
+    buffers, handed = {}, []
+
+    def bind(buffer):
+        buffers[id(buffer)] = buffer
+        return sparse.bind(buffer)
+
+    def rk4(work, y, dt, out=None):
+        for array in (work[0], out):
+            if array is not None:
+                buffers[id(array)] = array
+        return original_rk4(work, y, dt, out)
+
+    def stage_path(*args):
+        state, jump, to_grid = original_path(*args)
+
+        def watched(state, m):
+            new, ok = jump(state, m)
+            handed.append((new, new.copy()))
+            return new, ok
+        return state, watched, to_grid
+
+    original_rk4, original_path = engine._rk4, engine._stage_path
+    monkeypatch.setattr(engine, "_rk4", rk4)
+    monkeypatch.setattr(engine, "_stage_path", stage_path)
+    dt = 0.5 * model.dt_bound
+    cfg = IntegratorConfig(dt=dt, t_end=30 * dt, record_every=record_every)
+    records = integrate(_with_stage_rhs(model, bind), z0, cfg)
+    assert len(records) == 1 + -(-30 // record_every)
+    # four stage buffers, the stage input and the results, of which a jump
+    # of one step uses one
+    assert len(buffers) == 5 + min(record_every, 2) and len(handed) == -(-30 // record_every)
+    for state, value in handed:
+        assert not any(np.shares_memory(state, b) for b in buffers.values())
+        assert state.tobytes() == value.tobytes()
+    assert z0.flat.tobytes() == start.tobytes()
 
 
 def _scipy_circulant(n, shape, columns):
@@ -654,10 +714,10 @@ def test_csr_kernel_product_equals_the_matrix_product_bitwise(monkeypatch):
         dirty = np.full(rows, np.nan)
         assert product(y, dirty) is dirty
         assert dirty.tobytes() == (matrix @ y).tobytes(), (n, mid)
-        # the public call and a call into a work buffer agree bitwise; only
-        # the latter writes the buffer
+        # the public call and an evaluator bound to a work buffer agree
+        # bitwise; only the latter writes the buffer
         buffer = np.full(rows, np.nan)
-        staged = rhs(y, buffer)
+        staged = engine._sparse_form(model).bind(buffer)(y)
         assert np.shares_memory(staged, buffer) and not np.shares_memory(public, rhs(y))
         assert staged.tobytes() == public.tobytes(), (n, mid)
     assert len(built) == 4 * len(bg.ALL_MODEL_IDS)
@@ -665,13 +725,36 @@ def test_csr_kernel_product_equals_the_matrix_product_bitwise(monkeypatch):
 
 def test_compiled_rhs_rejects_a_state_of_another_shape(grid32):
     # the kernel reads dim slots of whatever it is given, so the public call
-    # checks the shape
+    # checks the shape, and that the state is real
     model = bg.build_model(bg.ModelId.TIMOSHENKO_NEW, ModelParams(), grid32)
     rhs = compile_rhs(model)
     dim = model.layout.flat_dim
-    for shape in ((dim - 1,), (dim, 1), (2, dim)):
+    for flat in (np.zeros(dim - 1), np.zeros((dim, 1)), np.zeros((2, dim)), np.zeros(dim, dtype=complex)):
         with pytest.raises(ValueError, match=rf"TimoshenkoNew: expected a flat state of shape \({dim},\)"):
-            rhs(np.zeros(shape))
+            rhs(flat)
+
+
+def test_compiled_rhs_takes_no_work_buffer(grid32):
+    # the kernel writes work_rows floats into whatever buffer it is given, so
+    # the public call takes none: a buffer of the wrong length, of the wrong
+    # dtype or strided is refused before the kernel runs and left untouched
+    model = bg.build_model(bg.ModelId.TIMOSHENKO_NEW, ModelParams(), grid32)
+    rhs = compile_rhs(model)
+    y = bg.random_state(model, np.random.default_rng(4)).flat
+    rows = engine._sparse_form(model).work_rows
+    for out in (np.full(10, 7.0), np.full(rows, 7, dtype=np.int64), np.full(2 * rows, 7.0)[::2],
+                np.full(rows, 7.0)):
+        before = out.copy()
+        with pytest.raises(TypeError):
+            rhs(y, out)
+        assert out.tobytes() == before.tobytes()
+    # the state itself may be strided or of integers: the call reads its
+    # values, never past its end
+    want = rhs(y)
+    strided = np.repeat(y, 2)[::2]
+    assert rhs(strided).tobytes() == want.tobytes()
+    ints = np.arange(y.size)
+    assert rhs(ints).tobytes() == rhs(ints.astype(float)).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -719,6 +802,33 @@ def test_map_power_matches_sequential_steps(n, mid):
             scale = float(np.max(np.abs(want)))
             assert scale > 0.0
             assert float(np.max(np.abs(part - want))) <= 1e-12 * scale, (mid, n, m)
+
+
+@pytest.mark.parametrize("n", (5, 16, 64))
+def test_one_step_map_is_the_taylor_polynomial_with_a_psd_gain(n):
+    # P of every bin must be I + Z + Z^2/2 + Z^3/6 + Z^4/24 with Z = dt A(k),
+    # and the reservoir's gain H Hermitian and positive semidefinite, each
+    # to roundoff
+    for mid in LINEAR_IDS:
+        model = bg.build_model(mid, ModelParams(), Grid(n, 1.0))
+        sparse = engine._sparse_form(model)
+        f = model.layout.n_fields
+        for dt in (model.dt_bound, 0.3 * model.dt_bound):
+            step = engine._rk4_symbol_map(sparse, n, dt)
+            p, h = step[:, :f], step[:, f:]
+            z = dt * sparse.symbols
+            powers = [np.broadcast_to(np.eye(f), z.shape)]
+            for _ in range(4):
+                powers.append(powers[-1] @ z)
+            taylor = sum(power / math.factorial(j) for j, power in enumerate(powers))
+            assert rel_inf(p, taylor) <= 1e-14, (mid, n, dt)
+            scale = float(np.max(np.abs(h)))
+            h_adjoint = h.conj().transpose(0, 2, 1)
+            assert float(np.max(np.abs(h - h_adjoint))) <= 1e-14 * scale, (mid, n, dt)
+            lowest = float(np.min(np.linalg.eigvalsh(0.5 * (h + h_adjoint)), initial=0.0))
+            assert lowest >= -1e-14 * scale, (mid, n, dt)
+            if model.damped:
+                assert scale > 0.0, (mid, n)
 
 
 def test_sweep_on_one_model_matches_fresh_models(grid32):
@@ -882,15 +992,16 @@ def _growing_model(grid):
     base = bg.build_model("TimoshenkoNew", ModelParams(), grid)
     dim = base.layout.flat_dim
 
-    def growing(flat, out):
-        k = out[:dim]
-        k[:] = 0.0
-        k[0] = 1000.0 * flat[0]
-        return k
+    def growing(buffer):
+        k = buffer[:dim]
 
-    model = dataclasses.replace(base)
-    model._sparse = dataclasses.replace(engine._sparse_form(base), rhs=growing)
-    return model
+        def evaluate(flat):
+            k[:] = 0.0
+            k[0] = 1000.0 * flat[0]
+            return k
+        return evaluate
+
+    return _with_stage_rhs(base, growing)
 
 
 def test_stage_divergence_inside_an_interval_names_the_exact_step(grid32):
@@ -913,21 +1024,29 @@ def test_stage_divergence_inside_an_interval_names_the_exact_step(grid32):
 
 
 def test_linear_models_never_call_compiled_rhs_in_integrate(grid32):
-    def raising(flat, out):
-        raise AssertionError("integrate called the compiled right-hand side")
+    bound = []
+
+    def raising(buffer):
+        bound.append(buffer)
+
+        def evaluate(flat):
+            raise AssertionError("integrate called the compiled right-hand side")
+        return evaluate
 
     for mid in bg.ALL_MODEL_IDS:
-        base = bg.build_model(mid, ModelParams(), grid32)
-        model = dataclasses.replace(base)
-        model._sparse = dataclasses.replace(engine._sparse_form(base), rhs=raising)
+        model = _with_stage_rhs(bg.build_model(mid, ModelParams(), grid32), raising)
         z0 = bg.default_initial_state(mid, grid32)
         cfg = IntegratorConfig(dt=1e-4, t_end=1e-3)
+        bound.clear()
         if mid is bg.ModelId.TIMOSHENKO_NEW:
             # the bilinear coupling keeps it on the stage form
             with pytest.raises(AssertionError, match="compiled right-hand side"):
                 integrate(model, z0, cfg)
+            assert len(bound) == 4
         else:
+            # not even bound: binding builds the CSR matrix and loads scipy
             assert len(integrate(model, z0, cfg)) == cfg.n_steps + 1, mid
+            assert not bound, mid
 
 
 def _doubled_square(field):
