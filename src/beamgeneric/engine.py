@@ -34,13 +34,15 @@ result is cached in the model's one private slot.
   (:func:`step_rk4`, also the oracle of the first).  The compiled
   right-hand side is bound once per call to each of four stage buffers
   (each evaluation is then the CSR kernel's product plus the bilinear and
-  production updates, on views taken at binding); the sums are formed in
-  place, the steps of a jump alternate between two result buffers and
-  only the state a jump returns is copied out.  The temperature is
-  checked every step and finiteness once per jump.  An interval whose
-  jump is not fine is replayed from its start one step at a time, which
-  names its first bad step.  The one-step map is built in batches of bins
-  with the four stages side by side (:func:`_rk4_symbol_map`).
+  production updates, on views and scratch taken at binding, with no new
+  array), and RK4's coefficients with them, as 0-d arrays
+  (:func:`_rk4_work`); the sums are formed in place, the steps of a jump
+  alternate between two result buffers and only the state a jump returns
+  is copied out.  Each step's temperatures are folded into a running
+  minimum, which is checked with finiteness once per jump.  An interval
+  whose jump is not fine is replayed from its start one step at a time,
+  which names its first bad step.  The one-step map is built in batches
+  of bins with the four stages side by side (:func:`_rk4_symbol_map`).
 * The degeneracy conditions are properties of the building blocks, not of
   a trajectory, so the derivation settles them once.  It proves
   ``M dE = 0`` in O(dim): the dissipative rows applied to the energy
@@ -125,10 +127,10 @@ RECORD_BYTES = 512
 #: interval's steps (the step-by-step replay that finds a first bad step)
 #: times slots, and trials times slots times
 #: :data:`VERIFY_WORK_WEIGHT` in ``verify_brackets``.  An RK4 stage step
-#: with the right-hand side bound to per-run work buffers costs 14-100 ns
-#: per slot (less at larger n; the ten catalog models at n = 64..4096,
-#: timeit minima, one core of a shared 2-vCPU VM), so the limit is about
-#: 2.5 to 17 minutes of stepping.
+#: with the right-hand side and the step's coefficients bound to per-run
+#: work costs 17-93 ns per slot (less at larger n; the ten catalog models
+#: at n = 64..4096, timeit minima, one core of a shared 2-vCPU VM), so the
+#: limit is about 2.8 to 16 minutes of stepping.
 WORK_LIMIT = 1e10
 #: Slot updates one verify trial counts per slot: a trial's cost per slot
 #: over an RK4 stage step's, measured 1.2-2.3 at n = 64 and 2.3-5.6 at
@@ -276,9 +278,9 @@ class _SparseForm:
       dissipative rows R (one row block per ``DissipativeRow``: D or the
       identity on its field) for a model with a reservoir, else None.
     * ``bilinear`` lists the bilinear terms of the right-hand side as (rows,
-      coefficient field, c, rows of the products P that ``rhs`` stacks above
-      its constant matrix A); it is empty for a model whose fields evolve
-      linearly.
+      coefficient field, c as a 0-d array, rows of the products P that
+      ``rhs`` stacks above its constant matrix A); it is empty for a model
+      whose fields evolve linearly.
     * ``symbols`` holds the f x f Fourier symbols of the exact linearization
       and ``m_symbols`` the (rows of R) x f symbols of R, one per wavenumber
       k = 0..n//2 (the other half are their complex conjugates).
@@ -400,14 +402,16 @@ def _derive_sparse_form(model) -> _SparseForm:
         production = model.entropy.alpha * grid.dx * weights
 
     # the products N reads: R y only for the reservoir production, then one
-    # K y per mul_d1 block
+    # K y per mul_d1 block.  Each bilinear coefficient is held as a 0-d
+    # array, made once: a ufunc takes it with less overhead than a Python
+    # float, for the same product.
     k_fields, bilinear = [], []
     start = len(dissipative) * n if production is not None else 0
     for row, col, block in model.l_blocks:
         if block.kind == "mul_d1":
             k_fields.append(col)
-            bilinear.append((layout.field_slice(row), layout.field_slice(block.a), block.c,
-                             slice(start, start + n)))
+            bilinear.append((layout.field_slice(row), layout.field_slice(block.a),
+                             np.asarray(block.c), slice(start, start + n)))
             start += n
 
     def products(y: np.ndarray) -> np.ndarray:
@@ -429,23 +433,25 @@ def _derive_sparse_form(model) -> _SparseForm:
         floats, written by nothing else while it is bound): it writes
         ``[P; A] y`` into ``full`` with the CSR product ``multiply`` (else
         ``full`` must hold P y and the part of the right-hand side to add
-        to), adds N(y) to the tail and returns the tail.  Its views of
-        ``full`` are taken here, once; ``y`` must share no memory with
+        to), adds N(y) to the tail and returns the tail.  The production
+        squares R y in place, in the head.  Its views of ``full``, and a
+        scratch field for each bilinear term, are taken here, once, so that
+        an evaluation allocates nothing; ``y`` must share no memory with
         ``full``."""
         out = full[p_rows:]
-        k_terms = [(out[rows], full[k_rows], coefficient, c)
-                   for rows, coefficient, c, k_rows in bilinear] if bilinear else ()
+        terms = [(out[rows], full[k_rows], coefficient, c, np.empty(n))
+                 for rows, coefficient, c, k_rows in bilinear] if bilinear else ()
         g = full[:production.size] if production is not None else None
 
         def evaluate(y):
             if multiply is not None:
                 multiply(y, full)
-            for target, k_y, coefficient, c in k_terms:
-                term = c * y[coefficient]
+            for target, k_y, coefficient, c, term in terms:
+                np.multiply(c, y[coefficient], out=term)
                 term *= k_y
                 target += term
             if g is not None:
-                out[-1] += production @ (g * g)
+                out[-1] += production @ np.multiply(g, g, out=g)
             return out
 
         return evaluate
@@ -568,9 +574,14 @@ def _derive_sparse_form(model) -> _SparseForm:
         # the kernel reads dim floats of flat whatever its length, and
         # refuses a complex one with a message that names no model
         flat = np.asarray(flat)
-        if flat.shape != (dim,) or flat.dtype.kind not in "biuf":
-            raise ValueError(f"{model_id}: expected a flat state of shape ({dim},) of real "
-                             f"numbers, got shape {flat.shape} of {flat.dtype}")
+        if flat.shape != (dim,) or flat.dtype.char != "d":
+            if flat.shape != (dim,) or flat.dtype.kind not in "biuf":
+                raise ValueError(f"{model_id}: expected a flat state of shape ({dim},) of real "
+                                 f"numbers, got shape {flat.shape} of {flat.dtype}")
+            # in float64, so that a float32 state reads as its values on every
+            # numpy: numpy 1's value-based casting would take the bilinear
+            # product by a 0-d coefficient in float32, numpy 2 in float64
+            flat = flat.astype(float)
         return compiled(np.empty(work_rows))(flat)
 
     res_l_ds = None
@@ -746,26 +757,34 @@ RECORD_STACK_PEAK = 7
 
 
 def _rk4_work(bind: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]], dim: int,
-              rows: int) -> tuple:
-    """The work of :func:`_rk4` for a right-hand side on ``dim`` slots:
-    the stage input, then one evaluator per stage, which ``bind`` binds to
-    a work buffer of ``rows`` floats of its own."""
-    return (np.empty(dim), *map(bind, map(np.empty, (rows,) * 4)))
+              rows: int, dt: float) -> tuple:
+    """The work of :func:`_rk4` for a right-hand side on ``dim`` slots and
+    the step ``dt``: the stage input, one evaluator per stage, which
+    ``bind`` binds to a work buffer of ``rows`` floats of its own, and the
+    step's coefficients ``dt/2``, ``dt``, ``2`` and ``dt/6``.
+
+    The coefficients are 0-d arrays of the values the expression takes (a
+    ufunc takes one with less overhead than a Python float), made here once
+    per run: the product by a 0-d float64 array is the IEEE product by the
+    float, under numpy 2's promotion rules and numpy 1's value-based casting
+    alike."""
+    evaluators = map(bind, map(np.empty, (rows,) * 4))
+    coefficients = map(np.asarray, (0.5 * dt, dt, 2.0, dt / 6.0))
+    return (np.empty(dim), *evaluators, *coefficients)
 
 
-def _rk4(work: tuple, y: np.ndarray, dt: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _rk4(work: tuple, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """One classical RK4 step from the flat state ``y``, into ``out`` (a new
     array when None).
 
-    ``work`` is the caller's :func:`_rk4_work`: each stage's evaluator
-    returns the derivative at its argument written into its own work
-    buffer, or a part of it.  The stages share the stage input, and the
-    step's sums are formed in place in the stage buffers, in the order of
-    ``y + dt/6 (k1 + 2 (k2 + k3) + k4)``, so the result is bitwise that of
-    the expression.  ``y`` is left as it is; ``out`` must share no memory
-    with it or with the work."""
-    stage, first, second, third, fourth = work
-    half = 0.5 * dt
+    ``work`` is the caller's :func:`_rk4_work`, which holds the step's
+    coefficients: each stage's evaluator returns the derivative at its
+    argument written into its own work buffer, or a part of it.  The stages
+    share the stage input, and the step's sums are formed in place in the
+    stage buffers, in the order of ``y + dt/6 (k1 + 2 (k2 + k3) + k4)``, so
+    the result is bitwise that of the expression.  ``y`` is left as it is;
+    ``out`` must share no memory with it or with the work."""
+    stage, first, second, third, fourth, half, whole, two, sixth = work
     k1 = first(y)
     np.multiply(half, k1, out=stage)
     stage += y
@@ -773,14 +792,14 @@ def _rk4(work: tuple, y: np.ndarray, dt: float, out: Optional[np.ndarray] = None
     np.multiply(half, k2, out=stage)
     stage += y
     k3 = third(stage)
-    np.multiply(dt, k3, out=stage)
+    np.multiply(whole, k3, out=stage)
     stage += y
     k4 = fourth(stage)
     k2 += k3
-    k2 *= 2.0
+    k2 *= two
     k1 += k2
     k1 += k4
-    out = np.multiply(dt / 6.0, k1, out=out)
+    out = np.multiply(sixth, k1, out=out)
     out += y
     return out
 
@@ -793,8 +812,8 @@ def step_rk4(model, z: State, dt: float) -> State:
     if z.layout != model.layout:
         raise ValueError(f"state layout does not match model {model.id}")
     sparse = _sparse_form(model)
-    work = _rk4_work(sparse.bind, model.layout.flat_dim, sparse.work_rows)
-    return State(model.layout, _rk4(work, z.flat, dt))
+    work = _rk4_work(sparse.bind, model.layout.flat_dim, sparse.work_rows, dt)
+    return State(model.layout, _rk4(work, z.flat))
 
 
 def _rk4_symbol_map(sparse: _SparseForm, n: int, dt: float) -> np.ndarray:
@@ -899,29 +918,36 @@ def _stage_path(sparse: _SparseForm, y: np.ndarray, dt: float, theta: Optional[s
 
     ``jump(state, m)`` takes m steps from ``state`` and returns
     ``(new_state, ok)``, where ok means finite and, with ``theta`` a slice,
-    with a positive temperature.  The temperature is checked every step, and
-    the jump stops at the first cold one; finiteness is checked once at the
-    end: a slot that is not finite stays so under ``y + dt/6 (...)``, so a
-    state that is finite there was finite at every step before it.
+    with a positive temperature at every step.  Each step's temperatures
+    are folded into one running minimum (``np.minimum``, which keeps a NaN),
+    reduced once at the end of the jump, and finiteness is checked there
+    too: a slot that is not finite stays so under ``y + dt/6 (...)``, so a
+    state that is finite there was finite at every step before it.  A jump
+    that is not fine has run to its end; :func:`integrate` replays it.
 
     The work is allocated and bound here, once per call: the stage input,
     four stage buffers with the right-hand side bound to each
-    (``sparse.bind``, :func:`_rk4_work`) and two result buffers.  Inside a
-    jump the steps alternate between the result buffers, so a step never
-    writes the state it reads; the state a jump returns is a copy, so no
-    state it hands out or is given shares memory with the work, and the
-    input is left as it is.  ``to_grid`` stacks states as rows.
+    (``sparse.bind``, :func:`_rk4_work`), the step's coefficients, two
+    result buffers and the running minimum.  Inside a jump the steps
+    alternate between the result buffers, so a step never writes the state
+    it reads; the state a jump returns is a copy, so no state it hands out
+    or is given shares memory with the work, and the input is left as it
+    is.  ``to_grid`` stacks states as rows.
     """
-    work = _rk4_work(sparse.bind, y.size, sparse.work_rows)
+    work = _rk4_work(sparse.bind, y.size, sparse.work_rows, dt)
     results = (np.empty(y.size), np.empty(y.size))
     temperatures = None if theta is None else tuple(result[theta] for result in results)
+    coldest = None if theta is None else np.empty_like(temperatures[0])
 
     def jump(state: np.ndarray, m: int):
+        if coldest is not None:
+            coldest.fill(math.inf)
         for i in range(m):
-            state = _rk4(work, state, dt, results[i & 1])
-            if temperatures is not None and not temperatures[i & 1].min() > 0.0:
-                return state.copy(), False
-        return state.copy(), bool(np.isfinite(state).all())
+            state = _rk4(work, state, results[i & 1])
+            if coldest is not None:
+                np.minimum(coldest, temperatures[i & 1], out=coldest)
+        ok = bool(np.isfinite(state).all()) and (coldest is None or coldest.min() > 0.0)
+        return state.copy(), ok
 
     return y, jump, np.stack
 
@@ -981,9 +1007,9 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     record interval is one batched product with the map raised to
     ``record_every`` steps by squaring (and one with the remainder's map at
     the end).  Any other model steps through the four stages of the
-    compiled right-hand side (:func:`step_rk4`), with the temperature
-    checked every step and finiteness once per interval.  Both give the
-    same records to roundoff.
+    compiled right-hand side (:func:`step_rk4`), with the temperature of
+    every step folded into a running minimum, which is checked with
+    finiteness once per interval.  Both give the same records to roundoff.
 
     Each path is one ``jump(state, m)`` (:func:`_stage_path`,
     :func:`_symbol_path`); the loop here is the same for both.  It keeps
@@ -1176,7 +1202,8 @@ def verify_brackets(model, trials: int = 20, seed: int = 0) -> VerificationRepor
 
 def _bracket_residuals(model, z: State, xi: CotangentVector, eta: CotangentVector) -> dict:
     """Per-trial residuals of the five bracket checks on stacks of trials.
-    Each check's operator outputs are dropped before the next check runs."""
+    ``M xi`` is applied once and paired with both eta and xi; every other
+    operator output is dropped once it is paired."""
     layout = model.layout
 
     def pair(a, op, b):
@@ -1193,8 +1220,9 @@ def _bracket_residuals(model, z: State, xi: CotangentVector, eta: CotangentVecto
         return scaled(sup(op(model, z, g)), sup(g))
 
     b1, b2 = pair(xi, apply_L, eta), pair(eta, apply_L, xi)
-    s1, s2 = pair(xi, apply_M, eta), pair(eta, apply_M, xi)
-    quad = pair(xi, apply_M, xi)
+    s1 = pair(xi, apply_M, eta)
+    m_xi = apply_M(model, z, xi).flat
+    s2, quad = mixed_inner(layout, eta.flat, m_xi), mixed_inner(layout, xi.flat, m_xi)
     return {
         "antisymmetry": scaled(np.abs(b1 + b2), np.abs(b1), np.abs(b2)),
         "symmetry": scaled(np.abs(s1 - s2), np.abs(s1), np.abs(s2)),
@@ -1325,12 +1353,12 @@ def transform_check(model, t_diag: np.ndarray, z0: State, cfg: IntegratorConfig)
     n_steps = cfg.n_steps
     y = z0.flat.copy()
     v = t_diag * z0.flat
-    work_y = _rk4_work(bind_original, layout.flat_dim, layout.flat_dim)
-    work_v = _rk4_work(bind_transformed, layout.flat_dim, layout.flat_dim)
+    work_y = _rk4_work(bind_original, layout.flat_dim, layout.flat_dim, cfg.dt)
+    work_v = _rk4_work(bind_transformed, layout.flat_dim, layout.flat_dim, cfg.dt)
     worst = 0.0
     for step in range(1, n_steps + 1):
-        y = _rk4(work_y, y, cfg.dt)
-        v = _rk4(work_v, v, cfg.dt)
+        y = _rk4(work_y, y)
+        v = _rk4(work_v, v)
         if step % cfg.record_every == 0 or step == n_steps:
             worst = max(worst, float(np.max(np.abs(t_diag * y - v))))
     return worst

@@ -81,8 +81,26 @@ class SquareTerm:
         return g
 
     def value(self, z: State):
-        g = self.combination(z)
-        return 0.5 * self.coeff * z.layout.grid.inner(g, g)
+        """``coeff/2 * inner(g, g)``: a float, or one value per state of a
+        stack.
+
+        A term of one part squares that part without the zero-filled sum of
+        :meth:`combination`: the field view itself for a unit factor and no
+        derivative, else ``factor * field`` or the ``d1`` of the field times
+        the factor.  ``0 + x`` is ``x`` but for ``-0.0``, which it turns into
+        ``+0.0``, and squaring removes that difference, so the value is
+        bitwise the one through :meth:`combination`."""
+        grid = z.layout.grid
+        if len(self.parts) == 1:
+            ((name, differentiate, factor),) = self.parts
+            g = z.field(name)
+            if differentiate:
+                g = grid.d1(g)
+            if factor != 1.0:
+                g = factor * g
+        else:
+            g = self.combination(z)
+        return 0.5 * self.coeff * grid.inner(g, g)
 
     def add_gradient(self, z: State, out: CotangentVector):
         grid = z.layout.grid

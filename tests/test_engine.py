@@ -640,11 +640,11 @@ def test_stage_path_states_share_no_memory_with_its_work(monkeypatch, record_eve
         buffers[id(buffer)] = buffer
         return sparse.bind(buffer)
 
-    def rk4(work, y, dt, out=None):
+    def rk4(work, y, out=None):
         for array in (work[0], out):
             if array is not None:
                 buffers[id(array)] = array
-        return original_rk4(work, y, dt, out)
+        return original_rk4(work, y, out)
 
     def stage_path(*args):
         state, jump, to_grid = original_path(*args)
@@ -732,6 +732,16 @@ def test_compiled_rhs_rejects_a_state_of_another_shape(grid32):
     for flat in (np.zeros(dim - 1), np.zeros((dim, 1)), np.zeros((2, dim)), np.zeros(dim, dtype=complex)):
         with pytest.raises(ValueError, match=rf"TimoshenkoNew: expected a flat state of shape \({dim},\)"):
             rhs(flat)
+
+
+def test_compiled_rhs_reads_a_float32_state_as_its_values(grid32):
+    # the bilinear term multiplies by its coefficient held as a 0-d float64
+    # array, which numpy 1 and numpy 2 promote differently against float32:
+    # the public call must read a float32 state as its float64 values
+    model = bg.build_model(bg.ModelId.TIMOSHENKO_NEW, ModelParams(), grid32)
+    rhs = compile_rhs(model)
+    y = bg.random_state(model, np.random.default_rng(6)).flat.astype(np.float32)
+    assert rhs(y).tobytes() == rhs(y.astype(float)).tobytes()
 
 
 def test_compiled_rhs_takes_no_work_buffer(grid32):
@@ -984,6 +994,53 @@ def test_positivity_error_names_the_same_step_at_any_interval(grid32, record_eve
         integrate(model, model.reference_state.copy(),
                   IntegratorConfig(dt=1e-3, t_end=2.0, record_every=record_every))
     assert "temperature became nonpositive at step 1000 (min -8.8124e-16; t = 1;" in str(info.value)
+
+
+def _dipping_model(grid):
+    """TimoshenkoNew with a preset compiled right-hand side under which
+    theta falls at unit rate until t = 1.0035 and then rises at unit rate;
+    the first slot of p is the clock, advancing at unit rate from 0."""
+    base = bg.build_model("TimoshenkoNew", ModelParams(), grid)
+    dim = base.layout.flat_dim
+    theta = base.layout.field_slice("theta")
+    clock = base.layout.field_slice("p").start
+
+    def dipping(buffer):
+        k = buffer[:dim]
+
+        def evaluate(flat):
+            k[:] = 0.0
+            k[clock] = 1.0
+            k[theta] = -1.0 if flat[clock] < 1.0035 else 1.0
+            return k
+        return evaluate
+
+    return _with_stage_rhs(base, dipping)
+
+
+def test_stage_running_minimum_catches_a_dip_inside_an_interval(grid32):
+    # from theta = 1.0025 the temperature is cold at step 1003 (dt = 1e-3),
+    # strictly inside the record intervals 1002..1008 of 7 and 1001..1020 of
+    # 20, and warm again at the end of both: the stage loop's running minimum
+    # must fail those intervals, and the replay name the step and the
+    # temperature that a run recording every step names
+    model = _dipping_model(grid32)
+    z0 = model.reference_state.copy()
+    z0.field("theta")[:] = 1.0025
+    theta = model.layout.field_slice("theta")
+    _, jump, _ = engine._stage_path(engine._sparse_form(model), z0.flat.copy(), 1e-3, None)
+    state, lows = z0.flat.copy(), []
+    for steps in (1002, 1, 5, 12):  # to steps 1002, 1003, 1008 and 1020
+        state, ok = jump(state, steps)
+        assert ok
+        lows.append(float(np.min(state[theta])))
+    assert lows[0] > 0.0 and lows[1] < 0.0 and lows[2] > 0.0 and lows[3] > 0.0, lows
+    named = []
+    for record_every in (1, 7, 20):
+        with pytest.raises(PositivityError) as info:
+            integrate(model, z0, IntegratorConfig(dt=1e-3, t_end=2.0, record_every=record_every))
+        named.append(re.search(r"at step (\d+) \(min (\S+);", str(info.value)).groups())
+    assert named == [("1003", f"{lows[1]:g}")] * 3
 
 
 def _growing_model(grid):

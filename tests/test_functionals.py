@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from beamgeneric import (
     grad_entropy,
     mechanical_energy,
 )
+from beamgeneric.functionals import SquareTerm
 from conftest import ALL_IDS, rel_inf
 
 
@@ -200,3 +202,54 @@ def test_mechanical_energy_keeps_its_precision_beside_a_large_rest(models16, mid
         z.reservoir = 1.0
     assert abs(mechanical_energy(model, z) - 5e-21) <= 1e-15 * 5e-21
     assert energy(model, z) == 1.0
+
+
+def _same_bits(got, want):
+    """Bitwise equal, NaNs in the same places whatever their bits."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _special_states(model, rng):
+    """Rows of a stack: a plain state, then states with -0.0, +-inf or NaN
+    slots in every field, and the all -0.0 state."""
+    layout = model.layout
+    n, dim = layout.grid.n, layout.flat_dim
+    rows = rng.standard_normal((6, dim))
+    rows[1, ::2] = -0.0
+    for row, value in zip(rows[2:5], (np.inf, -np.inf, np.nan)):
+        row[3:layout.n_fields * n:n] = value
+    rows[5] = -0.0
+    return rows
+
+
+@pytest.mark.parametrize("n", (16, 64))
+def test_square_terms_equal_the_combination_sums_bitwise(n):
+    # a square term of one part skips the zero-filled sum of its combination;
+    # the energy and the mechanical energy must still be bitwise the sums of
+    # 0.5 * coeff * inner(g, g) over combination(z), on single states and on
+    # stacks, through -0.0, infinities and NaNs
+    rng = np.random.default_rng(n)
+    grid = Grid(n, 1.0)
+    with np.errstate(all="ignore"):
+        for mid in ALL_IDS:
+            model = bg.build_model(mid, ModelParams(), grid)
+            squares = [t for t in model.energy_terms if isinstance(t, SquareTerm)]
+            others = [t for t in model.energy_terms if not isinstance(t, SquareTerm)]
+            rows = _special_states(model, rng)
+            for z in [State(model.layout, row) for row in rows] + [State._stack(model.layout, rows)]:
+                mech = sum(0.5 * t.coeff * grid.inner(t.combination(z), t.combination(z))
+                           for t in squares)
+                total = sum((t.value(z) for t in others), mech)
+                if model.layout.has_reservoir:
+                    total = total + z.reservoir
+                assert _same_bits(mechanical_energy(model, z), mech), mid
+                assert _same_bits(energy(model, z), total), mid
+        # the factors and derivatives the catalog's one-part terms do not use
+        model = bg.build_model(bg.ModelId.TIMOSHENKO_FRICTIONAL, ModelParams(), grid)
+        z = State._stack(model.layout, _special_states(model, rng))
+        for differentiate, factor in itertools.product((False, True), (1.0, -0.5, 3.0)):
+            term = SquareTerm(0.7, (("psi", differentiate, factor),))
+            g = term.combination(z)
+            assert _same_bits(term.value(z), 0.5 * 0.7 * grid.inner(g, g)), (differentiate, factor)
