@@ -16,8 +16,9 @@ result is cached in the model's one private slot.
   sparse matrix (the cyclic shifts of those columns) plus the terms that are
   not linear, the reservoir production ``alpha * dx * sum_r w_r |D_r y|^2``
   and the bilinear coupling of the nonlinear model.  It reproduces the
-  object-level assembly to roundoff.  Its CSR matrix is built, and checked,
-  on its first call or binding to a work buffer.
+  object-level assembly to roundoff.  It is handed out one way, as an
+  evaluator that owns a work buffer (``_SparseForm.evaluator``): the
+  first one made builds the CSR matrix and checks it.
 * ``ModelSpec.dt_bound`` reads the step bound: the RK4 limit over the
   eigenvalues of the Fourier symbols of the exact linearization, the
   linear part plus the derivative of the quadratic terms.  A model that fails
@@ -31,17 +32,16 @@ result is cached in the model's one private slot.
   each record interval is one batched product, with the map raised to
   ``record_every`` steps by squaring once per call.  Any other model
   steps through RK4's four stages on the compiled right-hand side
-  (:func:`step_rk4`, also the oracle of the first).  The compiled
-  right-hand side is bound once per call to each of four stage buffers
-  (each evaluation is then the CSR kernel's product plus the bilinear and
-  production updates, on views and scratch taken at binding, with no new
-  array), and RK4's coefficients with them, as 0-d arrays
-  (:func:`_rk4_work`); the sums are formed in place, the steps of a jump
-  alternate between two result buffers and only the state a jump returns
-  is copied out.  Each step's temperatures are folded into a running
-  minimum, which is checked with finiteness once per jump.  An interval
-  whose jump is not fine is replayed from its start one step at a time,
-  which names its first bad step.  The one-step map is built in batches
+  (:func:`step_rk4`, also the oracle of the first).  Every RK4 step runs
+  through one stepper (:func:`_rk4_stepper`) on four evaluators, made once
+  per run: each evaluation is the CSR kernel's product plus the bilinear
+  and production updates, on views and scratch taken when the evaluator is
+  made, with no new array, and the step's sums are formed in place.  The
+  steps of a jump alternate between two result buffers and only the state
+  a jump returns is copied out.  Each step's temperatures are folded into
+  a running minimum, which is checked with finiteness once per jump.  An
+  interval whose jump is not fine is replayed from its start one step at a
+  time, which names its first bad step.  The one-step map is built in batches
   of bins with the four stages side by side (:func:`_rk4_symbol_map`).
 * The degeneracy conditions are properties of the building blocks, not of
   a trajectory, so the derivation settles them once.  It proves
@@ -58,8 +58,8 @@ result is cached in the model's one private slot.
   :func:`integrate` holds the path's state at each record time and
   records the held ones together, up to ``state.STACK_BYTES`` (256 KB) at
   a time; each record is bitwise the one its state alone gives.
-* scipy is loaded in one place (:func:`_circulant`): the first call or
-  binding of a compiled right-hand side, which builds its CSR arrays in
+* scipy is loaded in one place (:func:`_circulant`): the first evaluator
+  of a compiled right-hand side, which builds its CSR arrays in
   numpy and loads the compiled kernel ``csr_matvec`` that its products run
   on, from scipy's extension module ``sparse/_sparsetools`` alone, never
   the ``scipy.sparse`` package (see :func:`_csr_matvec`).  Where scipy cannot
@@ -241,8 +241,8 @@ def _circulant(n: int, shape: tuple, columns: np.ndarray):
     them from the same entries.  The product runs scipy's compiled CSR kernel
     (:func:`_csr_matvec`) on zeros, as ``matrix @ x`` does, so it is bitwise
     that product without its dispatch and its new array.  The kernel is
-    loaded here, and only here, on the first call or binding of a compiled
-    right-hand side (:func:`compile_rhs`, ``_SparseForm.bind``)."""
+    loaded here, and only here, when the first evaluator of a compiled
+    right-hand side is made (``_SparseForm.evaluator``)."""
     csr_matvec = _csr_matvec()
     field, row = np.nonzero(columns)
     nodes = np.arange(n)
@@ -271,29 +271,29 @@ def _circulant(n: int, shape: tuple, columns: np.ndarray):
 class _SparseForm:
     """Everything the engine derives from a model's building blocks, built in
     one pass by :func:`_sparse_form`, in numpy; only the compiled right-hand
-    side ``rhs`` builds CSR arrays, and loads scipy's CSR kernel (the
-    extension module alone, not ``scipy.sparse``), on its first call.
+    side builds CSR arrays, and loads scipy's CSR kernel (the extension
+    module alone, not ``scipy.sparse``), when its first evaluator is made.
 
     * ``production`` is ``alpha * dx`` times the constant weights of the
       dissipative rows R (one row block per ``DissipativeRow``: D or the
       identity on its field) for a model with a reservoir, else None.
     * ``bilinear`` lists the bilinear terms of the right-hand side as (rows,
-      coefficient field, c as a 0-d array, rows of the products P that
-      ``rhs`` stacks above its constant matrix A); it is empty for a model
-      whose fields evolve linearly.
+      coefficient field, c as a 0-d array, rows of the products P that the
+      CSR matrix stacks above its constant matrix A); it is empty for a
+      model whose fields evolve linearly.
     * ``symbols`` holds the f x f Fourier symbols of the exact linearization
       and ``m_symbols`` the (rows of R) x f symbols of R, one per wavenumber
       k = 0..n//2 (the other half are their complex conjugates).
-    * ``rhs`` is the compiled right-hand side (:func:`compile_rhs`), and
-      ``bind(buffer)`` the same right-hand side bound to a work buffer of
-      ``work_rows`` floats (the products P y, then the right-hand side):
-      the evaluator it returns writes into that buffer and returns its
-      tail, with every view it needs taken once, at binding.  The stage
-      path of :func:`integrate` binds one evaluator per stage buffer of
-      :func:`_rk4`, once per run, and :func:`step_rk4` once per step;
-      ``rhs`` binds one to a new buffer per call.  The first call of either
-      builds the CSR matrix.  ``dt_bound`` is the RK4 step bound
-      (``ModelSpec.dt_bound``).
+    * ``evaluator()`` hands out the compiled right-hand side: an
+      ``evaluate(y)`` that owns a fresh work buffer (the products P y, then
+      the right-hand side), writes ``A y + N(y)`` into its tail and returns
+      that tail, the same array at every call, with every view and the
+      bilinear terms' scratch taken once, when it is made.  The first
+      ``evaluator()`` call builds the CSR matrix and checks it.
+      :func:`compile_rhs` makes one per call; the stage path of
+      :func:`integrate` makes four per run and :func:`step_rk4` four per
+      step, one per RK4 stage.
+    * ``dt_bound`` is the RK4 step bound (``ModelSpec.dt_bound``).
     * ``res_l_ds`` is ``|L dS|_inf`` of the reservoir entropy at the
       reference state, a constant (``dS = alpha`` on the reservoir slot
       only, which L never reads); None for the log entropy, whose
@@ -305,9 +305,7 @@ class _SparseForm:
     bilinear: tuple
     symbols: np.ndarray
     m_symbols: np.ndarray
-    rhs: Callable[[np.ndarray], np.ndarray]
-    bind: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
-    work_rows: int
+    evaluator: Callable[[], Callable[[np.ndarray], np.ndarray]]
     dt_bound: float
     res_l_ds: Optional[float]
 
@@ -361,12 +359,12 @@ def _sparse_form(model) -> _SparseForm:
     so neither the right-hand side nor the step bound of such a model is
     ever returned.  The compiled right-hand side, ``A y + N(y)`` from one
     CSR product with P stacked on A (:func:`_circulant` of their node-0
-    columns), is built on its first call, checked against the object-level
-    one at the same state (1e-12, else :class:`ValueError`), and only then
-    returned or stepped with.  Extreme constants can overflow the
-    derivation: it runs with numpy's floating-point warnings off and raises
-    :class:`ValueError` when the seeded check or the symbols of the
-    linearization are not finite.
+    columns), is built when its first evaluator is made, checked against
+    the object-level one at the same state (1e-12, else
+    :class:`ValueError`), and only then evaluated or stepped with.
+    Extreme constants can overflow the derivation: it runs with numpy's
+    floating-point warnings off and raises :class:`ValueError` when the
+    seeded check or the symbols of the linearization are not finite.
     """
     if model._sparse is None:
         with np.errstate(all="ignore"):
@@ -427,25 +425,24 @@ def _derive_sparse_form(model) -> _SparseForm:
 
     # P y fills the first p_rows of a work buffer, the right-hand side the rest
     p_rows = start
+    rows = p_rows + dim
 
-    def bind(full: np.ndarray, multiply=None) -> Callable[[np.ndarray], np.ndarray]:
-        """``evaluate(y)`` bound to the work buffer ``full`` (``p_rows + dim``
-        floats, written by nothing else while it is bound): it writes
-        ``[P; A] y`` into ``full`` with the CSR product ``multiply`` (else
-        ``full`` must hold P y and the part of the right-hand side to add
-        to), adds N(y) to the tail and returns the tail.  The production
-        squares R y in place, in the head.  Its views of ``full``, and a
-        scratch field for each bilinear term, are taken here, once, so that
-        an evaluation allocates nothing; ``y`` must share no memory with
-        ``full``."""
+    def bind(full: np.ndarray, multiply) -> Callable[[np.ndarray], np.ndarray]:
+        """``evaluate(y)`` bound to the work buffer ``full`` (``rows`` floats,
+        written by nothing else while it is bound): ``multiply(y, full)``
+        writes P y into its head and the part of the right-hand side to add
+        to into its tail, then ``evaluate`` adds N(y) to the tail and
+        returns it.  The production squares R y in place, in the head.  Its
+        views of ``full``, and a scratch field for each bilinear term, are
+        taken here, once, so that an evaluation allocates nothing; ``y``
+        must share no memory with ``full``."""
         out = full[p_rows:]
-        terms = [(out[rows], full[k_rows], coefficient, c, np.empty(n))
-                 for rows, coefficient, c, k_rows in bilinear] if bilinear else ()
+        terms = [(out[target], full[k_rows], coefficient, c, np.empty(n))
+                 for target, coefficient, c, k_rows in bilinear] if bilinear else ()
         g = full[:production.size] if production is not None else None
 
         def evaluate(y):
-            if multiply is not None:
-                multiply(y, full)
+            multiply(y, full)
             for target, k_y, coefficient, c, term in terms:
                 np.multiply(c, y[coefficient], out=term)
                 term *= k_y
@@ -456,9 +453,13 @@ def _derive_sparse_form(model) -> _SparseForm:
 
         return evaluate
 
+    def write_products(y: np.ndarray, full: np.ndarray) -> None:
+        """P y into the head of ``full``; its tail is left as it is."""
+        full[:p_rows] = products(y)
+
     def nonlinear(y: np.ndarray) -> np.ndarray:
         """N(y) for one flat vector."""
-        return bind(np.concatenate([products(y), np.zeros_like(y)]))(y)
+        return bind(np.zeros(rows), write_products)(y)
 
     def affine(y: np.ndarray) -> np.ndarray:
         return (generic_rhs(model, State(layout, y)).flat - nonlinear(y))[:nf]
@@ -506,12 +507,11 @@ def _derive_sparse_form(model) -> _SparseForm:
 
     z = random_state(model, np.random.default_rng(0)).flat
     want = generic_rhs(model, State(layout, z)).flat
-    full = np.zeros(p_rows + dim)
-    full[:p_rows] = products(z)
+    full = np.zeros(rows)
     got = full[p_rows:]
     y_hat = np.fft.rfft(z[:nf].reshape(nfields, n), axis=1).T[:, :, None]
     got[:nf] = np.fft.irfft((a_symbols @ y_hat)[:, :, 0].T, n, axis=1).ravel()
-    bind(full)(z)
+    bind(full, write_products)(z)
     if not all(np.isfinite(a).all() for a in (got, want, spectrum)):
         raise ValueError(
             f"{model.id}: the right-hand side or its linearization is not finite "
@@ -540,49 +540,34 @@ def _derive_sparse_form(model) -> _SparseForm:
 
     # the node-0 columns of the CSR matrix [P; A]: P's rows come first, so
     # that the product ends with A's rows, the reservoir's (zero) among
-    # them, as the right-hand side's.  Taken now, not on the first call, so
-    # that the form refers to no closure over the model (see below).
+    # them, as the right-hand side's.  Taken now, not by the first
+    # evaluator, so that the form refers to no closure over the model (see
+    # below).
     csr_columns = np.concatenate([products(units), a_columns], axis=1)
-    work_rows = p_rows + dim
     # the model's id, not the model: the model caches this form, and a
     # closure over the model would make a reference cycle
     product, model_id = None, model.id
 
-    def compiled(full: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """:func:`bind` with the product by the CSR matrix ``[P; A]``, which
-        the first call builds and checks."""
+    def evaluator() -> Callable[[np.ndarray], np.ndarray]:
+        """:func:`bind` to a new work buffer, with the product by the CSR
+        matrix ``[P; A]``, which the first call builds and checks."""
         nonlocal product
         if product is None:
             try:
-                _, candidate = _circulant(n, (work_rows, dim), csr_columns)
+                _, candidate = _circulant(n, (rows, dim), csr_columns)
             except ImportError as error:
                 raise ValueError(
                     f"{model_id}: the compiled right-hand side needs scipy, which "
                     f"cannot be imported ({error})"
                 ) from None
-            mismatch = _relative_mismatch(bind(np.empty(work_rows), candidate)(z), want)
+            mismatch = _relative_mismatch(bind(np.empty(rows), candidate)(z), want)
             if not mismatch <= 1e-12:
                 raise ValueError(
                     f"{model_id}: the compiled sparse right-hand side differs from the "
                     f"object-level one by {mismatch:.3e} at the derivation's seeded state"
                 )
             product = candidate
-        return bind(full, product)
-
-    def rhs(flat: np.ndarray) -> np.ndarray:
-        """``A y + N(y)`` at the flat state ``flat``, in a new array."""
-        # the kernel reads dim floats of flat whatever its length, and
-        # refuses a complex one with a message that names no model
-        flat = np.asarray(flat)
-        if flat.shape != (dim,) or flat.dtype.char != "d":
-            if flat.shape != (dim,) or flat.dtype.kind not in "biuf":
-                raise ValueError(f"{model_id}: expected a flat state of shape ({dim},) of real "
-                                 f"numbers, got shape {flat.shape} of {flat.dtype}")
-            # in float64, so that a float32 state reads as its values on every
-            # numpy: numpy 1's value-based casting would take the bilinear
-            # product by a 0-d coefficient in float32, numpy 2 in float64
-            flat = flat.astype(float)
-        return compiled(np.empty(work_rows))(flat)
+        return bind(np.empty(rows), product)
 
     res_l_ds = None
     if isinstance(model.entropy, ReservoirEntropy):
@@ -595,9 +580,7 @@ def _derive_sparse_form(model) -> _SparseForm:
         bilinear=tuple(bilinear),
         symbols=symbols.copy(),
         m_symbols=spectrum[:, nfields:].copy(),
-        rhs=rhs,
-        bind=compiled,
-        work_rows=work_rows,
+        evaluator=evaluator,
         dt_bound=0.9 * limit,
         res_l_ds=res_l_ds,
     )
@@ -623,14 +606,30 @@ def compile_rhs(model) -> Callable[[np.ndarray], np.ndarray]:
     object-level right-hand side at the derivation's seeded state (1e-12
     relative, else :class:`ValueError`; so is an install where scipy cannot
     be imported).
-    Called on a flat state of shape ``(dim,)`` (another shape raises
-    :class:`ValueError`), it returns a new array.  It takes no work buffer:
-    the CSR kernel writes as many floats as the buffer must hold into
-    whatever it is given, so :func:`step_rk4` and the stage path of
-    :func:`integrate` (the nonlinear model) bind the same right-hand side
-    to buffers of their own (``_SparseForm.bind``, :func:`_rk4_work`).
+    Called on a flat state of shape ``(dim,)`` of real numbers (another
+    raises :class:`ValueError`), it returns a new array: each call takes a
+    fresh evaluator (``_SparseForm.evaluator``), which owns its work
+    buffer.  It takes no work buffer itself, since the CSR kernel writes as
+    many floats as the buffer must hold into whatever it is given.
     """
-    return _sparse_form(model).rhs
+    sparse, model_id = _sparse_form(model), model.id
+    dim = model.layout.flat_dim
+
+    def rhs(flat: np.ndarray) -> np.ndarray:
+        # the kernel reads dim floats of flat whatever its length, and
+        # refuses a complex one with a message that names no model
+        flat = np.asarray(flat)
+        if flat.shape != (dim,) or flat.dtype.char != "d":
+            if flat.shape != (dim,) or flat.dtype.kind not in "biuf":
+                raise ValueError(f"{model_id}: expected a flat state of shape ({dim},) of real "
+                                 f"numbers, got shape {flat.shape} of {flat.dtype}")
+            # in float64, so that a float32 state reads as its values on every
+            # numpy: numpy 1's value-based casting would take the bilinear
+            # product by a 0-d coefficient in float32, numpy 2 in float64
+            flat = flat.astype(float)
+        return sparse.evaluator()(flat)
+
+    return rhs
 
 
 # --------------------------------------------------------------------------
@@ -643,8 +642,13 @@ def _rk4_amplification(z: np.ndarray) -> np.ndarray:
 
 def _rk4_stability_limit(eigs: np.ndarray) -> float:
     """Largest dt with |R(dt*lambda)| <= 1 (+tiny slack) for every eigenvalue;
-    0.0 when no step above 1e-300 is stable."""
-    eigs = eigs[np.abs(eigs) > 1e-9]
+    0.0 when no step above 1e-300 is stable, inf when every eigenvalue is
+    zero.  Eigenvalues below 1e-9 of the spectral radius are taken as zero:
+    they are steady states, whose eigensolver roundoff scales with the
+    radius, so the cut scales with the constants and the bound is finite
+    for any model that moves, however slowly."""
+    magnitudes = np.abs(eigs)
+    eigs = eigs[magnitudes > 1e-9 * np.max(magnitudes, initial=0.0)]
     if eigs.size == 0:
         return math.inf
 
@@ -653,10 +657,10 @@ def _rk4_stability_limit(eigs: np.ndarray) -> float:
 
     lo, hi = 1e-12, 1.0
     if ok(hi):
+        # ends: once dt * |lambda| passes RK4's stability interval, or at
+        # the latest where dt overflows and the amplification reads NaN
         while ok(hi):
             hi *= 2.0
-            if hi > 1e6:
-                return math.inf
         lo = hi / 2.0
     else:
         while not ok(lo):
@@ -756,52 +760,48 @@ def _diagnostics(model, sparse: _SparseForm, times: Sequence[float],
 RECORD_STACK_PEAK = 7
 
 
-def _rk4_work(bind: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]], dim: int,
-              rows: int, dt: float) -> tuple:
-    """The work of :func:`_rk4` for a right-hand side on ``dim`` slots and
-    the step ``dt``: the stage input, one evaluator per stage, which
-    ``bind`` binds to a work buffer of ``rows`` floats of its own, and the
-    step's coefficients ``dt/2``, ``dt``, ``2`` and ``dt/6``.
+def _rk4_stepper(evaluators: Sequence[Callable[[np.ndarray], np.ndarray]], dim: int,
+                 dt: float) -> Callable[..., np.ndarray]:
+    """``step(y, out=None)``: one classical RK4 step of size ``dt`` from the
+    flat state ``y`` (``dim`` slots), into ``out`` (a new array when None).
 
-    The coefficients are 0-d arrays of the values the expression takes (a
-    ufunc takes one with less overhead than a Python float), made here once
-    per run: the product by a 0-d float64 array is the IEEE product by the
-    float, under numpy 2's promotion rules and numpy 1's value-based casting
-    alike."""
-    evaluators = map(bind, map(np.empty, (rows,) * 4))
-    coefficients = map(np.asarray, (0.5 * dt, dt, 2.0, dt / 6.0))
-    return (np.empty(dim), *evaluators, *coefficients)
+    ``evaluators`` are the four stages' right-hand sides; each returns the
+    derivative at its argument, in an array that the step may overwrite
+    and that nothing else writes before the step ends (its own work buffer,
+    or a new array).  The stages share one stage input, and the step's sums
+    are formed in place in the stages' results, in the order of
+    ``y + dt/6 (k1 + 2 (k2 + k3) + k4)``, so the result is bitwise that of
+    the expression.  The coefficients ``dt/2``, ``dt``, ``2`` and ``dt/6``
+    are 0-d arrays, made once per stepper: a ufunc takes one with less
+    overhead than a Python float, and the product by a 0-d float64 array is
+    the IEEE product by the float under numpy 2's promotion rules and numpy
+    1's value-based casting alike.  ``y`` is left as it is; ``out`` must
+    share no memory with it or with the stages' buffers."""
+    first, second, third, fourth = evaluators
+    half, whole, two, sixth = map(np.asarray, (0.5 * dt, dt, 2.0, dt / 6.0))
+    stage = np.empty(dim)
 
+    def step(y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        nonlocal stage  # += rebinds it, to the same array
+        k1 = first(y)
+        np.multiply(half, k1, out=stage)
+        stage += y
+        k2 = second(stage)
+        np.multiply(half, k2, out=stage)
+        stage += y
+        k3 = third(stage)
+        np.multiply(whole, k3, out=stage)
+        stage += y
+        k4 = fourth(stage)
+        k2 += k3
+        k2 *= two
+        k1 += k2
+        k1 += k4
+        out = np.multiply(sixth, k1, out=out)
+        out += y
+        return out
 
-def _rk4(work: tuple, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """One classical RK4 step from the flat state ``y``, into ``out`` (a new
-    array when None).
-
-    ``work`` is the caller's :func:`_rk4_work`, which holds the step's
-    coefficients: each stage's evaluator returns the derivative at its
-    argument written into its own work buffer, or a part of it.  The stages
-    share the stage input, and the step's sums are formed in place in the
-    stage buffers, in the order of ``y + dt/6 (k1 + 2 (k2 + k3) + k4)``, so
-    the result is bitwise that of the expression.  ``y`` is left as it is;
-    ``out`` must share no memory with it or with the work."""
-    stage, first, second, third, fourth, half, whole, two, sixth = work
-    k1 = first(y)
-    np.multiply(half, k1, out=stage)
-    stage += y
-    k2 = second(stage)
-    np.multiply(half, k2, out=stage)
-    stage += y
-    k3 = third(stage)
-    np.multiply(whole, k3, out=stage)
-    stage += y
-    k4 = fourth(stage)
-    k2 += k3
-    k2 *= two
-    k1 += k2
-    k1 += k4
-    out = np.multiply(sixth, k1, out=out)
-    out += y
-    return out
+    return step
 
 
 def step_rk4(model, z: State, dt: float) -> State:
@@ -812,8 +812,8 @@ def step_rk4(model, z: State, dt: float) -> State:
     if z.layout != model.layout:
         raise ValueError(f"state layout does not match model {model.id}")
     sparse = _sparse_form(model)
-    work = _rk4_work(sparse.bind, model.layout.flat_dim, sparse.work_rows, dt)
-    return State(model.layout, _rk4(work, z.flat))
+    step = _rk4_stepper([sparse.evaluator() for _ in range(4)], model.layout.flat_dim, dt)
+    return State(model.layout, step(z.flat))
 
 
 def _rk4_symbol_map(sparse: _SparseForm, n: int, dt: float) -> np.ndarray:
@@ -925,16 +925,16 @@ def _stage_path(sparse: _SparseForm, y: np.ndarray, dt: float, theta: Optional[s
     state that is finite there was finite at every step before it.  A jump
     that is not fine has run to its end; :func:`integrate` replays it.
 
-    The work is allocated and bound here, once per call: the stage input,
-    four stage buffers with the right-hand side bound to each
-    (``sparse.bind``, :func:`_rk4_work`), the step's coefficients, two
-    result buffers and the running minimum.  Inside a jump the steps
-    alternate between the result buffers, so a step never writes the state
-    it reads; the state a jump returns is a copy, so no state it hands out
-    or is given shares memory with the work, and the input is left as it
-    is.  ``to_grid`` stacks states as rows.
+    The work is made here, once per call: one stepper
+    (:func:`_rk4_stepper`) on four evaluators of the compiled right-hand
+    side (``sparse.evaluator``), two result buffers and the running
+    minimum.  Inside a jump the steps alternate between the result buffers,
+    so a step never writes the state it reads; the state a jump returns is
+    a copy, so no state it hands out or is given shares memory with the
+    work, and the input is left as it is.  ``to_grid`` stacks states as
+    rows.
     """
-    work = _rk4_work(sparse.bind, y.size, sparse.work_rows, dt)
+    step = _rk4_stepper([sparse.evaluator() for _ in range(4)], y.size, dt)
     results = (np.empty(y.size), np.empty(y.size))
     temperatures = None if theta is None else tuple(result[theta] for result in results)
     coldest = None if theta is None else np.empty_like(temperatures[0])
@@ -943,7 +943,7 @@ def _stage_path(sparse: _SparseForm, y: np.ndarray, dt: float, theta: Optional[s
         if coldest is not None:
             coldest.fill(math.inf)
         for i in range(m):
-            state = _rk4(work, state, results[i & 1])
+            state = step(state, results[i & 1])
             if coldest is not None:
                 np.minimum(coldest, temperatures[i & 1], out=coldest)
         ok = bool(np.isfinite(state).all()) and (coldest is None or coldest.min() > 0.0)
@@ -1335,30 +1335,25 @@ def transform_check(model, t_diag: np.ndarray, z0: State, cfg: IntegratorConfig)
         raise ValueError("transform must be invertible (no zero diagonal entries)")
     t_inv = 1.0 / t_diag
 
-    def bind_original(out: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        def evaluate(flat: np.ndarray) -> np.ndarray:
-            out[:] = generic_rhs(model, State(layout, flat)).flat
-            return out
-        return evaluate
+    def original(flat: np.ndarray) -> np.ndarray:
+        return generic_rhs(model, State(layout, flat)).flat
 
-    def bind_transformed(out: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        def evaluate(v: np.ndarray) -> np.ndarray:
-            z = State(layout, t_inv * v)
-            xi_e = CotangentVector(layout, t_diag * (t_inv * grad_energy(model, z).flat))
-            xi_s = CotangentVector(layout, t_diag * (t_inv * grad_entropy(model, z).flat))
-            return np.multiply(t_diag, apply_L(model, z, xi_e).flat + apply_M(model, z, xi_s).flat,
-                               out=out)
-        return evaluate
+    def transformed(v: np.ndarray) -> np.ndarray:
+        z = State(layout, t_inv * v)
+        xi_e = CotangentVector(layout, t_diag * (t_inv * grad_energy(model, z).flat))
+        xi_s = CotangentVector(layout, t_diag * (t_inv * grad_entropy(model, z).flat))
+        return t_diag * (apply_L(model, z, xi_e).flat + apply_M(model, z, xi_s).flat)
 
     n_steps = cfg.n_steps
     y = z0.flat.copy()
     v = t_diag * z0.flat
-    work_y = _rk4_work(bind_original, layout.flat_dim, layout.flat_dim, cfg.dt)
-    work_v = _rk4_work(bind_transformed, layout.flat_dim, layout.flat_dim, cfg.dt)
+    # the evaluators return new arrays, so one serves all four stages
+    step_y = _rk4_stepper([original] * 4, layout.flat_dim, cfg.dt)
+    step_v = _rk4_stepper([transformed] * 4, layout.flat_dim, cfg.dt)
     worst = 0.0
     for step in range(1, n_steps + 1):
-        y = _rk4(work_y, y)
-        v = _rk4(work_v, v)
+        y = step_y(y)
+        v = step_v(v)
         if step % cfg.record_every == 0 or step == n_steps:
             worst = max(worst, float(np.max(np.abs(t_diag * y - v))))
     return worst

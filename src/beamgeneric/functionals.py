@@ -73,34 +73,27 @@ class SquareTerm:
     parts: tuple
 
     def combination(self, z: State) -> np.ndarray:
+        """g, summed from its first part in the order of ``parts``; a unit
+        factor is not multiplied by, so a term of one undifferentiated part
+        at a unit factor gives the field view itself, which callers only
+        read.  The sum is bitwise that from a zero-filled start but for the
+        sign of a zero: ``0 + x`` turns ``-0.0`` into ``+0.0``."""
         grid = z.layout.grid
-        g = np.zeros(z.flat.shape[:-1] + (grid.n,))
+        g = None
         for name, differentiate, factor in self.parts:
             u = z.field(name)
-            g += factor * (grid.d1(u) if differentiate else u)
+            if differentiate:
+                u = grid.d1(u)
+            if factor != 1.0:
+                u = factor * u
+            g = u if g is None else g + u
         return g
 
     def value(self, z: State):
         """``coeff/2 * inner(g, g)``: a float, or one value per state of a
-        stack.
-
-        A term of one part squares that part without the zero-filled sum of
-        :meth:`combination`: the field view itself for a unit factor and no
-        derivative, else ``factor * field`` or the ``d1`` of the field times
-        the factor.  ``0 + x`` is ``x`` but for ``-0.0``, which it turns into
-        ``+0.0``, and squaring removes that difference, so the value is
-        bitwise the one through :meth:`combination`."""
-        grid = z.layout.grid
-        if len(self.parts) == 1:
-            ((name, differentiate, factor),) = self.parts
-            g = z.field(name)
-            if differentiate:
-                g = grid.d1(g)
-            if factor != 1.0:
-                g = factor * g
-        else:
-            g = self.combination(z)
-        return 0.5 * self.coeff * grid.inner(g, g)
+        stack."""
+        g = self.combination(z)
+        return 0.5 * self.coeff * z.layout.grid.inner(g, g)
 
     def add_gradient(self, z: State, out: CotangentVector):
         grid = z.layout.grid

@@ -97,6 +97,16 @@ def test_simulate_explicit_dt_above_the_bound_exits_one(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_simulate_of_a_slowly_moving_model_above_its_finite_bound_exits_one(tmp_path, capsys):
+    # tiny stiffnesses give a bound of 3.95e6, not inf: a step of 1e9, which
+    # would write energy = inf, must be refused before the run
+    cfg = write_config(tmp_path, "model = TimoshenkoUndamped\nk = 1e-16\nb = 1e-16\ndt = 1e9\n"
+                                 f"t_end = 3e10\noutput = {tmp_path / 'x.csv'}\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "dt=1e+09 exceeds the stable bound 3.94652e+06" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_deterministic(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -310,6 +310,22 @@ def test_symbol_dt_matches_dense_spectrum(grid32, grid64):
             assert abs(model.dt_bound - dense) <= 1e-12 * dense, (grid.n, mid)
 
 
+@pytest.mark.parametrize("stiffness", (1e-16, 1e-22))
+def test_step_bound_of_a_slowly_moving_model_is_finite_and_tight(stiffness):
+    # at k = b = 1e-16 the spectral radius is 6.45e-7, so RK4's limit is
+    # about 4.4e6, and at 1e-22 every eigenvalue is below 1e-9: the bound
+    # must be finite (no cap on the search, no absolute cut of small
+    # eigenvalues), stable for every eigenvalue and within 1% of the limit
+    model = bg.build_model(bg.ModelId.TIMOSHENKO_UNDAMPED, ModelParams(k=stiffness, b=stiffness),
+                           Grid(64, 1.0))
+    eigs = np.linalg.eigvals(engine._sparse_form(model).symbols).ravel()
+    eigs = np.minimum(eigs.real, 0.0) + 1j * eigs.imag
+    limit = model.dt_bound / 0.9
+    assert math.isfinite(limit)
+    assert np.all(engine._rk4_amplification(limit * eigs) <= 1.0 + 1e-9)
+    assert np.any(engine._rk4_amplification(1.01 * limit * eigs) > 1.0 + 1e-9)
+
+
 @pytest.mark.parametrize("params", (ModelParams(), DRAWN_PARAMS), ids=("unit", "drawn"))
 @pytest.mark.parametrize("n", (16, 64, 512))
 def test_new_model_linearizes_to_type_i_heat(n, params):
@@ -456,6 +472,13 @@ def test_step_rk4_rejects_a_state_of_another_layout(models32):
         step_rk4(model, other.reference_state, 1e-4)
 
 
+def test_direct_rhs_rejects_a_state_of_another_layout(models32):
+    model = models32[bg.ModelId.TIMOSHENKO_FRICTIONAL]
+    other = bg.build_model(bg.ModelId.TIMOSHENKO_FRICTIONAL, ModelParams(), Grid(16, 1.0))
+    with pytest.raises(ValueError, match="state layout does not match model TimoshenkoFrictional"):
+        direct_rhs(model, other.reference_state)
+
+
 def test_step_rk4_positive_dt(models32):
     model = models32[bg.ModelId.TIMOSHENKO_UNDAMPED]
     with pytest.raises(ValueError):
@@ -527,11 +550,11 @@ def test_initial_positivity_guard(grid32):
         integrate(model, z0, IntegratorConfig(dt=1e-4, t_end=0.1))
 
 
-def _with_stage_rhs(base, bind):
-    """A copy of ``base`` whose stage path steps on the right-hand side that
-    ``bind(buffer)`` binds to each of its work buffers."""
+def _with_stage_rhs(base, evaluator):
+    """A copy of ``base`` whose stage path steps on the evaluators that
+    ``evaluator()`` returns, one per stage."""
     model = dataclasses.replace(base)
-    model._sparse = dataclasses.replace(engine._sparse_form(base), bind=bind)
+    model._sparse = dataclasses.replace(engine._sparse_form(base), evaluator=evaluator)
     return model
 
 
@@ -542,8 +565,8 @@ def _sinking_model(grid):
     dim = base.layout.flat_dim
     sl = base.layout.field_slice("theta")
 
-    def sinking(buffer):
-        k = buffer[:dim]
+    def sinking():
+        k = np.empty(dim)
 
         def evaluate(flat):
             k[:] = 0.0
@@ -626,7 +649,7 @@ def test_stage_path_equals_the_rk4_loop_bitwise(n, record_every, start):
 @pytest.mark.parametrize("record_every", (1, 7))
 def test_stage_path_states_share_no_memory_with_its_work(monkeypatch, record_every):
     # the stage path steps into per-run buffers (the stage input, the four
-    # bound stage buffers and two alternating results): no state a jump
+    # evaluators' work buffers and two alternating results): no state a jump
     # returns, and integrate holds for its records, may share memory with
     # them, each must keep its value to the end of the run, and z0 must be
     # left as it is
@@ -636,15 +659,33 @@ def test_stage_path_states_share_no_memory_with_its_work(monkeypatch, record_eve
     sparse = engine._sparse_form(model)
     buffers, handed = {}, []
 
-    def bind(buffer):
-        buffers[id(buffer)] = buffer
-        return sparse.bind(buffer)
+    def keep(array):
+        buffers[id(array)] = array
 
-    def rk4(work, y, out=None):
-        for array in (work[0], out):
-            if array is not None:
-                buffers[id(array)] = array
-        return original_rk4(work, y, out)
+    def evaluator():
+        evaluate = sparse.evaluator()
+
+        def watched(y):
+            k = evaluate(y)
+            keep(k.base)  # the evaluator's whole work buffer
+            return k
+        return watched
+
+    def stepper(evaluators, dim, dt):
+        def taking_the_stage_input(evaluate):
+            def watched(y):
+                keep(y)
+                return evaluate(y)
+            return watched
+
+        first, *rest = evaluators
+        step = original_stepper([first] + [taking_the_stage_input(e) for e in rest], dim, dt)
+
+        def watched(y, out=None):
+            if out is not None:
+                keep(out)
+            return step(y, out)
+        return watched
 
     def stage_path(*args):
         state, jump, to_grid = original_path(*args)
@@ -655,14 +696,14 @@ def test_stage_path_states_share_no_memory_with_its_work(monkeypatch, record_eve
             return new, ok
         return state, watched, to_grid
 
-    original_rk4, original_path = engine._rk4, engine._stage_path
-    monkeypatch.setattr(engine, "_rk4", rk4)
+    original_stepper, original_path = engine._rk4_stepper, engine._stage_path
+    monkeypatch.setattr(engine, "_rk4_stepper", stepper)
     monkeypatch.setattr(engine, "_stage_path", stage_path)
     dt = 0.5 * model.dt_bound
     cfg = IntegratorConfig(dt=dt, t_end=30 * dt, record_every=record_every)
-    records = integrate(_with_stage_rhs(model, bind), z0, cfg)
+    records = integrate(_with_stage_rhs(model, evaluator), z0, cfg)
     assert len(records) == 1 + -(-30 // record_every)
-    # four stage buffers, the stage input and the results, of which a jump
+    # four work buffers, the stage input and the results, of which a jump
     # of one step uses one
     assert len(buffers) == 5 + min(record_every, 2) and len(handed) == -(-30 // record_every)
     for state, value in handed:
@@ -705,8 +746,8 @@ def test_csr_kernel_product_equals_the_matrix_product_bitwise(monkeypatch):
         y = bg.random_state(model, rng).flat
         public = rhs(y)
         args, ((indptr, indices, data), product) = built[-1]
-        rows = engine._sparse_form(model).work_rows
-        assert args[1] == (rows, y.size)
+        rows, dim = args[1]
+        assert dim == y.size and rows >= dim
         matrix = _scipy_circulant(*args)
         assert matrix.has_canonical_format, (n, mid)
         for got, want in ((indptr, matrix.indptr), (indices, matrix.indices), (data, matrix.data)):
@@ -714,11 +755,13 @@ def test_csr_kernel_product_equals_the_matrix_product_bitwise(monkeypatch):
         dirty = np.full(rows, np.nan)
         assert product(y, dirty) is dirty
         assert dirty.tobytes() == (matrix @ y).tobytes(), (n, mid)
-        # the public call and an evaluator bound to a work buffer agree
-        # bitwise; only the latter writes the buffer
-        buffer = np.full(rows, np.nan)
-        staged = engine._sparse_form(model).bind(buffer)(y)
-        assert np.shares_memory(staged, buffer) and not np.shares_memory(public, rhs(y))
+        # the public call and an evaluator agree bitwise; the evaluator
+        # returns the tail of its own work buffer of the CSR matrix's rows,
+        # the public call a new array
+        evaluate = engine._sparse_form(model).evaluator()
+        staged = evaluate(y)
+        assert staged.base.size == rows and np.shares_memory(staged, evaluate(y))
+        assert not np.shares_memory(public, rhs(y))
         assert staged.tobytes() == public.tobytes(), (n, mid)
     assert len(built) == 4 * len(bg.ALL_MODEL_IDS)
 
@@ -745,13 +788,14 @@ def test_compiled_rhs_reads_a_float32_state_as_its_values(grid32):
 
 
 def test_compiled_rhs_takes_no_work_buffer(grid32):
-    # the kernel writes work_rows floats into whatever buffer it is given, so
-    # the public call takes none: a buffer of the wrong length, of the wrong
-    # dtype or strided is refused before the kernel runs and left untouched
+    # the kernel writes as many floats as an evaluator's work buffer holds
+    # into whatever buffer it is given, so the public call takes none: a
+    # buffer of the wrong length, of the wrong dtype or strided is refused
+    # before the kernel runs and left untouched
     model = bg.build_model(bg.ModelId.TIMOSHENKO_NEW, ModelParams(), grid32)
     rhs = compile_rhs(model)
     y = bg.random_state(model, np.random.default_rng(4)).flat
-    rows = engine._sparse_form(model).work_rows
+    rows = engine._sparse_form(model).evaluator()(y).base.size
     for out in (np.full(10, 7.0), np.full(rows, 7, dtype=np.int64), np.full(2 * rows, 7.0)[::2],
                 np.full(rows, 7.0)):
         before = out.copy()
@@ -1005,8 +1049,8 @@ def _dipping_model(grid):
     theta = base.layout.field_slice("theta")
     clock = base.layout.field_slice("p").start
 
-    def dipping(buffer):
-        k = buffer[:dim]
+    def dipping():
+        k = np.empty(dim)
 
         def evaluate(flat):
             k[:] = 0.0
@@ -1049,8 +1093,8 @@ def _growing_model(grid):
     base = bg.build_model("TimoshenkoNew", ModelParams(), grid)
     dim = base.layout.flat_dim
 
-    def growing(buffer):
-        k = buffer[:dim]
+    def growing():
+        k = np.empty(dim)
 
         def evaluate(flat):
             k[:] = 0.0
@@ -1081,10 +1125,10 @@ def test_stage_divergence_inside_an_interval_names_the_exact_step(grid32):
 
 
 def test_linear_models_never_call_compiled_rhs_in_integrate(grid32):
-    bound = []
+    made = []
 
-    def raising(buffer):
-        bound.append(buffer)
+    def raising():
+        made.append(None)
 
         def evaluate(flat):
             raise AssertionError("integrate called the compiled right-hand side")
@@ -1094,16 +1138,16 @@ def test_linear_models_never_call_compiled_rhs_in_integrate(grid32):
         model = _with_stage_rhs(bg.build_model(mid, ModelParams(), grid32), raising)
         z0 = bg.default_initial_state(mid, grid32)
         cfg = IntegratorConfig(dt=1e-4, t_end=1e-3)
-        bound.clear()
+        made.clear()
         if mid is bg.ModelId.TIMOSHENKO_NEW:
             # the bilinear coupling keeps it on the stage form
             with pytest.raises(AssertionError, match="compiled right-hand side"):
                 integrate(model, z0, cfg)
-            assert len(bound) == 4
+            assert len(made) == 4
         else:
-            # not even bound: binding builds the CSR matrix and loads scipy
+            # no evaluator made: making one builds the CSR matrix and loads scipy
             assert len(integrate(model, z0, cfg)) == cfg.n_steps + 1, mid
-            assert not bound, mid
+            assert not made, mid
 
 
 def _doubled_square(field):
@@ -1363,6 +1407,14 @@ def test_transform_per_field_scaling(models32):
     assert transform_check(model, t_diag, z0, cfg) <= 1e-8
 
 
+def test_transform_diagonal_of_the_wrong_length_rejected(models32):
+    model = models32[bg.ModelId.TIMOSHENKO_FRICTIONAL]
+    z0 = bg.default_initial_state(model.id, model.grid)
+    for size in (model.layout.flat_dim - 1, model.layout.flat_dim + 1):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            transform_check(model, np.ones(size), z0, IntegratorConfig(dt=1e-3, t_end=0.1))
+
+
 def test_transform_singular_rejected(models32):
     model = models32[bg.ModelId.TIMOSHENKO_FRICTIONAL]
     t_diag = uniform_scaling(model.layout, 1.0)
@@ -1440,6 +1492,13 @@ def test_thermal_models_leave_only_the_sawtooth_undamped(n):
         assert abs(engine.mode_abscissa(model, n // 2)) <= 1e-12, (mid, n)
         for k in range(1, n // 2):
             assert engine.mode_abscissa(model, k) < 0.0, (mid, n, k)
+
+
+@pytest.mark.parametrize("mode", (0, 17, True, 1.0))
+def test_mode_abscissa_rejects_a_mode_outside_1_to_half_n(models32, mode):
+    # n = 32: the modes are 1..16; a bool is not a mode, nor is a float
+    with pytest.raises(ValueError, match=r"mode must be an integer in 1\.\.16 on n = 32 nodes"):
+        engine.mode_abscissa(models32[bg.ModelId.TIMOSHENKO_FRICTIONAL], mode)
 
 
 @pytest.mark.parametrize("n", (16, 64, 256))

@@ -253,3 +253,37 @@ def test_square_terms_equal_the_combination_sums_bitwise(n):
             term = SquareTerm(0.7, (("psi", differentiate, factor),))
             g = term.combination(z)
             assert _same_bits(term.value(z), 0.5 * 0.7 * grid.inner(g, g)), (differentiate, factor)
+
+
+def _zero_filled_combination(term, z):
+    """g summed onto zeros, every part times its factor: the textbook sum
+    that :meth:`SquareTerm.combination` shortens."""
+    grid = z.layout.grid
+    g = np.zeros(z.flat.shape[:-1] + (grid.n,))
+    for name, differentiate, factor in term.parts:
+        u = z.field(name)
+        g += factor * (grid.d1(u) if differentiate else u)
+    return g
+
+
+@pytest.mark.parametrize("n", (16, 64))
+def test_square_term_sums_equal_the_zero_filled_sums_bitwise(n, monkeypatch):
+    # combination sums from its first part and multiplies by no unit
+    # factor, which changes only the sign of a zero in g; the energy, the
+    # mechanical energy and the energy gradient must be bitwise those of
+    # the zero-filled sum, on single states and on stacks, through -0.0,
+    # infinities and NaNs
+    rng = np.random.default_rng(n)
+    grid = Grid(n, 1.0)
+    functionals = (energy, mechanical_energy, lambda model, z: grad_energy(model, z).flat)
+    with np.errstate(all="ignore"):
+        for mid in ALL_IDS:
+            model = bg.build_model(mid, ModelParams(), grid)
+            rows = _special_states(model, rng)
+            states = [State(model.layout, row) for row in rows] + [State._stack(model.layout, rows)]
+            got = [f(model, z) for z in states for f in functionals]
+            with monkeypatch.context() as patch:
+                patch.setattr(SquareTerm, "combination", _zero_filled_combination)
+                want = [f(model, z) for z in states for f in functionals]
+            for a, b in zip(got, want):
+                assert _same_bits(a, b), mid

@@ -150,6 +150,10 @@ def test_shape_mismatch_errors(models):
         apply_L(small, z, xi)
     with pytest.raises(ValueError):
         apply_M(small, z, xi)
+    # a state of the model's layout with a cotangent of another
+    for apply in (apply_L, apply_M):
+        with pytest.raises(ValueError, match="cotangent layout does not match"):
+            apply(small, State.zeros(small.layout), xi)
 
 
 @pytest.mark.parametrize("kind", ["d2", "from_scalar", "to_scalar", "scalar"])
