@@ -77,10 +77,15 @@ The object-level operators (``apply_L``, ``apply_M``, the gradients,
 :func:`generic_rhs`) and the hand-coded :func:`direct_rhs` stay as the
 oracles the compiled forms are tested against.
 
-Randomized verification draws states and covectors from a seeded generator
-and evaluates them as stacks (see :func:`verify_brackets`); residuals are
-reported relative to per-trial magnitudes (scale = max(1, size of the
+Randomized verification draws states and covectors from a seeded generator,
+one call per trial (:func:`_state_draws` and :func:`_state_from_draws` hold
+the rule that turns normal draws into a state, for :func:`random_state` as
+well), and evaluates them as stacks (see :func:`verify_brackets`); residuals
+are reported relative to per-trial magnitudes (scale = max(1, size of the
 quantities being compared)), so tolerances transfer across parameter choices.
+The Jacobi check runs in two stack passes (:func:`jacobi_check`), and the
+gradient oracle ``functionals.fd_gradient`` perturbs one probe buffer per
+call.  Each stacked result is bitwise what its rows give alone.
 """
 
 from __future__ import annotations
@@ -137,8 +142,11 @@ WORK_LIMIT = 1e10
 #: n = 256 with 64 KB trial stacks.  At n = 1024 and 4096, where the limit
 #: binds, the 256 KB stacks of ``state.STACK_BYTES`` give 2.4-6.3 over the
 #: ten catalog models, median 4.1 and 3.9 in two runs (64 KB stacks gave
-#: a median of 5.2 by the same method; same VM).  So the limit allows verify
-#: about the wall time it allows stepping.
+#: a median of 5.2 by the same method; same VM).  Re-measured with one
+#: generator call per trial (timeit minima of 16 trials against a stage
+#: step on a bound stepper): 2.1-6.5, medians 4.0 and 4.7 at n = 1024 and
+#: 3.1 and 3.4 at n = 4096 in two runs, within a unit of 4.  So the limit
+#: allows verify about the wall time it allows stepping.
 VERIFY_WORK_WEIGHT = 4
 
 
@@ -1115,13 +1123,31 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
 # randomized verification
 
 
+def _state_draws(model) -> int:
+    """Standard-normal draws one random state takes: one per slot, and one
+    more per node for the log entropy's temperatures."""
+    layout = model.layout
+    if isinstance(model.entropy, LogThetaEntropy):
+        return layout.flat_dim + layout.grid.n
+    return layout.flat_dim
+
+
+def _state_from_draws(model, draws: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the state that :func:`_state_draws` standard-normal
+    ``draws`` give: one draw per slot, then, for the log entropy, theta =
+    exp(0.3 N) from the draws after those, so theta is strictly positive."""
+    layout = model.layout
+    dim = layout.flat_dim
+    out[:] = draws[:dim]
+    if isinstance(model.entropy, LogThetaEntropy):
+        out[layout.field_slice("theta")] = np.exp(0.3 * draws[dim:])
+
+
 def random_state(model, rng: np.random.Generator) -> State:
     """Standard-normal state; log-entropy temperatures drawn strictly positive."""
-    z = State(model.layout, rng.standard_normal(model.layout.flat_dim))
-    if isinstance(model.entropy, LogThetaEntropy):
-        n = model.layout.grid.n
-        z.field("theta")[:] = np.exp(0.3 * rng.standard_normal(n))
-    return z
+    flat = np.empty(model.layout.flat_dim)
+    _state_from_draws(model, rng.standard_normal(_state_draws(model)), flat)
+    return State(model.layout, flat)
 
 
 def random_cotangent(layout: StateLayout, rng: np.random.Generator) -> CotangentVector:
@@ -1159,7 +1185,11 @@ def verify_brackets(model, trials: int = 20, seed: int = 0) -> VerificationRepor
     and the two degeneracy conditions.
 
     Each trial draws a state z and covectors xi and eta, in that order, from
-    one generator seeded with ``seed``.  The trials are then evaluated as one
+    one generator seeded with ``seed``: one ``standard_normal`` call into a
+    buffer reused by every trial, which the generator fills in order, so it
+    gives bitwise the draws of :func:`random_state`, :func:`random_cotangent`
+    and :func:`random_cotangent` in turn; the slices are written into the
+    trial's rows of the stacks.  The trials are then evaluated as one
     stack (at most ``state.STACK_BYTES``, 256 KB, per stack of states; more
     trials make more stacks, drawn in the same order), with the object-level
     operators acting row by row, so each trial's residuals are bitwise those
@@ -1181,16 +1211,20 @@ def verify_brackets(model, trials: int = 20, seed: int = 0) -> VerificationRepor
     worst = dict.fromkeys(
         ("antisymmetry", "symmetry", "psd", "degeneracy_LdS", "degeneracy_MdE"), 0.0
     )
+    dim = layout.flat_dim
+    state_draws = _state_draws(model)
+    draws = np.empty(state_draws + 2 * dim)
     per_stack = stack_rows(layout)
     for start in range(0, trials, per_stack):
-        shape = (min(per_stack, trials - start), layout.flat_dim)
+        shape = (min(per_stack, trials - start), dim)
         z = State._stack(layout, np.empty(shape))
         xi = CotangentVector._stack(layout, np.empty(shape))
         eta = CotangentVector._stack(layout, np.empty(shape))
         for row in range(shape[0]):
-            z.flat[row] = random_state(model, rng).flat
-            xi.flat[row] = random_cotangent(layout, rng).flat
-            eta.flat[row] = random_cotangent(layout, rng).flat
+            rng.standard_normal(out=draws)
+            _state_from_draws(model, draws[:state_draws], z.flat[row])
+            xi.flat[row] = draws[state_draws:state_draws + dim]
+            eta.flat[row] = draws[state_draws + dim:]
         for name, residuals in _bracket_residuals(model, z, xi, eta).items():
             # np.max, unlike max(), lets a NaN residual through to fail the check
             worst[name] = float(np.max((worst[name], np.max(residuals))))
@@ -1278,35 +1312,58 @@ def jacobi_check(model, z: State, f1, f2, f3, h: float):
 
     Each term ``{{F, G}, H}(z) = <d{F, G}(z), L(z) dH(z)>`` is the
     derivative of ``{F, G}`` along ``v = L(z) dH(z)``, taken by the
-    five-point stencil on one stack of four brackets at ``z +- t v`` and
-    ``z +- 2t v`` (split into stacks of ``state.STACK_BYTES`` on large
-    grids), with ``t = h (1 + |z|_inf) / |v|_inf``: the relative step ``h``
-    bounds how far a probe moves from z.  ``dF``, ``dG`` and
-    ``L(z)`` are affine in z for the quadratic test functionals and the
-    catalog's blocks, so ``{F, G}`` is at most cubic along the line and the
-    stencil, exact through degree four, gives each term to roundoff at any
-    ``h``: a residual above roundoff is a Jacobi defect, not truncation
-    error.  A term with ``v = 0`` is exactly 0.  O(dim) per call.
+    five-point stencil on four brackets at ``z +- t v`` and ``z +- 2t v``,
+    with ``t = h (1 + |z|_inf) / |v|_inf``: the relative step ``h`` bounds
+    how far a probe moves from z.  ``dF``, ``dG`` and ``L(z)`` are affine in
+    z for the quadratic test functionals and the catalog's blocks, so
+    ``{F, G}`` is at most cubic along the line and the stencil, exact
+    through degree four, gives each term to roundoff at any ``h``: a
+    residual above roundoff is a Jacobi defect, not truncation error.  A
+    term with ``v = 0`` is exactly 0.  O(dim) per call.
+
+    The work runs in two stack passes, each split into stacks of
+    ``state.STACK_BYTES`` on large grids: one ``apply_L`` at z on the stack
+    of the three ``dH(z)`` gives the directions, and the probes of every
+    term with ``v != 0`` (four rows each, each term's ``dF`` and ``dG`` taken
+    on its own rows) go through one ``apply_L`` and one pairing per stack.
+    Every row is bitwise what it gives alone.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
     layout = model.layout
-    reach = h * (1.0 + float(np.max(np.abs(z.flat))))
-    multiples = np.array([[1.0], [-1.0], [2.0], [-2.0]])
+    flat = z.flat
     rows = stack_rows(layout)
-    terms = []
-    for fa, fb, fc in ((f1, f2, f3), (f2, f3, f1), (f3, f1, f2)):
-        v = apply_L(model, z, fc.grad(z)).flat
-        size = float(np.max(np.abs(v)))
-        if size == 0.0:
-            terms.append(0.0)
-            continue
-        t = reach / size
-        b = np.concatenate([
-            poisson_bracket(model, State._stack(layout, z.flat + t * m * v), fa, fb)
-            for m in np.split(multiples, range(rows, 4, rows))
-        ])
-        terms.append(float(8.0 * (b[0] - b[1]) - (b[2] - b[3])) / (12.0 * t))
+    cycle = ((f1, f2, f3), (f2, f3, f1), (f3, f1, f2))
+    directions = np.empty((3, flat.size))
+    for a in range(0, 3, rows):
+        grads = np.array([fc.grad(z).flat for _, _, fc in cycle[a:a + rows]])
+        directions[a:a + rows] = apply_L(model, z, CotangentVector._stack(layout, grads)).flat
+    reach = h * (1.0 + float(np.max(np.abs(flat))))
+    sizes = np.max(np.abs(directions), axis=1)
+    live = [term for term in range(3) if sizes[term] != 0.0]
+    steps = [reach / float(sizes[term]) for term in live]
+    # probe row 4q + j is z + t m_j v of the q-th live term
+    along = np.repeat(live, 4)
+    shifts = (np.array(steps)[:, None] * np.array([1.0, -1.0, 2.0, -2.0])).ravel()
+    brackets = np.empty(along.size)
+    for a in range(0, along.size, rows):
+        end = min(a + rows, along.size)
+        # in place, each row is bitwise z.flat + t * m * v
+        probes = directions[along[a:end]]
+        probes *= shifts[a:end, None]
+        probes += flat
+        ga, gb = np.empty_like(probes), np.empty_like(probes)
+        for q in range(a // 4, (end - 1) // 4 + 1):
+            fa, fb, _ = cycle[live[q]]
+            mine = slice(max(a, 4 * q) - a, min(end, 4 * q + 4) - a)
+            block = State._stack(layout, probes[mine])
+            ga[mine], gb[mine] = fa.grad(block).flat, fb.grad(block).flat
+        lgb = apply_L(model, State._stack(layout, probes), CotangentVector._stack(layout, gb))
+        brackets[a:end] = mixed_inner(layout, ga, lgb.flat)
+    terms = [0.0, 0.0, 0.0]
+    for q, (term, t) in enumerate(zip(live, steps)):
+        b = brackets[4 * q:4 * q + 4]
+        terms[term] = float(8.0 * (b[0] - b[1]) - (b[2] - b[3])) / (12.0 * t)
     residual = abs(terms[0] + terms[1] + terms[2])
     scale = max(1.0, *(abs(term) for term in terms))
     return residual, scale
@@ -1382,20 +1439,25 @@ def decay_rate(records: Sequence[DiagnosticsRecord]) -> float:
 
 
 def mode_abscissa(model, mode: int) -> float:
-    """The largest real part over the nonzero eigenvalues (|lambda| > 1e-9)
-    of the Fourier symbol of wavenumber ``mode`` (1..n/2) of the model's
-    exact linearization, from its derivation.
+    """The largest real part over the nonzero eigenvalues of the Fourier
+    symbol of wavenumber ``mode`` (1..n/2) of the model's exact
+    linearization, from its derivation.
 
     Below zero, every motion of that mode decays; at zero, up to eigensolver
     noise, some motion of it goes undamped.  Zero eigenvalues are steady
     states, not motions (a frictional model's zero-energy sawtooth of phi at
     the Nyquist bin), and are left out; -inf when every eigenvalue is zero.
+    As in the step bound, an eigenvalue below 1e-9 of the symbol's largest
+    |lambda| counts as zero, so the cut scales with the constants and a mode
+    that moves however slowly keeps its motions.
     """
     n = model.layout.grid.n
     if not (_is_count(mode) and mode <= n // 2):
         raise ValueError(f"mode must be an integer in 1..{n // 2} on n = {n} nodes, got {mode!r}")
     eigs = np.linalg.eigvals(_sparse_form(model).symbols[mode])
-    return float(np.max(eigs.real[np.abs(eigs) > 1e-9], initial=-math.inf))
+    magnitudes = np.abs(eigs)
+    moving = magnitudes > 1e-9 * np.max(magnitudes)
+    return float(np.max(eigs.real[moving], initial=-math.inf))
 
 
 #: number of windows :func:`windowed_decay_rates` splits the fit range into

@@ -238,9 +238,12 @@ def fd_gradient(f, z: State, rel_step: float = 1e-6) -> CotangentVector:
     ``inner`` or over the last axis.  A stack holds at most
     ``state.STACK_BYTES`` (256 KB; at least one slot), so k shrinks as the
     layout grows; the result is bitwise that of perturbing one slot at a
-    time.  An ``f`` returning one scalar for a stack raises
-    :class:`ValueError`; its evaluation failures (e.g. log of a nonpositive
-    temperature) propagate.
+    time.  Every stack is a view into one probe buffer, tiled from z once
+    per call: each block perturbs its 2k entries, and once its differences
+    are taken puts them back from z, so ``f`` must read its stack before it
+    returns and keep no reference to it.  An ``f`` returning one scalar for
+    a stack raises :class:`ValueError`; its evaluation failures (e.g. log
+    of a nonpositive temperature) propagate.
     """
     if not (rel_step > 0.0 and math.isfinite(rel_step)):
         raise ValueError(f"finite-difference step must be positive and finite, got {rel_step!r}")
@@ -249,21 +252,25 @@ def fd_gradient(f, z: State, rel_step: float = 1e-6) -> CotangentVector:
     dim = flat.size
     steps = rel_step * (1.0 + np.abs(flat))
     out = np.empty_like(flat)
-    block = max(1, stack_rows(layout) // 2)
+    block = min(dim, max(1, stack_rows(layout) // 2))
+    probes = np.tile(flat, (2 * block, 1))
     for start in range(0, dim, block):
         slots = np.arange(start, min(start + block, dim))
         k = slots.size
         h = steps[slots]
-        probes = np.tile(flat, (2 * k, 1))
-        probes[np.arange(k), slots] += h
-        probes[np.arange(k, 2 * k), slots] -= h
-        values = np.asarray(f(State._stack(layout, probes)), dtype=float)
+        plus, minus = np.arange(k), np.arange(k, 2 * k)
+        probes[plus, slots] += h
+        probes[minus, slots] -= h
+        values = np.asarray(f(State._stack(layout, probes[:2 * k])), dtype=float)
         if values.shape != (2 * k,):
             raise ValueError(
                 f"fd_gradient: f must return one value per state of a stack of {2 * k}, "
                 f"got shape {values.shape}"
             )
         out[slots] = (values[:k] - values[k:]) / (2.0 * h)
+        # the buffer holds z again before the next block perturbs it
+        probes[plus, slots] = flat[slots]
+        probes[minus, slots] = flat[slots]
     nf = layout.grid.n * layout.n_fields
     out[:nf] /= layout.grid.dx
     return CotangentVector(layout, out)

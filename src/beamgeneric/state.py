@@ -65,19 +65,20 @@ class StateLayout:
 
 #: Size bound of every stack of vectors built inside the package (the
 #: finite-difference blocks of ``fd_gradient``, the trials of
-#: ``verify_brackets``, the record states of ``integrate``, the four probes
-#: of a bracket in ``jacobi_check``), whatever the
+#: ``verify_brackets``, the record states of ``integrate``, the directions
+#: and the probes of ``jacobi_check``), whatever the
 #: grid: large enough that Python overhead is paid per stack rather than per
 #: state, small enough to add little to the peak memory.  Every stacked
 #: result is bitwise that of its rows alone, so the size moves only time.
 #: Medians of two runs of 9 alternated rounds at 64 KB / 256 KB / 512 KB /
-#: 1 MB (a shared 2-vCPU VM, one BLAS thread), summed over the ten models:
-#: the energy's ``fd_gradient`` at n = 64 took 47-65 / 17-21 / 14-18 /
-#: 18-27 ms, ``jacobi_check`` at n = 32 (when it still took the full
-#: ``fd_gradient`` of each bracket) 44-60 / 29-35 / 43-49 / 51-68 ms,
-#: ``verify_brackets`` (20 trials, n = 64) 14-18 / 12-15 / 13-17 / 15-20
-#: ms; BresseHeatII's integrate over 250 steps at n = 512 took 9.9-12.9 /
-#: 9.2-9.5 / 9.3-13.2 / 10.1-12.0 ms.
+#: 1 MB (a shared 2-vCPU VM, one BLAS thread, October 2026, with the
+#: verifier's stack passes and the oracle's one probe buffer), summed over
+#: the ten models: the energy's ``fd_gradient`` at n = 64 took 59-60 /
+#: 22-24 / 16-20 / 15-18 ms, ``jacobi_check`` at n = 32 (its twelve probes
+#: fit the smallest stack) 3.9-4.0 / 3.8-4.0 / 4.0-5.0 / 4.0-4.3 ms,
+#: ``verify_brackets`` (20 trials, n = 64) 18-21 / 18-20 / 20-23 / 19-20 ms;
+#: BresseHeatII's integrate over 250 steps at n = 512 (``record_every``
+#: 10) took 20 / 14-15 / 14-15 / 16 ms.
 STACK_BYTES = 256 * 1024
 
 

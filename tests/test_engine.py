@@ -1231,10 +1231,10 @@ def test_verify_brackets_takes_numpy_integer_seeds(models32):
 def test_verify_work_counts_the_trial_weight(models32, monkeypatch):
     # trials times slots at the limit itself pass unweighted, so only the
     # weight rejects them, before the first draw
-    def no_draw(model, rng):
+    def no_draw(model, draws, out):
         raise AssertionError("verify_brackets drew a trial")
 
-    monkeypatch.setattr(engine, "random_state", no_draw)
+    monkeypatch.setattr(engine, "_state_from_draws", no_draw)
     model = models32[bg.ModelId.TIMOSHENKO_UNDAMPED]
     dim = model.layout.flat_dim
     trials = int(engine.WORK_LIMIT) // dim
@@ -1492,6 +1492,20 @@ def test_thermal_models_leave_only_the_sawtooth_undamped(n):
         assert abs(engine.mode_abscissa(model, n // 2)) <= 1e-12, (mid, n)
         for k in range(1, n // 2):
             assert engine.mode_abscissa(model, k) < 0.0, (mid, n, k)
+
+
+@pytest.mark.parametrize("stiffness", (1.0, 1e-16, 1e-22))
+def test_mode_abscissa_of_a_slowly_moving_mode_reads_its_motion(stiffness):
+    # TimoshenkoUndamped's mode 1 oscillates with zero real part at |lambda|
+    # 6.8, 6.8e-8 and 6.8e-11: the abscissa is roundoff of that size at
+    # every scale, never -inf ("every eigenvalue is zero"), which an absolute
+    # cut of small eigenvalues read at 1e-22
+    model = bg.build_model(bg.ModelId.TIMOSHENKO_UNDAMPED, ModelParams(k=stiffness, b=stiffness),
+                           Grid(64, 1.0))
+    radius = float(np.max(np.abs(np.linalg.eigvals(engine._sparse_form(model).symbols[1]))))
+    assert 6.7 <= radius / math.sqrt(stiffness) <= 6.9
+    got = engine.mode_abscissa(model, 1)
+    assert math.isfinite(got) and abs(got) <= 1e-12 * radius, got
 
 
 @pytest.mark.parametrize("mode", (0, 17, True, 1.0))

@@ -113,48 +113,68 @@ def test_fd_gradient_equals_slot_by_slot_difference(models32, mid):
 
 
 def test_fd_gradient_calls_f_on_bounded_stacks(models64):
+    # the blocks share one probe buffer: each must still show f exactly
+    # z + h e_i on its first k rows and z - h e_i on the next k, leave z as
+    # it was, and give bitwise what one slot at a time gives
     model = models64[bg.ModelId.BRESSE_HEAT_II]
     z = bg.random_state(model, np.random.default_rng(13))
     dim = model.layout.flat_dim
+    before = z.flat.copy()
+    steps = 1e-6 * (1.0 + np.abs(before))
     shapes = []
 
     def f(s):
+        k, done = s.flat.shape[0] // 2, sum(shape[0] // 2 for shape in shapes)
+        slots = np.arange(done, done + k)
+        want = np.tile(before, (2 * k, 1))
+        want[np.arange(k), slots] += steps[slots]
+        want[np.arange(k, 2 * k), slots] -= steps[slots]
+        assert s.flat.tobytes() == want.tobytes(), f"block at slot {done}"
         shapes.append(s.flat.shape)
         return energy(model, s)
 
-    fd_gradient(f, z)
+    got = fd_gradient(f, z).flat
     rows = [shape[0] for shape in shapes]
     assert all(len(shape) == 2 and shape[1] == dim for shape in shapes)
     assert all(r % 2 == 0 and r * dim * 8 <= STACK_BYTES for r in rows)
     assert sum(rows) == 2 * dim
     assert len(shapes) == math.ceil(dim / (rows[0] // 2))
+    assert z.flat.tobytes() == before.tobytes()
+    assert got.tobytes() == _slot_by_slot(lambda s: energy(model, s), z).tobytes()
 
 
 @pytest.mark.parametrize("n", (64, 2048))
 def test_jacobi_check_brackets_on_bounded_stacks(monkeypatch, n):
-    # four probes per term: one stack at n = 64, split where four rows of
-    # BresseHeatII's layout exceed STACK_BYTES; the split does not move the
-    # result
+    # two stack passes: the three directions L(z) dH(z) from one stack of
+    # covectors at z, then the twelve probes (four per term) as one stack of
+    # states; each is split where BresseHeatII's layout exceeds STACK_BYTES
+    # (n = 2048), and the split does not move the result
     model = bg.build_model("BresseHeatII", bg.ModelParams(), bg.Grid(n, 1.0))
     rng = np.random.default_rng(15)
     z = bg.random_state(model, rng)
     fs = [bg.random_test_functional(model.layout, rng) for _ in range(3)]
     dim = model.layout.flat_dim
-    shapes = []
+    real = engine.apply_L
+    calls = []
 
-    def bracket(model, s, f, g):
-        shapes.append(s.flat.shape)
-        return poisson_bracket(model, s, f, g)
+    def counted(model, s, xi):
+        calls.append((s.flat.shape, xi.flat.shape))
+        return real(model, s, xi)
 
-    monkeypatch.setattr(engine, "poisson_bracket", bracket)
+    monkeypatch.setattr(engine, "apply_L", counted)
     got = bg.jacobi_check(model, z, *fs, h=0.1)
-    rows = [shape[0] for shape in shapes]
-    assert all(len(shape) == 2 and shape[1] == dim for shape in shapes)
-    assert all(r * dim * 8 <= STACK_BYTES or r == 1 for r in rows)
-    assert sum(rows) == 3 * 4
-    assert (len(shapes) == 3) == (4 * dim * 8 <= STACK_BYTES)
-    monkeypatch.setattr(engine, "stack_rows", lambda layout: 4)
-    assert bg.jacobi_check(model, z, *fs, h=0.1) == got
+    directions = [xi[0] for s, xi in calls if s == (dim,)]
+    probes = [s[0] for s, xi in calls if s != (dim,)]
+    assert all(len(xi) == 2 and xi[1] == dim for _, xi in calls)
+    assert all(s == xi for s, xi in calls if s != (dim,))
+    assert all(r * dim * 8 <= STACK_BYTES or r == 1 for r in directions + probes)
+    assert sum(directions) == 3 and sum(probes) == 3 * 4
+    assert calls[:len(directions)] == [((dim,), (r, dim)) for r in directions]
+    assert (len(calls) == 2) == (3 * 4 * dim * 8 <= STACK_BYTES)
+    # one row per stack, and five, which puts a term's probes in two stacks
+    for rows in (1, 5):
+        monkeypatch.setattr(engine, "stack_rows", lambda layout: rows)
+        assert bg.jacobi_check(model, z, *fs, h=0.1) == got
 
 
 def test_fd_gradient_rejects_one_scalar_for_a_stack(models32):
@@ -188,19 +208,34 @@ def _trial_residuals(model, z, xi, eta):
 
 
 @pytest.mark.parametrize("mid", [bg.ModelId.BRESSE_HEAT_II, bg.ModelId.TIMOSHENKO_NEW], ids=str)
-def test_verify_brackets_equals_trial_by_trial(models64, mid):
-    # enough trials to need two stacks, drawn in the same order as one at a time
+def test_verify_brackets_equals_trial_by_trial(models64, mid, monkeypatch):
+    # enough trials to need two stacks, drawn in the same order as one at a
+    # time: a trial's draws come from one generator call, so the stacks
+    # verify evaluates must hold bitwise the trials that random_state,
+    # random_cotangent and random_cotangent draw in turn
     model = models64[mid]
     trials = bg.state.stack_rows(model.layout) + 3
     rng = np.random.default_rng(5)
-    worst = {}
+    worst, drawn = {}, []
     for _ in range(trials):
         z = bg.random_state(model, rng)
         xi = bg.random_cotangent(model.layout, rng)
         eta = bg.random_cotangent(model.layout, rng)
+        drawn.append((z.flat, xi.flat, eta.flat))
         for name, value in _trial_residuals(model, z, xi, eta).items():
             worst[name] = max(worst.get(name, 0.0), value)
+    stacks = []
+    real = engine._bracket_residuals
+
+    def spy(model, z, xi, eta):
+        stacks.append((z.flat.copy(), xi.flat.copy(), eta.flat.copy()))
+        return real(model, z, xi, eta)
+
+    monkeypatch.setattr(engine, "_bracket_residuals", spy)
     report = bg.verify_brackets(model, trials=trials, seed=5)
+    assert len(stacks) == 2
+    for got, rows in zip(zip(*stacks), zip(*drawn)):
+        assert np.concatenate(got).tobytes() == np.array(rows).tobytes()
     assert {c.name: c.max_residual for c in report.checks} == worst
     assert report.all_passed
 
