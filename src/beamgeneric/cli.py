@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import sys
 import typing
@@ -127,13 +128,22 @@ def _setup_run(config: RunConfig):
 CSV_HEADER = "t,energy,entropy,mech_energy,res_LdS,res_MdE,theta_min"
 #: one CSV line of a record, whose fields are in the header's order
 _CSV_ROW = ",".join(["%.17g"] * 7) + "\n"
+#: records formatted per write in :func:`write_csv`
+_CSV_CHUNK = 4096
 
 
 def write_csv(path: str, records):
+    """Write the header and one ``_CSV_ROW`` line per record to ``path``.
+
+    The file is truncated on open.  Rows are formatted ``_CSV_CHUNK`` records
+    to one ``%`` call, which keeps the text held at once bounded however
+    long the run.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(_CSV_ROW % r)
+        for start in range(0, len(records), _CSV_CHUNK):
+            chunk = records[start:start + _CSV_CHUNK]
+            fh.write((_CSV_ROW * len(chunk)) % tuple(itertools.chain.from_iterable(chunk)))
 
 
 def cmd_simulate(config: RunConfig, out=None) -> int:

@@ -1030,10 +1030,13 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
 
     Records are taken in stacks: the path's state at each record time
     is held, and the held ones go back to the grid and through
-    :func:`_diagnostics` together, once they fill ``state.STACK_BYTES``
-    (256 KB, at least one state), at the end, and before
-    a failure is reported.  Each record is bitwise the one its state alone
-    gives.  The initial record is taken from z0 itself.
+    :func:`_diagnostics` together: when they fill ``state.STACK_BYTES``
+    (256 KB, at least one state) and another is to be held, at the end,
+    and before a failure is reported.  Each record is bitwise the one its
+    state alone gives.  The initial record is the first row of the first
+    stack, taken from z0 itself (not from its round trip through the path's
+    state), so a run makes one :func:`_diagnostics` call per stack and no
+    other.
 
     Rejects a model whose derivation fails (:func:`_sparse_form`: among
     others, one that is not translation-invariant or whose ``M dE = 0`` does
@@ -1073,16 +1076,21 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     y = z0.flat.copy()
     theta = model.layout.field_slice("theta") if log_entropy else None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        records = _diagnostics(model, sparse, (0.0,), y[None])
         if stage:
             state, jump, to_grid = _stage_path(sparse, y, cfg.dt, theta)
         else:
             state, jump, to_grid = _symbol_path(model, sparse, y, cfg)
-        times, held = [], []
+        records = []
+        times, held = [0.0], [state]
 
         def record():
             if held:
-                records.extend(_diagnostics(model, sparse, times, to_grid(held)))
+                flats = to_grid(held)
+                if not records:
+                    # the first stack's first row is the initial record: z0
+                    # itself, not its round trip through the Fourier bins
+                    flats[0] = y
+                records.extend(_diagnostics(model, sparse, times, flats))
                 times.clear()
                 held.clear()
 
@@ -1111,10 +1119,10 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
                         )
                     raise DivergenceError(f"non-finite state at step {bad} ({context})", step=bad)
             step += interval
-            times.append(step * cfg.dt)
-            held.append(state)
             if len(held) == per_stack:
                 record()
+            times.append(step * cfg.dt)
+            held.append(state)
         record()
     return records
 
@@ -1421,21 +1429,47 @@ def transform_check(model, t_diag: np.ndarray, z0: State, cfg: IntegratorConfig)
 
 
 def _log_mech_energy_tail(records: Sequence[DiagnosticsRecord]):
-    """Times and log(mechanical energy) over the last half of the trajectory."""
-    tail = records[len(records) // 2:]
+    """Times and log(mechanical energy) over the last half of the trajectory.
+
+    Rejects, with :class:`DomainError`, a fit window holding a time or a
+    mechanical energy that is not finite (naming the first such record) or
+    an energy that is not positive: a fit over either would read NaN."""
+    start = len(records) // 2
+    tail = records[start:]
+    t = np.array([r.t for r in tail])
     me = np.array([r.mech_energy for r in tail])
+    finite = np.isfinite(t) & np.isfinite(me)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise DomainError(
+            f"record {start + first} in the fit window is not finite "
+            f"(t = {t[first]:g}, mechanical energy {me[first]:g})"
+        )
     if np.any(me <= 0.0):
         raise DomainError("mechanical energy must stay positive in the fit window")
-    return np.array([r.t for r in tail]), np.log(me)
+    return t, np.log(me)
+
+
+def _slope(t: np.ndarray, y: np.ndarray) -> float:
+    """The least-squares slope of y against t, in closed form on centred
+    data: within roundoff of the exact slope of the floats.  An SVD solve
+    of the uncentred system (``np.polyfit``) loses the digits of a slope
+    far below the size of y itself: five of an undamped model's ~1e-12
+    beside a log energy of order one."""
+    tc = t - t.sum() / t.size   # the mean, without ``mean``'s overhead
+    return float(tc @ (y - y.sum() / y.size) / (tc @ tc))
 
 
 def decay_rate(records: Sequence[DiagnosticsRecord]) -> float:
     """Least-squares slope of log(mechanical energy) over the last half of the
-    trajectory."""
+    trajectory (:func:`_slope`).
+
+    Rejects fewer than 10 records (:class:`ValueError`) and a fit window
+    with a time or a mechanical energy that is not finite, or an energy
+    that is not positive (:class:`DomainError`)."""
     if len(records) < 10:
         raise ValueError(f"need at least 10 records for a decay fit, got {len(records)}")
-    t, log_me = _log_mech_energy_tail(records)
-    return float(np.polyfit(t, log_me, 1)[0])
+    return _slope(*_log_mech_energy_tail(records))
 
 
 def mode_abscissa(model, mode: int) -> float:
@@ -1470,7 +1504,9 @@ def windowed_decay_rates(records: Sequence[DiagnosticsRecord]):
 
     Neighbouring windows share their end record, so every window holds at
     least two records once the last half holds ``DECAY_WINDOWS + 1``; fewer
-    raise :class:`ValueError` rather than return fewer rates.
+    raise :class:`ValueError` rather than return fewer rates.  Each slope is
+    :func:`_slope`'s closed form, and the fit window is rejected as in
+    :func:`decay_rate`.
     """
     tail = len(records) - len(records) // 2
     if tail < DECAY_WINDOWS + 1:
@@ -1480,7 +1516,4 @@ def windowed_decay_rates(records: Sequence[DiagnosticsRecord]):
         )
     t, log_me = _log_mech_energy_tail(records)
     bounds = np.linspace(0, len(t) - 1, DECAY_WINDOWS + 1).astype(int)
-    return [
-        float(np.polyfit(t[a:b + 1], log_me[a:b + 1], 1)[0])
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
+    return [_slope(t[a:b + 1], log_me[a:b + 1]) for a, b in zip(bounds[:-1], bounds[1:])]

@@ -1,10 +1,13 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from beamgeneric import cli
 from beamgeneric.cli import CSV_HEADER, main, parse_config_text
+from beamgeneric.engine import DiagnosticsRecord
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -279,6 +282,67 @@ def test_simulate_keeps_its_default_output(tmp_path, monkeypatch, capsys):
     assert (tmp_path / cli.DEFAULT_OUTPUT).read_text().startswith(CSV_HEADER)
 
 
+def _records(count):
+    return [DiagnosticsRecord(0.1 * i, 1.0 / 3.0, -i / 7.0, math.exp(-i), 0.0, 0.0, math.nan)
+            for i in range(count)]
+
+
+def _csv_bytes(records):
+    """The CSV text formatted one ``_CSV_ROW`` line at a time."""
+    return (CSV_HEADER + "\n" + "".join(cli._CSV_ROW % r for r in records)).encode("ascii")
+
+
+def test_write_csv_is_the_row_by_row_formatting(tmp_path):
+    records = _records(5)
+    path = tmp_path / "out.csv"
+    cli.write_csv(str(path), records)
+    assert path.read_bytes() == _csv_bytes(records)
+
+
+def test_write_csv_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "out.csv"
+    cli.write_csv(str(path), _records(40))
+    longer = path.stat().st_size
+    cli.write_csv(str(path), _records(3))
+    assert path.stat().st_size < longer
+    assert path.read_bytes() == _csv_bytes(_records(3))
+
+
+def test_simulate_to_a_file_that_is_not_regular(tmp_path, capsys):
+    # /dev/null cannot be truncated; a file that is not regular is only written
+    cfg = write_config(tmp_path, BASE_CONFIG + "output = /dev/null\n")
+    assert main(["simulate", "--config", cfg]) == 0
+    assert "records to /dev/null" in capsys.readouterr().out
+
+
+def test_write_csv_that_raises_leaves_none_of_the_old_file(tmp_path, monkeypatch):
+    # the file is truncated on open: a write that fails part way (here the
+    # second chunk, whose last record cannot be formatted) leaves the rows
+    # written before it and no byte of the old file
+    path = tmp_path / "out.csv"
+    cli.write_csv(str(path), _records(40))
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 2)
+    records = _records(3) + [_records(1)[0]._replace(t="not a time")]
+    with pytest.raises(TypeError):
+        cli.write_csv(str(path), records)
+    assert path.read_bytes() == _csv_bytes(records[:2])
+
+
+def test_write_csv_holds_one_chunk_of_text_at_a_time(tmp_path):
+    # a long run is formatted and written a chunk at a time, so the text
+    # held at once stays a small share of the file however long the run
+    records = _records(40_000)
+    path = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        cli.write_csv(str(path), records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == _csv_bytes(records)
+    assert peak < path.stat().st_size / 2
+
+
 def test_underflowing_step_bound_names_model_and_spectral_radius(tmp_path, capsys):
     cfg = write_config(tmp_path, "model = TimoshenkoHeatI\nkappa = 1e300\n")
     assert main(["decay", "--config", cfg]) == 1
@@ -297,6 +361,22 @@ def test_decay_zero_energy_is_domain_error(tmp_path, capsys):
     )
     assert main(["decay", "--config", cfg]) == 2
     assert "positive" in capsys.readouterr().err
+
+
+def test_decay_over_an_overflowing_energy_is_domain_error(tmp_path, capsys):
+    # the state stays finite while its mechanical energy overflows to inf in
+    # the fit window: the fit must refuse it, naming the first such record,
+    # not print a NaN rate
+    cfg = write_config(
+        tmp_path,
+        "model = TimoshenkoFrictional\nn = 16\nt_end = 1\namplitude = 1e153\n",
+    )
+    assert main(["decay", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: record 50 in the fit window is not finite (t = 0.5, mechanical energy inf)\n"
+    )
+    assert captured.out == ""
 
 
 def test_decay_undamped_warns(tmp_path, capsys):

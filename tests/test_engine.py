@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -994,10 +995,19 @@ def _record_bytes(records):
 
 
 @pytest.mark.parametrize("n", (16, 64, 512))
-def test_stacked_records_equal_one_row_records(n):
-    # integrate records its held states in stacks of stack_rows states;
-    # with one stack short of full, full and one over, the last interval a
-    # remainder, every record must be bitwise the one-row record
+def test_stacked_records_equal_one_row_records(n, monkeypatch):
+    # integrate records its held states in stacks of stack_rows states, the
+    # initial record the first row of the first: over rows - 2, rows - 1 and
+    # rows intervals that stack is one short of full, full, and full with
+    # one state left for a second, the last interval a remainder.  Each
+    # stack is one _diagnostics call, with no call for the initial record
+    # alone, and every record must be bitwise the one-row record
+    stacks = []
+
+    def diagnostics(model, sparse, times, flats):
+        stacks.append(len(flats))
+        return _diagnostics(model, sparse, times, flats)
+
     for mid in bg.ALL_MODEL_IDS:
         model = bg.build_model(mid, ModelParams(), Grid(n, 1.0))
         if mid is bg.ModelId.TIMOSHENKO_NEW:
@@ -1005,13 +1015,41 @@ def test_stacked_records_equal_one_row_records(n):
         else:
             z0 = bg.random_state(model, np.random.default_rng(n))
         rows = stack_rows(model.layout)
-        for intervals in (rows - 1, rows, rows + 1):
+        for intervals in (rows - 2, rows - 1, rows):
             dt = 0.5 * model.dt_bound
             cfg = IntegratorConfig(dt=dt, t_end=(3 * intervals - 1) * dt, record_every=3)
             assert cfg.n_steps % 3 == 2
-            got = integrate(model, z0, cfg)
+            stacks.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_diagnostics", diagnostics)
+                got = integrate(model, z0, cfg)
+            assert stacks == ([rows, 1] if intervals == rows else [intervals + 1]), (mid, intervals)
             assert len(got) == intervals + 1
             assert _record_bytes(got) == _record_bytes(_one_row_records(model, z0, cfg)), (mid, intervals)
+
+
+def test_a_failure_in_the_first_interval_names_the_initial_record(grid32):
+    # the initial record is held in the first stack with the interval's
+    # states: a failure before the first interval ends must still record
+    # it, and name it as the last record.
+    # The Fourier path: the reservoir overflows a few steps in, as in
+    # test_divergence_inside_an_interval_names_the_exact_step (its energy
+    # is inf from the start; the sinking model's is finite)
+    fourier = bg.build_model(bg.ModelId.TIMOSHENKO_FRICTIONAL, ModelParams(), grid32)
+    z0 = bg.random_state(fourier, np.random.default_rng(3))
+    z0.reservoir = 0.0
+    first = integrate(fourier, z0, IntegratorConfig(dt=1e-3, t_end=1e-3))
+    gain = first[1].entropy - first[0].entropy
+    z0 = State(fourier.layout, math.sqrt(float(np.finfo(float).max) / 4.5) / math.sqrt(gain) * z0.flat)
+    # The stage path: theta reaches zero at step 1000
+    sinking = _sinking_model(grid32)
+    for model, z0, error in ((fourier, z0, DivergenceError),
+                             (sinking, sinking.reference_state.copy(), PositivityError)):
+        initial = integrate(model, z0, IntegratorConfig(dt=1e-3, t_end=1e-3))[0]
+        assert initial.t == 0.0
+        with pytest.raises(error) as info:
+            integrate(model, z0, IntegratorConfig(dt=1e-3, t_end=2.0, record_every=2000))
+        assert f"; last recorded energy {initial.energy:.6g} at t = 0)" in str(info.value), model.id
 
 
 def test_positivity_error_with_held_records_names_the_last_record(grid32):
@@ -1441,6 +1479,53 @@ def test_decay_rate_validation():
         decay_rate(_fake_records([1.0] * 9))
     with pytest.raises(DomainError):
         decay_rate(_fake_records([1.0] * 10 + [0.0] * 10))
+
+
+@pytest.mark.parametrize("bad", ("t", "mech_energy"))
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+def test_decay_fits_reject_a_non_finite_fit_window(bad, value):
+    # a NaN slope (an overflowed energy) or a failed SVD (a NaN time) is not a
+    # rate: both fits refuse the window, naming the first bad record
+    records = _fake_records([math.exp(-0.1 * i) for i in range(20)])
+    for index in (14, 17):
+        records[index] = records[index]._replace(**{bad: value})
+    for fit in (decay_rate, windowed_decay_rates):
+        with pytest.raises(DomainError, match=r"^record 14 in the fit window is not finite "):
+            fit(records)
+    # the first half is not fitted
+    records = _fake_records([math.exp(-0.1 * i) for i in range(20)])
+    records[3] = records[3]._replace(**{bad: value})
+    assert decay_rate(records) == pytest.approx(-1.0, rel=1e-12)
+
+
+def _exact_slope(t, y):
+    """The least-squares slope of the floats t and y, in exact arithmetic."""
+    t = [Fraction(float(v)) for v in t]
+    y = [Fraction(float(v)) for v in y]
+    count, st, sy = len(t), sum(t), sum(y)
+    sty = sum(a * b for a, b in zip(t, y))
+    stt = sum(a * a for a in t)
+    return (count * sty - st * sy) / (count * stt - st * st)
+
+
+@pytest.mark.parametrize("mid", (bg.ModelId.TIMOSHENKO_UNDAMPED, bg.ModelId.BRESSE_UNDAMPED,
+                                 bg.ModelId.BRESSE_HEAT_I))
+def test_decay_fits_are_the_exact_least_squares_slopes(mid):
+    # the CLI's default decay run: the undamped models' slopes of ~1e-12
+    # sit beside log energies of order one, where an SVD solve of the
+    # uncentred system lost five digits; the closed form keeps them all
+    grid = Grid(64, 1.0)
+    model = bg.build_model(mid, ModelParams(), grid)
+    z0 = bg.default_initial_state(mid, grid)
+    records = integrate(model, z0, IntegratorConfig(dt=min(1e-3, model.dt_bound), t_end=10.0,
+                                                    record_every=10))
+    t, log_me = engine._log_mech_energy_tail(records)
+    exact = _exact_slope(t, log_me)
+    assert abs(Fraction(decay_rate(records)) - exact) <= 1e-12 * abs(exact)
+    bounds = np.linspace(0, len(t) - 1, DECAY_WINDOWS + 1).astype(int)
+    for rate, a, b in zip(windowed_decay_rates(records), bounds[:-1], bounds[1:]):
+        exact = _exact_slope(t[a:b + 1], log_me[a:b + 1])
+        assert abs(Fraction(rate) - exact) <= 1e-12 * abs(exact), (a, b)
 
 
 def test_decay_rates_on_trajectories(grid32):
