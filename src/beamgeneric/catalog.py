@@ -116,10 +116,12 @@ class ModelSpec:
         0.9 times the RK4 linear stability limit of the right-hand side,
         linearized exactly at the uniform equilibrium reference state.  The
         spectrum of the linearization's field block is read off the Fourier
-        symbols of its node-0 columns, one small eigenproblem per wavenumber.
-        It is the ``dt_bound`` of the model's cached derivation
-        (:func:`beamgeneric.engine.compile_rhs` reads the same one), which
-        raises :class:`ValueError` for a model that is not
+        symbols of its node-0 columns, one small eigenproblem per wavenumber,
+        and the limit is one bisection from its spectral radius down to
+        adjacent floats (:func:`beamgeneric.engine._rk4_stability_limit`),
+        exact at any constants.  It is the ``dt_bound`` of the model's cached
+        derivation (:func:`beamgeneric.engine.compile_rhs` reads the same
+        one), which raises :class:`ValueError` for a model that is not
         translation-invariant.
         """
         return _sparse_form(self).dt_bound

@@ -21,8 +21,10 @@ result is cached in the model's one private slot.
   first one made builds the CSR matrix and checks it.
 * ``ModelSpec.dt_bound`` reads the step bound: the RK4 limit over the
   eigenvalues of the Fourier symbols of the exact linearization, the
-  linear part plus the derivative of the quadratic terms.  A model that fails
-  the check gets neither.
+  linear part plus the derivative of the quadratic terms, found by one
+  bisection from the spectral radius down to adjacent floats, so it is
+  exact at any constants (:func:`_rk4_stability_limit`).  A model that
+  fails the check gets neither.
 * :func:`integrate` holds the one stepping loop: the record interval, the
   replay and the failure report.  Each of its two paths is a pure
   ``jump(state, m)`` that takes m steps and says whether the result is
@@ -110,6 +112,7 @@ from .functionals import (
     grad_energy,
     grad_entropy,
 )
+from .grid import real_array
 from .operators import apply_L, apply_M
 from .state import STACK_BYTES, CotangentVector, State, StateLayout, mixed_inner, stack_rows
 
@@ -533,11 +536,6 @@ def _derive_sparse_form(model) -> _SparseForm:
         )
 
     eigs = np.linalg.eigvals(symbols).ravel()
-    # The dynamics are contractive in the energy seminorm, so the true
-    # spectrum satisfies Re(lambda) <= 0; positive real parts are eigensolver
-    # noise (worst near defective wave pairs) and would make the bound
-    # spuriously tight.
-    eigs = np.minimum(eigs.real, 0.0) + 1j * eigs.imag
     limit = _rk4_stability_limit(eigs)
     if not limit > 0.0:
         raise ValueError(
@@ -597,11 +595,11 @@ def _derive_sparse_form(model) -> _SparseForm:
 def compile_rhs(model) -> Callable[[np.ndarray], np.ndarray]:
     """Flat-array form of :func:`generic_rhs`, for every model.
 
-    It is the sparse form's ``rhs`` (:func:`_sparse_form`): ``A y`` plus the
-    terms that are not linear, the nonlinear model's bilinear term
-    ``gamma * theta * (D q)`` and, for models with a reservoir, the
-    production ``alpha * dx * sum_r w_r |D_r y|^2`` over the stacked
-    dissipative rows, all from one sparse product per call.  A is the
+    Each call makes an evaluator of the sparse form (:func:`_sparse_form`):
+    ``A y`` plus the terms that are not linear, the nonlinear model's
+    bilinear term ``gamma * theta * (D q)`` and, for models with a
+    reservoir, the production ``alpha * dx * sum_r w_r |D_r y|^2`` over the
+    stacked dissipative rows, all from one sparse product per call.  A is the
     constant matrix of cyclic shifts of the node-0 columns the derivation
     probes through the building blocks.  A model that is not
     translation-invariant raises :class:`ValueError`.
@@ -648,42 +646,41 @@ def _rk4_amplification(z: np.ndarray) -> np.ndarray:
     return np.abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
 
 
-def _rk4_stability_limit(eigs: np.ndarray) -> float:
-    """Largest dt with |R(dt*lambda)| <= 1 (+tiny slack) for every eigenvalue;
-    0.0 when no step above 1e-300 is stable, inf when every eigenvalue is
-    zero.  Eigenvalues below 1e-9 of the spectral radius are taken as zero:
-    they are steady states, whose eigensolver roundoff scales with the
-    radius, so the cut scales with the constants and the bound is finite
-    for any model that moves, however slowly."""
+def _moving(eigs: np.ndarray) -> np.ndarray:
+    """The eigenvalues above 1e-9 of the largest |lambda| among them.  The
+    others are steady states, whose eigensolver roundoff scales with that
+    radius, so the cut scales with the constants and keeps a motion
+    however slow."""
     magnitudes = np.abs(eigs)
-    eigs = eigs[magnitudes > 1e-9 * np.max(magnitudes, initial=0.0)]
+    return eigs[magnitudes > 1e-9 * np.max(magnitudes, initial=0.0)]
+
+
+def _rk4_stability_limit(eigs: np.ndarray) -> float:
+    """Largest dt with |R(dt*lambda)| <= 1 (+1e-9 slack) for every moving
+    eigenvalue (:func:`_moving`), found by one bisection of
+    ``[0, 3 / radius]`` down to adjacent floats, so it is exact at any
+    constants; inf when no eigenvalue moves or 3 / radius overflows, 0.0
+    when the limit is below 1e-300.
+
+    The dynamics are contractive in the energy seminorm, so the true
+    spectrum satisfies Re(lambda) <= 0; positive real parts are eigensolver
+    noise (worst near defective wave pairs) and are taken as zero, where
+    they would make the bound spuriously tight.  RK4's stability region
+    with the slack lies inside |z| <= 2.961, so dt = 3 / radius is unstable
+    and dt = 0 stable."""
+    eigs = _moving(np.minimum(eigs.real, 0.0) + 1j * eigs.imag)
     if eigs.size == 0:
         return math.inf
-
-    def ok(dt: float) -> bool:
-        return bool(np.all(_rk4_amplification(dt * eigs) <= 1.0 + 1e-9))
-
-    lo, hi = 1e-12, 1.0
-    if ok(hi):
-        # ends: once dt * |lambda| passes RK4's stability interval, or at
-        # the latest where dt overflows and the amplification reads NaN
-        while ok(hi):
-            hi *= 2.0
-        lo = hi / 2.0
-    else:
-        while not ok(lo):
-            lo /= 4.0
-            if lo < 1e-300:
-                return 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # adjacent floats: no later step moves either
-            break
-        if ok(mid):
+    lo, hi = 0.0, 3.0 / float(np.max(np.abs(eigs)))
+    if hi == math.inf:
+        return math.inf
+    # halfway by the difference, which cannot overflow near the largest float
+    while (mid := lo + 0.5 * (hi - lo)) != lo and mid != hi:
+        if np.all(_rk4_amplification(mid * eigs) <= 1.0 + 1e-9):
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo if lo >= 1e-300 else 0.0
 
 
 # --------------------------------------------------------------------------
@@ -1393,7 +1390,7 @@ def transform_check(model, t_diag: np.ndarray, z0: State, cfg: IntegratorConfig)
     T z(t); the return value is the largest mismatch over the samples.
     """
     layout = model.layout
-    t_diag = np.asarray(t_diag, dtype=float)
+    t_diag = real_array(t_diag, "transform diagonal")
     if t_diag.shape != (layout.flat_dim,):
         raise ValueError("transform diagonal has the wrong dimension")
     if np.any(t_diag == 0.0) or not np.isfinite(t_diag).all():
@@ -1481,17 +1478,15 @@ def mode_abscissa(model, mode: int) -> float:
     noise, some motion of it goes undamped.  Zero eigenvalues are steady
     states, not motions (a frictional model's zero-energy sawtooth of phi at
     the Nyquist bin), and are left out; -inf when every eigenvalue is zero.
-    As in the step bound, an eigenvalue below 1e-9 of the symbol's largest
-    |lambda| counts as zero, so the cut scales with the constants and a mode
-    that moves however slowly keeps its motions.
+    They are cut by the step bound's rule (:func:`_moving`): an eigenvalue
+    at or below 1e-9 of the symbol's largest |lambda| counts as zero, so a
+    mode that moves however slowly keeps its motions.
     """
     n = model.layout.grid.n
     if not (_is_count(mode) and mode <= n // 2):
         raise ValueError(f"mode must be an integer in 1..{n // 2} on n = {n} nodes, got {mode!r}")
-    eigs = np.linalg.eigvals(_sparse_form(model).symbols[mode])
-    magnitudes = np.abs(eigs)
-    moving = magnitudes > 1e-9 * np.max(magnitudes)
-    return float(np.max(eigs.real[moving], initial=-math.inf))
+    eigs = _moving(np.linalg.eigvals(_sparse_form(model).symbols[mode]))
+    return float(np.max(eigs.real, initial=-math.inf))
 
 
 #: number of windows :func:`windowed_decay_rates` splits the fit range into

@@ -61,7 +61,7 @@ class Grid:
 
     def _nodal(self, u) -> np.ndarray:
         """Coerce ``u`` to a field or a stack of fields (nodes on the last axis)."""
-        u = np.asarray(u, dtype=float)
+        u = real_array(u, "field")
         if u.ndim == 0 or u.shape[-1] != self.n:
             raise ValueError(
                 f"field of shape {u.shape} does not live on a grid with n={self.n}"
@@ -103,6 +103,8 @@ def real_array(values, what: str) -> np.ndarray:
     """``values`` as a float array.  A complex one raises
     :class:`ValueError` naming ``what`` and its dtype, where a cast would
     drop the imaginary part with only a warning."""
+    if type(values) is np.ndarray and values.dtype.char == "d":
+        return values
     u = np.asarray(values)
     if u.dtype.kind == "c":
         raise ValueError(f"{what} of dtype {u.dtype} is not real")

@@ -482,7 +482,7 @@ def test_budget_message_gives_a_huge_step_count_to_three_digits(tmp_path, capsys
     cfg = write_config(tmp_path, "model = TimoshenkoFrictional\nk = 1e300\n")
     assert main(["decay", "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert "error: TimoshenkoFrictional integrate over 5.29e+152 steps: estimated memory" in err
+    assert "error: TimoshenkoFrictional integrate over 2.51e+152 steps: estimated memory" in err
     assert "above the limit of" in err
     assert len(err) < 150
 
@@ -490,7 +490,7 @@ def test_budget_message_gives_a_huge_step_count_to_three_digits(tmp_path, capsys
 @pytest.mark.parametrize("config, error", [
     # the budget rejects the run
     ("model = TimoshenkoFrictional\nk = 1e300\n",
-     "error: TimoshenkoFrictional integrate over 5.29e+152 steps: "),
+     "error: TimoshenkoFrictional integrate over 2.51e+152 steps: "),
     # mode n/2 is undamped, and the fit rejects the run's four records
     ("model = TimoshenkoHeatI\nmode = 32\ndt = 5e-4\nt_end = 0.003\nrecord_every = 2\n",
      "error: need at least 10 records for a decay fit, got 4"),

@@ -306,17 +306,19 @@ def test_symbol_dt_matches_dense_spectrum(grid32, grid64):
         for mid in bg.ALL_MODEL_IDS:
             model = bg.build_model(mid, ModelParams(), grid)
             eigs = np.linalg.eigvals(_field_jacobian(model))
-            eigs = np.minimum(eigs.real, 0.0) + 1j * eigs.imag
             dense = 0.9 * _rk4_stability_limit(eigs)
             assert abs(model.dt_bound - dense) <= 1e-12 * dense, (grid.n, mid)
 
 
-@pytest.mark.parametrize("stiffness", (1e-16, 1e-22))
+@pytest.mark.parametrize("stiffness", (1e-16, 1e-22, 1e40, 1e100, 1e300))
 def test_step_bound_of_a_slowly_moving_model_is_finite_and_tight(stiffness):
     # at k = b = 1e-16 the spectral radius is 6.45e-7, so RK4's limit is
     # about 4.4e6, and at 1e-22 every eigenvalue is below 1e-9: the bound
-    # must be finite (no cap on the search, no absolute cut of small
-    # eigenvalues), stable for every eigenvalue and within 1% of the limit
+    # must be finite (no absolute cut of small eigenvalues).  At 1e100 and
+    # 1e300 the limit is about 4.4e-52 and 4.4e-152, where a search that
+    # starts far from it and stops after a fixed count of halvings ends
+    # below half of it.  At every scale the bound is stable for every
+    # eigenvalue and within 1% of the limit
     model = bg.build_model(bg.ModelId.TIMOSHENKO_UNDAMPED, ModelParams(k=stiffness, b=stiffness),
                            Grid(64, 1.0))
     eigs = np.linalg.eigvals(engine._sparse_form(model).symbols).ravel()
@@ -325,6 +327,37 @@ def test_step_bound_of_a_slowly_moving_model_is_finite_and_tight(stiffness):
     assert math.isfinite(limit)
     assert np.all(engine._rk4_amplification(limit * eigs) <= 1.0 + 1e-9)
     assert np.any(engine._rk4_amplification(1.01 * limit * eigs) > 1.0 + 1e-9)
+
+
+def test_rk4_is_unstable_at_three_in_every_direction():
+    # the step bound bisects [0, 3 / radius]: at dt = 3 / radius the largest
+    # eigenvalue sits at |z| = 3, which must be unstable whatever its angle
+    z = 3.0 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 200001))
+    assert np.all(engine._rk4_amplification(z) > 1.0 + 1e-9)
+
+
+def test_step_bound_scales_exactly_with_the_constants():
+    # k = b = s scales TimoshenkoUndamped's spectrum by sqrt(s), so its
+    # limit scales by 1 / sqrt(s) up to roundoff, at any size of s
+    def bound(s):
+        return bg.build_model(bg.ModelId.TIMOSHENKO_UNDAMPED, ModelParams(k=s, b=s),
+                              Grid(64, 1.0)).dt_bound
+
+    unit = bound(1.0)
+    for s in (1e-22, 1e-16, 1e-8, 1e8, 1e20, 1e24, 1e40, 1e100, 1e200, 1e300):
+        assert abs(bound(s) * math.sqrt(s) / unit - 1.0) <= 1e-13, s
+
+
+@pytest.mark.parametrize("eigs, limit", [
+    (np.zeros(3, dtype=complex), math.inf),  # no eigenvalue moves
+    (np.array([1e-310j]), math.inf),         # 3 / radius overflows
+    (np.array([-1e302 + 0j]), 0.0),          # the limit is below 1e-300
+], ids=("steady", "subnormal", "underflow"))
+def test_step_bound_at_its_ends_without_a_warning(eigs, limit):
+    # no step of the search may overflow on the way to either end
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        assert _rk4_stability_limit(eigs) == limit
 
 
 @pytest.mark.parametrize("params", (ModelParams(), DRAWN_PARAMS), ids=("unit", "drawn"))
@@ -420,7 +453,6 @@ def test_step_bound_from_half_the_spectrum(n, params):
         columns = np.array([rhs(np.eye(1, dim, j * n)[0])[:n * f] for j in range(f)])
         spectrum = np.fft.fft(columns.T.reshape(f, n, f), axis=1).transpose(1, 0, 2)
         eigs = np.linalg.eigvals(spectrum).ravel()
-        eigs = np.minimum(eigs.real, 0.0) + 1j * eigs.imag
         assert model.dt_bound == 0.9 * _rk4_stability_limit(eigs), (n, mid)
 
 
@@ -1451,6 +1483,16 @@ def test_transform_diagonal_of_the_wrong_length_rejected(models32):
     for size in (model.layout.flat_dim - 1, model.layout.flat_dim + 1):
         with pytest.raises(ValueError, match="wrong dimension"):
             transform_check(model, np.ones(size), z0, IntegratorConfig(dt=1e-3, t_end=0.1))
+
+
+def test_transform_complex_diagonal_rejected(models32):
+    # a cast would run the check with the diagonal's real part, 2, and
+    # report a transform it never applied
+    model = models32[bg.ModelId.TIMOSHENKO_FRICTIONAL]
+    z0 = bg.default_initial_state(model.id, model.grid)
+    t_diag = np.full(model.layout.flat_dim, 2.0 + 1j)
+    with pytest.raises(ValueError, match="complex128"):
+        transform_check(model, t_diag, z0, IntegratorConfig(dt=1e-3, t_end=0.1))
 
 
 def test_transform_singular_rejected(models32):

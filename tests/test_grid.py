@@ -99,6 +99,12 @@ def test_field_rejects_complex_values():
         g.field(np.full(8, 1 + 2j))
     with pytest.raises(ValueError, match="complex128"):
         g.field([0.5j] * 8)
+    # the operators too, where a cast would drop the imaginary part
+    u = 1.0 + 1j * np.arange(8)
+    for apply in (g.d1, g.d2, lambda w: g.inner(w, np.ones(8)), lambda w: g.inner(np.ones(8), w),
+                  lambda w: g.d1(np.stack([w, w]))):
+        with pytest.raises(ValueError, match="complex128"):
+            apply(u)
     u = g.field(list(range(8)))
     assert u.dtype == np.float64
 
