@@ -103,8 +103,6 @@ def real_array(values, what: str) -> np.ndarray:
     """``values`` as a float array.  A complex one raises
     :class:`ValueError` naming ``what`` and its dtype, where a cast would
     drop the imaginary part with only a warning."""
-    if type(values) is np.ndarray and values.dtype.char == "d":
-        return values
     u = np.asarray(values)
     if u.dtype.kind == "c":
         raise ValueError(f"{what} of dtype {u.dtype} is not real")
