@@ -35,10 +35,12 @@ result is cached in the model's one private slot.
   ``record_every`` steps by squaring once per call.  Any other model
   steps through RK4's four stages on the compiled right-hand side
   (:func:`step_rk4`, also the oracle of the first).  Every RK4 step runs
-  through one stepper (:func:`_rk4_stepper`) on four evaluators, made once
-  per run: each evaluation is the CSR kernel's product plus the bilinear
-  and production updates, on views and scratch taken when the evaluator is
-  made, with no new array, and the step's sums are formed in place.  The
+  through one stepper (:func:`_rk4_stepper`).  The stage path makes its
+  stepper once per run, on four evaluators: each evaluation is the CSR
+  kernel's product plus the bilinear and production updates, on views and
+  scratch taken when the evaluator is made, with no new array, and the
+  step's sums are formed in place (a lone :func:`step_rk4` makes one
+  evaluator and copies each stage's result).  The
   steps of a jump alternate between two result buffers and only the state
   a jump returns is copied out.  Each step's temperatures are folded into
   a running minimum, which is checked with finiteness once per jump.  An
@@ -49,8 +51,8 @@ result is cached in the model's one private slot.
   a trajectory, so the derivation settles them once.  It proves
   ``M dE = 0`` in O(dim): the dissipative rows applied to the energy
   gradient must vanish exactly (see :func:`_sparse_form`), or the model
-  is rejected.  ``|L dS|`` is a constant of the derivation for the
-  reservoir entropy.
+  is rejected.  ``|L dS|`` of the reservoir entropy needs no probe: its
+  ``dS`` lives on the reservoir slot alone, which L never reads, so it is 0.
 * One function records every model (:func:`_diagnostics`), on a stack of
   states through the stack-aware functionals: the energy and the
   mechanical energy (the sum of the square terms, so that it keeps its
@@ -106,7 +108,6 @@ import numpy as np
 from .errors import DivergenceError, DomainError, PositivityError
 from .functionals import (
     LogThetaEntropy,
-    ReservoirEntropy,
     _energy_parts,
     entropy,
     grad_energy,
@@ -294,22 +295,18 @@ class _SparseForm:
       model whose fields evolve linearly.
     * ``symbols`` holds the f x f Fourier symbols of the exact linearization
       and ``m_symbols`` the (rows of R) x f symbols of R, one per wavenumber
-      k = 0..n//2 (the other half are their complex conjugates).
+      k = 0..n//2 (the other half are their complex conjugates).  R's
+      symbols serve only the reservoir's gain, so without a production
+      ``m_symbols`` has no rows.
     * ``evaluator()`` hands out the compiled right-hand side: an
       ``evaluate(y)`` that owns a fresh work buffer (the products P y, then
       the right-hand side), writes ``A y + N(y)`` into its tail and returns
       that tail, the same array at every call, with every view and the
       bilinear terms' scratch taken once, when it is made.  The first
       ``evaluator()`` call builds the CSR matrix and checks it.
-      :func:`compile_rhs` makes one per call; the stage path of
-      :func:`integrate` makes four per run and :func:`step_rk4` four per
-      step, one per RK4 stage.
+      :func:`compile_rhs` and :func:`step_rk4` make one per call; the stage
+      path of :func:`integrate` makes four per run, one per RK4 stage.
     * ``dt_bound`` is the RK4 step bound (``ModelSpec.dt_bound``).
-    * ``res_l_ds`` is ``|L dS|_inf`` of the reservoir entropy at the
-      reference state, a constant (``dS = alpha`` on the reservoir slot
-      only, which L never reads); None for the log entropy, whose
-      ``dS = 1/theta`` depends on the state, so that each record computes
-      it.  ``M dE = 0`` needs no field: the derivation proves it.
     """
 
     production: Optional[np.ndarray]
@@ -318,7 +315,6 @@ class _SparseForm:
     m_symbols: np.ndarray
     evaluator: Callable[[], Callable[[np.ndarray], np.ndarray]]
     dt_bound: float
-    res_l_ds: Optional[float]
 
 
 def _sparse_form(model) -> _SparseForm:
@@ -370,23 +366,18 @@ def _sparse_form(model) -> _SparseForm:
     so neither the right-hand side nor the step bound of such a model is
     ever returned.  The compiled right-hand side, ``A y + N(y)`` from one
     CSR product with P stacked on A (:func:`_circulant` of their node-0
-    columns), is built when its first evaluator is made, checked against
-    the object-level one at the same state (1e-12, else
-    :class:`ValueError`), and only then evaluated or stepped with.
-    Extreme constants can overflow the derivation: it runs with numpy's
-    floating-point warnings off and raises :class:`ValueError` when the
-    seeded check or the symbols of the linearization are not finite.
+    columns), is built when its first evaluator is made, checked by the
+    same comparison at the same state (1e-12, else :class:`ValueError`),
+    and only then evaluated or stepped with.  Extreme constants can
+    overflow the derivation: it runs with numpy's floating-point warnings
+    off and raises :class:`ValueError` when the object-level right-hand
+    side at the seeded state or the symbols of the linearization are not
+    finite.
     """
     if model._sparse is None:
         with np.errstate(all="ignore"):
             model._sparse = _derive_sparse_form(model)
     return model._sparse
-
-
-def _relative_mismatch(got: np.ndarray, want: np.ndarray) -> float:
-    """``|got - want|_inf`` over ``max(1, |got|_inf, |want|_inf)``."""
-    scale = max(1.0, float(np.max(np.abs(got))), float(np.max(np.abs(want))))
-    return float(np.max(np.abs(got - want))) / scale
 
 
 def _derive_sparse_form(model) -> _SparseForm:
@@ -415,7 +406,7 @@ def _derive_sparse_form(model) -> _SparseForm:
     # array, made once: a ufunc takes it with less overhead than a Python
     # float, for the same product.
     k_fields, bilinear = [], []
-    start = len(dissipative) * n if production is not None else 0
+    r_rows = start = len(dissipative) * n if production is not None else 0
     for row, col, block in model.l_blocks:
         if block.kind == "mul_d1":
             k_fields.append(col)
@@ -499,9 +490,12 @@ def _derive_sparse_form(model) -> _SparseForm:
     jacobian = a_columns.copy()
     for column, e in zip(jacobian, units):
         column += 0.5 * (nonlinear(z0 + e) - nonlinear(z0 - e))[:nf]
-    # R's node-0 columns, row j for field j
-    r_columns = np.concatenate([units[:, :0]] + [row.coefficient(probes)[1:] for row in dissipative],
-                               axis=1)
+    # the node-0 columns of the CSR matrix [P; A]: P's rows come first, so
+    # that the product ends with A's rows, the reservoir's (zero) among
+    # them, as the right-hand side's.  Taken now, not by the first
+    # evaluator, so that the form refers to no closure over the model (see
+    # below).  Their first r_rows are R's node-0 columns (row j for field j).
+    csr_columns = np.concatenate([products(units), a_columns], axis=1)
 
     def fourier(columns: np.ndarray) -> np.ndarray:
         """The (n, rows, f) symbols of blocks given by their node-0 columns."""
@@ -510,7 +504,7 @@ def _derive_sparse_form(model) -> _SparseForm:
     # one FFT of the node-0 columns of the linearization and of R; the step
     # bound and the Fourier path take the bins k = 0..n//2
     bins = n // 2 + 1
-    spectrum = fourier(np.concatenate([jacobian.T, r_columns.T]))[:bins]
+    spectrum = fourier(np.concatenate([jacobian.T, csr_columns[:, :r_rows].T]))[:bins]
     symbols = spectrum[:, :nfields]
     # N adds nothing to the fields of a model without a bilinear term: its
     # A(k) are the symbols it steps on
@@ -518,22 +512,34 @@ def _derive_sparse_form(model) -> _SparseForm:
 
     z = random_state(model, np.random.default_rng(0)).flat
     want = generic_rhs(model, State(layout, z)).flat
-    full = np.zeros(rows)
-    got = full[p_rows:]
-    y_hat = np.fft.rfft(z[:nf].reshape(nfields, n), axis=1).T[:, :, None]
-    got[:nf] = np.fft.irfft((a_symbols @ y_hat)[:, :, 0].T, n, axis=1).ravel()
-    bind(full, write_products)(z)
-    if not all(np.isfinite(a).all() for a in (got, want, spectrum)):
+    if not (np.isfinite(want).all() and np.isfinite(spectrum).all()):
         raise ValueError(
             f"{model.id}: the right-hand side or its linearization is not finite "
             "(are the constants too extreme?)"
         )
-    mismatch = _relative_mismatch(got, want)
-    if not mismatch <= 1e-12:
-        raise ValueError(
-            f"{model.id}: the Fourier form of the stencil assembly differs from the object-level "
-            f"right-hand side by {mismatch:.3e} (is the model translation-invariant?)"
-        )
+    # the model's id, not the model: the model caches this form, and a
+    # closure over the model would make a reference cycle
+    product, model_id = None, model.id
+
+    def check(multiply, message: str) -> None:
+        """Raise :class:`ValueError` with ``message`` (formatted with the
+        mismatch) when :func:`bind` with ``multiply`` misses the object-level
+        right-hand side at the seeded state by more than 1e-12 of
+        ``max(1, |got|_inf, |want|_inf)``."""
+        got = bind(np.zeros(rows), multiply)(z)
+        scale = max(1.0, float(np.max(np.abs(got))), float(np.max(np.abs(want))))
+        mismatch = float(np.max(np.abs(got - want))) / scale
+        if not mismatch <= 1e-12:
+            raise ValueError(f"{model_id}: " + message.format(mismatch))
+
+    def fourier_product(y: np.ndarray, full: np.ndarray) -> None:
+        """P y, and A y as ``irfft(A(k) rfft(y))``, into ``full``."""
+        write_products(y, full)
+        y_hat = np.fft.rfft(y[:nf].reshape(nfields, n), axis=1).T[:, :, None]
+        full[p_rows:p_rows + nf] = np.fft.irfft((a_symbols @ y_hat)[:, :, 0].T, n, axis=1).ravel()
+
+    check(fourier_product, "the Fourier form of the stencil assembly differs from the object-level "
+          "right-hand side by {:.3e} (is the model translation-invariant?)")
 
     eigs = np.linalg.eigvals(symbols).ravel()
     limit = _rk4_stability_limit(eigs)
@@ -543,16 +549,6 @@ def _derive_sparse_form(model) -> _SparseForm:
             f"below 1e-300 at spectral radius {float(np.max(np.abs(eigs))):.3e} "
             "(are the constants too extreme?)"
         )
-
-    # the node-0 columns of the CSR matrix [P; A]: P's rows come first, so
-    # that the product ends with A's rows, the reservoir's (zero) among
-    # them, as the right-hand side's.  Taken now, not by the first
-    # evaluator, so that the form refers to no closure over the model (see
-    # below).
-    csr_columns = np.concatenate([products(units), a_columns], axis=1)
-    # the model's id, not the model: the model caches this form, and a
-    # closure over the model would make a reference cycle
-    product, model_id = None, model.id
 
     def evaluator() -> Callable[[np.ndarray], np.ndarray]:
         """:func:`bind` to a new work buffer, with the product by the CSR
@@ -566,20 +562,10 @@ def _derive_sparse_form(model) -> _SparseForm:
                     f"{model_id}: the compiled right-hand side needs scipy, which "
                     f"cannot be imported ({error})"
                 ) from None
-            mismatch = _relative_mismatch(bind(np.empty(rows), candidate)(z), want)
-            if not mismatch <= 1e-12:
-                raise ValueError(
-                    f"{model_id}: the compiled sparse right-hand side differs from the "
-                    f"object-level one by {mismatch:.3e} at the derivation's seeded state"
-                )
+            check(candidate, "the compiled sparse right-hand side differs from the "
+                  "object-level one by {:.3e} at the derivation's seeded state")
             product = candidate
         return bind(np.empty(rows), product)
-
-    res_l_ds = None
-    if isinstance(model.entropy, ReservoirEntropy):
-        reference = model.reference_state
-        ds = grad_entropy(model, reference)
-        res_l_ds = float(np.max(np.abs(apply_L(model, reference, ds).flat)))
 
     return _SparseForm(
         production=production,
@@ -588,7 +574,6 @@ def _derive_sparse_form(model) -> _SparseForm:
         m_symbols=spectrum[:, nfields:].copy(),
         evaluator=evaluator,
         dt_bound=0.9 * limit,
-        res_l_ds=res_l_ds,
     )
 
 
@@ -728,16 +713,19 @@ def _diagnostics(model, sparse: _SparseForm, times: Sequence[float],
 
     The energy, the entropy, the mechanical energy (the sum of the square
     terms, taken with the energy in one pass) and ``theta_min`` come from the
-    stack-aware functionals, and ``|L dS|`` is the derivation's
-    constant for the reservoir entropy and ``apply_L(z, dS(z))`` for the log
-    entropy.  ``|M dE|`` is 0: the derivation proved ``M(z) dE(z) = 0`` at
-    every state (:func:`_sparse_form`).  Each record is bitwise the one a
-    stack of that row alone gives."""
+    stack-aware functionals, and ``|L dS|`` is ``apply_L(z, dS(z))`` for the
+    log entropy.  ``|L dS|`` of the reservoir entropy is 0, and so is
+    ``|M dE|``: ``sparse``, the model's derivation, proved ``M(z) dE(z) = 0``
+    at every state (:func:`_sparse_form`).
+    Each record is bitwise the one a stack of that row alone gives."""
     layout = model.layout
     z = State._stack(layout, flats)
     total, mech = _energy_parts(model, z)
-    res_l_ds = sparse.res_l_ds
-    if res_l_ds is None:
+    # the reservoir entropy's dS is alpha on the reservoir slot alone, which
+    # no block of L reads, so its L dS is exactly 0; the log entropy's
+    # dS = 1/theta depends on the state
+    res_l_ds = 0.0
+    if isinstance(model.entropy, LogThetaEntropy):
         res_l_ds = np.max(np.abs(apply_L(model, z, grad_entropy(model, z)).flat), axis=1)
     table = np.empty((len(flats), 6))
     table[:, 0] = times
@@ -811,13 +799,14 @@ def _rk4_stepper(evaluators: Sequence[Callable[[np.ndarray], np.ndarray]], dim: 
 
 def step_rk4(model, z: State, dt: float) -> State:
     """One classical RK4 step of the compiled right-hand side."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     # the stages hand the state to the CSR kernel, which does not check its length
     if z.layout != model.layout:
         raise ValueError(f"state layout does not match model {model.id}")
-    sparse = _sparse_form(model)
-    step = _rk4_stepper([sparse.evaluator() for _ in range(4)], model.layout.flat_dim, dt)
+    evaluate = _sparse_form(model).evaluator()
+    # one evaluator serves all four stages: each stage's result is a copy
+    step = _rk4_stepper([lambda y: evaluate(y).copy()] * 4, model.layout.flat_dim, dt)
     return State(model.layout, step(z.flat))
 
 
@@ -1387,7 +1376,9 @@ def transform_check(model, t_diag: np.ndarray, z0: State, cfg: IntegratorConfig)
 
     The rescaled system is assembled through the transformed building blocks
     (E-bar(v) = E(T^-1 v), L-bar = T L T^T, M-bar = T M T^T) and must trace
-    T z(t); the return value is the largest mismatch over the samples.
+    T z(t); the return value is the largest mismatch over the samples.  A
+    sample where either trajectory is not finite raises
+    :class:`DivergenceError` naming its step.
     """
     layout = model.layout
     t_diag = real_array(t_diag, "transform diagonal")
@@ -1413,11 +1404,14 @@ def transform_check(model, t_diag: np.ndarray, z0: State, cfg: IntegratorConfig)
     step_y = _rk4_stepper([original] * 4, layout.flat_dim, cfg.dt)
     step_v = _rk4_stepper([transformed] * 4, layout.flat_dim, cfg.dt)
     worst = 0.0
-    for step in range(1, n_steps + 1):
-        y = step_y(y)
-        v = step_v(v)
-        if step % cfg.record_every == 0 or step == n_steps:
-            worst = max(worst, float(np.max(np.abs(t_diag * y - v))))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(1, n_steps + 1):
+            y = step_y(y)
+            v = step_v(v)
+            if step % cfg.record_every == 0 or step == n_steps:
+                if not (np.isfinite(y).all() and np.isfinite(v).all()):
+                    raise DivergenceError(f"non-finite state at step {step}", step=step)
+                worst = max(worst, float(np.max(np.abs(t_diag * y - v))))
     return worst
 
 

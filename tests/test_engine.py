@@ -518,6 +518,14 @@ def test_step_rk4_positive_dt(models32):
         step_rk4(model, model.reference_state, 0.0)
 
 
+def test_step_rk4_rejects_a_step_that_is_not_finite(models32):
+    # an infinite step would run the stages into inf * 0 and return NaN
+    model = models32[bg.ModelId.TIMOSHENKO_UNDAMPED]
+    for dt in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            step_rk4(model, model.reference_state, dt)
+
+
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.0, t_end=1.0)
@@ -1502,6 +1510,18 @@ def test_transform_singular_rejected(models32):
     z0 = bg.default_initial_state(model.id, model.grid)
     with pytest.raises(ValueError):
         transform_check(model, t_diag, z0, IntegratorConfig(dt=1e-3, t_end=0.1))
+
+
+def test_transform_check_of_a_divergent_run_raises():
+    # both trajectories overflow to NaN, whose mismatch a max over the
+    # samples would drop, reading as a perfect pass
+    grid = Grid(16, 1.0)
+    model = bg.build_model(bg.ModelId.TIMOSHENKO_FRICTIONAL, ModelParams(), grid)
+    z0 = bg.default_initial_state(model.id, grid, amplitude=1e200)
+    with pytest.raises(DivergenceError) as info:
+        transform_check(model, uniform_scaling(model.layout, 3.0), z0, IntegratorConfig(1e-3, 1e-2, 1))
+    assert info.value.step == 1
+    assert str(info.value) == "non-finite state at step 1"
 
 
 # --------------------------------------------------------------------------
