@@ -149,9 +149,11 @@ def write_csv(path: str, records):
 def cmd_simulate(config: RunConfig, out=None) -> int:
     out = sys.stdout if out is None else out
     output = DEFAULT_OUTPUT if config.output is None else config.output
-    # a bad output path fails here, not after the whole run
+    # a bad output path fails here, not after the whole run: one with no file
+    # name (empty, or ending in a separator), a directory, or one whose
+    # directory is missing
     directory = os.path.dirname(os.path.abspath(output))
-    if os.path.isdir(output) or not os.path.isdir(directory):
+    if not os.path.basename(output) or os.path.isdir(output) or not os.path.isdir(directory):
         raise ValueError(
             f"config key 'output': {output!r} is not a file in an existing directory"
         )
@@ -251,9 +253,8 @@ def main(argv=None) -> int:
             return cmd_simulate(load_config(args.config))
         if args.command == "verify":
             return cmd_verify(args.model, args.trials, args.seed)
-        if args.command == "decay":
-            return cmd_decay(load_config(args.config))
-        raise ValueError(f"unknown command {args.command!r}")
+        # the required subparsers have rejected any other command
+        return cmd_decay(load_config(args.config))
     except (DivergenceError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -82,11 +82,12 @@ The object-level operators (``apply_L``, ``apply_M``, the gradients,
 oracles the compiled forms are tested against.
 
 Randomized verification draws states and covectors from a seeded generator,
-one call per trial (:func:`_state_draws` and :func:`_state_from_draws` hold
-the rule that turns normal draws into a state, for :func:`random_state` as
-well), and evaluates them as stacks (see :func:`verify_brackets`); residuals
-are reported relative to per-trial magnitudes (scale = max(1, size of the
-quantities being compared)), so tolerances transfer across parameter choices.
+one call per stack of trials, and evaluates them as stacks (see
+:func:`verify_brackets`; :func:`_state_draws` and :func:`_state_from_draws`
+hold the rule that turns normal draws into a state, for
+:func:`random_state` as well); residuals are reported relative to per-trial
+magnitudes (scale = max(1, size of the quantities being compared)), so
+tolerances transfer across parameter choices.
 The Jacobi check runs in two stack passes (:func:`jacobi_check`), and the
 gradient oracle ``functionals.fd_gradient`` perturbs one probe buffer per
 call.  Each stacked result is bitwise what its rows give alone.
@@ -147,10 +148,12 @@ WORK_LIMIT = 1e10
 #: binds, the 256 KB stacks of ``state.STACK_BYTES`` give 2.4-6.3 over the
 #: ten catalog models, median 4.1 and 3.9 in two runs (64 KB stacks gave
 #: a median of 5.2 by the same method; same VM).  Re-measured with one
-#: generator call per trial (timeit minima of 16 trials against a stage
-#: step on a bound stepper): 2.1-6.5, medians 4.0 and 4.7 at n = 1024 and
-#: 3.1 and 3.4 at n = 4096 in two runs, within a unit of 4.  So the limit
-#: allows verify about the wall time it allows stepping.
+#: generator call per stack of trials (timeit minima of 16 trials against
+#: a stage step on a bound stepper, one BLAS thread): 1.8-5.5, medians 4.4
+#: and 4.0 at n = 1024 and 3.7 and 3.6 at n = 4096 in two runs (one call
+#: per trial, alternated with them, read 4.3 and 4.1, 3.7 and 3.8), within
+#: a unit of 4.  So the limit allows verify about the wall time it allows
+#: stepping.
 VERIFY_WORK_WEIGHT = 4
 
 
@@ -1126,22 +1129,23 @@ def _state_draws(model) -> int:
     return layout.flat_dim
 
 
-def _state_from_draws(model, draws: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` the state that :func:`_state_draws` standard-normal
-    ``draws`` give: one draw per slot, then, for the log entropy, theta =
-    exp(0.3 N) from the draws after those, so theta is strictly positive."""
+def _state_from_draws(model, draws: np.ndarray) -> np.ndarray:
+    """The states that :func:`_state_draws` standard-normal ``draws`` on the
+    last axis give, as a view of ``draws``: one draw per slot, then, for the
+    log entropy, theta = exp(0.3 N) from the draws after those, written over
+    the theta columns in place, so theta is strictly positive."""
     layout = model.layout
     dim = layout.flat_dim
-    out[:] = draws[:dim]
+    z = draws[..., :dim]
     if isinstance(model.entropy, LogThetaEntropy):
-        out[layout.field_slice("theta")] = np.exp(0.3 * draws[dim:])
+        z[..., layout.field_slice("theta")] = np.exp(0.3 * draws[..., dim:])
+    return z
 
 
 def random_state(model, rng: np.random.Generator) -> State:
     """Standard-normal state; log-entropy temperatures drawn strictly positive."""
-    flat = np.empty(model.layout.flat_dim)
-    _state_from_draws(model, rng.standard_normal(_state_draws(model)), flat)
-    return State(model.layout, flat)
+    draws = rng.standard_normal(_state_draws(model))
+    return State(model.layout, _state_from_draws(model, draws))
 
 
 def random_cotangent(layout: StateLayout, rng: np.random.Generator) -> CotangentVector:
@@ -1179,20 +1183,21 @@ def verify_brackets(model, trials: int = 20, seed: int = 0) -> VerificationRepor
     and the two degeneracy conditions.
 
     Each trial draws a state z and covectors xi and eta, in that order, from
-    one generator seeded with ``seed``: one ``standard_normal`` call into a
-    buffer reused by every trial, which the generator fills in order, so it
-    gives bitwise the draws of :func:`random_state`, :func:`random_cotangent`
-    and :func:`random_cotangent` in turn; the slices are written into the
-    trial's rows of the stacks.  The trials are then evaluated as one
-    stack (at most ``state.STACK_BYTES``, 256 KB, per stack of states; more
-    trials make more stacks, drawn in the same order), with the object-level
-    operators acting row by row, so each trial's residuals are bitwise those
-    of evaluating it alone, and a NaN residual fails its check.
-    Residuals are normalized per trial by max(1, magnitudes involved); the
-    report keeps the worst over all trials.  ``trials`` that is not a
-    positive integer, ``seed`` that is not a non-negative one (bools are
-    neither), and trials times slots times :data:`VERIFY_WORK_WEIGHT` above
-    :data:`WORK_LIMIT` raise :class:`ValueError` before the first trial.
+    one generator seeded with ``seed``.  The trials are evaluated as stacks
+    (at most ``state.STACK_BYTES``, 256 KB, per stack of states; more trials
+    make more stacks), and each stack's draws are one ``standard_normal``
+    call of one row per trial, which the generator fills in order, so a row
+    holds bitwise the draws of :func:`random_state`, :func:`random_cotangent`
+    and :func:`random_cotangent` in turn; z, xi and eta are column slices
+    of that block.  The object-level operators act row by row, so each
+    trial's residuals are bitwise those of evaluating it alone, and a NaN
+    residual fails its check.  Residuals are normalized per trial by
+    max(1, magnitudes involved); the report keeps the worst over all trials,
+    its checks in the order :func:`_bracket_residuals` gives.  ``trials``
+    that is not a positive integer, ``seed`` that is not a non-negative one
+    (bools are neither), and trials times slots times
+    :data:`VERIFY_WORK_WEIGHT` above :data:`WORK_LIMIT` raise
+    :class:`ValueError` before the first trial.
     """
     if not _is_count(trials):
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -1202,26 +1207,18 @@ def verify_brackets(model, trials: int = 20, seed: int = 0) -> VerificationRepor
                   work=int(trials) * model.layout.flat_dim * VERIFY_WORK_WEIGHT)
     rng = np.random.default_rng(seed)
     layout = model.layout
-    worst = dict.fromkeys(
-        ("antisymmetry", "symmetry", "psd", "degeneracy_LdS", "degeneracy_MdE"), 0.0
-    )
     dim = layout.flat_dim
     state_draws = _state_draws(model)
-    draws = np.empty(state_draws + 2 * dim)
     per_stack = stack_rows(layout)
+    worst = {}
     for start in range(0, trials, per_stack):
-        shape = (min(per_stack, trials - start), dim)
-        z = State._stack(layout, np.empty(shape))
-        xi = CotangentVector._stack(layout, np.empty(shape))
-        eta = CotangentVector._stack(layout, np.empty(shape))
-        for row in range(shape[0]):
-            rng.standard_normal(out=draws)
-            _state_from_draws(model, draws[:state_draws], z.flat[row])
-            xi.flat[row] = draws[state_draws:state_draws + dim]
-            eta.flat[row] = draws[state_draws + dim:]
+        block = rng.standard_normal((min(per_stack, trials - start), state_draws + 2 * dim))
+        z = State._stack(layout, _state_from_draws(model, block[:, :state_draws]))
+        xi = CotangentVector._stack(layout, block[:, state_draws:state_draws + dim])
+        eta = CotangentVector._stack(layout, block[:, state_draws + dim:])
         for name, residuals in _bracket_residuals(model, z, xi, eta).items():
             # np.max, unlike max(), lets a NaN residual through to fail the check
-            worst[name] = float(np.max((worst[name], np.max(residuals))))
+            worst[name] = float(np.max((worst.get(name, 0.0), np.max(residuals))))
     checks = tuple(
         CheckResult(name, value, BRACKET_TOLERANCE) for name, value in worst.items()
     )
@@ -1284,12 +1281,9 @@ class TestFunctional:
 
 
 def random_test_functional(layout: StateLayout, rng: np.random.Generator) -> TestFunctional:
-    diag = np.empty(layout.flat_dim)
-    n = layout.grid.n
-    for i in range(layout.n_fields):
-        diag[i * n:(i + 1) * n] = rng.uniform(0.5, 1.5)
-    if layout.has_reservoir:
-        diag[layout.reservoir_index] = rng.uniform(0.5, 1.5)
+    weights = rng.uniform(0.5, 1.5, layout.n_fields + layout.has_reservoir)
+    # one weight per field's n slots; the reservoir's, last, keeps one slot
+    diag = np.repeat(weights, layout.grid.n)[:layout.flat_dim]
     z0 = State(layout, 0.3 * rng.standard_normal(layout.flat_dim))
     c = CotangentVector(layout, 0.3 * rng.standard_normal(layout.flat_dim))
     return TestFunctional(z0, diag, c)

@@ -167,12 +167,26 @@ def test_simulate_rejects_output_before_the_run(tmp_path, capsys, monkeypatch):
         raise AssertionError("integrate must not run for a bad output path")
 
     monkeypatch.setattr(cli, "integrate", fail)
-    for output in (tmp_path / "missing" / "x.csv", tmp_path):
+    for output in (tmp_path / "missing" / "x.csv", tmp_path, f"{tmp_path / 'x.csv'}/"):
         cfg = write_config(tmp_path, BASE_CONFIG + f"output = {output}\n")
         assert main(["simulate", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "output" in err
         assert "Traceback" not in err
+
+
+def test_simulate_rejects_an_empty_output_before_the_run(tmp_path, capsys, monkeypatch):
+    # "" is not a directory and its directory (the cwd) exists, so only its
+    # missing file name rejects it
+    def fail(*args, **kwargs):
+        raise AssertionError("integrate must not run for an empty output path")
+
+    monkeypatch.setattr(cli, "integrate", fail)
+    cfg = write_config(tmp_path, BASE_CONFIG + "output =\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "config key 'output': '' is not a file in an existing directory" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_divergence_exit_code(tmp_path, capsys):

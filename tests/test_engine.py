@@ -1309,7 +1309,7 @@ def test_verify_brackets_takes_numpy_integer_seeds(models32):
 def test_verify_work_counts_the_trial_weight(models32, monkeypatch):
     # trials times slots at the limit itself pass unweighted, so only the
     # weight rejects them, before the first draw
-    def no_draw(model, draws, out):
+    def no_draw(model, draws):
         raise AssertionError("verify_brackets drew a trial")
 
     monkeypatch.setattr(engine, "_state_from_draws", no_draw)

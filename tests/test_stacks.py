@@ -177,6 +177,27 @@ def test_jacobi_check_brackets_on_bounded_stacks(monkeypatch, n):
         assert bg.jacobi_check(model, z, *fs, h=0.1) == got
 
 
+@pytest.mark.parametrize("reservoir", (True, False), ids=("reservoir", "no_reservoir"))
+@pytest.mark.parametrize("n", (8, 33))
+def test_random_test_functional_draws_as_field_by_field(n, reservoir):
+    # the weights come from one uniform call, the fields' in order and then
+    # the reservoir's: bitwise one call per field, as the generator fills a
+    # request in order
+    layout = bg.StateLayout(bg.Grid(n, 1.0), ("phi", "psi", "p", "q", "theta"), reservoir)
+    got = bg.random_test_functional(layout, np.random.default_rng(n))
+    rng = np.random.default_rng(n)
+    diag = np.empty(layout.flat_dim)
+    for i in range(layout.n_fields):
+        diag[i * n:(i + 1) * n] = rng.uniform(0.5, 1.5)
+    if reservoir:
+        diag[layout.reservoir_index] = rng.uniform(0.5, 1.5)
+    z0 = 0.3 * rng.standard_normal(layout.flat_dim)
+    c = 0.3 * rng.standard_normal(layout.flat_dim)
+    assert got.diag.tobytes() == diag.tobytes()
+    assert got.z0.flat.tobytes() == z0.tobytes()
+    assert got.c.flat.tobytes() == c.tobytes()
+
+
 def test_fd_gradient_rejects_one_scalar_for_a_stack(models32):
     model = models32[bg.ModelId.TIMOSHENKO_FRICTIONAL]
     z = bg.random_state(model, np.random.default_rng(14))
@@ -210,9 +231,10 @@ def _trial_residuals(model, z, xi, eta):
 @pytest.mark.parametrize("mid", [bg.ModelId.BRESSE_HEAT_II, bg.ModelId.TIMOSHENKO_NEW], ids=str)
 def test_verify_brackets_equals_trial_by_trial(models64, mid, monkeypatch):
     # enough trials to need two stacks, drawn in the same order as one at a
-    # time: a trial's draws come from one generator call, so the stacks
-    # verify evaluates must hold bitwise the trials that random_state,
-    # random_cotangent and random_cotangent draw in turn
+    # time: a stack's draws come from one generator call, which fills its
+    # rows in order, so the stacks verify evaluates must hold bitwise the
+    # trials that random_state, random_cotangent and random_cotangent draw in
+    # turn, and the report lists the checks in the order of the trial's
     model = models64[mid]
     trials = bg.state.stack_rows(model.layout) + 3
     rng = np.random.default_rng(5)
@@ -236,7 +258,7 @@ def test_verify_brackets_equals_trial_by_trial(models64, mid, monkeypatch):
     assert len(stacks) == 2
     for got, rows in zip(zip(*stacks), zip(*drawn)):
         assert np.concatenate(got).tobytes() == np.array(rows).tobytes()
-    assert {c.name: c.max_residual for c in report.checks} == worst
+    assert [(c.name, c.max_residual) for c in report.checks] == list(worst.items())
     assert report.all_passed
 
 
