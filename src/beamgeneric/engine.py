@@ -993,6 +993,20 @@ def _symbol_path(model, sparse: _SparseForm, y: np.ndarray, cfg: IntegratorConfi
     return (y_hat, float(y[nf]) if layout.has_reservoir else 0.0), jump, to_grid
 
 
+def _check_initial_state(model, z0: State) -> None:
+    """Reject an initial state of another layout than the model's, or with a
+    slot that is not finite, naming the first such slot's field and node."""
+    if z0.layout != model.layout:
+        raise ValueError(f"initial state layout does not match model {model.id}")
+    finite = np.isfinite(z0.flat)
+    if not finite.all():
+        slot = int(np.argmin(finite))
+        n = model.grid.n
+        where = (f"field {model.layout.field_order[slot // n]} at node {slot % n}"
+                 if slot < model.layout.n_fields * n else "the reservoir e")
+        raise ValueError(f"initial state is not finite: {where} is {float(z0.flat[slot])}")
+
+
 def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord]:
     """March z0 forward to t_end with classical RK4, recording diagnostics
     every ``record_every`` steps and at the last.
@@ -1035,10 +1049,10 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     :class:`PositivityError` if a log-entropy temperature leaves the positive
     cone, and with :class:`DivergenceError` on non-finite states (the
     fields or the reservoir).  Both name the first such step, its time and
-    the last record before it.
+    the last record before it.  An initial state of another layout or with a
+    slot that is not finite is rejected before (:func:`_check_initial_state`).
     """
-    if z0.layout != model.layout:
-        raise ValueError(f"initial state layout does not match model {model.id}")
+    _check_initial_state(model, z0)
     if cfg.dt > model.dt_bound:
         raise ValueError(
             f"dt={cfg.dt:g} exceeds the stable bound {model.dt_bound:g} for {model.id}"
@@ -1274,6 +1288,8 @@ class TestFunctional:
     c: CotangentVector
 
     def grad(self, z: State) -> CotangentVector:
+        if z.layout != self.z0.layout:
+            raise ValueError("state layout does not match the test functional's layout")
         g = z.flat - self.z0.flat
         g *= self.diag
         g += self.c.flat
@@ -1370,10 +1386,12 @@ def transform_check(model, t_diag: np.ndarray, z0: State, cfg: IntegratorConfig)
 
     The rescaled system is assembled through the transformed building blocks
     (E-bar(v) = E(T^-1 v), L-bar = T L T^T, M-bar = T M T^T) and must trace
-    T z(t); the return value is the largest mismatch over the samples.  A
-    sample where either trajectory is not finite raises
-    :class:`DivergenceError` naming its step.
+    T z(t); the return value is the largest mismatch over the samples.  An
+    initial state is checked as :func:`integrate` checks it; a sample where
+    either trajectory is not finite raises :class:`DivergenceError` naming
+    its step.
     """
+    _check_initial_state(model, z0)
     layout = model.layout
     t_diag = real_array(t_diag, "transform diagonal")
     if t_diag.shape != (layout.flat_dim,):

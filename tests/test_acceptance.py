@@ -24,7 +24,7 @@ from beamgeneric import (
     uniform_scaling,
     verify_brackets,
 )
-from conftest import ALL_IDS, DAMPED_IDS, rel_inf
+from conftest import ALL_IDS, DAMPED_IDS, needs_scipy, rel_inf
 
 T_END = 10.0
 DESK_DT = 1e-3
@@ -126,6 +126,7 @@ def test_criterion_4_gradient_oracle(models64):
     _report(f"ACCEPTANCE 4 gradient oracle: max relative error {worst:.3e} <= 1e-6  PASS")
 
 
+@needs_scipy
 def test_criterion_5_energy_conservation(models64, trajectories):
     """Total energy drift <= 1e-6 relative over T=10 for every model;
     undamped baselines also conserve the mechanical part."""
@@ -144,6 +145,7 @@ def test_criterion_5_energy_conservation(models64, trajectories):
     _report(f"ACCEPTANCE 5 first law: max drift {worst:.3e} <= 1e-6  PASS")
 
 
+@needs_scipy
 def test_criterion_6_entropy_monotone(models64, trajectories):
     """Entropy samples nondecreasing (1e-12 per-step slack) on damped models."""
     for mid in DAMPED_IDS:
@@ -195,6 +197,7 @@ def test_criterion_9_exponential_decay(models64, trajectories):
     _report(f"ACCEPTANCE 9 qualitative decay: {pretty}  PASS")
 
 
+@needs_scipy
 def test_criterion_10_cattaneo_elimination(models64):
     """The hyperbolic heat pair composes to the damped second-order
     temperature equation along a trajectory sample."""

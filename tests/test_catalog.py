@@ -3,7 +3,7 @@ import pytest
 
 import beamgeneric as bg
 from beamgeneric import Grid, IntegratorConfig, ModelParams, State, energy
-from conftest import ALL_IDS
+from conftest import ALL_IDS, needs_scipy
 
 
 def test_all_models_build_and_verify(models32):
@@ -131,6 +131,7 @@ def test_velocities_and_extras_start_at_zero(grid32):
             assert z.reservoir == 0.0
 
 
+@needs_scipy
 def test_cattaneo_elimination_identity(grid32):
     """Eliminating the heat flux from the hyperbolic pair reproduces the
     damped second-order temperature equation along a trajectory sample."""

@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 import beamgeneric as bg
 import beamgeneric.engine as engine
@@ -42,7 +41,7 @@ from beamgeneric.engine import (
 )
 from beamgeneric.functionals import LinearTerm, SquareTerm
 from beamgeneric.state import stack_rows
-from conftest import rel_inf
+from conftest import needs_scipy, rel_inf
 
 
 # --------------------------------------------------------------------------
@@ -91,6 +90,7 @@ def test_direct_rhs_bresse_frictional_uniform_w(grid32):
     np.testing.assert_allclose(out.field("chi"), np.ones(grid32.n))
 
 
+@needs_scipy
 def test_compiled_rhs_matches_object_assembly(models32):
     rng = np.random.default_rng(21)
     for model in models32.values():
@@ -116,6 +116,7 @@ def _dense_probe(model):
     return columns
 
 
+@needs_scipy
 def test_compiled_reservoir_rate_matches_direct_rhs(models32):
     rng = np.random.default_rng(24)
     for model in models32.values():
@@ -175,7 +176,10 @@ def test_product_record_matches_grid_record(n, params):
         _assert_record_matches_object_level(bg.build_model(mid, params, Grid(n, 1.0)), rng, trials=3)
 
 
+@needs_scipy
 def test_compiled_matrix_equals_dense_probe(grid32):
+    import scipy.sparse
+
     rng = np.random.default_rng(23)
     for mid in bg.ALL_MODEL_IDS:
         if mid is bg.ModelId.TIMOSHENKO_NEW:
@@ -201,6 +205,7 @@ def test_compile_rhs_rejects_non_translation_invariant_model(grid32):
         varying.dt_bound
 
 
+@needs_scipy
 def test_corrupted_csr_is_refused_on_its_first_call(grid32, monkeypatch):
     # compile_rhs returns before any CSR matrix exists; the first call builds
     # it and checks it against the object-level right-hand side, so a matrix
@@ -236,6 +241,7 @@ def _derived_model_reference(mid, grid):
     return weakref.ref(model)
 
 
+@needs_scipy
 @pytest.mark.parametrize("mid", bg.ALL_MODEL_IDS, ids=str)
 def test_a_derived_model_is_freed_without_the_cycle_collector(grid32, mid):
     # the model caches its derivation, so a closure of the derivation that
@@ -301,6 +307,7 @@ def _field_jacobian(model):
     return jac
 
 
+@needs_scipy
 def test_symbol_dt_matches_dense_spectrum(grid32, grid64):
     for grid in (grid32, grid64):
         for mid in bg.ALL_MODEL_IDS:
@@ -407,6 +414,7 @@ def test_bresse_tends_to_timoshenko_as_the_curvature_vanishes(timoshenko, bresse
         assert 90.0 <= coarse / fine <= 110.0, distances
 
 
+@needs_scipy
 def test_new_model_deviates_from_type_i_heat_at_first_order_in_the_amplitude():
     # from default_initial_state at amplitude eps (n = 64, T = 2, RK4 at the
     # shared step bound), TimoshenkoNew deviates from TimoshenkoHeatI under
@@ -439,6 +447,7 @@ def test_new_model_deviates_from_type_i_heat_at_first_order_in_the_amplitude():
         assert 1.95 <= coarse / fine <= 2.12, deviations
 
 
+@needs_scipy
 @pytest.mark.parametrize("params", (ModelParams(), DRAWN_PARAMS), ids=("unit", "drawn"))
 @pytest.mark.parametrize("n", (5, 16, 17, 64))
 def test_step_bound_from_half_the_spectrum(n, params):
@@ -591,6 +600,28 @@ def test_initial_positivity_guard(grid32):
         integrate(model, z0, IntegratorConfig(dt=1e-4, t_end=0.1))
 
 
+@pytest.mark.parametrize("mid, field, value, where", [
+    ("TimoshenkoHeatI", "phi", math.inf, "field phi at node 5 is inf"),
+    ("TimoshenkoHeatI", "e", math.nan, "the reservoir e is nan"),
+    ("TimoshenkoNew", "phi", math.nan, "field phi at node 5 is nan"),
+    ("TimoshenkoNew", "theta", math.nan, "field theta at node 5 is nan"),
+], ids=("HeatI-phi", "HeatI-e", "New-phi", "New-theta"))
+def test_a_non_finite_initial_state_is_rejected_before_stepping(grid32, mid, field, value, where):
+    # on the Fourier path and the stage path, and by transform_check: at the
+    # boundary, not as a failure of step 1; a NaN temperature is not cold
+    model = bg.build_model(mid, ModelParams(), grid32)
+    z0 = model.reference_state.copy()
+    if field == "e":
+        z0.reservoir = value
+    else:
+        z0.field(field)[5] = value
+    message = f"initial state is not finite: {where}"
+    with pytest.raises(ValueError, match=message):
+        integrate(model, z0, IntegratorConfig(dt=1e-4, t_end=1e-3))
+    with pytest.raises(ValueError, match=message):
+        transform_check(model, uniform_scaling(model.layout, 2.0), z0, IntegratorConfig(1e-4, 1e-3))
+
+
 def _with_stage_rhs(base, evaluator):
     """A copy of ``base`` whose stage path steps on the evaluators that
     ``evaluator()`` returns, one per stage."""
@@ -668,6 +699,7 @@ def _stage_reference(model, z0, cfg):
     return records
 
 
+@needs_scipy
 @pytest.mark.parametrize("start", ("default", "random"))
 @pytest.mark.parametrize("record_every", (1, 7))
 @pytest.mark.parametrize("n", (16, 64))
@@ -687,6 +719,7 @@ def test_stage_path_equals_the_rk4_loop_bitwise(n, record_every, start):
     assert got == _stage_reference(model, z0, cfg)
 
 
+@needs_scipy
 @pytest.mark.parametrize("record_every", (1, 7))
 def test_stage_path_states_share_no_memory_with_its_work(monkeypatch, record_every):
     # the stage path steps into per-run buffers (the stage input, the four
@@ -757,6 +790,8 @@ def _scipy_circulant(n, shape, columns):
     """scipy's own CSR matrix of the block-circulant matrix that
     ``engine._circulant`` documents: entry ``columns[j, r]`` at row
     ``r // n * n + i`` and column ``j * n + (i - r) % n`` for every node i."""
+    import scipy.sparse
+
     rows, cols, values = [], [], []
     for j, r in zip(*np.nonzero(columns)):
         for i in range(n):
@@ -766,6 +801,7 @@ def _scipy_circulant(n, shape, columns):
     return scipy.sparse.csr_matrix((values, (rows, cols)), shape=shape)
 
 
+@needs_scipy
 def test_csr_kernel_product_equals_the_matrix_product_bitwise(monkeypatch):
     # the compiled right-hand side builds its CSR arrays in numpy and runs
     # scipy's CSR kernel on them itself, into a buffer that may hold
@@ -818,6 +854,7 @@ def test_compiled_rhs_rejects_a_state_of_another_shape(grid32):
             rhs(flat)
 
 
+@needs_scipy
 def test_compiled_rhs_reads_a_float32_state_as_its_values(grid32):
     # the bilinear term multiplies by its coefficient held as a 0-d float64
     # array, which numpy 1 and numpy 2 promote differently against float32:
@@ -828,6 +865,7 @@ def test_compiled_rhs_reads_a_float32_state_as_its_values(grid32):
     assert rhs(y).tobytes() == rhs(y.astype(float)).tobytes()
 
 
+@needs_scipy
 def test_compiled_rhs_takes_no_work_buffer(grid32):
     # the kernel writes as many floats as an evaluator's work buffer holds
     # into whatever buffer it is given, so the public call takes none: a
@@ -852,6 +890,7 @@ def test_compiled_rhs_takes_no_work_buffer(grid32):
     assert rhs(ints).tobytes() == rhs(ints.astype(float)).tobytes()
 
 
+@needs_scipy
 @pytest.mark.parametrize(
     "n, mid",
     [(n, mid) for n in (4, 5, 7, 32, 64) for mid in LINEAR_IDS]
@@ -1034,6 +1073,7 @@ def _record_bytes(records):
     return np.array([tuple(r) for r in records]).tobytes()
 
 
+@needs_scipy
 @pytest.mark.parametrize("n", (16, 64, 512))
 def test_stacked_records_equal_one_row_records(n, monkeypatch):
     # integrate records its held states in stacks of stack_rows states, the
@@ -1445,6 +1485,22 @@ def test_jacobi_zero_functional_gives_zero(models32):
             assert scale == 1.0
 
 
+def test_test_functionals_of_another_layout_are_rejected(models32):
+    # TimoshenkoHeatIII's layout has as many slots as TimoshenkoHeatII's, so
+    # only the layout comparison tells its functionals from the model's
+    model = models32[bg.ModelId.TIMOSHENKO_HEAT_II]
+    other = models32[bg.ModelId.TIMOSHENKO_HEAT_III].layout
+    assert other.flat_dim == model.layout.flat_dim
+    rng = np.random.default_rng(34)
+    z = bg.random_state(model, rng)
+    fs = [bg.random_test_functional(other, rng) for _ in range(3)]
+    message = "state layout does not match the test functional's layout"
+    with pytest.raises(ValueError, match=message):
+        jacobi_check(model, z, *fs, h=1e-3)
+    with pytest.raises(ValueError, match=message):
+        engine.poisson_bracket(model, z, fs[0], fs[1])
+
+
 def test_jacobi_step_validation(models32):
     model = models32[bg.ModelId.TIMOSHENKO_HEAT_I]
     rng = np.random.default_rng(33)
@@ -1510,6 +1566,17 @@ def test_transform_singular_rejected(models32):
     z0 = bg.default_initial_state(model.id, model.grid)
     with pytest.raises(ValueError):
         transform_check(model, t_diag, z0, IntegratorConfig(dt=1e-3, t_end=0.1))
+
+
+@pytest.mark.parametrize("other", ("TimoshenkoHeatIII", "TimoshenkoHeatI"))
+def test_transform_check_rejects_a_state_of_another_layout(other):
+    # TimoshenkoHeatIII's state has TimoshenkoHeatII's 97 slots at n = 16,
+    # TimoshenkoHeatI's 81
+    grid = Grid(16, 1.0)
+    model = bg.build_model(bg.ModelId.TIMOSHENKO_HEAT_II, ModelParams(), grid)
+    z0 = bg.default_initial_state(other, grid)
+    with pytest.raises(ValueError, match="initial state layout does not match model TimoshenkoHeatII"):
+        transform_check(model, uniform_scaling(model.layout, 2.0), z0, IntegratorConfig(1e-3, 1e-2, 5))
 
 
 def test_transform_check_of_a_divergent_run_raises():

@@ -7,7 +7,7 @@ is the one running.  Otherwise the warning lines must be the same, a damped
 model's rate must agree to 1e-10 relative with the same confidence text, and
 an undamped model's rate, a slope at roundoff, must stay within 1e-9 of
 zero.  The nine linear models run numpy only, so their cases also run where
-scipy is not installed (``-k "not TimoshenkoNew"``).
+scipy is not installed; TimoshenkoNew's is marked ``needs_scipy``.
 
 Regenerate (only on purpose; say in CHANGES.md what moved and why):
 
@@ -23,6 +23,7 @@ import pytest
 
 import beamgeneric as bg
 from beamgeneric import cli
+from conftest import new_needs_scipy
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_decay.json")
 CONFIG = "model = {model}\nn = 32\nt_end = 2\n"
@@ -50,7 +51,7 @@ def _rate_line(line: str):
     return model, float(rate), confidence
 
 
-@pytest.mark.parametrize("model", [mid.value for mid in bg.ALL_MODEL_IDS])
+@pytest.mark.parametrize("model", new_needs_scipy(mid.value for mid in bg.ALL_MODEL_IDS))
 def test_decay_output_matches_the_golden_file(model):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert golden["config"] == CONFIG

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 import beamgeneric as bg
+from conftest import new_needs_scipy
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_records.json")
 SIZES = (16, 64)
@@ -69,7 +70,7 @@ def _close(got, want):
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("mid", bg.ALL_MODEL_IDS, ids=str)
+@pytest.mark.parametrize("mid", new_needs_scipy(bg.ALL_MODEL_IDS), ids=str)
 def test_records_match_the_golden_file(golden, mid, n):
     entry = golden["models"][str(mid)][str(n)]
     bound, rows = _run(mid, n)
