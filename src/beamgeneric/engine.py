@@ -47,6 +47,22 @@ result is cached in the model's one private slot.
   interval whose jump is not fine is replayed from its start one step at a
   time, which names its first bad step.  The one-step map is built in batches
   of bins with the four stages side by side (:func:`_rk4_symbol_map`).
+* The Fourier path's arrays have shapes fixed by the model: the one-step
+  map and its powers, (n//2+1, 2f, f) each, the (n//2+1, f, f) scratch of
+  their compositions and of the map's build, a jump's product, and a
+  record stack's coefficients and states.  So the derived form keeps them
+  as one workspace (:class:`_MapWork`): the first :func:`integrate` makes
+  it, and every later one writes into it through ``out=``, with the same
+  products in the same order, so each record is bitwise what new arrays
+  give.  Only the arrays are kept, never their values: each call builds
+  its own maps.  A call takes the workspace out of the form for its
+  duration and puts it back when it returns or raises; a concurrent call
+  finds none, makes its own and drops it at its end if the form holds one
+  again, so no two calls share one.  The workspace holds no reference to
+  the model and is freed with it: about 3.8 MB for BresseHeatII at
+  n = 512.  Made afresh at each call, these arrays were trimmed from the
+  heap at each return and faulted back in by the next call (418 minor
+  faults per call there).
 * The degeneracy conditions are properties of the building blocks, not of
   a trajectory, so the derivation settles them once.  It proves
   ``M dE = 0`` in O(dim): the dissipative rows applied to the energy
@@ -95,13 +111,16 @@ call.  Each stacked result is bitwise what its rows give alone.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib.machinery
 import importlib.util
+import inspect
+import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -128,7 +147,11 @@ MEMORY_LIMIT_BYTES = 2**30
 #: step bound, from just after the import, measured 355-884 bytes per slot
 #: at n = 2^12, 2^14 and 2^16 (BresseHeatII, TimoshenkoNew,
 #: TimoshenkoUndamped; the most at n = 2^12, where the fixed costs weigh
-#: most; Python 3.11, numpy 2.4), rounded up.
+#: most; Python 3.11, numpy 2.4), rounded up.  The Fourier path's workspace,
+#: which the model keeps from its first ``integrate`` on (about 16 f bytes
+#: per slot per map), is counted apart: ``integrate`` adds it at its largest
+#: (:func:`_map_work_bytes`) to its own estimate, although the measured peak
+#: already held the maps of that three-step run.
 SETUP_BYTES_PER_SLOT = 1024
 #: Memory of one diagnostics record held by ``integrate`` (312 measured).
 RECORD_BYTES = 512
@@ -310,6 +333,11 @@ class _SparseForm:
       :func:`compile_rhs` and :func:`step_rk4` make one per call; the stage
       path of :func:`integrate` makes four per run, one per RK4 stage.
     * ``dt_bound`` is the RK4 step bound (``ModelSpec.dt_bound``).
+    * ``map_work`` holds at most one :class:`_MapWork`, the arrays of the
+      Fourier path of :func:`integrate`, made by its first call (and left
+      empty on the stage path); a call takes it out for its duration and
+      puts it back (:func:`_checked_out`).  It is the one mutable field,
+      and holds arrays only.
     """
 
     production: Optional[np.ndarray]
@@ -318,6 +346,7 @@ class _SparseForm:
     m_symbols: np.ndarray
     evaluator: Callable[[], Callable[[np.ndarray], np.ndarray]]
     dt_bound: float
+    map_work: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 def _sparse_form(model) -> _SparseForm:
@@ -326,11 +355,12 @@ def _sparse_form(model) -> _SparseForm:
 
     Everything is taken through the building blocks (the gradients,
     ``apply_L``, the ``DissipativeRow`` methods and the grid's ``d1``),
-    applied to the reference state, to unit vectors at node 0 or to a seeded
-    random state, in O(dim).  The right-hand side is ``A y + N(y)``: A is a
-    constant matrix and N holds the terms that are not linear, the reservoir
-    production ``sum(production * (R y)**2)`` and, for each ``mul_d1`` block
-    with a coefficient field, the bilinear term ``c * y_a * (K y)`` with
+    applied to the reference state, to unit vectors at node 0 or to a
+    generic check state (:func:`_check_state`), in O(dim).  The right-hand
+    side is ``A y + N(y)``: A is a constant matrix and N holds the terms
+    that are not linear, the reservoir production
+    ``sum(production * (R y)**2)`` and, for each ``mul_d1`` block with a
+    coefficient field, the bilinear term ``c * y_a * (K y)`` with
     ``K y = D dE(y)`` on the block's column.  N reads the products P y (R y
     when there is a production, and the K y).
 
@@ -361,9 +391,9 @@ def _sparse_form(model) -> _SparseForm:
     energy only through a unit square (so ``R dE(y) = R y``) or linearly
     (so ``R c`` is a difference of a constant, exactly zero).
 
-    At a seeded random state (temperatures positive for the log entropy),
-    the Fourier form ``irfft(A(k) rfft(y))`` plus N(y) is checked against
-    the object-level right-hand side; for a model without a bilinear term,
+    At the check state (temperatures positive for the log entropy), the
+    Fourier form ``irfft(A(k) rfft(y))`` plus N(y) is checked against the
+    object-level right-hand side; for a model without a bilinear term,
     A(k) are the symbols it steps on.  A mismatch above 1e-12 relative (a
     model that is not translation-invariant) raises :class:`ValueError`,
     so neither the right-hand side nor the step bound of such a model is
@@ -374,7 +404,7 @@ def _sparse_form(model) -> _SparseForm:
     and only then evaluated or stepped with.  Extreme constants can
     overflow the derivation: it runs with numpy's floating-point warnings
     off and raises :class:`ValueError` when the object-level right-hand
-    side at the seeded state or the symbols of the linearization are not
+    side at the check state or the symbols of the linearization are not
     finite.
     """
     if model._sparse is None:
@@ -513,7 +543,7 @@ def _derive_sparse_form(model) -> _SparseForm:
     # A(k) are the symbols it steps on
     a_symbols = fourier(a_columns.T)[:bins] if bilinear else symbols
 
-    z = random_state(model, np.random.default_rng(0)).flat
+    z = _check_state(model)
     want = generic_rhs(model, State(layout, z)).flat
     if not (np.isfinite(want).all() and np.isfinite(spectrum).all()):
         raise ValueError(
@@ -527,7 +557,7 @@ def _derive_sparse_form(model) -> _SparseForm:
     def check(multiply, message: str) -> None:
         """Raise :class:`ValueError` with ``message`` (formatted with the
         mismatch) when :func:`bind` with ``multiply`` misses the object-level
-        right-hand side at the seeded state by more than 1e-12 of
+        right-hand side at the check state by more than 1e-12 of
         ``max(1, |got|_inf, |want|_inf)``."""
         got = bind(np.zeros(rows), multiply)(z)
         scale = max(1.0, float(np.max(np.abs(got))), float(np.max(np.abs(want))))
@@ -566,7 +596,7 @@ def _derive_sparse_form(model) -> _SparseForm:
                     f"cannot be imported ({error})"
                 ) from None
             check(candidate, "the compiled sparse right-hand side differs from the "
-                  "object-level one by {:.3e} at the derivation's seeded state")
+                  "object-level one by {:.3e} at the derivation's check state")
             product = candidate
         return bind(np.empty(rows), product)
 
@@ -578,6 +608,21 @@ def _derive_sparse_form(model) -> _SparseForm:
         evaluator=evaluator,
         dt_bound=0.9 * limit,
     )
+
+
+def _check_state(model) -> np.ndarray:
+    """The derivation's check state, made in numpy alone: slot i holds
+    ``u_i = 2 frac((i + 1) phi) - 1``, in (-1, 1), with phi the golden
+    ratio's fraction (a Weyl sequence: equidistributed, no two slots equal
+    and no period on the grid, so every Fourier bin of every field is
+    excited), and the log entropy's temperatures are ``exp(0.3 u)``,
+    strictly positive."""
+    layout = model.layout
+    z = np.arange(1, layout.flat_dim + 1) * (0.5 * (math.sqrt(5.0) - 1.0)) % 1.0 * 2.0 - 1.0
+    if isinstance(model.entropy, LogThetaEntropy):
+        theta = layout.field_slice("theta")
+        z[theta] = np.exp(0.3 * z[theta])
+    return z
 
 
 def compile_rhs(model) -> Callable[[np.ndarray], np.ndarray]:
@@ -597,7 +642,7 @@ def compile_rhs(model) -> Callable[[np.ndarray], np.ndarray]:
     (:func:`_circulant`) on the returned function's first call, which loads
     scipy's compiled CSR kernel from its extension module alone (not the
     ``scipy.sparse`` package) and checks the product against the
-    object-level right-hand side at the derivation's seeded state (1e-12
+    object-level right-hand side at the derivation's check state (1e-12
     relative, else :class:`ValueError`; so is an install where scipy cannot
     be imported).
     Called on a flat state of shape ``(dim,)`` of real numbers (another
@@ -813,10 +858,69 @@ def step_rk4(model, z: State, dt: float) -> State:
     return State(model.layout, step(z.flat))
 
 
-def _rk4_symbol_map(sparse: _SparseForm, n: int, dt: float) -> np.ndarray:
+#: Whether numpy's FFT writes into an array it is given (numpy 2 on); numpy
+#: 1's takes no ``out`` and returns a new array.
+_IRFFT_TAKES_OUT = "out" in inspect.signature(np.fft.irfft).parameters
+
+
+class _MapWork:
+    """The arrays of the Fourier path of :func:`integrate` for one model, by
+    name: the one-step map and the scratch of its build, its powers, their
+    spare and the scratch of their compositions, a jump's product, and a
+    record stack's coefficients, fields on the grid (where numpy's FFT
+    takes ``out``) and states.  Their shapes are fixed by the
+    model, so every run after the first finds each array it asks for
+    already made.  A run writes each array before it reads it, so nothing
+    carries over from one run to the next, and nothing here refers to the
+    model."""
+
+    def __init__(self):
+        self.arrays = {}
+
+    def array(self, name, shape: tuple, dtype=complex) -> np.ndarray:
+        """The array ``name``, of ``shape`` and ``dtype``: the one kept, or a
+        new one, kept from then on, where none of that shape is kept."""
+        kept = self.arrays.get(name)
+        if kept is None or kept.shape != shape or kept.dtype != dtype:
+            kept = self.arrays[name] = np.empty(shape, dtype=dtype)
+        return kept
+
+
+@contextlib.contextmanager
+def _checked_out(pool: list):
+    """The :class:`_MapWork` that ``pool`` (a form's ``map_work``) holds,
+    taken out for the duration of one call, or a new one where the pool is
+    empty (a concurrent call has it).  It goes back at the end, whether the
+    call returns or raises; the pool keeps one, so of two calls that end
+    together the later one's is dropped (each list operation is atomic)."""
+    try:
+        work = pool.pop()
+    except IndexError:
+        work = _MapWork()
+    try:
+        yield work
+    finally:
+        pool.append(work)
+        del pool[1:]
+
+
+def _map_work_bytes(bins: int, f: int) -> int:
+    """Bytes of the Fourier path's workspace (:class:`_MapWork`) of a model
+    with ``f`` fields on ``bins`` Fourier bins, at its largest: per bin,
+    four (2f, f) maps, the two (f, f) scratch blocks of their compositions
+    and a jump's (2f, 1) product, all complex; and the scratch of the map's
+    build, whose batches hold at most ``state.STACK_BYTES`` of stages, as
+    much for the rows of R on them (at most f rows) and for their adjoints,
+    and three sums of a quarter of that each.  Its record stack's arrays
+    are within :data:`RECORD_STACK_PEAK`."""
+    return 16 * bins * f * (10 * f + 2) + 4 * STACK_BYTES
+
+
+def _rk4_symbol_map(sparse: _SparseForm, n: int, dt: float, work: _MapWork) -> np.ndarray:
     """RK4's exact one-step map for a model whose fields evolve linearly,
     ``y' = A y``, on the Fourier bins k = 0..n//2 of the fields: one stacked
-    ``[P; H]`` of shape (2f, f) per bin.
+    ``[P; H]`` of shape (2f, f) per bin, in the array ``("map", 0)`` of
+    ``work``, which is returned.
 
     With ``Z = dt A(k)`` the stage fields are ``y_s = S_s y``, where
     ``S_1 = I`` and ``S_(s+1) = I + c_s Z S_s`` (c = 1/2, 1/2, 1), and the
@@ -830,9 +934,9 @@ def _rk4_symbol_map(sparse: _SparseForm, n: int, dt: float) -> np.ndarray:
 
     The bins are taken in batches whose stage blocks fill at most
     ``state.STACK_BYTES`` (all of them up to n = 127 with f = 8), each by
-    :func:`_rk4_stage_sums`; every bin's map is bitwise the same in any
-    batch.  The batches keep the memory of the build small, so that its
-    arrays are reused from one build to the next, not mapped afresh.
+    :func:`_rk4_stage_sums`, on scratch of ``work``; every bin's map is
+    bitwise the same in any batch.  The batches keep the memory of the
+    build small.
     """
     a, r = sparse.symbols, sparse.m_symbols
     bins, f, _ = a.shape
@@ -841,38 +945,46 @@ def _rk4_symbol_map(sparse: _SparseForm, n: int, dt: float) -> np.ndarray:
     parseval[0] = 1.0
     if n % 2 == 0:
         parseval[-1] = 1.0
-    step_map = np.empty((bins, 2 * f, f), dtype=complex)
-    per_batch = max(1, STACK_BYTES // (4 * f * f * 16))
+    step_map = work.array(("map", 0), (bins, 2 * f, f))
+    per_batch = min(bins, max(1, STACK_BYTES // (4 * f * f * 16)))
     for start in range(0, bins, per_batch):
         batch = slice(start, start + per_batch)
-        step_map[batch, :f], step_map[batch, f:] = _rk4_stage_sums(a[batch], r[batch], production, dt)
+        step_map[batch, :f], step_map[batch, f:] = _rk4_stage_sums(
+            a[batch], r[batch], production, dt, work, per_batch)
     step_map[:, f:] *= (dt / (6.0 * n) * parseval)[:, None, None]
     return step_map
 
 
-def _rk4_stage_sums(a: np.ndarray, r: np.ndarray, production: np.ndarray, dt: float) -> tuple:
+def _rk4_stage_sums(a: np.ndarray, r: np.ndarray, production: np.ndarray, dt: float,
+                    work: _MapWork, per_batch: int) -> tuple:
     """``(P, sum_s b_s (R S_s)^H W (R S_s))`` for a batch of bins with the
-    symbols ``a`` and ``r`` (see :func:`_rk4_symbol_map`).
+    symbols ``a`` and ``r`` (see :func:`_rk4_symbol_map`), in scratch of
+    ``work`` made for batches of ``per_batch`` bins.
 
     The four S_s lie side by side in one contiguous (bins, f, 4f) block,
     each formed in place from the one before, so that one batched product
     gives every R S_s.  The sums for P and for the gain are taken in
     contiguous arrays of their own, in the order of the expressions."""
     bins, f, _ = a.shape
+
+    def scratch(name: str, shape: tuple) -> np.ndarray:
+        # the leading bins of a full batch's array: contiguous, as a new one
+        return work.array(name, (per_batch,) + shape)[:bins]
+
     eye = np.eye(f)
-    stages = np.empty((bins, f, 4 * f), dtype=complex)
+    stages = scratch("stages", (f, 4 * f))
     blocks = [stages[:, :, s * f:(s + 1) * f] for s in range(4)]
     blocks[0][...] = eye
     for stage, following, c in zip(blocks, blocks[1:], (0.5, 0.5, 1.0)):
         np.matmul(a, stage, out=following)
         following *= c * dt
         following += eye
-    rows = r @ stages
-    rows_h = rows.conj().transpose(0, 2, 1)
+    rows = np.matmul(r, stages, out=scratch("rows", (r.shape[1], 4 * f)))
+    rows_h = np.conj(rows, out=scratch("adjoint rows", (r.shape[1], 4 * f))).transpose(0, 2, 1)
     rows *= production[:, None]
-    total = np.zeros((bins, f, f), dtype=complex)
-    gain = np.zeros_like(total)
-    buffer = np.empty_like(total)
+    total, gain, buffer = (scratch(name, (f, f)) for name in ("total", "gain", "buffer"))
+    total.fill(0.0)
+    gain.fill(0.0)
     for s, (stage, b) in enumerate(zip(blocks, (1.0, 2.0, 2.0, 1.0))):
         total += np.multiply(b, stage, out=buffer)
         columns = slice(s * f, (s + 1) * f)
@@ -884,28 +996,38 @@ def _rk4_stage_sums(a: np.ndarray, r: np.ndarray, production: np.ndarray, dt: fl
     return buffer, gain
 
 
-def _compose(first: np.ndarray, then: np.ndarray) -> np.ndarray:
+def _compose(first: np.ndarray, then: np.ndarray, out: np.ndarray, scratch: tuple) -> np.ndarray:
     """The map of ``first`` followed by ``then``, both stacked ``[P; H]`` per
-    bin: ``[P2 P1; H1 + P1^H H2 P1]``, two batched products."""
+    bin: ``[P2 P1; H1 + P1^H H2 P1]``, two batched products, written into
+    ``out`` (which shares no memory with either) and returned.  ``P1^H``
+    and ``P1^H H2 P1`` are taken in the two (bins, f, f) arrays of
+    ``scratch``, as new arrays of the same layout would hold them, so the
+    map is bitwise the one without ``out``."""
     f = first.shape[2]
     p1 = first[:, :f]
-    out = then @ p1
-    gain = out[:, f:]
-    gain[...] = np.conj(p1).transpose(0, 2, 1) @ gain
-    gain += first[:, f:]
+    np.matmul(then, p1, out=out)
+    adjoint, product = scratch
+    np.matmul(np.conj(p1, out=adjoint).transpose(0, 2, 1), out[:, f:], out=product)
+    np.add(product, first[:, f:], out=out[:, f:])
     return out
 
 
-def _map_power(step_map: np.ndarray, steps: int) -> np.ndarray:
-    """m = ``steps`` applications of the stacked map ``[P; H]`` as one map,
-    ``[P^m; sum_(j<m) (P^j)^H H P^j]``, by binary powering from the leading
-    bit: square, then compose with the one-step map on a set bit.  That is
-    at most 2 log2(m) compositions, with only the running power held."""
+def _map_power(step_map: np.ndarray, steps: int, out: np.ndarray, spare: np.ndarray,
+               scratch: tuple) -> np.ndarray:
+    """m = ``steps`` (at least 2) applications of the stacked map ``[P; H]``
+    as one map, ``[P^m; sum_(j<m) (P^j)^H H P^j]``, by binary powering from
+    the leading bit: square, then compose with the one-step map on a set
+    bit.  That is at most 2 log2(m) compositions (:func:`_compose`, with
+    ``scratch``), which alternate between ``out`` and ``spare``, starting
+    with the one that makes the last land in ``out``, which is returned."""
+    bits = bin(steps)[3:]
+    pair = (out, spare) if (len(bits) + bits.count("1")) % 2 else (spare, out)
+    targets = itertools.cycle(pair)
     result = step_map
-    for bit in bin(steps)[3:]:
-        result = _compose(result, result)
+    for bit in bits:
+        result = _compose(result, result, next(targets), scratch)
         if bit == "1":
-            result = _compose(result, step_map)
+            result = _compose(result, step_map, next(targets), scratch)
     return result
 
 
@@ -949,43 +1071,61 @@ def _stage_path(sparse: _SparseForm, y: np.ndarray, dt: float, theta: Optional[s
     return y, jump, np.stack
 
 
-def _symbol_path(model, sparse: _SparseForm, y: np.ndarray, cfg: IntegratorConfig):
+def _symbol_path(model, sparse: _SparseForm, y: np.ndarray, cfg: IntegratorConfig,
+                 work: _MapWork):
     """``(state, jump, to_grid)`` for RK4's map on the Fourier bins of the
     fields, starting from the flat state ``y``.
 
     A state is the fields' coefficients and the reservoir.  The one-step
     map, and its powers over ``record_every`` steps and over the remainder
     ``n_steps % record_every`` when the run has them (:func:`_map_power`),
-    are built once per call.  ``jump(state, m)`` takes m steps (1, one record
-    interval, or the last, shorter one) as one batched product with the
-    m-step map and one ``vdot`` for the reservoir, and returns
-    ``(new_state, ok)``, where ok means the coefficients and the reservoir
-    are finite; the input is left as it is.  ``to_grid`` turns states back
-    into an (R, dim) stack with one ``irfft`` over all their bins, bitwise
-    one ``irfft`` per state.
+    are built once per call, in arrays of ``work``: the one-step map in
+    ``("map", 0)``, each power in one of its own and their spare in the
+    next, so a run takes at most four.  ``jump(state, m)`` takes m steps
+    (1, one record interval, or the last, shorter one) as one batched
+    product with the m-step map, into the array ``"jump"``, and one
+    ``vdot`` for the reservoir, and returns ``(new_state, ok)``, where ok
+    means the coefficients and the reservoir are finite; the input is left
+    as it is.  ``to_grid`` turns at most ``stack_rows`` states back into an
+    (R, dim) stack with one ``irfft`` over all their bins, bitwise one
+    ``irfft`` per state; the stack is a view of the array ``"states"``,
+    valid until the next call.
     """
     layout = model.layout
     n, f = layout.grid.n, layout.n_fields
     nf = n * f
-    one_step = _rk4_symbol_map(sparse, n, cfg.dt)
+    bins = n // 2 + 1
+    one_step = _rk4_symbol_map(sparse, n, cfg.dt, work)
     maps = {1: one_step}
-    for m in {min(cfg.record_every, cfg.n_steps), cfg.n_steps % cfg.record_every}:
-        if m > 1:
-            maps[m] = _map_power(one_step, m)
+    powers = [m for m in {min(cfg.record_every, cfg.n_steps), cfg.n_steps % cfg.record_every}
+              if m > 1]
+    for i, m in enumerate(powers, 1):
+        out, spare = (work.array(("map", j), one_step.shape) for j in (i, len(powers) + 1))
+        scratch = tuple(work.array(name, (bins, f, f)) for name in ("adjoint", "composed gain"))
+        maps[m] = _map_power(one_step, m, out, spare, scratch)
+    product = work.array("jump", (bins, 2 * f, 1))
+    rows = stack_rows(layout)
+    coefficients = work.array("coefficients", (rows, bins, f))
+    fields = work.array("fields", (rows, n, f), dtype=float) if _IRFFT_TAKES_OUT else None
+    grid_states = work.array("states", (rows, layout.flat_dim), dtype=float)
 
     def jump(state, m: int):
         y_hat, e = state
-        mapped = maps[m] @ y_hat
+        mapped = np.matmul(maps[m], y_hat, out=product)
         e += np.vdot(y_hat, mapped[:, f:]).real
-        # a copy: a held view would keep the whole product alive
+        # a copy: the next jump writes its product over this one
         y_hat = mapped[:, :f].copy()
         return (y_hat, e), bool(np.isfinite(y_hat).all()) and math.isfinite(e)
 
     def to_grid(states) -> np.ndarray:
+        held = np.stack([c[:, :, 0] for c, _ in states], out=coefficients[:len(states)])
         # (R, n, f): the transform runs along the bins of the stack as it lies
-        fields = np.fft.irfft(np.stack([c[:, :, 0] for c, _ in states]), n, axis=1)
-        out = np.empty((len(states), layout.flat_dim))
-        out[:, :nf] = fields.transpose(0, 2, 1).reshape(len(states), nf)
+        if fields is None:
+            on_grid = np.fft.irfft(held, n, axis=1)
+        else:
+            on_grid = np.fft.irfft(held, n, axis=1, out=fields[:len(states)])
+        out = grid_states[:len(states)]
+        out[:, :nf].reshape(len(states), f, n)[...] = on_grid.transpose(0, 2, 1)
         out[:, nf:] = np.array([e for _, e in states])[:, None]
         return out
 
@@ -1044,7 +1184,8 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     Rejects a model whose derivation fails (:func:`_sparse_form`: among
     others, one that is not translation-invariant or whose ``M dE = 0`` does
     not hold exactly), steps above the model's stability bound, and a run whose
-    estimated memory (set-up, records and one record stack) or work is above
+    estimated memory (set-up, records, one record stack and, on the Fourier
+    path, the model's workspace) or work is above
     :data:`MEMORY_LIMIT_BYTES` or :data:`WORK_LIMIT`; aborts with
     :class:`PositivityError` if a log-entropy temperature leaves the positive
     cone, and with :class:`DivergenceError` on non-finite states (the
@@ -1073,16 +1214,18 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
     _check_budget(
         f"{model.id} integrate over {_magnitude(n_steps)} steps",
         memory=(dim * SETUP_BYTES_PER_SLOT + n_records * RECORD_BYTES
-                + RECORD_STACK_PEAK * per_stack * 8 * dim),
+                + RECORD_STACK_PEAK * per_stack * 8 * dim
+                + (0 if stage else _map_work_bytes(*sparse.symbols.shape[:2]))),
         work=((n_steps if stage else n_records) + replay) * dim,
     )
     y = z0.flat.copy()
     theta = model.layout.field_slice("theta") if log_entropy else None
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+            _checked_out(sparse.map_work) as work:
         if stage:
             state, jump, to_grid = _stage_path(sparse, y, cfg.dt, theta)
         else:
-            state, jump, to_grid = _symbol_path(model, sparse, y, cfg)
+            state, jump, to_grid = _symbol_path(model, sparse, y, cfg, work)
         records = []
         times, held = [0.0], [state]
 
@@ -1281,11 +1424,24 @@ def _bracket_residuals(model, z: State, xi: CotangentVector, eta: CotangentVecto
 class TestFunctional:
     """Quadratic functional F(z) = 1/2 <z - z0, A (z - z0)> + <c, z> with a
     per-slot diagonal A (symmetric under the mixed inner product).  ``grad``
-    takes a state or a stack of states."""
+    takes a state or a stack of states.  ``z0`` must be a :class:`State`,
+    ``c`` a :class:`CotangentVector` of its layout and ``diag`` a real array
+    of one entry per slot; anything else raises :class:`ValueError`."""
 
     z0: State
     diag: np.ndarray
     c: CotangentVector
+
+    def __post_init__(self):
+        if not isinstance(self.z0, State):
+            raise ValueError(f"test functional: z0 must be a State, got {type(self.z0).__name__}")
+        layout = self.z0.layout
+        if not (isinstance(self.c, CotangentVector) and self.c.layout == layout):
+            raise ValueError("test functional: c must be a CotangentVector of z0's layout")
+        diag = np.asarray(self.diag)
+        if diag.dtype.kind not in "iuf" or diag.shape != (layout.flat_dim,):
+            raise ValueError(f"test functional: diag must be a real array of shape "
+                             f"({layout.flat_dim},), got shape {diag.shape} of {diag.dtype}")
 
     def grad(self, z: State) -> CotangentVector:
         if z.layout != self.z0.layout:
@@ -1330,7 +1486,10 @@ def jacobi_check(model, z: State, f1, f2, f3, h: float):
     of the three ``dH(z)`` gives the directions, and the probes of every
     term with ``v != 0`` (four rows each, each term's ``dF`` and ``dG`` taken
     on its own rows) go through one ``apply_L`` and one pairing per stack.
-    Every row is bitwise what it gives alone.
+    Every row is bitwise what it gives alone.  The probes and the stencil
+    run with numpy's floating-point warnings off; an ``h`` so large that a
+    probe, a bracket or a term is not finite raises :class:`ValueError`
+    naming it, as one that is not finite does.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
@@ -1342,32 +1501,38 @@ def jacobi_check(model, z: State, f1, f2, f3, h: float):
     for a in range(0, 3, rows):
         grads = np.array([fc.grad(z).flat for _, _, fc in cycle[a:a + rows]])
         directions[a:a + rows] = apply_L(model, z, CotangentVector._stack(layout, grads)).flat
-    reach = h * (1.0 + float(np.max(np.abs(flat))))
-    sizes = np.max(np.abs(directions), axis=1)
-    live = [term for term in range(3) if sizes[term] != 0.0]
-    steps = [reach / float(sizes[term]) for term in live]
-    # probe row 4q + j is z + t m_j v of the q-th live term
-    along = np.repeat(live, 4)
-    shifts = (np.array(steps)[:, None] * np.array([1.0, -1.0, 2.0, -2.0])).ravel()
-    brackets = np.empty(along.size)
-    for a in range(0, along.size, rows):
-        end = min(a + rows, along.size)
-        # in place, each row is bitwise z.flat + t * m * v
-        probes = directions[along[a:end]]
-        probes *= shifts[a:end, None]
-        probes += flat
-        ga, gb = np.empty_like(probes), np.empty_like(probes)
-        for q in range(a // 4, (end - 1) // 4 + 1):
-            fa, fb, _ = cycle[live[q]]
-            mine = slice(max(a, 4 * q) - a, min(end, 4 * q + 4) - a)
-            block = State._stack(layout, probes[mine])
-            ga[mine], gb[mine] = fa.grad(block).flat, fb.grad(block).flat
-        lgb = apply_L(model, State._stack(layout, probes), CotangentVector._stack(layout, gb))
-        brackets[a:end] = mixed_inner(layout, ga, lgb.flat)
-    terms = [0.0, 0.0, 0.0]
-    for q, (term, t) in enumerate(zip(live, steps)):
-        b = brackets[4 * q:4 * q + 4]
-        terms[term] = float(8.0 * (b[0] - b[1]) - (b[2] - b[3])) / (12.0 * t)
+    finite = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = h * (1.0 + float(np.max(np.abs(flat))))
+        sizes = np.max(np.abs(directions), axis=1)
+        live = [term for term in range(3) if sizes[term] != 0.0]
+        steps = [reach / float(sizes[term]) for term in live]
+        # probe row 4q + j is z + t m_j v of the q-th live term
+        along = np.repeat(live, 4)
+        shifts = (np.array(steps)[:, None] * np.array([1.0, -1.0, 2.0, -2.0])).ravel()
+        brackets = np.empty(along.size)
+        for a in range(0, along.size, rows):
+            end = min(a + rows, along.size)
+            # in place, each row is bitwise z.flat + t * m * v
+            probes = directions[along[a:end]]
+            probes *= shifts[a:end, None]
+            probes += flat
+            finite = finite and bool(np.isfinite(probes).all())
+            ga, gb = np.empty_like(probes), np.empty_like(probes)
+            for q in range(a // 4, (end - 1) // 4 + 1):
+                fa, fb, _ = cycle[live[q]]
+                mine = slice(max(a, 4 * q) - a, min(end, 4 * q + 4) - a)
+                block = State._stack(layout, probes[mine])
+                ga[mine], gb[mine] = fa.grad(block).flat, fb.grad(block).flat
+            lgb = apply_L(model, State._stack(layout, probes), CotangentVector._stack(layout, gb))
+            brackets[a:end] = mixed_inner(layout, ga, lgb.flat)
+        terms = [0.0, 0.0, 0.0]
+        for q, (term, t) in enumerate(zip(live, steps)):
+            b = brackets[4 * q:4 * q + 4]
+            terms[term] = float(8.0 * (b[0] - b[1]) - (b[2] - b[3])) / (12.0 * t)
+    if not (finite and np.isfinite(brackets).all() and np.isfinite(terms).all()):
+        raise ValueError(f"finite-difference step h={h!r} is too large: a probe, a bracket "
+                         "or a term of the Jacobi check is not finite")
     residual = abs(terms[0] + terms[1] + terms[2])
     scale = max(1.0, *(abs(term) for term in terms))
     return residual, scale

@@ -1,4 +1,7 @@
 import importlib.util
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +35,14 @@ def new_needs_scipy(models):
     ``needs_scipy``."""
     return [pytest.param(m, marks=needs_scipy) if m == bg.ModelId.TIMOSHENKO_NEW else m
             for m in models]
+
+
+def run_python(code, cwd=None):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package; return the finished process."""
+    src = str(pathlib.Path(bg.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd,
+                          env={"PYTHONPATH": src, "PATH": ""}, timeout=120)
 
 
 def rel_inf(a, b):

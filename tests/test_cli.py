@@ -8,7 +8,7 @@ import pytest
 from beamgeneric import cli
 from beamgeneric.cli import CSV_HEADER, main, parse_config_text
 from beamgeneric.engine import DiagnosticsRecord
-from conftest import needs_scipy, new_needs_scipy
+from conftest import needs_scipy, new_needs_scipy, run_python
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -538,27 +538,13 @@ def test_verify_trials_above_the_budget_exit_one(capsys):
 # lean import
 
 
-def _run_python(code, cwd=None):
-    """Run ``code`` in a fresh interpreter that imports this checkout's
-    package; return the finished process."""
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import beamgeneric
-
-    src = str(Path(beamgeneric.__file__).resolve().parent.parent)
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd,
-                          env={"PYTHONPATH": src, "PATH": ""}, timeout=120)
-
-
 @needs_scipy
 def test_import_and_verify_leave_scipy_unloaded():
     # scipy's CSR kernel loads with the first call of a compiled right-hand
     # side (step_rk4, TimoshenkoNew's stage path), from its extension module
     # alone: the package, the derivation and the object-level verifier load
     # no scipy, and nothing loads scipy.sparse
-    proc = _run_python(
+    proc = run_python(
         "import io, sys\n"
         "import beamgeneric as bg\n"
         "from beamgeneric import cli\n"
@@ -573,7 +559,7 @@ def test_import_and_verify_leave_scipy_unloaded():
         "assert 'scipy.sparse' not in sys.modules, 'step_rk4'\n"
     )
     assert proc.returncode == 0, proc.stderr
-    proc = _run_python(
+    proc = run_python(
         "import sys\n"
         "import numpy as np\n"
         "import beamgeneric as bg\n"
@@ -586,12 +572,38 @@ def test_import_and_verify_leave_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_simulate_and_decay_leave_numpy_random_unloaded(tmp_path):
+    # the derivation checks its Fourier form at a check state made without a
+    # generator, so a simulate or decay of a linear model never imports
+    # numpy.random (about 6 MB of resident memory and 12 ms); where numpy
+    # imports it itself there is nothing to check
+    proc = run_python("""
+import sys
+import numpy
+if 'numpy.random' in sys.modules:
+    sys.exit(3)
+from beamgeneric import cli
+config = 'model = TimoshenkoHeatI\\nn = 16\\nt_end = 2\\n'
+with open('decay.cfg', 'w') as f:
+    f.write(config)
+with open('run.cfg', 'w') as f:
+    f.write(config + 'output = run.csv\\n')
+assert cli.main(['simulate', '--config', 'run.cfg']) == 0
+assert 'numpy.random' not in sys.modules, 'simulate'
+assert cli.main(['decay', '--config', 'decay.cfg']) == 0
+assert 'numpy.random' not in sys.modules, 'decay'
+""", cwd=tmp_path)
+    if proc.returncode == 3:
+        pytest.skip("numpy imports numpy.random itself")
+    assert proc.returncode == 0, proc.stderr
+
+
 @needs_scipy
 def test_csr_kernel_is_loaded_once_and_scipy_sparse_still_imports():
     # every model reuses the kernel loaded once; a later import of
     # scipy.sparse binds a submodule of its own, its products stay right and
     # the stage steps stay bitwise the same
-    proc = _run_python("""
+    proc = run_python("""
 import sys
 import numpy as np
 import beamgeneric as bg
@@ -621,7 +633,7 @@ def test_csr_kernel_falls_back_to_the_scipy_sparse_package(tmp_path):
     # where scipy's directory holds no _sparsetools file (an editable build),
     # the kernel comes through the scipy.sparse package, with the same
     # records; an empty directory stands for that directory here
-    proc = _run_python(f"""
+    proc = run_python(f"""
 import sys
 import beamgeneric as bg
 from beamgeneric import engine
@@ -664,7 +676,7 @@ def test_linear_models_run_without_scipy(tmp_path):
         config = f"model = {name}\nn = 64\nt_end = 0.5\nrecord_every = 5\n"
         write_config(tmp_path, config + f"output = {tmp_path / name}.csv\n", f"{name}.cfg")
         write_config(tmp_path, config, f"{name}-decay.cfg")
-    proc = _run_python(_NO_SCIPY + f"LINEAR_NAMES = {LINEAR_NAMES!r}\n" + """
+    proc = run_python(_NO_SCIPY + f"LINEAR_NAMES = {LINEAR_NAMES!r}\n" + """
 import io
 from contextlib import redirect_stdout
 import beamgeneric as bg
@@ -708,7 +720,7 @@ def test_timoshenko_new_without_scipy_exits_one(tmp_path):
     cases = ((_NO_SCIPY, "scipy is blocked: scipy"), (not_found, "No module named 'scipy')"))
     for (block, reason), argv in itertools.product(
             cases, (["simulate", "--config", "new.cfg"], ["decay", "--config", "new-decay.cfg"])):
-        proc = _run_python(block + f"""
+        proc = run_python(block + f"""
 import sys
 from beamgeneric import cli
 sys.exit(cli.main({argv!r}))

@@ -1,8 +1,11 @@
+import concurrent.futures
 import dataclasses
 import gc
 import itertools
 import math
 import re
+import sys
+import threading
 import warnings
 import weakref
 from fractions import Fraction
@@ -41,7 +44,7 @@ from beamgeneric.engine import (
 )
 from beamgeneric.functionals import LinearTerm, SquareTerm
 from beamgeneric.state import stack_rows
-from conftest import needs_scipy, rel_inf
+from conftest import needs_scipy, rel_inf, run_python
 
 
 # --------------------------------------------------------------------------
@@ -920,8 +923,10 @@ def test_map_power_matches_sequential_steps(n, mid):
     # by one: P^m = P P^(m-1) and H_m = sum_(j<m) (P^j)^H H P^j
     model = bg.build_model(mid, ModelParams(), Grid(n, 1.0))
     sparse = engine._sparse_form(model)
-    step = engine._rk4_symbol_map(sparse, n, model.dt_bound)
+    step = engine._rk4_symbol_map(sparse, n, model.dt_bound, engine._MapWork())
     f = model.layout.n_fields
+    out, spare = np.empty_like(step), np.empty_like(step)
+    scratch = (np.empty_like(step[:, :f]), np.empty_like(step[:, :f]))
     p, h = step[:, :f], step[:, f:]
     power = np.broadcast_to(np.eye(f), p.shape).astype(complex)
     gain = np.zeros_like(power)
@@ -931,7 +936,7 @@ def test_map_power_matches_sequential_steps(n, mid):
             gain += power.conj().transpose(0, 2, 1) @ h @ power
             power = p @ power
         done = m
-        got = engine._map_power(step, m)
+        got = engine._map_power(step, m, out, spare, scratch)
         for part, want in ((got[:, :f], power), (got[:, f:], gain)):
             scale = float(np.max(np.abs(want)))
             assert scale > 0.0
@@ -948,7 +953,7 @@ def test_one_step_map_is_the_taylor_polynomial_with_a_psd_gain(n):
         sparse = engine._sparse_form(model)
         f = model.layout.n_fields
         for dt in (model.dt_bound, 0.3 * model.dt_bound):
-            step = engine._rk4_symbol_map(sparse, n, dt)
+            step = engine._rk4_symbol_map(sparse, n, dt, engine._MapWork())
             p, h = step[:, :f], step[:, f:]
             z = dt * sparse.symbols
             powers = [np.broadcast_to(np.eye(f), z.shape)]
@@ -978,6 +983,178 @@ def test_sweep_on_one_model_matches_fresh_models(grid32):
         cfg = IntegratorConfig(dt=dt, t_end=t_end, record_every=record_every)
         fresh = bg.build_model(mid, ModelParams(), grid32)
         assert integrate(model, z0, cfg) == integrate(fresh, z0, cfg), cfg
+
+
+def _workspace_configs(model):
+    """Runs that take the Fourier path's workspace through each of its uses:
+    one power and its spare, two powers, no power, one power again."""
+    bound = model.dt_bound
+    return [IntegratorConfig(dt, steps * dt, record_every)
+            for dt, steps, record_every in ((bound, 250, 10), (0.5 * bound, 53, 7),
+                                            (bound, 5, 1), (bound, 250, 10))]
+
+
+def _workspace_runs(model, z0):
+    return [_record_bytes(integrate(model, z0, cfg)) for cfg in _workspace_configs(model)]
+
+
+@pytest.mark.parametrize("mid", (bg.ModelId.TIMOSHENKO_FRICTIONAL, bg.ModelId.TIMOSHENKO_HEAT_II,
+                                 bg.ModelId.BRESSE_HEAT_II), ids=str)
+def test_workspace_repeated_integrates_equal_fresh_models(grid32, mid):
+    # the model keeps one workspace, reused by every later integrate, and
+    # the maps written into it give bitwise the records of a fresh model's
+    model = bg.build_model(mid, ModelParams(), grid32)
+    z0 = bg.random_state(model, np.random.default_rng(8))
+    got = _workspace_runs(model, z0)
+    pool = engine._sparse_form(model).map_work
+    assert len(pool) == 1
+    work = pool[0]
+    # the one-step map, two powers and their spare
+    assert {name for name in work.arrays if isinstance(name, tuple)} == {("map", i) for i in range(4)}
+    kept = dict(work.arrays)
+    assert _workspace_runs(model, z0) == got
+    assert pool == [work]
+    assert work.arrays.keys() == kept.keys()
+    assert all(work.arrays[name] is array for name, array in kept.items())
+    assert got == [_record_bytes(integrate(bg.build_model(mid, ModelParams(), grid32), z0, cfg))
+                   for cfg in _workspace_configs(model)]
+
+
+@pytest.mark.parametrize("n", (16, 512))
+def test_workspace_is_within_the_budget_estimate(n):
+    # integrate's memory estimate counts the workspace the model keeps at
+    # its largest: the maps and their scratch apart, the record stack's
+    # arrays as part of one record stack; and that count leaves
+    # BresseHeatII at n = 2^16, whose set-up the budget allows, room to
+    # integrate
+    record_arrays = ("coefficients", "fields", "states")
+    for mid in bg.ALL_MODEL_IDS:
+        if mid is bg.ModelId.TIMOSHENKO_NEW:
+            continue
+        model = bg.build_model(mid, ModelParams(), Grid(n, 1.0))
+        _workspace_runs(model, bg.default_initial_state(mid, model.grid))
+        (work,) = engine._sparse_form(model).map_work
+        held = {kind: sum(array.nbytes for name, array in work.arrays.items()
+                          if (name in record_arrays) == kind) for kind in (False, True)}
+        bins, f = n // 2 + 1, model.layout.n_fields
+        assert held[False] <= engine._map_work_bytes(bins, f), mid
+        stack = stack_rows(model.layout) * 8 * model.layout.flat_dim
+        assert held[True] <= engine.RECORD_STACK_PEAK * stack, mid
+    dim = 8 * 2**16 + 1
+    assert dim * engine.SETUP_BYTES_PER_SLOT + engine._map_work_bytes(2**15 + 1, 8) \
+        < engine.MEMORY_LIMIT_BYTES
+
+
+def test_workspace_is_not_shared_with_a_concurrent_integrate(grid32, monkeypatch):
+    # a second integrate started while the first is inside its run (held
+    # in its first record) finds the model's workspace taken and makes its
+    # own; both give bitwise the records of a run alone, and the model
+    # keeps one workspace
+    mid = bg.ModelId.BRESSE_HEAT_II
+    model = bg.build_model(mid, ModelParams(), grid32)
+    z0 = bg.random_state(model, np.random.default_rng(9))
+    cfg = IntegratorConfig(dt=model.dt_bound, t_end=53 * model.dt_bound, record_every=7)
+    want = _record_bytes(integrate(bg.build_model(mid, ModelParams(), grid32), z0, cfg))
+    inside, release = threading.Event(), threading.Event()
+    diagnostics, make = engine._diagnostics, engine._MapWork
+    made = []
+
+    def paused(*args):
+        if threading.current_thread() is not threading.main_thread() and not inside.is_set():
+            inside.set()
+            assert release.wait(60)
+        return diagnostics(*args)
+
+    def counted(*args):
+        made.append(make(*args))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "_diagnostics", paused)
+    monkeypatch.setattr(engine, "_MapWork", counted)
+    with concurrent.futures.ThreadPoolExecutor(1) as executor:
+        first = executor.submit(integrate, model, z0, cfg)
+        assert inside.wait(60)
+        try:
+            second = integrate(model, z0, cfg)
+        finally:
+            release.set()
+        assert _record_bytes(first.result(60)) == want
+    assert _record_bytes(second) == want
+    assert len(made) == 2
+    assert engine._sparse_form(model).map_work in ([made[0]], [made[1]])
+
+
+def test_workspace_threads_give_the_single_thread_records(grid32):
+    # more threads than cores, switching often, integrate one model at once:
+    # a workspace shared by two calls would mix their maps or records
+    model = bg.build_model(bg.ModelId.TIMOSHENKO_HEAT_II, ModelParams(), grid32)
+    z0 = bg.random_state(model, np.random.default_rng(10))
+    want = _workspace_runs(model, z0)
+    threads = 4
+    start = threading.Barrier(threads)
+
+    def runs(_):
+        start.wait(60)
+        return [_workspace_runs(model, z0) for _ in range(10)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(threads) as executor:
+            results = [future.result(120) for future in
+                       [executor.submit(runs, i) for i in range(threads)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[want] * 10] * threads
+    assert len(engine._sparse_form(model).map_work) == 1
+
+
+def test_workspace_survives_a_failed_run(grid32):
+    # a run that raises DivergenceError puts the workspace back, and the
+    # next run on the model gives bitwise a fresh model's records
+    mid = bg.ModelId.TIMOSHENKO_FRICTIONAL
+    model = bg.build_model(mid, ModelParams(), grid32)
+    bad = State.zeros(model.layout)
+    bad.field("p")[:] = 1e200
+    with pytest.raises(DivergenceError):
+        integrate(model, bad, IntegratorConfig(dt=1e-3, t_end=1.0, record_every=100))
+    assert len(engine._sparse_form(model).map_work) == 1
+    z0 = bg.random_state(model, np.random.default_rng(11))
+    assert _workspace_runs(model, z0) == _workspace_runs(bg.build_model(mid, ModelParams(), grid32), z0)
+
+
+_FAULTS = """
+import resource
+import beamgeneric as bg
+model = bg.build_model('BresseHeatII', bg.ModelParams(), bg.Grid(512, 1.0))
+z0 = bg.default_initial_state(model.id, model.grid)
+cfg = bg.IntegratorConfig(model.dt_bound, 250 * model.dt_bound, 10)
+for held_kb in (0, 256, 1024, 4096):
+    held = [bytes(1000) for _ in range(held_kb)]
+    for _ in range(3):
+        bg.integrate(model, z0, cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(16):
+        bg.integrate(model, z0, cfg)
+    print(held_kb, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 16)
+    del held
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+def test_workspace_keeps_repeated_integrates_from_faulting():
+    # BresseHeatII at n = 512, as the scale512 benchmark runs it: made
+    # afresh, the maps, their compositions and a record stack's arrays
+    # (about 2 MB) were trimmed from the heap at each return and faulted
+    # back in by the next call, 418 minor faults per call.  Kept on the
+    # model, they fault in once, also when the process first holds other
+    # allocations
+    proc = run_python(_FAULTS)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        assert float(line.split()[-1]) <= 40.0, line
 
 
 def test_divergence_on_the_first_step_of_a_long_interval(models32):
@@ -1056,7 +1233,7 @@ def _one_row_records(model, z0, cfg):
     if model.id is bg.ModelId.TIMOSHENKO_NEW:
         path = engine._stage_path(sparse, y, cfg.dt, model.layout.field_slice("theta"))
     else:
-        path = engine._symbol_path(model, sparse, y, cfg)
+        path = engine._symbol_path(model, sparse, y, cfg, engine._MapWork())
     state, jump, to_grid = path
     records = _diagnostics(model, sparse, (0.0,), y[None])
     step = 0
@@ -1499,6 +1676,48 @@ def test_test_functionals_of_another_layout_are_rejected(models32):
         jacobi_check(model, z, *fs, h=1e-3)
     with pytest.raises(ValueError, match=message):
         engine.poisson_bracket(model, z, fs[0], fs[1])
+
+
+def test_test_functional_checks_its_own_fields(models32):
+    # c of another layout with as many slots, and a diag of one entry that
+    # broadcasts, used to pass and give a bracket value
+    model = models32[bg.ModelId.TIMOSHENKO_HEAT_II]
+    layout, other = model.layout, models32[bg.ModelId.TIMOSHENKO_HEAT_III].layout
+    rng = np.random.default_rng(37)
+    f = bg.random_test_functional(layout, rng)
+    o = bg.random_test_functional(other, rng)
+    dim = layout.flat_dim
+    for z0, diag, c, message in (
+        (f.z0, np.ones(1), o.c, "c must be a CotangentVector of z0's layout"),
+        (f.z0, f.diag, o.c, "c must be a CotangentVector of z0's layout"),
+        (f.z0, f.diag, State(layout, f.c.flat), "c must be a CotangentVector"),
+        (f.z0.flat, f.diag, f.c, "z0 must be a State, got ndarray"),
+        (f.z0, np.ones(1), f.c, rf"diag must be a real array of shape \({dim},\), got shape \(1,\)"),
+        (f.z0, f.diag[:, None], f.c, "diag must be a real array"),
+        (f.z0, f.diag + 0j, f.c, "diag must be a real array .* of complex128"),
+        (f.z0, f.diag.astype(object), f.c, "diag must be a real array"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            bg.TestFunctional(z0, diag, c)
+    unit = bg.TestFunctional(f.z0, np.ones(dim, dtype=int), f.c)
+    assert unit.grad(f.z0).flat.tobytes() == f.c.flat.tobytes()
+
+
+def test_jacobi_rejects_a_step_too_large_for_its_probes(models32):
+    # h = 1e300 passes the finite-step check, but the probes at z +- 2t v
+    # overflow: numpy warned and the residual read NaN
+    model = models32[bg.ModelId.TIMOSHENKO_HEAT_I]
+    rng = np.random.default_rng(33)
+    z = bg.random_state(model, rng)
+    fs = [bg.random_test_functional(model.layout, rng) for _ in range(3)]
+    for h in (1e300, float(np.finfo(float).max)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = re.escape(f"finite-difference step h={h!r} is too large")
+            with pytest.raises(ValueError, match=message):
+                jacobi_check(model, z, *fs, h=h)
+    residual, scale = jacobi_check(model, z, *fs, h=1e-3)
+    assert residual <= 1e-10 * scale
 
 
 def test_jacobi_step_validation(models32):
