@@ -403,9 +403,9 @@ def _sparse_form(model) -> _SparseForm:
     same comparison at the same state (1e-12, else :class:`ValueError`),
     and only then evaluated or stepped with.  Extreme constants can
     overflow the derivation: it runs with numpy's floating-point warnings
-    off and raises :class:`ValueError` when the object-level right-hand
-    side at the check state or the symbols of the linearization are not
-    finite.
+    off and raises :class:`ValueError` when ``J dE`` at the probes, the
+    object-level right-hand side at the check state or the symbols of the
+    linearization are not finite.
     """
     if model._sparse is None:
         with np.errstate(all="ignore"):
@@ -418,6 +418,8 @@ def _derive_sparse_form(model) -> _SparseForm:
     grid = layout.grid
     n, nfields, dim = grid.n, layout.n_fields, layout.flat_dim
     nf = n * nfields
+    not_finite = (f"{model.id}: the right-hand side or its linearization is not finite "
+                  "(are the constants too extreme?)")
     z0 = model.reference_state.flat
     fields = z0[:nf].reshape(nfields, n)
     if not np.all(fields == fields[:, :1]):
@@ -509,6 +511,9 @@ def _derive_sparse_form(model) -> _SparseForm:
     energy_gradients = grad_energy(model, probes)
     j_de = [row.apply(probes, energy_gradients) for row in dissipative]
     worst = float(np.max(np.abs(j_de), initial=0.0))
+    # a NaN or inf here is an overflow (of 1/(2 dx), say), not a failed degeneracy
+    if not math.isfinite(worst):
+        raise ValueError(not_finite)
     if not worst == 0.0:
         raise ValueError(
             f"{model.id}: the degeneracy M dE = 0 does not hold: J dE, the dissipative "
@@ -546,10 +551,7 @@ def _derive_sparse_form(model) -> _SparseForm:
     z = _check_state(model)
     want = generic_rhs(model, State(layout, z)).flat
     if not (np.isfinite(want).all() and np.isfinite(spectrum).all()):
-        raise ValueError(
-            f"{model.id}: the right-hand side or its linearization is not finite "
-            "(are the constants too extreme?)"
-        )
+        raise ValueError(not_finite)
     # the model's id, not the model: the model caches this form, and a
     # closure over the model would make a reference cycle
     product, model_id = None, model.id
@@ -740,6 +742,12 @@ class IntegratorConfig:
     def n_steps(self) -> int:
         """Number of fixed steps that reach t_end (the last may overshoot it)."""
         return int(math.ceil(self.t_end / self.dt - 1e-9))
+
+    @property
+    def n_records(self) -> int:
+        """Number of records a run writes: the initial one and one per
+        interval of ``record_every`` steps (the last may be shorter)."""
+        return 1 + -(-self.n_steps // self.record_every)
 
 
 class DiagnosticsRecord(NamedTuple):
@@ -1204,8 +1212,7 @@ def integrate(model, z0: State, cfg: IntegratorConfig) -> List[DiagnosticsRecord
 
     sparse = _sparse_form(model)
     stage = bool(sparse.bilinear) or log_entropy
-    n_steps = cfg.n_steps
-    n_records = 1 + -(-n_steps // cfg.record_every)  # the initial one and one per interval
+    n_steps, n_records = cfg.n_steps, cfg.n_records
     dim = model.layout.flat_dim
     # both paths may replay the steps of one interval one by one to find a
     # first bad step; the Fourier path takes one product per record besides
@@ -1632,11 +1639,11 @@ def decay_rate(records: Sequence[DiagnosticsRecord]) -> float:
     """Least-squares slope of log(mechanical energy) over the last half of the
     trajectory (:func:`_slope`).
 
-    Rejects fewer than 10 records (:class:`ValueError`) and a fit window
-    with a time or a mechanical energy that is not finite, or an energy
-    that is not positive (:class:`DomainError`)."""
-    if len(records) < 10:
-        raise ValueError(f"need at least 10 records for a decay fit, got {len(records)}")
+    Rejects fewer than 10 records (:class:`ValueError`,
+    :func:`check_decay_records`) and a fit window with a time or a
+    mechanical energy that is not finite, or an energy that is not positive
+    (:class:`DomainError`)."""
+    check_decay_records(len(records), windows=False)
     return _slope(*_log_mech_energy_tail(records))
 
 
@@ -1664,22 +1671,34 @@ def mode_abscissa(model, mode: int) -> float:
 DECAY_WINDOWS = 5
 
 
+def check_decay_records(count: int, rate: bool = True, windows: bool = True) -> None:
+    """Raise :class:`ValueError` when ``count`` records are too few for the
+    fit of :func:`decay_rate` (``rate``: at least 10) or for the windows of
+    :func:`windowed_decay_rates` (``windows``: at least
+    ``DECAY_WINDOWS + 1`` in the last half), in that order.  A count known
+    before a run (:attr:`IntegratorConfig.n_records`) can be checked before
+    it."""
+    if rate and count < 10:
+        raise ValueError(f"need at least 10 records for a decay fit, got {count}")
+    tail = count - count // 2
+    if windows and tail < DECAY_WINDOWS + 1:
+        raise ValueError(
+            f"the windowed decay fit needs at least {DECAY_WINDOWS + 1} records in the "
+            f"trajectory's last half, got {tail} of {count} records"
+        )
+
+
 def windowed_decay_rates(records: Sequence[DiagnosticsRecord]):
     """Decay slopes over :data:`DECAY_WINDOWS` consecutive windows of the
     trajectory's last half, for a sign test on the fitted rate.
 
     Neighbouring windows share their end record, so every window holds at
     least two records once the last half holds ``DECAY_WINDOWS + 1``; fewer
-    raise :class:`ValueError` rather than return fewer rates.  Each slope is
-    :func:`_slope`'s closed form, and the fit window is rejected as in
-    :func:`decay_rate`.
+    raise :class:`ValueError` rather than return fewer rates
+    (:func:`check_decay_records`).  Each slope is :func:`_slope`'s closed
+    form, and the fit window is rejected as in :func:`decay_rate`.
     """
-    tail = len(records) - len(records) // 2
-    if tail < DECAY_WINDOWS + 1:
-        raise ValueError(
-            f"the windowed decay fit needs at least {DECAY_WINDOWS + 1} records in the "
-            f"trajectory's last half, got {tail} of {len(records)} records"
-        )
+    check_decay_records(len(records), rate=False)
     t, log_me = _log_mech_energy_tail(records)
     bounds = np.linspace(0, len(t) - 1, DECAY_WINDOWS + 1).astype(int)
     return [_slope(t[a:b + 1], log_me[a:b + 1]) for a, b in zip(bounds[:-1], bounds[1:])]

@@ -283,6 +283,27 @@ def test_decay_refuses_too_few_records_for_the_windows(tmp_path, capsys):
     assert "/5 windows negative)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("config, error", [
+    # 8 records, too few for the rate fit, known before about 2 s of stepping
+    ("model = TimoshenkoNew\nn = 128\nrecord_every = 10000\n",
+     "error: need at least 10 records for a decay fit, got 8\n"),
+    # 10 records: a rate, but 5 in the last half, too few for the windows
+    ("model = TimoshenkoHeatI\nrecord_every = 2000\n",
+     "error: the windowed decay fit needs at least 6 records in the trajectory's last "
+     "half, got 5 of 10 records\n"),
+], ids=("rate", "windows"))
+def test_decay_refuses_too_few_records_before_the_run(tmp_path, capsys, monkeypatch, config, error):
+    # the record count follows from the config, so the run is never started
+    def fail(*args, **kwargs):
+        raise AssertionError("integrate must not run for too few records")
+
+    monkeypatch.setattr(cli, "integrate", fail)
+    assert main(["decay", "--config", write_config(tmp_path, config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == error
+    assert captured.out == ""
+
+
 def test_decay_rejects_output(tmp_path, capsys):
     # decay writes no file, so an output key would be silently ignored
     for output in ("/nonexistent/dir/x.csv", tmp_path / "x.csv"):
@@ -434,6 +455,21 @@ def test_decay_no_warning_for_the_frictional_nyquist_mode(tmp_path, capsys):
     # friction damps every motion of mode n/2; its zero eigenvalue (a
     # zero-energy sawtooth of phi) is a steady state, not an undamped motion
     assert "warning" not in _decay_output(tmp_path, capsys, "TimoshenkoFrictional", 64, 32)
+
+
+def test_decay_calls_a_mode_above_the_noise_unresolved(tmp_path, capsys):
+    # at k = 1e22 the eigensolver reads TimoshenkoFrictional's mode 1 with a
+    # real part far above zero (+9.8e3 here), which the exact symbol cannot
+    # have: that is error, not an undamped mode, and the run says so
+    cfg = write_config(tmp_path, "model = TimoshenkoFrictional\nk = 1e22\nt_end = 1e-10\n")
+    assert main(["decay", "--config", cfg]) == 0
+    warning, fit = capsys.readouterr().out.splitlines()
+    prefix = ("warning: the damping of TimoshenkoFrictional's mode 1 on n = 64 is unresolved "
+              "at these constants (largest Re(lambda) ")
+    assert warning.startswith(prefix)
+    assert float(warning[len(prefix):].split(",")[0]) > cli.UNDAMPED_MODE_TOLERANCE
+    assert "does not damp" not in warning
+    assert fit.startswith("TimoshenkoFrictional decay_rate ")
 
 
 def test_verify_all_models(capsys):
@@ -712,10 +748,11 @@ def test_timoshenko_new_without_scipy_exits_one(tmp_path):
     # TimoshenkoNew steps on its compiled right-hand side, whose first call
     # loads scipy's CSR kernel: where a finder refuses scipy, or none finds
     # it, simulate and decay exit 1 naming the model and scipy, with no
-    # traceback and no CSV
+    # traceback and no CSV.  The decay run records every step, so that its
+    # record count passes the fits' check made before the run
     config = "model = TimoshenkoNew\nn = 16\nt_end = 0.01\n"
     write_config(tmp_path, config + "output = new.csv\n", "new.cfg")
-    write_config(tmp_path, config, "new-decay.cfg")
+    write_config(tmp_path, config + "record_every = 1\n", "new-decay.cfg")
     not_found = "import importlib.util\nimportlib.util.find_spec = lambda name, package=None: None\n"
     cases = ((_NO_SCIPY, "scipy is blocked: scipy"), (not_found, "No module named 'scipy')"))
     for (block, reason), argv in itertools.product(

@@ -702,6 +702,16 @@ def _stage_reference(model, z0, cfg):
     return records
 
 
+@pytest.mark.parametrize("steps, record_every", ((1, 1), (9, 10), (10, 10), (11, 10), (53, 7)))
+def test_n_records_counts_the_records_a_run_writes(models32, steps, record_every):
+    # the initial record and one per interval, the last maybe shorter
+    model = models32[bg.ModelId.TIMOSHENKO_FRICTIONAL]
+    cfg = IntegratorConfig(dt=1e-3, t_end=steps * 1e-3, record_every=record_every)
+    assert cfg.n_steps == steps
+    z0 = bg.default_initial_state(model.id, model.grid)
+    assert cfg.n_records == 1 + math.ceil(steps / record_every) == len(integrate(model, z0, cfg))
+
+
 @needs_scipy
 @pytest.mark.parametrize("start", ("default", "random"))
 @pytest.mark.parametrize("record_every", (1, 7))
@@ -1021,6 +1031,25 @@ def test_workspace_repeated_integrates_equal_fresh_models(grid32, mid):
 
 
 @pytest.mark.parametrize("n", (16, 512))
+def test_records_do_not_depend_on_irfft_taking_out(n, monkeypatch):
+    # numpy 1's irfft takes no out= and returns a new array per record
+    # stack: that branch of the Fourier path's to_grid must give bitwise
+    # the records of the branch numpy 2 takes, over stacks of four states
+    # (every run below holds more than one)
+    monkeypatch.setattr(engine, "stack_rows", lambda layout: 4)
+    for mid in LINEAR_IDS:
+        grid = Grid(n, 1.0)
+        default = bg.build_model(mid, ModelParams(), grid)
+        z0 = bg.random_state(default, np.random.default_rng(n))
+        want = _workspace_runs(default, z0)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_IRFFT_TAKES_OUT", False)
+            model = bg.build_model(mid, ModelParams(), grid)
+            assert _workspace_runs(model, z0) == want, mid
+            assert "fields" not in engine._sparse_form(model).map_work[0].arrays
+
+
+@pytest.mark.parametrize("n", (16, 512))
 def test_workspace_is_within_the_budget_estimate(n):
     # integrate's memory estimate counts the workspace the model keeps at
     # its largest: the maps and their scratch apart, the record stack's
@@ -1142,6 +1171,9 @@ for held_kb in (0, 256, 1024, 4096):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+@pytest.mark.skipif(not engine._IRFFT_TAKES_OUT,
+                    reason="the fault bound was measured with numpy 2's irfft(out=); numpy 1's "
+                           "irfft returns a new array per record stack")
 def test_workspace_keeps_repeated_integrates_from_faulting():
     # BresseHeatII at n = 512, as the scale512 benchmark runs it: made
     # afresh, the maps, their compositions and a record stack's arrays
@@ -1481,6 +1513,17 @@ def test_record_form_is_checked_when_derived(grid32, mid, edit, floor):
     assert not checks["degeneracy_MdE"].passed
     assert checks["degeneracy_MdE"].max_residual > floor
     assert all(checks[name].passed for name in ("antisymmetry", "symmetry", "psd", "degeneracy_LdS"))
+
+
+@pytest.mark.parametrize("mid", bg.ALL_MODEL_IDS)
+def test_an_overflowing_derivation_is_not_blamed_on_the_degeneracy(mid):
+    # at dx = 1e-320 / 16, 1/(2 dx) overflows inside the energy gradients:
+    # J dE reads NaN, which is the overflow, not a model without M dE = 0
+    model = bg.build_model(mid, ModelParams(), Grid(16, 1e-320))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{mid}: the right-hand side or its linearization is not finite "
+            "(are the constants too extreme?)")):
+        model.dt_bound
 
 
 def test_integrate_layout_mismatch(models32):
